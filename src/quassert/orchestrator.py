@@ -15,14 +15,23 @@ import json
 from dataclasses import dataclass, field
 
 from quassert.protocols import (
+    PROTOCOL_PROCESS,
+    PROTOCOL_STATE,
     AssertionResult,
     ExpectedValue,
     ProcessRef,
     RunConfig,
+    protocol_for,
     run_protocol_detailed,
 )
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution
 from quassert.simulator import DensityMatrixSimulator, NoiseModel, derive_seed
+from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
+
+_TOMOGRAPHY_QUBIT_LIMITS = {
+    PROTOCOL_STATE: MAX_STATE_QUBITS,
+    PROTOCOL_PROCESS: MAX_PROCESS_QUBITS,
+}
 
 
 class SuiteValidationError(ValueError):
@@ -128,6 +137,13 @@ def validate_suite(suite: TestSuite) -> None:
                     f"case {case.name!r}, assertion {i}: expected value uses "
                     f"{_expected_qubits(assertion.expected)} qubit(s) but the suite "
                     f"declares {suite.n_qubits}"
+                )
+            protocol = protocol_for(assertion.expected)
+            limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
+            if limit is not None and suite.n_qubits > limit:
+                raise SuiteValidationError(
+                    f"case {case.name!r}, assertion {i}: {protocol} supports at most "
+                    f"{limit} qubit(s), got {suite.n_qubits}"
                 )
             if assertion.shots is not None and assertion.shots < 1:
                 raise SuiteValidationError(

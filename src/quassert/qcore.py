@@ -89,6 +89,8 @@ class GateOp:
             raise ValueError(
                 f"gate {self.name!r}: angle must be given for rotation gates and only for them"
             )
+        if self.angle is not None and not np.isfinite(self.angle):
+            raise ValueError(f"gate {self.name!r}: angle must be finite, got {self.angle}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")
 
@@ -183,6 +185,8 @@ class DensityMatrix:
             raise DimensionError(
                 f"DensityMatrix for {self.n_qubits} qubit(s) must be {dim}x{dim}, got {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > qmath.HERMITICITY_TOL:
             raise DimensionError(f"density matrix not Hermitian: max |A - A†| = {herm:.3e}")
@@ -235,6 +239,8 @@ class ChoiMatrix:
             raise DimensionError(
                 f"ChoiMatrix for {self.n_qubits} qubit(s) must be {dim}x{dim}, got {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("Choi matrix has non-finite entries")
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > qmath.HERMITICITY_TOL:
             raise DimensionError(f"Choi matrix not Hermitian: max |A - A†| = {herm:.3e}")
@@ -272,6 +278,8 @@ class OutcomeDistribution:
                 f"distribution for {self.n_qubits} qubit(s) needs {2**self.n_qubits} entries, "
                 f"got {probs.size}"
             )
+        if not np.isfinite(probs).all():
+            raise ValueError("distribution has non-finite probabilities")
         if float(probs.min()) < 0.0:
             raise ValueError(f"negative probability {probs.min():.3e}")
         total = float(probs.sum())

@@ -22,17 +22,11 @@ from quassert.qcore import (
     DensityMatrix,
     GateOp,
     OutcomeDistribution,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     TWO_QUBIT_GATES,
     embed_single_qubit,
     expanded_gate_matrix,
 )
 from quassert.qmath import NumericError
-
-_PAULIS_1Q = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -128,18 +122,18 @@ def _apply_kraus(mat: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
 
 
 def _depolarize(mat: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """(1 - p) * rho + p * maximally-mixed on the given qubits."""
+    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits."""
     if p == 0.0:
         return mat
-    k = len(qubits)
-    acc = np.zeros_like(mat)
-    for letters in np.ndindex(*(4,) * k):
-        op = np.eye(2**n, dtype=np.complex128)
-        for q, letter in zip(qubits, letters):
-            if letter:
-                op = op @ embed_single_qubit(_PAULIS_1Q[letter], q, n)
-        acc += op @ mat @ op.conj().T
-    return (1.0 - p) * mat + (p / 4**k) * acc
+    # Qubit q owns row axis n-1-q and column axis 2n-1-q of the reshaped
+    # matrix; each listed qubit's 2x2 block becomes half its trace times I.
+    mixed = mat.reshape((2,) * (2 * n))
+    for q in qubits:
+        axes = (n - 1 - q, 2 * n - 1 - q)
+        block = np.moveaxis(mixed, axes, (-2, -1))
+        half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
+        mixed = np.moveaxis(half_trace[..., None, None] * np.eye(2), (-2, -1), axes)
+    return (1.0 - p) * mat + p * mixed.reshape(mat.shape)
 
 
 def _amplitude_damp(mat: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Quantum state and process tomography by linear inversion.
 
-State tomography measures all 3^n per-qubit Pauli bases, averages every
-compatible setting into each Pauli-string expectation (identity positions
-marginalized), rebuilds the state by linear inversion and restores
-physicality with a PSD projection.  Process tomography feeds the channel all
-4^n product preparations from {|0>, |1>, |+>, |+i>}, tomographs each output,
-and inverts the fixed preparation frame to assemble the Choi matrix.
+State tomography measures all 3^n per-qubit Pauli bases and inverts them
+with the product inverse channel of classical shadows: each outcome o of
+setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
+settings.  This equals averaging every compatible setting into each
+Pauli-string expectation.  A PSD projection then restores physicality.
+Process tomography feeds the channel all 4^n product preparations from
+{|0>, |1>, |+>, |+i>}, tomographs each output, and inverts the fixed
+preparation frame to assemble the Choi matrix.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
 taken from the exact outcome distribution, so reconstruction is exact (up to
@@ -36,7 +38,12 @@ MAX_PROCESS_QUBITS = 3
 
 _BASIS_LETTERS = ("X", "Y", "Z")
 _PREP_LABELS = ("0", "1", "+", "+i")
-_PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# _SHADOW[letter, o] = I/2 + 3/2 (-1)^o P_letter, the single-qubit inverse
+# channel for outcome bit o measured in basis _BASIS_LETTERS[letter].
+_SHADOW = np.array(
+    [[PAULI_I / 2.0 + 1.5 * sign * pauli for sign in (1.0, -1.0)]
+     for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
+)
 
 
 class SizeLimitError(ValueError):
@@ -101,18 +108,6 @@ def preparation_settings(n_qubits: int) -> list[PreparationSetting]:
     return settings
 
 
-def _parity_signs(dim: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(i & mask) for every outcome index i."""
-    return np.array([1.0 if bin(i & mask).count("1") % 2 == 0 else -1.0 for i in range(dim)])
-
-
-def _pauli_string_matrix(letters: tuple[str, ...]) -> np.ndarray:
-    mat = np.array([[1.0]], dtype=np.complex128)
-    for q in reversed(range(len(letters))):
-        mat = qmath.kron(mat, _PAULI_BY_LETTER[letters[q]])
-    return mat
-
-
 def state_tomography(
     prep: Circuit | None,
     subject: Circuit,
@@ -138,10 +133,8 @@ def state_tomography(
         state = backend.evolve(state, prep)
     state = backend.evolve(state, subject)
 
-    dim = 2**n
-    settings = measurement_settings(n)
     probs_by_setting = []
-    for k, setting in enumerate(settings):
+    for k, setting in enumerate(measurement_settings(n)):
         if shots_per_setting == 0:
             probs = backend.exact_distribution(state, setting.rotation).probs
         else:
@@ -151,28 +144,24 @@ def state_tomography(
             probs = counts.frequencies()
         probs_by_setting.append(probs)
 
-    rho = np.eye(dim, dtype=np.complex128) / dim
-    for code in range(1, 4**n):
-        letters = tuple("IXYZ"[(code // 4**q) % 4] for q in range(n))
-        support = [q for q, letter in enumerate(letters) if letter != "I"]
-        mask = sum(1 << q for q in support)
-        signs = _parity_signs(dim, mask)
-        free = [q for q in range(n) if q not in support]
-        total = 0.0
-        compatible = 0
-        for combo in range(3 ** len(free)):
-            k = 0
-            for q in support:
-                k += _BASIS_LETTERS.index(letters[q]) * 3**q
-            for idx, q in enumerate(free):
-                k += ((combo // 3**idx) % 3) * 3**q
-            total += float(signs @ probs_by_setting[k])
-            compatible += 1
-        expectation = total / compatible
-        rho += expectation * _pauli_string_matrix(letters) / dim
-
-    projected = qmath.psd_project(rho, 1.0)
+    projected = qmath.psd_project(_invert_settings(probs_by_setting, n), 1.0)
     return DensityMatrix(n, projected)
+
+
+def _invert_settings(probs_by_setting: list[np.ndarray], n: int) -> np.ndarray:
+    """Linear-inversion estimate from the outcome distributions of all 3^n settings.
+
+    rho = 3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse
+    channel of classical shadows (Huang, Kueng, Preskill 2020); it equals
+    averaging every compatible setting into each Pauli-string expectation.
+    """
+    # Axes 0..n-1 are basis letters and n..2n-1 outcome bits; both groups list
+    # qubit n-1 first (qubit 0's letter varies fastest, qubit 0 is the low
+    # outcome bit), as do the result's row axes 2n.. and column axes 3n..
+    probs = np.array(probs_by_setting).reshape((3,) * n + (2,) * n)
+    factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
+    rho = np.einsum(probs, [*range(2 * n)], *factors, [*range(2 * n, 4 * n)])
+    return rho.reshape(2**n, 2**n) / 3**n
 
 
 def _single_qubit_prep_matrices() -> list[np.ndarray]:
@@ -200,6 +189,23 @@ def _dual_frame() -> np.ndarray:
 _DUAL = _dual_frame()
 
 
+def _assemble_choi(outputs: list[np.ndarray], n: int) -> np.ndarray:
+    """sum_m kron((x)_q D_{m_q}, outputs[m]) with D_s[a, b] = _DUAL[s, 2a + b].
+
+    ``outputs[m]`` is the channel's output for preparation m of
+    :func:`preparation_settings`; the result is the unnormalized Choi matrix.
+    """
+    d = 2**n
+    # Axes 0..n-1 are preparation labels, n..2n-1 and 2n..3n-1 the input row
+    # and column bits, all listing qubit n-1 first like the kron.
+    outputs = np.array(outputs).reshape((4,) * n + (d, d))
+    row, col = 3 * n, 3 * n + 1
+    factors = [x for j in range(n) for x in (_DUAL.reshape(4, 2, 2), [j, n + j, 2 * n + j])]
+    choi_axes = [*range(n, 2 * n), row, *range(2 * n, 3 * n), col]
+    choi = np.einsum(outputs, [*range(n), row, col], *factors, choi_axes)
+    return choi.reshape(d * d, d * d)
+
+
 def process_tomography(
     subject: Circuit,
     backend: DensityMatrixSimulator,
@@ -221,21 +227,7 @@ def process_tomography(
         )
         outputs.append(estimate.mat)
 
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for row in range(d):
-        for col in range(d):
-            block = np.zeros((d, d), dtype=np.complex128)
-            for m, output in enumerate(outputs):
-                coeff = 1.0 + 0.0j
-                for q in range(n):
-                    a = (row >> q) & 1
-                    b = (col >> q) & 1
-                    s = (m // 4**q) % 4
-                    coeff *= _DUAL[s, 2 * a + b]
-                if coeff != 0.0:
-                    block += coeff * output
-            choi[row * d : (row + 1) * d, col * d : (col + 1) * d] = block
-
+    choi = _assemble_choi(outputs, n)
     choi = (choi + choi.conj().T) / 2.0
     projected = qmath.psd_project(choi, float(d))
     return ChoiMatrix(n, projected)

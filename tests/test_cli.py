@@ -14,6 +14,9 @@ from quassert.cli import (
     run_sweep,
 )
 from quassert.orchestrator import SuiteValidationError
+
+NaN = float("nan")
+Infinity = float("inf")
 from quassert.simulator import DEFAULT_NOISE
 
 SUITE_PATH = str(Path(__file__).resolve().parent.parent / "suites" / "bell_pair.json")
@@ -170,6 +173,34 @@ class TestCmdRun:
         path.write_text(json.dumps({"name": "x"}))
         assert main(["run", str(path)]) == 2
         assert "n_qubits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            # json.loads accepts NaN and Infinity, and the schema's "number" does too.
+            (
+                {"name": "c", "circuit": [], "assertions": [
+                    {"type": "state", "value": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+                "cases[1].assertions[0]",
+            ),
+            (
+                {"name": "c", "circuit": [{"gate": "rx", "qubits": [0], "angle": Infinity}],
+                 "assertions": [{"type": "distribution", "value": [0.5, 0.5]}]},
+                "cases[1].circuit[0]",
+            ),
+        ],
+        ids=["nan_state", "infinite_angle"],
+    )
+    def test_non_finite_input_exit_two(self, capsys, tmp_path, case, where):
+        first = {"name": "first", "circuit": [],
+                 "assertions": [{"type": "distribution", "value": [1.0, 0.0]}]}
+        doc = {"name": "nonfinite", "n_qubits": 1, "cases": [first, case]}
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert where in captured.err and "finite" in captured.err
 
     def test_threshold_and_shots_overrides(self, capsys):
         # Per-verdict threshold: at 0.999 the single-draw chi-squared p-value

@@ -199,6 +199,24 @@ class TestValidation:
         with pytest.raises(SuiteValidationError):
             validate_suite(suite)
 
+    @pytest.mark.parametrize(
+        "n_qubits, expected",
+        [
+            (5, lambda n: DensityMatrix.ground(n)),
+            (4, lambda n: ProcessRef(Circuit(n))),
+        ],
+        ids=["state_5q", "process_4q"],
+    )
+    def test_tomography_size_caps_checked_up_front(self, n_qubits, expected):
+        ground = OutcomeDistribution(n_qubits, np.eye(2**n_qubits)[0])
+        first = TestCase("first", Circuit(n_qubits), (Assertion(ground),))
+        too_big = TestCase(
+            "too_big", Circuit(n_qubits), (Assertion(ground), Assertion(expected(n_qubits)))
+        )
+        suite = TestSuite("caps", n_qubits, (first, too_big))
+        with pytest.raises(SuiteValidationError, match="case 'too_big', assertion 1"):
+            run_suite(suite)
+
     def test_bad_override_values(self, bell_circuit):
         dist = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])
         with pytest.raises(SuiteValidationError, match="shots"):

@@ -192,6 +192,17 @@ class TestDomainTypes:
         with pytest.raises(DimensionError):
             OutcomeDistribution(2, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("rz", (0,), angle=bad)
+        with pytest.raises(ValueError, match="finite"):
+            OutcomeDistribution(1, [bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(1, np.diag([bad, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ChoiMatrix(1, np.diag([bad, 0.0, 0.0, 1.0]))
+
     def test_choi_matrix_rejects_non_psd(self):
         with pytest.raises(ValueError):
             ChoiMatrix(1, np.diag([2.0, 1.0, -0.5, -0.5]))

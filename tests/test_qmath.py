@@ -3,10 +3,15 @@
 The eigensolver is cross-checked by rebuilding the input from its own output
 and against LAPACK eigenvalues; the PSD projection against hand-executed
 truncation steps; the partial trace against an explicit index-pair sum.
+Hypothesis property tests cover the eigendecomposition contract and the PSD
+projection's invariants on arbitrary Hermitian input.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quassert import qmath
 from quassert.qmath import (
@@ -22,6 +27,20 @@ from quassert.qmath import (
 )
 
 from conftest import random_density, random_hermitian, random_psd
+
+
+@st.composite
+def hermitian_matrices(draw, max_dim: int = 8) -> np.ndarray:
+    dim = draw(st.integers(1, max_dim))
+    entries = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    parts = draw(hnp.arrays(np.float64, (2, dim, dim), elements=entries))
+    g = parts[0] + 1j * parts[1]
+    return (g + g.conj().T) / 2.0
+
+
+def _tol(a: np.ndarray) -> float:
+    return 1e-9 * max(1.0, float(np.abs(a).max()) * a.shape[0])
+
 
 BELL_PROJECTOR = 0.5 * np.array(
     [[1, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]], dtype=complex
@@ -270,3 +289,24 @@ class TestPsdProject:
     def test_bad_target_rejected(self):
         with pytest.raises(DegenerateInputError):
             psd_project(np.eye(2), 0.0)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(hermitian_matrices())
+    def test_hermitian_eig_contract(self, a):
+        eig = hermitian_eig(a)
+        v = eig.vectors
+        assert eig.values.dtype == np.float64
+        assert np.all(np.diff(eig.values) >= 0.0)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(a.shape[0]), rtol=0, atol=1e-10)
+        np.testing.assert_allclose((v * eig.values) @ v.conj().T, a, rtol=0, atol=_tol(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hermitian_matrices(), st.floats(0.1, 10.0))
+    def test_psd_project_is_psd_with_target_trace(self, a, target):
+        assume(np.trace(a).real > 1e-3 * (1.0 + float(np.abs(a).max())))
+        out = psd_project(a, target)
+        np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-12 * target)
+        assert abs(np.trace(out).real - target) <= 1e-9 * target
+        assert np.linalg.eigvalsh(out).min() >= -1e-9 * target

@@ -3,20 +3,43 @@
 import numpy as np
 import pytest
 
-from quassert.qcore import Circuit, DensityMatrix, circuit_to_unitary, gate
+from quassert.qcore import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    Circuit,
+    DensityMatrix,
+    circuit_to_unitary,
+    embed_single_qubit,
+    gate,
+)
 from quassert.qmath import DimensionError
 from quassert.simulator import (
     DEFAULT_NOISE,
     Counts,
     DensityMatrixSimulator,
     NoiseModel,
+    _depolarize,
     derive_seed,
     evolve,
     exact_distribution,
     sample,
 )
 
-from conftest import random_circuit
+from conftest import random_circuit, random_density
+
+
+def pauli_twirl_depolarize(mat, qubits, p, n):
+    """Reference channel: average of rho conjugated by all 4^k Pauli products."""
+    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+    acc = np.zeros_like(mat)
+    for letters in np.ndindex(*(4,) * len(qubits)):
+        op = np.eye(2**n, dtype=np.complex128)
+        for q, letter in zip(qubits, letters):
+            op = op @ embed_single_qubit(paulis[letter], q, n)
+        acc += op @ mat @ op.conj().T
+    return (1.0 - p) * mat + (p / 4 ** len(qubits)) * acc
 
 
 class TestNoiseModel:
@@ -98,6 +121,16 @@ class TestEvolve:
                 after = evolve(rho, Circuit(2, (op,)), noise)
                 assert after.purity() <= rho.purity() + 1e-9
                 rho = after
+
+    @pytest.mark.parametrize("qubits", [(0,), (2,), (2, 0), (0, 1)])
+    def test_depolarize_matches_pauli_twirl(self, qubits):
+        rho = random_density(np.random.default_rng(53), 3)
+        np.testing.assert_allclose(
+            _depolarize(rho, qubits, 0.3, 3),
+            pauli_twirl_depolarize(rho, qubits, 0.3, 3),
+            rtol=0,
+            atol=1e-14,
+        )
 
     def test_amplitude_damping_decays_excited_state(self):
         noise = NoiseModel(amplitude_damping=0.25)

@@ -21,16 +21,77 @@ from quassert.qcore import (
 )
 from quassert.simulator import DensityMatrixSimulator, evolve
 from quassert.tomography import (
+    _DUAL,
     SizeLimitError,
+    _assemble_choi,
+    _invert_settings,
     measurement_settings,
     preparation_settings,
     process_tomography,
     state_tomography,
 )
 
-from conftest import random_circuit
+from conftest import random_circuit, random_hermitian
 
 BACKEND = DensityMatrixSimulator()
+PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def pauli_averaging_inversion(probs_by_setting, n):
+    """Reference inversion: average every compatible setting into each
+    Pauli-string expectation, then sum the Pauli strings."""
+    dim = 2**n
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    for code in range(1, 4**n):
+        letters = tuple("IXYZ"[(code // 4**q) % 4] for q in range(n))
+        support = [q for q in range(n) if letters[q] != "I"]
+        free = [q for q in range(n) if letters[q] == "I"]
+        mask = sum(1 << q for q in support)
+        signs = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(dim)])
+        base = sum("XYZ".index(letters[q]) * 3**q for q in support)
+        total = 0.0
+        for combo in range(3 ** len(free)):
+            k = base + sum(((combo // 3**idx) % 3) * 3**q for idx, q in enumerate(free))
+            total += float(signs @ probs_by_setting[k])
+        pauli = np.array([[1.0]])
+        for q in reversed(range(n)):
+            pauli = np.kron(pauli, PAULI_BY_LETTER[letters[q]])
+        rho += total / 3 ** len(free) * pauli / dim
+    return rho
+
+
+def blockwise_choi(outputs, n):
+    """Reference Choi assembly: block (row, col) = sum_m coeff(m, row, col) output_m."""
+    d = 2**n
+    choi = np.zeros((d * d, d * d), dtype=np.complex128)
+    for row in range(d):
+        for col in range(d):
+            for m, output in enumerate(outputs):
+                coeff = 1.0 + 0.0j
+                for q in range(n):
+                    a = (row >> q) & 1
+                    b = (col >> q) & 1
+                    coeff *= _DUAL[(m // 4**q) % 4, 2 * a + b]
+                choi[row * d : (row + 1) * d, col * d : (col + 1) * d] += coeff * output
+    return choi
+
+
+class TestInversionOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shadow_inversion_matches_pauli_averaging(self, n):
+        rng = np.random.default_rng(60 + n)
+        probs = [rng.dirichlet(np.ones(2**n)) for _ in range(3**n)]
+        np.testing.assert_allclose(
+            _invert_settings(probs, n), pauli_averaging_inversion(probs, n), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_choi_contraction_matches_blockwise_sum(self, n):
+        rng = np.random.default_rng(70 + n)
+        outputs = [random_hermitian(rng, 2**n) for _ in range(4**n)]
+        np.testing.assert_allclose(
+            _assemble_choi(outputs, n), blockwise_choi(outputs, n), rtol=0, atol=1e-12
+        )
 
 
 class TestSettings:
