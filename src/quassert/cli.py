@@ -12,10 +12,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
-import jsonschema
 import numpy as np
 
 from quassert.orchestrator import (
@@ -27,17 +27,10 @@ from quassert.orchestrator import (
     format_report,
     report_to_dict,
     run_suite,
+    validate_assertion,
 )
-from quassert.protocols import RunConfig, protocol_for, run_protocol
-from quassert.qcore import (
-    ChoiMatrix,
-    Circuit,
-    DensityMatrix,
-    GATE_NAMES,
-    GateOp,
-    OutcomeDistribution,
-    circuit_to_choi,
-)
+from quassert.protocols import ProcessRef, RunConfig, check_shots, protocol_for, run_protocol
+from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution
 from quassert.qmath import DegenerateInputError, NumericError
 from quassert.simulator import DEFAULT_NOISE, DensityMatrixSimulator, NoiseModel, derive_seed
 from quassert.stats import DegenerateTestError
@@ -51,119 +44,9 @@ EXIT_FAILURES = 1
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
-_COMPLEX_ENTRY = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX_ENTRY}, "minItems": 1}
-_GATE = {
-    "type": "object",
-    "required": ["gate", "qubits"],
-    "additionalProperties": False,
-    "properties": {
-        "gate": {"type": "string", "enum": list(GATE_NAMES)},
-        "qubits": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-            "maxItems": 2,
-        },
-        "angle": {"type": "number"},
-    },
-}
-_CIRCUIT = {"type": "array", "items": _GATE}
-_NOISE = {
-    "oneOf": [
-        {"type": "null"},
-        {"type": "string"},
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "depolarizing_1q": {"type": "number", "minimum": 0, "maximum": 1},
-                "depolarizing_2q": {"type": "number", "minimum": 0, "maximum": 1},
-                "amplitude_damping": {"type": "number", "minimum": 0, "maximum": 1},
-                "readout_flip": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-    ]
-}
-_ASSERTION = {
-    "type": "object",
-    "required": ["type", "value"],
-    "additionalProperties": False,
-    "properties": {
-        "type": {"enum": ["distribution", "state", "process", "process_ref"]},
-        "value": {},
-        "shots": {"type": "integer", "minimum": 1},
-        "threshold": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-}
-_CASE = {
-    "type": "object",
-    "required": ["name", "circuit", "assertions"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "circuit": _CIRCUIT,
-        "assertions": {"type": "array", "items": _ASSERTION, "minItems": 1},
-    },
-}
-
-SUITE_SCHEMA = {
-    "type": "object",
-    "required": ["name", "n_qubits", "cases"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "n_qubits": {"type": "integer", "minimum": 1},
-        "save_data": {"type": "boolean"},
-        "defaults": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "shots": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "threshold": {"type": "number", "minimum": 0, "maximum": 1},
-                "noise": _NOISE,
-            },
-        },
-        "cases": {"type": "array", "items": _CASE, "minItems": 1},
-    },
-}
-
-_SWEEP_CASE = {
-    "type": "object",
-    "required": ["name", "circuit", "assertion"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "circuit": _CIRCUIT,
-        "assertion": _ASSERTION,
-    },
-}
-
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["name", "n_qubits", "positive_case", "negative_case"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "n_qubits": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "shot_grid": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "trials_per_point": {"type": "integer", "minimum": 1},
-        "noise": _NOISE,
-        "positive_case": _SWEEP_CASE,
-        "negative_case": _SWEEP_CASE,
-    },
-}
+# An n-qubit expected value holds 2^n numbers or more, so no document can
+# describe more qubits; the bound keeps every 2**n_qubits cheap to form.
+MAX_DOCUMENT_QUBITS = 64
 
 
 @dataclass(frozen=True)
@@ -179,144 +62,228 @@ class SweepConfig:
     noise: NoiseModel | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        proto_pos = protocol_for(self.positive_case.assertions[0].expected)
+        proto_neg = protocol_for(self.negative_case.assertions[0].expected)
+        if proto_pos != proto_neg:
+            raise ValueError(
+                f"positive and negative cases use different assertion types "
+                f"({proto_pos} vs {proto_neg})"
+            )
+        if not self.shot_grid or list(self.shot_grid) != sorted(self.shot_grid):
+            raise ValueError("shot_grid must be non-empty and ascending")
+        check_shots(self.shot_grid[0], "shot_grid entries")
+        check_shots(self.shot_grid[-1], "shot_grid entries")
+        if self.trials_per_point < 1:
+            raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+
+
+# Document decoding: every field is checked once, as it is read, and every
+# rejection names its location (``cases[1].circuit[0].qubits[0]``).  Value
+# rules belong to the types built from the fields; their ValueErrors are
+# reported at the location of the value.
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number"}
+_NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
+_DEFAULTS_FIELDS = tuple(f.name for f in fields(SuiteDefaults))
+
+
+def _fail(where: str, message: str) -> NoReturn:
+    raise SuiteValidationError(f"{where}: {message}" if where else message)
+
+
+def _build(where: str, factory, *args, **kwargs):
+    """Call ``factory``, reporting the ValueError of a value rule at ``where``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        _fail(where, str(exc))
+
+
+def _expect(value, where: str, kind: type, nonempty: bool = False):
+    """``value`` if it has the JSON type ``kind``; ``float`` means any number.
+
+    An integral float such as ``3.0`` reads as the integer ``3``.
+    """
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        got = type(value) in (dict, list) and _JSON_TYPES[type(value)]
+        _fail(where, f"expected {_JSON_TYPES[kind]}, got {got or json.dumps(value, default=repr)}")
+    if nonempty and not value:
+        _fail(where, "must not be empty")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, kind: type, default=None):
+    """The optional field ``key`` of ``obj``, or ``default`` when it is absent."""
+    return _expect(obj[key], f"{where}.{key}" if where else key, kind) if key in obj else default
+
+
+def _object(value, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    for key in _expect(value, where, dict):
+        if key not in required and key not in optional:
+            _fail(where, f"unknown key {key!r}")
+    for key in required:
+        if key not in value:
+            _fail(where, f"missing required key {key!r}")
+    return value
+
+
+def _numbers(value, where: str, depth: int = 1) -> list:
+    """An array nested ``depth`` deep with numbers at the bottom."""
+    for i, item in enumerate(_expect(value, where, list)):
+        if depth > 1:
+            _numbers(item, f"{where}[{i}]", depth - 1)
+        else:
+            _expect(item, f"{where}[{i}]", float)
+    return value
+
+
+def _n_qubits(document: dict) -> int:
+    n_qubits = _expect(document["n_qubits"], "n_qubits", int)
+    if not 1 <= n_qubits <= MAX_DOCUMENT_QUBITS:
+        _fail("n_qubits", f"must be in [1, {MAX_DOCUMENT_QUBITS}], got {n_qubits}")
+    return n_qubits
+
 
 def decode_noise(value, where: str = "noise") -> NoiseModel | None:
-    if value is None:
+    if value is None or value == "none":
         return None
+    if value == "default":
+        return DEFAULT_NOISE
     if isinstance(value, str):
-        if value == "default":
-            return DEFAULT_NOISE
-        if value == "none":
-            return None
-        raise SuiteValidationError(
-            f"{where}: unknown noise preset {value!r} (use 'default' or 'none')"
-        )
-    try:
-        return NoiseModel(**value)
-    except (TypeError, ValueError) as exc:
-        raise SuiteValidationError(f"{where}: {exc}") from exc
+        _fail(where, f"unknown noise preset {value!r} (use 'default' or 'none')")
+    strengths = _object(value, where, (), _NOISE_FIELDS)
+    return _build(
+        where, NoiseModel, **{k: _expect(v, f"{where}.{k}", float) for k, v in strengths.items()}
+    )
 
 
-def _decode_circuit(items: list, n_qubits: int, where: str) -> Circuit:
+def _decode_circuit(items, n_qubits: int, where: str) -> Circuit:
     ops = []
-    for i, item in enumerate(items):
-        try:
-            ops.append(GateOp(item["gate"], tuple(item["qubits"]), item.get("angle")))
-        except ValueError as exc:
-            raise SuiteValidationError(f"{where}[{i}]: {exc}") from exc
-    try:
-        return Circuit(n_qubits, tuple(ops))
-    except ValueError as exc:
-        raise SuiteValidationError(f"{where}: {exc}") from exc
+    for i, item in enumerate(_expect(items, where, list)):
+        at = f"{where}[{i}]"
+        _object(item, at, ("gate", "qubits"), ("angle",))
+        name = _expect(item["gate"], f"{at}.gate", str)
+        qubits = _expect(item["qubits"], f"{at}.qubits", list)
+        qubits = tuple(_expect(q, f"{at}.qubits[{k}]", int) for k, q in enumerate(qubits))
+        ops.append(_build(at, GateOp, name, qubits, _field(item, "angle", at, float)))
+    return _build(where, Circuit, n_qubits, tuple(ops))
 
 
 def _decode_matrix(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except ValueError as exc:
-        raise SuiteValidationError(f"{where}: malformed matrix ({exc})") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise SuiteValidationError(
-            f"{where}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
-        )
+    rows = _numbers(value, where, depth=3)
+    if not rows or any(len(row) != len(rows) or any(len(z) != 2 for z in row) for row in rows):
+        _fail(where, "expected a square matrix of [re, im] pairs")
+    arr = np.asarray(rows, dtype=np.float64)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _decode_assertion(obj: dict, n_qubits: int, where: str) -> Assertion:
-    kind = obj["type"]
-    value = obj["value"]
-    try:
-        if kind == "distribution":
-            expected = OutcomeDistribution(n_qubits, np.asarray(value, dtype=np.float64))
-        elif kind == "state":
-            expected = DensityMatrix(n_qubits, _decode_matrix(value, f"{where}.value"))
-        elif kind == "process":
-            expected = ChoiMatrix(n_qubits, _decode_matrix(value, f"{where}.value"))
-        else:  # process_ref: convert the reference circuit at load time
-            circ = _decode_circuit(value, n_qubits, f"{where}.value")
-            expected = circuit_to_choi(circ)
-    except SuiteValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SuiteValidationError(f"{where}: {exc}") from exc
-    return Assertion(expected=expected, shots=obj.get("shots"), threshold=obj.get("threshold"))
+def _decode_assertion(obj, n_qubits: int, where: str) -> Assertion:
+    _object(obj, where, ("type", "value"), ("shots", "threshold"))
+    kind, value, at = obj["type"], obj["value"], f"{where}.value"
+    if kind == "distribution":
+        probs = np.asarray(_numbers(value, at), dtype=np.float64)
+        expected = _build(where, OutcomeDistribution, n_qubits, probs)
+    elif kind == "state":
+        expected = _build(where, DensityMatrix, n_qubits, _decode_matrix(value, at))
+    elif kind == "process":
+        expected = _build(where, ChoiMatrix, n_qubits, _decode_matrix(value, at))
+    elif kind == "process_ref":
+        expected = ProcessRef(_decode_circuit(value, n_qubits, at))
+    else:
+        _fail(f"{where}.type", f"unknown assertion type {kind!r}; "
+              "use distribution, state, process or process_ref")
+    shots, threshold = _field(obj, "shots", where, int), _field(obj, "threshold", where, float)
+    assertion = Assertion(expected, shots, threshold)
+    validate_assertion(assertion, n_qubits, where)
+    if kind == "process_ref":
+        # Checked against the tomography cap above, before the 4^n Choi matrix is built.
+        assertion = replace(assertion, expected=_build(where, expected.choi))
+    return assertion
 
 
-def _validated_document(path: str | Path, schema: dict) -> dict:
+def _decode_case(raw, n_qubits: int, where: str, key: str) -> TestCase:
+    """A suite case (``key="assertions"``) or a sweep case (``key="assertion"``)."""
+    _object(raw, where, ("name", "circuit", key))
+    name = _expect(raw["name"], f"{where}.name", str, nonempty=True)
+    subject = _decode_circuit(raw["circuit"], n_qubits, f"{where}.circuit")
+    at = f"{where}.{key}"
+    if key == "assertion":
+        return TestCase(name, subject, (_decode_assertion(raw[key], n_qubits, at),))
+    items = _expect(raw[key], at, list, nonempty=True)
+    return TestCase(name, subject, tuple(
+        _decode_assertion(a, n_qubits, f"{at}[{i}]") for i, a in enumerate(items)
+    ))
+
+
+def _decode_suite(document) -> TestSuite:
+    _object(document, "", ("name", "n_qubits", "cases"), ("save_data", "defaults"))
+    name = _expect(document["name"], "name", str, nonempty=True)
+    n_qubits = _n_qubits(document)
+    save_data = _field(document, "save_data", "", bool, False)
+    raw = _object(document.get("defaults", {}), "defaults", (), _DEFAULTS_FIELDS)
+    defaults = _build(
+        "defaults",
+        SuiteDefaults,
+        shots=_field(raw, "shots", "defaults", int, SuiteDefaults.shots),
+        seed=_field(raw, "seed", "defaults", int, SuiteDefaults.seed),
+        threshold=_field(raw, "threshold", "defaults", float, SuiteDefaults.threshold),
+        noise=decode_noise(raw.get("noise"), "defaults.noise"),
+    )
+    cases = _expect(document["cases"], "cases", list, nonempty=True)
+    cases = tuple(
+        _decode_case(case, n_qubits, f"cases[{i}]", "assertions") for i, case in enumerate(cases)
+    )
+    return TestSuite(name, n_qubits, cases, defaults=defaults, save_data=save_data)
+
+
+def _decode_sweep(document) -> SweepConfig:
+    required = ("name", "n_qubits", "positive_case", "negative_case")
+    _object(document, "", required, ("seed", "shot_grid", "trials_per_point", "noise"))
+    name = _expect(document["name"], "name", str, nonempty=True)
+    n_qubits = _n_qubits(document)
+    grid = _field(document, "shot_grid", "", list, DEFAULT_SHOT_GRID)
+    grid = tuple(_expect(shots, f"shot_grid[{i}]", int) for i, shots in enumerate(grid))
+    cases = {
+        key: _decode_case(document[key], n_qubits, key, "assertion")
+        for key in ("positive_case", "negative_case")
+    }
+    return _build(
+        "",
+        SweepConfig,
+        name=name,
+        n_qubits=n_qubits,
+        **cases,
+        shot_grid=grid,
+        trials_per_point=_field(document, "trials_per_point", "", int, DEFAULT_TRIALS),
+        noise=decode_noise(document.get("noise"), "noise"),
+        seed=_field(document, "seed", "", int, 0),
+    )
+
+
+def _load(path: str | Path, decode):
     text = Path(path).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
+        return decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SuiteValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
-        raise SuiteValidationError(f"{path}: {exc.json_path}: {exc.message}") from exc
-    return document
+    except RecursionError as exc:  # arrays or objects nested deeper than the parser's stack
+        raise SuiteValidationError(f"{path}: JSON nested too deeply") from exc
+    except SuiteValidationError as exc:
+        raise SuiteValidationError(f"{path}: {exc}") from exc
 
 
 def load_suite(path: str | Path) -> TestSuite:
     """Parse and validate a suite document into a runnable TestSuite."""
-    document = _validated_document(path, SUITE_SCHEMA)
-    n_qubits = document["n_qubits"]
-    raw_defaults = document.get("defaults", {})
-    defaults = SuiteDefaults(
-        shots=raw_defaults.get("shots", SuiteDefaults.shots),
-        seed=raw_defaults.get("seed", SuiteDefaults.seed),
-        threshold=raw_defaults.get("threshold", SuiteDefaults.threshold),
-        noise=decode_noise(raw_defaults.get("noise"), "defaults.noise"),
-    )
-    cases = []
-    for ci, raw_case in enumerate(document["cases"]):
-        where = f"cases[{ci}]"
-        subject = _decode_circuit(raw_case["circuit"], n_qubits, f"{where}.circuit")
-        assertions = tuple(
-            _decode_assertion(a, n_qubits, f"{where}.assertions[{ai}]")
-            for ai, a in enumerate(raw_case["assertions"])
-        )
-        cases.append(TestCase(name=raw_case["name"], subject=subject, assertions=assertions))
-    return TestSuite(
-        name=document["name"],
-        n_qubits=n_qubits,
-        cases=tuple(cases),
-        defaults=defaults,
-        save_data=document.get("save_data", False),
-    )
+    return _load(path, _decode_suite)
 
 
 def load_sweep(path: str | Path) -> SweepConfig:
     """Parse and validate a sweep document."""
-    document = _validated_document(path, SWEEP_SCHEMA)
-    n_qubits = document["n_qubits"]
-
-    def decode_case(key: str) -> TestCase:
-        raw = document[key]
-        subject = _decode_circuit(raw["circuit"], n_qubits, f"{key}.circuit")
-        assertion = _decode_assertion(raw["assertion"], n_qubits, f"{key}.assertion")
-        return TestCase(name=raw["name"], subject=subject, assertions=(assertion,))
-
-    positive = decode_case("positive_case")
-    negative = decode_case("negative_case")
-    proto_pos = protocol_for(positive.assertions[0].expected)
-    proto_neg = protocol_for(negative.assertions[0].expected)
-    if proto_pos != proto_neg:
-        raise SuiteValidationError(
-            f"positive and negative cases use different assertion types "
-            f"({proto_pos} vs {proto_neg})"
-        )
-    grid = tuple(document.get("shot_grid", DEFAULT_SHOT_GRID))
-    if list(grid) != sorted(grid):
-        raise SuiteValidationError("shot_grid must be ascending")
-    return SweepConfig(
-        name=document["name"],
-        n_qubits=n_qubits,
-        positive_case=positive,
-        negative_case=negative,
-        shot_grid=grid,
-        trials_per_point=document.get("trials_per_point", DEFAULT_TRIALS),
-        noise=decode_noise(document.get("noise"), "noise"),
-        seed=document.get("seed", 0),
-    )
+    return _load(path, _decode_sweep)
 
 
 def run_sweep(config: SweepConfig, rates: bool = False) -> tuple[str, str, float]:
@@ -386,7 +353,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _noise_from_flag(flag: str) -> NoiseModel | None:
     if flag in ("default", "none"):
         return decode_noise(flag, "--noise")
-    return decode_noise(json.loads(Path(flag).read_text(encoding="utf-8")), f"--noise {flag}")
+    return _load(flag, decode_noise)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -447,13 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, DegenerateInputError, DegenerateTestError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SuiteValidationError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # SuiteValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -21,6 +21,8 @@ from quassert.protocols import (
     ExpectedValue,
     ProcessRef,
     RunConfig,
+    check_shots,
+    check_threshold,
     protocol_for,
     run_protocol_detailed,
 )
@@ -65,6 +67,10 @@ class SuiteDefaults:
     seed: int = 0
     threshold: float = 0.5
     noise: NoiseModel | None = None
+
+    def __post_init__(self) -> None:
+        check_shots(self.shots)
+        check_threshold(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,31 @@ def _expected_qubits(expected: ExpectedValue) -> int:
     return expected.n_qubits
 
 
+def validate_assertion(assertion: Assertion, n_qubits: int, where: str) -> None:
+    """Raise :class:`SuiteValidationError` at ``where`` unless the assertion
+    can run on a register of ``n_qubits`` qubits.
+    """
+    qubits = _expected_qubits(assertion.expected)
+    if qubits != n_qubits:
+        raise SuiteValidationError(
+            f"{where}: expected value uses {qubits} qubit(s) but the register "
+            f"has {n_qubits}"
+        )
+    protocol = protocol_for(assertion.expected)
+    limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
+    if limit is not None and n_qubits > limit:
+        raise SuiteValidationError(
+            f"{where}: {protocol} supports at most {limit} qubit(s), got {n_qubits}"
+        )
+    try:
+        if assertion.shots is not None:
+            check_shots(assertion.shots)
+        if assertion.threshold is not None:
+            check_threshold(assertion.threshold)
+    except ValueError as exc:
+        raise SuiteValidationError(f"{where}: {exc}") from exc
+
+
 def validate_suite(suite: TestSuite) -> None:
     """Raise :class:`SuiteValidationError` on any structural problem."""
     seen: set[str] = set()
@@ -132,27 +163,7 @@ def validate_suite(suite: TestSuite) -> None:
                 f"but the suite declares {suite.n_qubits}"
             )
         for i, assertion in enumerate(case.assertions):
-            if _expected_qubits(assertion.expected) != suite.n_qubits:
-                raise SuiteValidationError(
-                    f"case {case.name!r}, assertion {i}: expected value uses "
-                    f"{_expected_qubits(assertion.expected)} qubit(s) but the suite "
-                    f"declares {suite.n_qubits}"
-                )
-            protocol = protocol_for(assertion.expected)
-            limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
-            if limit is not None and suite.n_qubits > limit:
-                raise SuiteValidationError(
-                    f"case {case.name!r}, assertion {i}: {protocol} supports at most "
-                    f"{limit} qubit(s), got {suite.n_qubits}"
-                )
-            if assertion.shots is not None and assertion.shots < 1:
-                raise SuiteValidationError(
-                    f"case {case.name!r}, assertion {i}: shots must be >= 1"
-                )
-            if assertion.threshold is not None and not 0.0 <= assertion.threshold <= 1.0:
-                raise SuiteValidationError(
-                    f"case {case.name!r}, assertion {i}: threshold must be in [0, 1]"
-                )
+            validate_assertion(assertion, suite.n_qubits, f"case {case.name!r}, assertion {i}")
 
 
 def run_suite(suite: TestSuite) -> TestReport:

@@ -37,6 +37,7 @@ PROTOCOL_PROCESS = "process_tomo"
 PROTOCOL_IDS = (PROTOCOL_PROJ, PROTOCOL_STATE, PROTOCOL_PROCESS)
 
 DEFAULT_THRESHOLD = 0.5
+MAX_SHOTS = 2**63 - 1  # numpy draws counts as int64
 
 
 class ContextError(TypeError):
@@ -79,6 +80,18 @@ def context_check(expected: ExpectedValue, protocol_id: str) -> bool:
         return False
 
 
+def check_shots(shots: int, name: str = "shots") -> None:
+    """Raise ValueError unless ``shots`` is a shot count the sampler can draw."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"{name} must be in [1, 2**63 - 1], got {shots}")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a probability."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Execution parameters for one assertion run."""
@@ -89,10 +102,10 @@ class RunConfig:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_shots(self.shots)
+        check_threshold(self.threshold)
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

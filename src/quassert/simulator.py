@@ -109,9 +109,9 @@ class Counts:
 
 
 def derive_seed(*parts: object) -> int:
-    """Stable 64-bit stream seed from arbitrary labeled parts."""
-    payload = "\x1f".join(repr(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    """Stable 64-bit stream seed from labeled parts; numpy integers hash as ints."""
+    payload = "\x1f".join(repr(int(p) if isinstance(p, np.integer) else p) for p in parts)
+    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:8], "little")
 
 
 def _apply_kraus(mat: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:

@@ -107,6 +107,12 @@ class TestLoadSuite:
         with pytest.raises(SuiteValidationError, match="line"):
             load_suite(path)
 
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SuiteValidationError, match="nested too deeply"):
+            load_suite(path)
+
     def test_noise_presets(self):
         assert decode_noise("default") == DEFAULT_NOISE
         assert decode_noise("none") is None
@@ -140,6 +146,37 @@ class TestLoadSweep:
         path.write_text(json.dumps(doc))
         with pytest.raises(SuiteValidationError, match="ascending"):
             load_sweep(path)
+
+    @pytest.mark.parametrize(
+        "n_qubits, oversized, where",
+        [
+            (5, "positive_case", "positive_case.assertion: state_tomo supports at most 4"),
+            (4, "negative_case", "negative_case.assertion: process_tomo supports at most 3"),
+        ],
+        ids=["state_5q", "process_4q"],
+    )
+    def test_tomography_caps_checked_before_running(self, capsys, tmp_path, n_qubits,
+                                                     oversized, where):
+        dim = 2**n_qubits
+        ground = [1.0] + [0.0] * (dim - 1)
+        if n_qubits == 5:
+            value = {"type": "state",
+                     "value": [[[v, 0.0] for v in (ground if r == 0 else [0.0] * dim)]
+                               for r in range(dim)]}
+        else:
+            value = {"type": "process_ref", "value": []}
+        case = {"name": "c", "circuit": [], "assertion": {"type": "distribution", "value": ground}}
+        doc = {"name": "caps", "n_qubits": n_qubits, "shot_grid": [10], "trials_per_point": 1,
+               "positive_case": dict(case, name="pos"), "negative_case": dict(case, name="neg")}
+        doc[oversized]["assertion"] = value
+        path = tmp_path / "caps.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SuiteValidationError, match=where):
+            load_sweep(path)
+        assert main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert where in captured.err
 
 
 class TestCmdRun:
@@ -213,6 +250,23 @@ class TestCmdRun:
         assert code == 1
         assert len(out.splitlines()) == EXPECTED_DEMO_LINES
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--shots", "1000000000000000000000000000000"], "shots"),
+            (["--shots", "0"], "shots"),
+            (["--threshold", "1.5"], "threshold"),
+            (["--threshold", "nan"], "threshold"),
+        ],
+        ids=["shots_1e30", "shots_zero", "threshold_above_1", "threshold_nan"],
+    )
+    def test_flag_overrides_checked_like_document_values(self, capsys, tiny_suite, flags,
+                                                          field):
+        assert main(["run", tiny_suite] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
     def test_seed_override_changes_draw(self, capsys):
         main(["run", SUITE_PATH, "--seed", "1"])
         first = capsys.readouterr().out
@@ -233,6 +287,22 @@ class TestCmdRun:
         code = main(["run", tiny_suite, "--noise", str(noise_path)])
         assert code == 1  # every shot flips into the forbidden bin
         assert "[FAILED]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"readout_flip": true}', "noise.readout_flip"),
+            ("[" * 100_000, "JSON nested too deeply"),
+        ],
+        ids=["bool_strength", "deep_nesting"],
+    )
+    def test_malformed_noise_file_exit_two(self, capsys, tmp_path, tiny_suite, text, where):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(text)
+        assert main(["run", tiny_suite, "--noise", str(noise_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{noise_path}: {where}" in captured.err
 
     def test_save_data_writes_report(self, capsys, tmp_path, tiny_suite):
         out_dir = tmp_path / "artifacts"
@@ -291,6 +361,12 @@ class TestCmdSweep:
         assert code == 0
         override = capsys.readouterr().out
         assert override != csv_text  # fewer trials shift the means
+
+    def test_zero_trials_flag_rejected(self, capsys, tiny_sweep):
+        assert main(["sweep", tiny_sweep, "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials_per_point" in captured.err
 
     def test_mismatched_types_exit_two(self, capsys, tmp_path):
         doc = json.loads(Path(SWEEP_STATE_PATH).read_text())
@@ -418,6 +494,7 @@ _SCHEMA_RULE_ROWS = [
     ("run", ("cases", 0, "assertions"), {}, ["cases[0].assertions"], "type_assertions"),
     ("run", _A0, [], ["cases[0].assertions[0]"], "type_assertion"),
     ("run", _A0 + ("type",), 1, ["cases[0].assertions[0]"], "type_assertion_type"),
+    ("run", _A0 + ("type",), ["state"], ["cases[0].assertions[0]"], "array_assertion_type"),
     ("run", _A0 + ("shots",), "40", ["cases[0].assertions[0]", "shots"], "type_assertion_shots"),
     ("run", _A0 + ("threshold",), "0.1", ["cases[0].assertions[0]", "threshold"],
      "type_assertion_threshold"),
@@ -468,7 +545,8 @@ _SCHEMA_RULE_ROWS = [
     ("sweep", ("trials_per_point",), 0, ["trials_per_point"], "zero_trials"),
 ]
 
-# Rejected only since documents are decoded in one pass (ran at the parent).
+# Rules beyond the JSON types of fields: what sits inside numeric values, the
+# checks on process_ref circuits, shot counts numpy can draw and register size.
 _ONE_PASS_REJECTION_ROWS = [
     # booleans, strings and wrongly nested arrays inside numeric values
     ("run", _A0 + ("value",), [True, False], ["cases[0].assertions[0].value[0]"],
@@ -496,15 +574,13 @@ _ONE_PASS_REJECTION_ROWS = [
     ("run", _A0 + ("shots",), 1e30, ["cases[0].assertions[0]", "shots"],
      "assertion_shots_1e30"),
     ("sweep", ("shot_grid",), [10, 2**63], ["shot_grid"], "shot_grid_above_int64"),
+    # registers too large for any document to describe
+    ("run", ("n_qubits",), 1e30, ["n_qubits"], "register_no_document_can_describe"),
 ]
 
 
-def _one_pass(rows):
-    return [
-        pytest.param(*row[:4], id=row[4],
-                     marks=pytest.mark.xfail(strict=True, reason="accepted by the schema layer"))
-        for row in rows
-    ]
+def _params(rows):
+    return [pytest.param(*row[:4], id=row[4]) for row in rows]
 
 
 class TestMalformedDocuments:
@@ -516,8 +592,7 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize(
         "command, path, value, needles",
-        [pytest.param(*row[:4], id=row[4]) for row in _SCHEMA_RULE_ROWS]
-        + _one_pass(_ONE_PASS_REJECTION_ROWS),
+        _params(_SCHEMA_RULE_ROWS + _ONE_PASS_REJECTION_ROWS),
     )
     def test_rejected_before_running(self, capsys, tmp_path, command, path, value, needles):
         document = _table_document(tmp_path, command, path, value)
@@ -529,7 +604,7 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize(
         "command, path, as_float, as_int",
-        _one_pass([
+        _params([
             ("run", ("n_qubits",), 1.0, 1, "float_n_qubits"),
             ("run", ("defaults", "seed"), 3.0, 3, "float_seed"),
             ("run", _A0 + ("shots",), 40.0, 40, "float_assertion_shots"),

@@ -160,3 +160,13 @@ class TestRunProtocol:
             RunConfig(shots=0)
         with pytest.raises(ValueError):
             RunConfig(threshold=1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=seed)
+        assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_shots_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="shots"):
+            RunConfig(shots=2**63)

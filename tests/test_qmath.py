@@ -1,8 +1,9 @@
 """Linear-algebra kernel checks against independent oracles.
 
 The eigensolver is cross-checked by rebuilding the input from its own output
-and against LAPACK eigenvalues; the PSD projection against hand-executed
-truncation steps; the partial trace against an explicit index-pair sum.
+and by recovering a planted spectrum and eigenbasis; the PSD projection
+against hand-executed truncation steps; the partial trace against an explicit
+index-pair sum.
 Hypothesis property tests cover the eigendecomposition contract and the PSD
 projection's invariants on arbitrary Hermitian input.
 """
@@ -76,11 +77,17 @@ class TestHermitianEig:
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
             assert np.all(np.diff(eig.values) >= -1e-12)
 
-    def test_matches_lapack_eigenvalues(self):
+    def test_recovers_planted_spectrum(self):
+        # A = V diag(lam) V^dagger with a random unitary V (QR of a complex
+        # Gaussian) and a chosen, non-degenerate spectrum.
         rng = np.random.default_rng(7)
-        a = random_hermitian(rng, 6)
-        eig = hermitian_eig(a)
-        np.testing.assert_allclose(eig.values, np.linalg.eigvalsh(a), atol=1e-10)
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        lam = np.array([-2.5, -1.0, 0.0, 0.5, 1.75, 3.0])
+        eig = hermitian_eig((v * lam) @ v.conj().T)
+        np.testing.assert_allclose(eig.values, lam, atol=1e-10)
+        # Each eigenvector is the planted column up to a phase.
+        overlaps = np.abs(np.sum(v.conj() * eig.vectors, axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):

@@ -1,5 +1,7 @@
 """Density-matrix evolution, noise channels and seeded sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,13 @@ class TestDeriveSeed:
 
     def test_64_bit_range(self):
         assert 0 <= derive_seed("anything") < 2**64
+
+    def test_numpy_integers_hash_as_python_ints(self):
+        assert derive_seed(np.int64(3), "case", np.uint8(0)) == derive_seed(3, "case", 0)
+
+    def test_plain_int_and_str_bytes_unchanged(self):
+        digest = hashlib.sha256("3\x1f'case'\x1f0".encode("utf-8")).digest()
+        assert derive_seed(3, "case", 0) == int.from_bytes(digest[:8], "little")
 
 
 class TestBackendSeam:
