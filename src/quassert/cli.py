@@ -25,7 +25,6 @@ from quassert.orchestrator import (
     TestCase,
     TestSuite,
     format_report,
-    report_to_dict,
     run_suite,
     validate_assertion,
 )
@@ -345,8 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.save_data is not None:
         out_dir = Path(args.save_data)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        (out_dir / "report.json").write_text(payload, encoding="utf-8")
+        (out_dir / "report.json").write_text(format_report(report, "json"), encoding="utf-8")
     return EXIT_OK if report.all_passed else EXIT_FAILURES
 
 

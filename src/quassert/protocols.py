@@ -25,11 +25,7 @@ from quassert.qcore import (
 from quassert.qmath import DimensionError, NumericError
 from quassert.simulator import DensityMatrixSimulator
 from quassert.stats import chi2_gof
-from quassert.tomography import (
-    measurement_settings,
-    process_tomography,
-    state_tomography,
-)
+from quassert.tomography import process_tomography, state_tomography
 
 PROTOCOL_PROJ = "proj"
 PROTOCOL_STATE = "state_tomo"
@@ -158,7 +154,7 @@ def _run_state_tomo(
     estimate = state_tomography(None, subject, config.backend, config.shots, config.seed)
     probability = state_fidelity(estimate, expected)
     diagnostics = {
-        "settings": len(measurement_settings(subject.n_qubits)),
+        "settings": 3**subject.n_qubits,
         "shots_per_setting": config.shots,
         "estimate_purity": estimate.purity(),
     }
@@ -173,7 +169,7 @@ def _run_process_tomo(
     probability = process_fidelity(estimate, expected)
     diagnostics = {
         "preparations": 4**subject.n_qubits,
-        "settings_per_preparation": len(measurement_settings(subject.n_qubits)),
+        "settings_per_preparation": 3**subject.n_qubits,
         "shots_per_setting": config.shots,
         "estimate_trace": float(estimate.mat.trace().real),
     }
@@ -202,13 +198,7 @@ def run_protocol_detailed(
     if isinstance(expected, ProcessRef):
         expected = expected.choi()
 
-    if isinstance(expected, OutcomeDistribution):
-        if expected.n_qubits != subject.n_qubits:
-            raise DimensionError(
-                f"expected distribution on {expected.n_qubits} qubit(s) vs subject on "
-                f"{subject.n_qubits}"
-            )
-    elif expected.n_qubits != subject.n_qubits:
+    if expected.n_qubits != subject.n_qubits:
         raise DimensionError(
             f"expected value on {expected.n_qubits} qubit(s) vs subject on "
             f"{subject.n_qubits}"

@@ -130,33 +130,29 @@ def embed_single_qubit(mat2: np.ndarray, qubit: int, n_qubits: int) -> np.ndarra
     return qmath.kron(left, qmath.kron(mat2, right))
 
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-_P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-
-
 def expanded_gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of one gate in the little-endian convention."""
+    """Full 2^n x 2^n unitary of one gate in the little-endian convention.
+
+    The two-qubit gates are read off the basis-index bits: ``cx`` and ``swap``
+    permute basis states, ``cz`` flips the sign of those with both bits set.
+    """
     if op.name in FIXED_GATES:
         return embed_single_qubit(FIXED_GATES[op.name], op.qubits[0], n_qubits)
     if op.name in ROTATION_GATES:
         return embed_single_qubit(rotation_matrix(op.name, op.angle), op.qubits[0], n_qubits)
-    if op.name == "cx":
-        control, target = op.qubits
-        return embed_single_qubit(_P0, control, n_qubits) + embed_single_qubit(
-            _P1, control, n_qubits
-        ) @ embed_single_qubit(PAULI_X, target, n_qubits)
+    index = np.arange(2**n_qubits)
+    a, b = op.qubits
+    bit_a, bit_b = (index >> a) & 1, (index >> b) & 1
     if op.name == "cz":
-        control, target = op.qubits
-        return embed_single_qubit(_P0, control, n_qubits) + embed_single_qubit(
-            _P1, control, n_qubits
-        ) @ embed_single_qubit(PAULI_Z, target, n_qubits)
-    if op.name == "swap":
-        a, b = op.qubits
-        total = np.eye(2**n_qubits, dtype=np.complex128)
-        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-            total = total + embed_single_qubit(pauli, a, n_qubits) @ embed_single_qubit(pauli, b, n_qubits)
-        return total / 2.0
-    raise UnsupportedGateError(f"unsupported gate {op.name!r}")
+        return np.diag(1.0 - 2.0 * (bit_a & bit_b)).astype(np.complex128)
+    if op.name == "cx":
+        flip = bit_a << b
+    elif op.name == "swap":
+        flip = ((bit_a ^ bit_b) << a) | ((bit_a ^ bit_b) << b)
+    else:
+        raise UnsupportedGateError(f"unsupported gate {op.name!r}")
+    # Both permutations are their own inverse: row i has its 1 in column i ^ flip.
+    return np.eye(2**n_qubits, dtype=np.complex128)[index ^ flip]
 
 
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
@@ -241,6 +237,9 @@ class ChoiMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValueError("Choi matrix has non-finite entries")
+        tr, d = complex(np.trace(mat)), 2**self.n_qubits
+        if abs(tr - d) > 1e-9 * d:
+            raise ValueError(f"Choi matrix trace must be 2**n = {d}, got {tr:.12g}")
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > qmath.HERMITICITY_TOL:
             raise DimensionError(f"Choi matrix not Hermitian: max |A - A†| = {herm:.3e}")

@@ -23,7 +23,6 @@ from quassert.qcore import (
     GateOp,
     OutcomeDistribution,
     TWO_QUBIT_GATES,
-    embed_single_qubit,
     expanded_gate_matrix,
 )
 from quassert.qmath import NumericError
@@ -114,34 +113,45 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:8], "little")
 
 
-def _apply_kraus(mat: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for k in kraus:
-        out += k @ mat @ k.conj().T
-    return out
+def _map_qubit_block(tensor: np.ndarray, qubit: int, n: int, fn) -> np.ndarray:
+    """Apply ``fn`` to ``qubit``'s 2x2 block of a (2,)*2n reshaped matrix.
+
+    Qubit q owns row axis n-1-q and column axis 2n-1-q; ``fn`` sees them as
+    the last two axes.
+    """
+    axes = (n - 1 - qubit, 2 * n - 1 - qubit)
+    return np.moveaxis(fn(np.moveaxis(tensor, axes, (-2, -1))), (-2, -1), axes)
+
+
+def _half_trace_times_identity(block: np.ndarray) -> np.ndarray:
+    half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
+    return half_trace[..., None, None] * np.eye(2)
 
 
 def _depolarize(mat: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
     """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits."""
     if p == 0.0:
         return mat
-    # Qubit q owns row axis n-1-q and column axis 2n-1-q of the reshaped
-    # matrix; each listed qubit's 2x2 block becomes half its trace times I.
     mixed = mat.reshape((2,) * (2 * n))
     for q in qubits:
-        axes = (n - 1 - q, 2 * n - 1 - q)
-        block = np.moveaxis(mixed, axes, (-2, -1))
-        half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
-        mixed = np.moveaxis(half_trace[..., None, None] * np.eye(2), (-2, -1), axes)
+        mixed = _map_qubit_block(mixed, q, n, _half_trace_times_identity)
     return (1.0 - p) * mat + p * mixed.reshape(mat.shape)
 
 
 def _amplitude_damp(mat: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:
+    """K0 rho K0^dag + K1 rho K1^dag with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|."""
     if gamma == 0.0:
         return mat
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=np.complex128)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=np.complex128)
-    return _apply_kraus(mat, [embed_single_qubit(k0, qubit, n), embed_single_qubit(k1, qubit, n)])
+    k0 = np.array([1.0, np.sqrt(1 - gamma)])
+    k1 = np.sqrt(gamma)
+
+    def damp(block: np.ndarray) -> np.ndarray:
+        # Same multiplication order as K rho K^dag, so the Kraus sum is matched bit for bit.
+        out = block * k0[:, None] * k0
+        out[..., 0, 0] += block[..., 1, 1] * k1 * k1
+        return out
+
+    return _map_qubit_block(mat.reshape((2,) * (2 * n)), qubit, n, damp).reshape(mat.shape)
 
 
 def _evolve_mat(mat: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
@@ -221,17 +231,11 @@ def sample(
     raw = rng.multinomial(shots, probs)
 
     if noise is not None and noise.readout_flip > 0.0:
-        mask_probs = _readout_mask_probs(n, noise.readout_flip)
-        flipped = np.zeros_like(raw)
-        for outcome in range(raw.size):
-            count = int(raw[outcome])
-            if count == 0:
-                continue
-            split = rng.multinomial(count, mask_probs)
-            for mask, c in enumerate(split):
-                if c:
-                    flipped[outcome ^ mask] += c
-        raw = flipped
+        # split[j, mask] shots of outcome j read as j ^ mask; a zero count
+        # draws nothing, so the stream matches one draw per observed outcome.
+        split = rng.multinomial(raw, _readout_mask_probs(n, noise.readout_flip))
+        index = np.arange(raw.size)
+        raw = split[index[:, None] ^ index, index].sum(axis=1)
 
     tallies = {int(i): int(v) for i, v in enumerate(raw) if v}
     return Counts(n_qubits=n, tallies=tallies, shots=shots)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quassert.qcore import Circuit, GateOp, gate
 
@@ -24,6 +27,19 @@ def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     mat = random_psd(rng, 2**n_qubits)
+    return mat / np.trace(mat).real
+
+
+@st.composite
+def density_matrices(draw, n_qubits: int) -> np.ndarray:
+    """Hypothesis strategy: G G^dag / tr for a 2^n x rank complex G of any rank."""
+    dim = 2**n_qubits
+    rank = draw(st.integers(1, dim))
+    entries = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    parts = draw(hnp.arrays(np.float64, (2, dim, rank), elements=entries))
+    g = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(g) > 1e-3)
+    mat = g @ g.conj().T
     return mat / np.trace(mat).real
 
 

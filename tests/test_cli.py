@@ -311,6 +311,21 @@ class TestCmdRun:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["results"][0]["artifacts"]["counts"] == {"0": 200}
 
+    def test_save_data_field_alone_writes_no_file(self, capsys, tmp_path, monkeypatch, tiny_suite):
+        doc = json.loads(Path(tiny_suite).read_text())
+        doc["save_data"] = True
+        suite_path = tmp_path / "saving.json"
+        suite_path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        main(["run", str(suite_path), "--format", "json"])
+        stdout = capsys.readouterr().out
+        assert json.loads(stdout)["results"][0]["artifacts"]["counts"] == {"0": 200}
+        assert sorted(tmp_path.rglob("*")) == before
+        main(["run", str(suite_path), "--format", "json", "--save-data", str(tmp_path / "out")])
+        assert capsys.readouterr().out == stdout
+        assert (tmp_path / "out" / "report.json").read_bytes() == stdout.encode()
+
     def test_run_determinism(self, capsys):
         main(["run", SUITE_PATH, "--format", "json"])
         first = capsys.readouterr().out
@@ -576,6 +591,10 @@ _ONE_PASS_REJECTION_ROWS = [
     ("sweep", ("shot_grid",), [10, 2**63], ["shot_grid"], "shot_grid_above_int64"),
     # registers too large for any document to describe
     ("run", ("n_qubits",), 1e30, ["n_qubits"], "register_no_document_can_describe"),
+    # a Choi matrix whose trace is not 2**n
+    ("run", ("cases", 0, "assertions", 2),
+     {"type": "process", "value": [[[1, 0]] + [[0, 0]] * 3] + [[[0, 0]] * 4] * 3},
+     ["cases[0].assertions[2]", "trace must be 2**n"], "process_trace_not_two_to_the_n"),
 ]
 
 

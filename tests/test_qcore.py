@@ -7,6 +7,8 @@ entrywise against its definition.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quassert import qmath
 from quassert.qcore import (
@@ -17,9 +19,12 @@ from quassert.qcore import (
     GateOp,
     OutcomeDistribution,
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     UnsupportedGateError,
     circuit_to_choi,
     circuit_to_unitary,
+    embed_single_qubit,
     expanded_gate_matrix,
     gate,
     process_fidelity,
@@ -28,7 +33,7 @@ from quassert.qcore import (
 )
 from quassert.qmath import DimensionError
 
-from conftest import random_circuit, random_density, random_pure_state
+from conftest import density_matrices, random_circuit, random_density, random_pure_state
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -121,6 +126,36 @@ class TestCircuitToUnitary:
             assert np.max(np.abs(u.conj().T @ u - np.eye(c.dim))) <= 1e-10
 
 
+_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+_P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
+
+
+def projector_sum_gate(name, a, b, n):
+    """Reference two-qubit gates: controlled gates as projector sums, SWAP as a Pauli sum."""
+    if name == "swap":
+        total = np.eye(2**n, dtype=np.complex128)
+        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+            total = total + embed_single_qubit(pauli, a, n) @ embed_single_qubit(pauli, b, n)
+        return total / 2.0
+    target = {"cx": PAULI_X, "cz": PAULI_Z}[name]
+    return embed_single_qubit(_P0, a, n) + embed_single_qubit(_P1, a, n) @ embed_single_qubit(
+        target, b, n
+    )
+
+
+class TestTwoQubitGates:
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["cx", "cz", "swap"])
+    def test_matches_projector_and_pauli_sums_exactly(self, name, n_qubits):
+        for a in range(n_qubits):
+            for b in range(n_qubits):
+                if a == b:
+                    continue
+                u = expanded_gate_matrix(gate(name, a, b), n_qubits)
+                assert u.dtype == np.complex128
+                np.testing.assert_array_equal(u, projector_sum_gate(name, a, b, n_qubits))
+
+
 class TestCircuitToChoi:
     def test_identity_channel(self):
         choi = circuit_to_choi(Circuit(1))
@@ -203,6 +238,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="finite"):
             ChoiMatrix(1, np.diag([bad, 0.0, 0.0, 1.0]))
 
+    def test_choi_matrix_trace_must_be_two_to_the_n(self):
+        with pytest.raises(ValueError, match="trace must be 2"):
+            ChoiMatrix(1, np.diag([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="trace must be 2"):
+            ChoiMatrix(2, np.eye(16) / 4 * (1 + 1e-8))
+        ChoiMatrix(2, np.eye(16) / 4 * (1 + 1e-10))
+
     def test_choi_matrix_rejects_non_psd(self):
         with pytest.raises(ValueError):
             ChoiMatrix(1, np.diag([2.0, 1.0, -0.5, -0.5]))
@@ -263,6 +305,18 @@ class TestStateFidelity:
             sigma = DensityMatrix(n, random_density(rng, n))
             bound = 1.0 - qmath.trace_norm(rho.mat - sigma.mat)
             assert bound <= state_fidelity(rho, sigma) + 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_fidelity_in_unit_interval_and_one_with_itself(self, data, n):
+        rho = DensityMatrix(n, data.draw(density_matrices(n)))
+        sigma = DensityMatrix(n, data.draw(density_matrices(n)))
+        assert 0.0 <= state_fidelity(rho, sigma) <= 1.0
+        # The rounding cutoff in state_fidelity also zeroes genuine eigenvalues
+        # of rho below about sqrt(d) * 1e-7, which costs up to 2 d^1.5 * 1e-7;
+        # hypothesis finds such spectra (self-fidelity 1 - 3.2e-7 at d = 4).
+        dim = 2**n
+        assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=2 * dim**1.5 * 1e-7)
 
 
 class TestProcessFidelity:

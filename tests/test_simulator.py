@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quassert.qcore import (
     PAULI_I,
@@ -22,14 +24,16 @@ from quassert.simulator import (
     Counts,
     DensityMatrixSimulator,
     NoiseModel,
+    _amplitude_damp,
     _depolarize,
+    _readout_mask_probs,
     derive_seed,
     evolve,
     exact_distribution,
     sample,
 )
 
-from conftest import random_circuit, random_density
+from conftest import density_matrices, random_circuit, random_density
 
 
 def pauli_twirl_depolarize(mat, qubits, p, n):
@@ -42,6 +46,32 @@ def pauli_twirl_depolarize(mat, qubits, p, n):
             op = op @ embed_single_qubit(paulis[letter], q, n)
         acc += op @ mat @ op.conj().T
     return (1.0 - p) * mat + (p / 4 ** len(qubits)) * acc
+
+
+def kraus_amplitude_damp(mat, qubit, gamma, n):
+    """Reference channel: sum of K rho K^dag over the embedded damping Kraus operators."""
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=np.complex128)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=np.complex128)
+    out = np.zeros_like(mat)
+    for k in (embed_single_qubit(k0, qubit, n), embed_single_qubit(k1, qubit, n)):
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def per_outcome_readout(probs, shots, seed, p):
+    """Reference sampler: one multinomial flip-pattern draw per observed outcome.
+
+    Returns the tallies and the generator, positioned after the last draw.
+    """
+    rng = np.random.default_rng(np.uint64(seed))
+    raw = rng.multinomial(shots, probs)
+    mask_probs = _readout_mask_probs(int(np.log2(probs.size)), p)
+    flipped = np.zeros_like(raw)
+    for outcome, count in enumerate(raw):
+        if count:
+            for mask, c in enumerate(rng.multinomial(int(count), mask_probs)):
+                flipped[outcome ^ mask] += c
+    return {int(i): int(v) for i, v in enumerate(flipped) if v}, rng
 
 
 class TestNoiseModel:
@@ -141,6 +171,16 @@ class TestEvolve:
         out = evolve(rho, Circuit(1, (gate("z", 0), gate("z", 0))), noise)
         assert out.mat[1, 1].real == pytest.approx(0.75**2, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.001, 0.3, 1.0])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_amplitude_damp_matches_kraus_sum(self, n_qubits, gamma):
+        rho = random_density(np.random.default_rng(54 + n_qubits), n_qubits)
+        for qubit in range(n_qubits):
+            np.testing.assert_array_equal(
+                _amplitude_damp(rho, qubit, gamma, n_qubits),
+                kraus_amplitude_damp(rho, qubit, gamma, n_qubits),
+            )
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             evolve(DensityMatrix.ground(1), Circuit(2))
@@ -215,6 +255,36 @@ class TestSample:
         counts = sample(state, rotation, 100000, seed=11)
         np.testing.assert_allclose(counts.frequencies(), expected, atol=0.01)
 
+    def test_readout_flips_match_per_outcome_draws(self, monkeypatch):
+        default_rng = np.random.default_rng
+        made = []
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+        )
+        rng = default_rng(12)
+        for case in range(40):
+            n = int(rng.integers(1, 5))
+            # Half the cases are basis states, so most outcomes draw no flips.
+            state = (
+                DensityMatrix(n, random_density(rng, n))
+                if case % 2
+                else DensityMatrix.from_statevector(np.eye(2**n)[rng.integers(2**n)])
+            )
+            shots = int(rng.choice([1, 7, 1000, 10**6]))
+            p = float(rng.choice([0.02, 0.3, 1.0]))
+            seed = int(rng.integers(2**63))
+            made.clear()
+            counts = sample(state, None, shots, seed, NoiseModel(readout_flip=p))
+            tallies, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
+            assert counts.tallies == tallies
+            assert made[0].integers(2**63) == after.integers(2**63)
+
+    def test_readout_flips_at_huge_shot_counts(self):
+        shots = 2**62 + 12345
+        state = DensityMatrix(2, random_density(np.random.default_rng(8), 2))
+        counts = sample(state, None, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
+        assert sum(counts.tallies.values()) == counts.shots == shots
+
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             sample(DensityMatrix.ground(1), None, 0, seed=0)
@@ -264,3 +334,26 @@ class TestBackendSeam:
             state.mat, evolve(DensityMatrix.ground(2), bell_circuit).mat
         )
         assert backend.sample(state, None, 100, seed=4) == sample(state, None, 100, seed=4)
+
+
+def assert_is_density_matrix(mat):
+    assert abs(np.trace(mat) - 1.0) <= 1e-12
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+
+class TestNoiseChannelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.floats(0.0, 1.0))
+    def test_depolarize_keeps_a_density_matrix(self, data, n, p):
+        rho = data.draw(density_matrices(n))
+        size = data.draw(st.integers(1, min(n, 2)))
+        qubits = tuple(data.draw(st.permutations(range(n)))[:size])
+        assert_is_density_matrix(_depolarize(rho, qubits, p, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.floats(0.0, 1.0))
+    def test_amplitude_damp_keeps_a_density_matrix(self, data, n, gamma):
+        rho = data.draw(density_matrices(n))
+        qubit = data.draw(st.integers(0, n - 1))
+        assert_is_density_matrix(_amplitude_damp(rho, qubit, gamma, n))
