@@ -19,7 +19,6 @@ from quassert.qcore import (
 )
 from quassert.simulator import (
     Counts,
-    DensityMatrixSimulator,
     NoiseModel,
     derive_seed,
     evolve,
@@ -55,7 +54,6 @@ __all__ = [
     "Circuit",
     "Counts",
     "DensityMatrix",
-    "DensityMatrixSimulator",
     "GateOp",
     "NoiseModel",
     "OutcomeDistribution",

@@ -31,7 +31,7 @@ from quassert.orchestrator import (
 from quassert.protocols import ProcessRef, RunConfig, check_shots, protocol_for, run_protocol
 from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution
 from quassert.qmath import DegenerateInputError, NumericError
-from quassert.simulator import DEFAULT_NOISE, DensityMatrixSimulator, NoiseModel, derive_seed
+from quassert.simulator import DEFAULT_NOISE, NoiseModel, derive_seed
 from quassert.stats import DegenerateTestError
 
 DEFAULT_SHOT_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
@@ -292,7 +292,6 @@ def run_sweep(config: SweepConfig, rates: bool = False) -> tuple[str, str, float
     case; J = alpha - beta.  With ``rates``, two extra columns report the
     fraction of trials whose probability clears 0.05.
     """
-    backend = DensityMatrixSimulator(noise=config.noise)
     protocol = protocol_for(config.positive_case.assertions[0].expected)
 
     header = "shots,alpha,beta,J"
@@ -306,7 +305,7 @@ def run_sweep(config: SweepConfig, rates: bool = False) -> tuple[str, str, float
         for trial in range(config.trials_per_point):
             for tag, case in (("pos", config.positive_case), ("neg", config.negative_case)):
                 seed = derive_seed(config.seed, case.name, shots, trial)
-                run_config = RunConfig(backend=backend, shots=shots, seed=seed)
+                run_config = RunConfig(shots=shots, seed=seed, noise=config.noise)
                 start = time.perf_counter()
                 result = run_protocol(case.subject, case.assertions[0].expected, run_config)
                 wall += time.perf_counter() - start
@@ -337,14 +336,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         defaults = replace(defaults, noise=_noise_from_flag(args.noise))
     save_data = suite.save_data or args.save_data is not None
     suite = replace(suite, defaults=defaults, save_data=save_data)
+    if args.save_data is not None:
+        # Made before the run, so an unusable DIR fails before anything executes.
+        Path(args.save_data).mkdir(parents=True, exist_ok=True)
 
     report = run_suite(suite)
     sys.stdout.write(format_report(report, args.format))
 
     if args.save_data is not None:
-        out_dir = Path(args.save_data)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(format_report(report, "json"), encoding="utf-8")
+        report_path = Path(args.save_data) / "report.json"
+        report_path.write_text(format_report(report, "json"), encoding="utf-8")
     return EXIT_OK if report.all_passed else EXIT_FAILURES
 
 

@@ -27,7 +27,7 @@ from quassert.protocols import (
     run_protocol_detailed,
 )
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution
-from quassert.simulator import DensityMatrixSimulator, NoiseModel, derive_seed
+from quassert.simulator import NoiseModel, derive_seed
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
 _TOMOGRAPHY_QUBIT_LIMITS = {
@@ -169,7 +169,6 @@ def validate_suite(suite: TestSuite) -> None:
 def run_suite(suite: TestSuite) -> TestReport:
     """Execute every assertion of every case and aggregate a report."""
     validate_suite(suite)
-    backend = DensityMatrixSimulator(noise=suite.defaults.noise)
 
     records: list[AssertionRecord] = []
     verdicts: list[CaseVerdict] = []
@@ -177,7 +176,6 @@ def run_suite(suite: TestSuite) -> TestReport:
         case_passed = True
         for i, assertion in enumerate(case.assertions):
             config = RunConfig(
-                backend=backend,
                 shots=assertion.shots if assertion.shots is not None else suite.defaults.shots,
                 seed=derive_seed(suite.defaults.seed, case.name, i),
                 threshold=(
@@ -185,6 +183,7 @@ def run_suite(suite: TestSuite) -> TestReport:
                     if assertion.threshold is not None
                     else suite.defaults.threshold
                 ),
+                noise=suite.defaults.noise,
             )
             result, artifacts = run_protocol_detailed(case.subject, assertion.expected, config)
             records.append(

@@ -23,7 +23,7 @@ from quassert.qcore import (
     state_fidelity,
 )
 from quassert.qmath import DimensionError, NumericError
-from quassert.simulator import DensityMatrixSimulator
+from quassert.simulator import NoiseModel, evolve, sample
 from quassert.stats import chi2_gof
 from quassert.tomography import process_tomography, state_tomography
 
@@ -92,10 +92,10 @@ def check_threshold(threshold: float) -> None:
 class RunConfig:
     """Execution parameters for one assertion run."""
 
-    backend: DensityMatrixSimulator = field(default_factory=DensityMatrixSimulator)
     shots: int = 1000
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD
+    noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
         check_shots(self.shots)
@@ -135,8 +135,8 @@ def _matrix_to_pairs(mat) -> list:
 def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    state = config.backend.evolve(DensityMatrix.ground(subject.n_qubits), subject)
-    counts = config.backend.sample(state, None, config.shots, config.seed)
+    state = evolve(DensityMatrix.ground(subject.n_qubits), subject, config.noise)
+    counts = sample(state, None, config.shots, config.seed, config.noise)
     result = chi2_gof(counts, expected)
     diagnostics = {
         "statistic": result.statistic,
@@ -151,7 +151,7 @@ def _run_proj(
 def _run_state_tomo(
     subject: Circuit, expected: DensityMatrix, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    estimate = state_tomography(None, subject, config.backend, config.shots, config.seed)
+    estimate = state_tomography(None, subject, config.noise, config.shots, config.seed)
     probability = state_fidelity(estimate, expected)
     diagnostics = {
         "settings": 3**subject.n_qubits,
@@ -165,7 +165,7 @@ def _run_state_tomo(
 def _run_process_tomo(
     subject: Circuit, expected: ChoiMatrix, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    estimate = process_tomography(subject, config.backend, config.shots, config.seed)
+    estimate = process_tomography(subject, config.noise, config.shots, config.seed)
     probability = process_fidelity(estimate, expected)
     diagnostics = {
         "preparations": 4**subject.n_qubits,

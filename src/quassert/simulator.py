@@ -1,4 +1,7 @@
-"""Embedded density-matrix backend with optional parametric noise.
+"""Embedded density-matrix simulator with optional parametric noise.
+
+:func:`evolve`, :func:`sample` and :func:`exact_distribution` are the one
+execution seam the protocols call; the noise model is passed per call.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -49,14 +52,6 @@ class NoiseModel:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
-    def is_trivial(self) -> bool:
-        return (
-            self.depolarizing_1q == 0.0
-            and self.depolarizing_2q == 0.0
-            and self.amplitude_damping == 0.0
-            and self.readout_flip == 0.0
-        )
-
 
 # Artifact default for a noisy run; representative of a 27-qubit-era device.
 DEFAULT_NOISE = NoiseModel(
@@ -93,18 +88,6 @@ class Counts:
 
     def frequencies(self) -> np.ndarray:
         return self.as_vector() / self.shots
-
-    def marginal(self, keep: tuple[int, ...] | list[int]) -> Counts:
-        """Counts over a subset of qubits; measurement is always full-register."""
-        keep = sorted(set(keep))
-        for q in keep:
-            if not 0 <= q < self.n_qubits:
-                raise IndexError(f"qubit index {q} out of range for {self.n_qubits} qubits")
-        tallies: dict[int, int] = {}
-        for outcome, count in self.tallies.items():
-            reduced = sum(((outcome >> q) & 1) << j for j, q in enumerate(keep))
-            tallies[reduced] = tallies.get(reduced, 0) + count
-        return Counts(n_qubits=len(keep), tallies=tallies, shots=self.shots)
 
 
 def derive_seed(*parts: object) -> int:
@@ -239,27 +222,3 @@ def sample(
 
     tallies = {int(i): int(v) for i, v in enumerate(raw) if v}
     return Counts(n_qubits=n, tallies=tallies, shots=shots)
-
-
-@dataclass(frozen=True)
-class DensityMatrixSimulator:
-    """Backend seam: the embedded simulator plus its noise configuration.
-
-    Other backends (hardware adapters, alternative simulators) can stand in
-    anywhere this object is used by providing the same three methods.
-    """
-
-    noise: NoiseModel | None = None
-
-    def evolve(self, state: DensityMatrix, c: Circuit) -> DensityMatrix:
-        return evolve(state, c, self.noise)
-
-    def sample(
-        self, state: DensityMatrix, premeasure: Circuit | None, shots: int, seed: int
-    ) -> Counts:
-        return sample(state, premeasure, shots, seed, self.noise)
-
-    def exact_distribution(
-        self, state: DensityMatrix, premeasure: Circuit | None = None
-    ) -> OutcomeDistribution:
-        return exact_distribution(state, premeasure)

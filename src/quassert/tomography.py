@@ -11,7 +11,7 @@ preparation frame to assemble the Choi matrix.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
 taken from the exact outcome distribution, so reconstruction is exact (up to
-the PSD projection's rounding) for whatever channel the backend implements.
+the PSD projection's rounding) for the subject under the given noise model.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from quassert.qcore import (
     PAULI_Y,
     PAULI_Z,
 )
-from quassert.simulator import DensityMatrixSimulator, derive_seed
+from quassert.simulator import NoiseModel, derive_seed, evolve, exact_distribution, sample
 
 MAX_STATE_QUBITS = 4
 MAX_PROCESS_QUBITS = 3
@@ -111,7 +111,7 @@ def preparation_settings(n_qubits: int) -> list[PreparationSetting]:
 def state_tomography(
     prep: Circuit | None,
     subject: Circuit,
-    backend: DensityMatrixSimulator,
+    noise: NoiseModel | None,
     shots_per_setting: int,
     seed: int,
 ) -> DensityMatrix:
@@ -130,16 +130,16 @@ def state_tomography(
 
     state = DensityMatrix.ground(n)
     if prep is not None and prep.ops:
-        state = backend.evolve(state, prep)
-    state = backend.evolve(state, subject)
+        state = evolve(state, prep, noise)
+    state = evolve(state, subject, noise)
 
     probs_by_setting = []
     for k, setting in enumerate(measurement_settings(n)):
         if shots_per_setting == 0:
-            probs = backend.exact_distribution(state, setting.rotation).probs
+            probs = exact_distribution(state, setting.rotation).probs
         else:
-            counts = backend.sample(
-                state, setting.rotation, shots_per_setting, derive_seed(seed, "setting", k)
+            counts = sample(
+                state, setting.rotation, shots_per_setting, derive_seed(seed, "setting", k), noise
             )
             probs = counts.frequencies()
         probs_by_setting.append(probs)
@@ -208,7 +208,7 @@ def _assemble_choi(outputs: list[np.ndarray], n: int) -> np.ndarray:
 
 def process_tomography(
     subject: Circuit,
-    backend: DensityMatrixSimulator,
+    noise: NoiseModel | None,
     shots_per_setting: int,
     seed: int,
 ) -> ChoiMatrix:
@@ -223,7 +223,7 @@ def process_tomography(
     outputs = []
     for m, prep in enumerate(preparation_settings(n)):
         estimate = state_tomography(
-            prep.prep, subject, backend, shots_per_setting, derive_seed(seed, "prep", m)
+            prep.prep, subject, noise, shots_per_setting, derive_seed(seed, "prep", m)
         )
         outputs.append(estimate.mat)
 

@@ -311,6 +311,17 @@ class TestCmdRun:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["results"][0]["artifacts"]["counts"] == {"0": 200}
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["is_a_file", "below_a_file"])
+    def test_unusable_save_data_dir_rejected_before_running(self, capsys, tmp_path, tiny_suite,
+                                                             below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker / below if below else blocker
+        assert main(["run", tiny_suite, "--save-data", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out_dir) in captured.err
+
     def test_save_data_field_alone_writes_no_file(self, capsys, tmp_path, monkeypatch, tiny_suite):
         doc = json.loads(Path(tiny_suite).read_text())
         doc["save_data"] = True

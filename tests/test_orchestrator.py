@@ -16,7 +16,7 @@ from quassert.orchestrator import (
 )
 from quassert.protocols import ProcessRef, RunConfig, run_protocol
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, circuit_to_choi, gate
-from quassert.simulator import DensityMatrixSimulator, derive_seed, evolve
+from quassert.simulator import DEFAULT_NOISE, derive_seed, evolve
 
 
 @pytest.fixture
@@ -83,20 +83,31 @@ class TestRunSuite:
         report = run_suite(bell_suite)  # must not raise despite three failures
         assert report.summary["assertions_failed"] == 3
 
-    def test_dispatch_parity_with_direct_protocol_calls(self, bell_suite):
-        report = run_suite(bell_suite)
-        backend = DensityMatrixSimulator(noise=None)
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    def test_dispatch_parity_with_direct_protocol_calls(self, bell_suite, noise):
+        from dataclasses import replace
+
+        defaults = replace(bell_suite.defaults, noise=noise)
+        suite = replace(bell_suite, defaults=defaults, save_data=True)
+        report = run_suite(suite)
+        assert {r.result.protocol_id for r in report.records} == {
+            "proj", "state_tomo", "process_tomo"
+        }
         for record in report.records:
-            case = next(c for c in bell_suite.cases if c.name == record.case_name)
+            case = next(c for c in suite.cases if c.name == record.case_name)
             assertion = case.assertions[record.index]
             config = RunConfig(
-                backend=backend,
-                shots=bell_suite.defaults.shots,
-                seed=derive_seed(bell_suite.defaults.seed, case.name, record.index),
-                threshold=bell_suite.defaults.threshold,
+                shots=defaults.shots,
+                seed=derive_seed(defaults.seed, case.name, record.index),
+                threshold=defaults.threshold,
+                noise=noise,
             )
             direct = run_protocol(case.subject, assertion.expected, config)
             assert direct == record.result
+        if noise is not None:  # every protocol's counts or estimate move under noise
+            clean = run_suite(replace(bell_suite, save_data=True))
+            for noisy_record, clean_record in zip(report.records, clean.records):
+                assert noisy_record.artifacts != clean_record.artifacts
 
     def test_per_assertion_overrides(self, bell_circuit):
         dist = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])

@@ -1,8 +1,11 @@
 """Polymorphic dispatch and the three protocol implementations."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from quassert.orchestrator import SuiteDefaults
 from quassert.protocols import (
     AssertionResult,
     ContextError,
@@ -24,7 +27,7 @@ from quassert.qcore import (
     gate,
 )
 from quassert.qmath import DimensionError
-from quassert.simulator import DensityMatrixSimulator, NoiseModel
+from quassert.simulator import NoiseModel
 
 
 @pytest.fixture
@@ -143,8 +146,8 @@ class TestRunProtocol:
 
     def test_noise_flows_through_backend(self, bell_circuit, expected_distribution):
         # Certain readout flips push every shot into forbidden bins.
-        backend = DensityMatrixSimulator(noise=NoiseModel(readout_flip=0.5))
-        config = RunConfig(backend=backend, shots=3000, seed=2, threshold=0.5)
+        noise = NoiseModel(readout_flip=0.5)
+        config = RunConfig(shots=3000, seed=2, threshold=0.5, noise=noise)
         result = run_protocol(bell_circuit, expected_distribution, config)
         assert result.probability == 0.0
 
@@ -160,6 +163,9 @@ class TestRunProtocol:
             RunConfig(shots=0)
         with pytest.raises(ValueError):
             RunConfig(threshold=1.5)
+
+    def test_config_fields_follow_suite_defaults(self):
+        assert [f.name for f in fields(RunConfig)] == [f.name for f in fields(SuiteDefaults)]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -22,7 +22,6 @@ from quassert.qmath import DimensionError
 from quassert.simulator import (
     DEFAULT_NOISE,
     Counts,
-    DensityMatrixSimulator,
     NoiseModel,
     _amplitude_damp,
     _depolarize,
@@ -84,25 +83,11 @@ class TestNoiseModel:
     def test_default_preset_values(self):
         assert DEFAULT_NOISE == NoiseModel(0.001, 0.01, 0.001, 0.02)
 
-    def test_trivial(self):
-        assert NoiseModel().is_trivial()
-        assert not DEFAULT_NOISE.is_trivial()
-
 
 class TestCounts:
     def test_shot_total_enforced(self):
         with pytest.raises(ValueError):
             Counts(1, {0: 3}, 5)
-
-    def test_marginal_collapses_other_qubits(self):
-        counts = Counts(2, {0b00: 10, 0b01: 20, 0b10: 5, 0b11: 15}, 50)
-        reduced = counts.marginal([0])
-        assert reduced.tallies == {0: 15, 1: 35}
-        assert reduced.shots == 50
-
-    def test_marginal_range_check(self):
-        with pytest.raises(IndexError):
-            Counts(1, {0: 1}, 1).marginal([1])
 
 
 class TestEvolve:
@@ -322,18 +307,10 @@ class TestDeriveSeed:
 
 
 class TestBackendSeam:
-    def test_backend_carries_noise(self, bell_circuit):
-        noisy = DensityMatrixSimulator(noise=NoiseModel(readout_flip=1.0))
-        counts = noisy.sample(DensityMatrix.ground(2), None, 10, seed=0)
+    def test_backend_carries_noise(self):
+        noise = NoiseModel(readout_flip=1.0)
+        counts = sample(DensityMatrix.ground(2), None, 10, seed=0, noise=noise)
         assert counts.tallies == {3: 10}
-
-    def test_backend_methods_match_module_functions(self, bell_circuit):
-        backend = DensityMatrixSimulator()
-        state = backend.evolve(DensityMatrix.ground(2), bell_circuit)
-        np.testing.assert_allclose(
-            state.mat, evolve(DensityMatrix.ground(2), bell_circuit).mat
-        )
-        assert backend.sample(state, None, 100, seed=4) == sample(state, None, 100, seed=4)
 
 
 def assert_is_density_matrix(mat):

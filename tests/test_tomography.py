@@ -19,7 +19,7 @@ from quassert.qcore import (
     gate,
     state_fidelity,
 )
-from quassert.simulator import DensityMatrixSimulator, evolve
+from quassert.simulator import DEFAULT_NOISE, evolve
 from quassert.tomography import (
     _DUAL,
     SizeLimitError,
@@ -33,7 +33,7 @@ from quassert.tomography import (
 
 from conftest import random_circuit, random_hermitian
 
-BACKEND = DensityMatrixSimulator()
+NOISELESS = None
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
@@ -137,11 +137,11 @@ class TestSettings:
 class TestStateTomography:
     def test_analytic_mode_bell_exact(self, bell_circuit):
         truth = evolve(DensityMatrix.ground(2), bell_circuit)
-        estimate = state_tomography(None, bell_circuit, BACKEND, 0, seed=0)
+        estimate = state_tomography(None, bell_circuit, NOISELESS, 0, seed=0)
         assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
     def test_analytic_mode_identity_circuit(self):
-        estimate = state_tomography(None, Circuit(1), BACKEND, 0, seed=0)
+        estimate = state_tomography(None, Circuit(1), NOISELESS, 0, seed=0)
         np.testing.assert_allclose(estimate.mat, np.diag([1.0, 0.0]), atol=1e-9)
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -151,12 +151,20 @@ class TestStateTomography:
             prep = random_circuit(rng, n_qubits, 3)
             subject = random_circuit(rng, n_qubits, 6)
             truth = evolve(evolve(DensityMatrix.ground(n_qubits), prep), subject)
-            estimate = state_tomography(prep, subject, BACKEND, 0, seed=0)
+            estimate = state_tomography(prep, subject, NOISELESS, 0, seed=0)
             assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_analytic_mode_reconstructs_the_noisy_state(self, n_qubits):
+        rng = np.random.default_rng(310 + n_qubits)
+        subject = random_circuit(rng, n_qubits, 6)
+        truth = evolve(DensityMatrix.ground(n_qubits), subject, DEFAULT_NOISE)
+        estimate = state_tomography(None, subject, DEFAULT_NOISE, 0, seed=0)
+        assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
     def test_sampled_bell_high_fidelity(self, bell_circuit):
         truth = evolve(DensityMatrix.ground(2), bell_circuit)
-        estimate = state_tomography(None, bell_circuit, BACKEND, 3000, seed=17)
+        estimate = state_tomography(None, bell_circuit, NOISELESS, 3000, seed=17)
         assert state_fidelity(estimate, truth) >= 0.99
 
     def test_fidelity_improves_with_shots(self, bell_circuit):
@@ -165,7 +173,7 @@ class TestStateTomography:
         for shots in (10, 100, 1000, 10000):
             fids = [
                 state_fidelity(
-                    state_tomography(None, bell_circuit, BACKEND, shots, seed=s), truth
+                    state_tomography(None, bell_circuit, NOISELESS, shots, seed=s), truth
                 )
                 for s in range(20)
             ]
@@ -175,23 +183,23 @@ class TestStateTomography:
         assert means[-1] > means[0]
 
     def test_deterministic_under_seed(self, bell_circuit):
-        a = state_tomography(None, bell_circuit, BACKEND, 500, seed=9)
-        b = state_tomography(None, bell_circuit, BACKEND, 500, seed=9)
+        a = state_tomography(None, bell_circuit, NOISELESS, 500, seed=9)
+        b = state_tomography(None, bell_circuit, NOISELESS, 500, seed=9)
         np.testing.assert_array_equal(a.mat, b.mat)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            state_tomography(None, Circuit(5), BACKEND, 0, seed=0)
+            state_tomography(None, Circuit(5), NOISELESS, 0, seed=0)
 
     def test_estimate_is_valid_state(self, mutated_circuit):
-        estimate = state_tomography(None, mutated_circuit, BACKEND, 50, seed=1)
+        estimate = state_tomography(None, mutated_circuit, NOISELESS, 50, seed=1)
         assert abs(np.trace(estimate.mat).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(estimate.mat).min() >= -1e-10
 
 
 class TestProcessTomography:
     def test_analytic_identity_channel(self):
-        estimate = process_tomography(Circuit(1), BACKEND, 0, seed=0)
+        estimate = process_tomography(Circuit(1), NOISELESS, 0, seed=0)
         expected = np.array(
             [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
         )
@@ -203,26 +211,26 @@ class TestProcessTomography:
         for _ in range(3):
             subject = random_circuit(rng, n_qubits, 6)
             truth = circuit_to_choi(subject)
-            estimate = process_tomography(subject, BACKEND, 0, seed=0)
+            estimate = process_tomography(subject, NOISELESS, 0, seed=0)
             assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-8
 
     def test_sampled_separates_correct_from_mutated(self, bell_circuit, mutated_circuit):
         from quassert.qcore import process_fidelity
 
         reference = circuit_to_choi(bell_circuit)
-        estimate = process_tomography(mutated_circuit, BACKEND, 3000, seed=23)
+        estimate = process_tomography(mutated_circuit, NOISELESS, 3000, seed=23)
         assert process_fidelity(estimate, reference) <= 0.05
 
     def test_trace_is_two_to_n(self, bell_circuit):
-        estimate = process_tomography(bell_circuit, BACKEND, 200, seed=3)
+        estimate = process_tomography(bell_circuit, NOISELESS, 200, seed=3)
         assert np.trace(estimate.mat).real == pytest.approx(4.0, abs=1e-9)
 
     def test_deterministic_under_seed(self):
         c = Circuit(1, (gate("h", 0),))
-        a = process_tomography(c, BACKEND, 300, seed=8)
-        b = process_tomography(c, BACKEND, 300, seed=8)
+        a = process_tomography(c, NOISELESS, 300, seed=8)
+        b = process_tomography(c, NOISELESS, 300, seed=8)
         np.testing.assert_array_equal(a.mat, b.mat)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            process_tomography(Circuit(4), BACKEND, 0, seed=0)
+            process_tomography(Circuit(4), NOISELESS, 0, seed=0)
