@@ -23,6 +23,7 @@ from quassert.simulator import (
     derive_seed,
     evolve,
     exact_distribution,
+    pauli_distributions,
     sample,
 )
 from quassert.stats import Chi2Result, chi2_gof, regularized_gamma_q
@@ -72,6 +73,7 @@ __all__ = [
     "format_report",
     "gate",
     "parse_report",
+    "pauli_distributions",
     "process_fidelity",
     "process_tomography",
     "regularized_gamma_q",

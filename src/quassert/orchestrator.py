@@ -26,7 +26,7 @@ from quassert.protocols import (
     protocol_for,
     run_protocol_detailed,
 )
-from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution
+from quassert.qcore import Circuit
 from quassert.simulator import NoiseModel, derive_seed
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 

@@ -23,7 +23,7 @@ from quassert.qcore import (
     state_fidelity,
 )
 from quassert.qmath import DimensionError, NumericError
-from quassert.simulator import NoiseModel, evolve, sample
+from quassert.simulator import NoiseModel, evolve, exact_distribution, sample
 from quassert.stats import chi2_gof
 from quassert.tomography import process_tomography, state_tomography
 
@@ -136,7 +136,7 @@ def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
     state = evolve(DensityMatrix.ground(subject.n_qubits), subject, config.noise)
-    counts = sample(state, None, config.shots, config.seed, config.noise)
+    counts = sample(exact_distribution(state), config.shots, config.seed, config.noise)
     result = chi2_gof(counts, expected)
     diagnostics = {
         "statistic": result.statistic,

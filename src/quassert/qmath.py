@@ -90,12 +90,6 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    eig = hermitian_eig(a)
-    return float(np.sum(np.abs(eig.values)))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))

@@ -1,11 +1,14 @@
 """Embedded density-matrix simulator with optional parametric noise.
 
-:func:`evolve`, :func:`sample` and :func:`exact_distribution` are the one
-execution seam the protocols call; the noise model is passed per call.
+:func:`evolve`, :func:`exact_distribution`, :func:`pauli_distributions` and
+:func:`sample` are the one execution seam the protocols call; the noise model
+is passed per call.  :func:`pauli_distributions` alone holds the Pauli
+basis-rotation convention.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
-targets.  Readout bit flips are applied at measurement time only.
+targets; the Pauli-basis rotations are noisy gates too.  Readout bit flips
+are applied by ``sample`` only.
 
 Sampling is reproducible: every call owns a fresh generator built from its
 seed, and derived streams come from :func:`derive_seed` so results do not
@@ -82,8 +85,7 @@ class Counts:
 
     def as_vector(self) -> np.ndarray:
         vec = np.zeros(2**self.n_qubits, dtype=np.int64)
-        for k, v in self.tallies.items():
-            vec[k] = v
+        vec[list(self.tallies)] = list(self.tallies.values())
         return vec
 
     def frequencies(self) -> np.ndarray:
@@ -169,14 +171,34 @@ def _diagonal_probs(mat: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def exact_distribution(
-    state: DensityMatrix, premeasure: Circuit | None = None
-) -> OutcomeDistribution:
-    """Infinite-shot oracle: diagonal of the (rotated) density matrix."""
-    mat = state.mat
-    if premeasure is not None and premeasure.ops:
-        mat = _evolve_mat(mat, premeasure, None)
-    return OutcomeDistribution(state.n_qubits, _diagonal_probs(mat))
+def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
+    """Infinite-shot oracle: the computational-basis diagonal of the state."""
+    return OutcomeDistribution(state.n_qubits, _diagonal_probs(state.mat))
+
+
+# Gates rotating each Pauli basis onto the computational (Z) basis.
+_PAULI_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
+
+
+def pauli_distributions(
+    state: DensityMatrix, noise: NoiseModel | None = None
+) -> list[OutcomeDistribution]:
+    """Outcome distributions of all 3^n product Pauli-basis measurements.
+
+    Entry k measures qubit q in basis "XYZ"[(k // 3^q) % 3], so qubit 0's
+    letter varies fastest.  The rotations (with gate noise when a noise
+    model is given) are applied one qubit at a time, and settings that agree
+    on qubits 0..q-1 share those rotated matrices.
+    """
+    n = state.n_qubits
+    mats = [state.mat]
+    for q in range(n):
+        rotations = {
+            name: Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
+            for name, gates in _PAULI_ROTATIONS.items()
+        }
+        mats = [_evolve_mat(mat, rotations[name], noise) for name in "XYZ" for mat in mats]
+    return [OutcomeDistribution(n, _diagonal_probs(mat)) for mat in mats]
 
 
 def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
@@ -189,29 +211,19 @@ def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
 
 
 def sample(
-    state: DensityMatrix,
-    premeasure: Circuit | None,
-    shots: int,
-    seed: int,
-    noise: NoiseModel | None = None,
+    dist: OutcomeDistribution, shots: int, seed: int, noise: NoiseModel | None = None
 ) -> Counts:
-    """Draw seeded measurement counts in the computational basis.
+    """Draw seeded measurement counts from an outcome distribution.
 
-    The optional premeasure circuit is applied first (with gate noise when a
-    noise model is given); readout bit flips then act independently per qubit
+    Readout bit flips of the noise model then act independently per qubit
     per shot.  Counts are aggregated with multinomial draws, which is
     distribution-identical to per-shot sampling.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = state.n_qubits
-    mat = state.mat
-    if premeasure is not None and premeasure.ops:
-        mat = _evolve_mat(mat, premeasure, noise)
-    probs = _diagonal_probs(mat)
-
+    n = dist.n_qubits
     rng = np.random.default_rng(np.uint64(seed))
-    raw = rng.multinomial(shots, probs)
+    raw = rng.multinomial(shots, dist.probs)
 
     if noise is not None and noise.readout_flip > 0.0:
         # split[j, mask] shots of outcome j read as j ^ mask; a zero count

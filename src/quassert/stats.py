@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from quassert.qcore import OutcomeDistribution
 from quassert.qmath import NumericError
 from quassert.simulator import Counts
@@ -117,29 +119,25 @@ def chi2_gof(observed: Counts, expected: OutcomeDistribution) -> Chi2Result:
         raise ValueError("chi2_gof needs at least one shot")
 
     probs = expected.probs
-    surviving = [i for i, p in enumerate(probs) if p >= FORBIDDEN_BIN_THRESHOLD]
-    forbidden = [i for i, p in enumerate(probs) if p < FORBIDDEN_BIN_THRESHOLD]
-    if not surviving:
+    surviving = probs >= FORBIDDEN_BIN_THRESHOLD
+    n_surviving = int(np.count_nonzero(surviving))
+    if not n_surviving:
         raise DegenerateTestError("expected distribution has no admissible bins")
 
     counts = observed.as_vector()
-    forbidden_hits = int(counts[forbidden].sum()) if forbidden else 0
-    if forbidden_hits > 0:
-        return Chi2Result(statistic=math.inf, dof=max(len(surviving) - 1, 1), p_value=0.0)
+    if counts[~surviving].any():
+        return Chi2Result(statistic=math.inf, dof=max(n_surviving - 1, 1), p_value=0.0)
 
-    if len(surviving) == 1:
-        if not forbidden:
+    if n_surviving == 1:
+        if surviving.all():
             raise DegenerateTestError(
                 "expected distribution is a single bin with nothing to reject"
             )
         # Point-mass expectation and every shot landed on it: perfect match.
         return Chi2Result(statistic=0.0, dof=1, p_value=1.0)
 
-    shots = observed.shots
-    statistic = 0.0
-    for i in surviving:
-        mean = shots * float(probs[i])
-        diff = int(counts[i]) - mean
-        statistic += diff * diff / mean
-    dof = len(surviving) - 1
+    mean = observed.shots * probs[surviving]
+    diff = counts[surviving] - mean
+    statistic = float((diff * diff / mean).sum())
+    dof = n_surviving - 1
     return Chi2Result(statistic=statistic, dof=dof, p_value=chi2_p_value(statistic, dof))

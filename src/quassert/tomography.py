@@ -1,6 +1,8 @@
 """Quantum state and process tomography by linear inversion.
 
-State tomography measures all 3^n per-qubit Pauli bases and inverts them
+State tomography measures all 3^n per-qubit Pauli bases, whose outcome
+distributions come from :func:`quassert.simulator.pauli_distributions` (the
+basis rotations are noisy gates like the subject's), and inverts them
 with the product inverse channel of classical shadows: each outcome o of
 setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
@@ -10,8 +12,9 @@ Process tomography feeds the channel all 4^n product preparations from
 preparation frame to assemble the Choi matrix.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
-taken from the exact outcome distribution, so reconstruction is exact (up to
-the PSD projection's rounding) for the subject under the given noise model.
+the exact outcome distributions under noiseless basis rotations, so
+reconstruction is exact (up to the PSD projection's rounding) for the
+subject under the given noise model.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ from quassert.qcore import (
     PAULI_Y,
     PAULI_Z,
 )
-from quassert.simulator import NoiseModel, derive_seed, evolve, exact_distribution, sample
+from quassert.simulator import NoiseModel, derive_seed, evolve, pauli_distributions, sample
 
 MAX_STATE_QUBITS = 4
 MAX_PROCESS_QUBITS = 3
 
-_BASIS_LETTERS = ("X", "Y", "Z")
 _PREP_LABELS = ("0", "1", "+", "+i")
 # _SHADOW[letter, o] = I/2 + 3/2 (-1)^o P_letter, the single-qubit inverse
-# channel for outcome bit o measured in basis _BASIS_LETTERS[letter].
+# channel for outcome bit o measured in basis "XYZ"[letter].
 _SHADOW = np.array(
     [[PAULI_I / 2.0 + 1.5 * sign * pauli for sign in (1.0, -1.0)]
      for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -51,27 +53,11 @@ class SizeLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class MeasurementSetting:
-    """Per-qubit Pauli basis and the rotation mapping it to the Z basis."""
-
-    basis: tuple[str, ...]
-    rotation: Circuit
-
-
-@dataclass(frozen=True)
 class PreparationSetting:
     """Per-qubit input label and the circuit preparing it from |0...0>."""
 
     label: tuple[str, ...]
     prep: Circuit
-
-
-def _basis_rotation_ops(letter: str, qubit: int) -> tuple[GateOp, ...]:
-    if letter == "X":
-        return (GateOp("h", (qubit,)),)
-    if letter == "Y":
-        return (GateOp("sdg", (qubit,)), GateOp("h", (qubit,)))
-    return ()
 
 
 def _prep_ops(label: str, qubit: int) -> tuple[GateOp, ...]:
@@ -82,18 +68,6 @@ def _prep_ops(label: str, qubit: int) -> tuple[GateOp, ...]:
     if label == "+i":
         return (GateOp("h", (qubit,)), GateOp("s", (qubit,)))
     return ()
-
-
-def measurement_settings(n_qubits: int) -> list[MeasurementSetting]:
-    """All 3^n product Pauli bases; qubit 0's letter varies fastest."""
-    settings = []
-    for k in range(3**n_qubits):
-        letters = tuple(_BASIS_LETTERS[(k // 3**q) % 3] for q in range(n_qubits))
-        ops: list[GateOp] = []
-        for q, letter in enumerate(letters):
-            ops.extend(_basis_rotation_ops(letter, q))
-        settings.append(MeasurementSetting(letters, Circuit(n_qubits, tuple(ops))))
-    return settings
 
 
 def preparation_settings(n_qubits: int) -> list[PreparationSetting]:
@@ -133,16 +107,13 @@ def state_tomography(
         state = evolve(state, prep, noise)
     state = evolve(state, subject, noise)
 
-    probs_by_setting = []
-    for k, setting in enumerate(measurement_settings(n)):
-        if shots_per_setting == 0:
-            probs = exact_distribution(state, setting.rotation).probs
-        else:
-            counts = sample(
-                state, setting.rotation, shots_per_setting, derive_seed(seed, "setting", k), noise
-            )
-            probs = counts.frequencies()
-        probs_by_setting.append(probs)
+    if shots_per_setting == 0:
+        probs_by_setting = [dist.probs for dist in pauli_distributions(state)]
+    else:
+        probs_by_setting = [
+            sample(dist, shots_per_setting, derive_seed(seed, "setting", k), noise).frequencies()
+            for k, dist in enumerate(pauli_distributions(state, noise))
+        ]
 
     projected = qmath.psd_project(_invert_settings(probs_by_setting, n), 1.0)
     return DensityMatrix(n, projected)

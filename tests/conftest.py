@@ -30,6 +30,11 @@ def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     return mat / np.trace(mat).real
 
 
+def trace_norm(a: np.ndarray) -> float:
+    """Sum of absolute eigenvalues of a Hermitian matrix."""
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+
 @st.composite
 def density_matrices(draw, n_qubits: int) -> np.ndarray:
     """Hypothesis strategy: G G^dag / tr for a 2^n x rank complex G of any rank."""

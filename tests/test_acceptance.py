@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quassert import qmath
 from quassert.cli import load_suite, load_sweep, run_sweep
 from quassert.orchestrator import run_suite
 from quassert.protocols import ProcessRef, RunConfig, run_protocol
@@ -41,7 +40,7 @@ from quassert.simulator import (
 from quassert.stats import chi2_gof, chi2_p_value, regularized_gamma_q
 from quassert.tomography import process_tomography, state_tomography
 
-from conftest import random_circuit, random_density, random_pure_state
+from conftest import random_circuit, random_density, random_pure_state, trace_norm
 from test_stats import gamma_q_by_quadrature
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,7 +250,7 @@ def test_criterion_8_property_suites(bell_circuit):
             n = int(rng.integers(1, 3))
             rho = DensityMatrix(n, random_density(rng, n))
             sigma = DensityMatrix(n, random_density(rng, n))
-            bound = 1.0 - qmath.trace_norm(rho.mat - sigma.mat)
+            bound = 1.0 - trace_norm(rho.mat - sigma.mat)
             assert bound <= state_fidelity(rho, sigma) + 1e-8
 
         # Choi invariants on random circuits.
@@ -265,7 +264,7 @@ def test_criterion_8_property_suites(bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
         shots = 100000
         expected = exact_distribution(state).probs
-        freq = sample(state, None, shots, seed=4242).frequencies()
+        freq = sample(exact_distribution(state), shots, seed=4242).frequencies()
         for p, f in zip(expected, freq):
             bound = 5.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / shots)
             assert abs(f - p) <= max(bound, 5.0 / shots)

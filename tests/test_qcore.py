@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quassert import qmath
 from quassert.qcore import (
     ChoiMatrix,
     Circuit,
@@ -33,7 +32,13 @@ from quassert.qcore import (
 )
 from quassert.qmath import DimensionError
 
-from conftest import density_matrices, random_circuit, random_density, random_pure_state
+from conftest import (
+    density_matrices,
+    random_circuit,
+    random_density,
+    random_pure_state,
+    trace_norm,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -303,7 +308,7 @@ class TestStateFidelity:
             n = int(rng.integers(1, 3))
             rho = DensityMatrix(n, random_density(rng, n))
             sigma = DensityMatrix(n, random_density(rng, n))
-            bound = 1.0 - qmath.trace_norm(rho.mat - sigma.mat)
+            bound = 1.0 - trace_norm(rho.mat - sigma.mat)
             assert bound <= state_fidelity(rho, sigma) + 1e-8
 
     @settings(max_examples=150, deadline=None)

@@ -24,7 +24,6 @@ from quassert.qmath import (
     matrix_sqrt_psd,
     partial_trace,
     psd_project,
-    trace_norm,
 )
 
 from conftest import random_density, random_hermitian, random_psd
@@ -136,37 +135,6 @@ class TestMatrixSqrtPsd:
     def test_tiny_negative_clamped(self):
         root = matrix_sqrt_psd(np.diag([1.0, -5e-9]))
         np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-8)
-
-
-class TestTraceNorm:
-    def test_zero(self):
-        assert trace_norm(np.zeros((3, 3))) == 0.0
-
-    def test_plus_minus_one(self):
-        assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-12)
-
-    def test_pure_state_pair_closed_form(self, bell_circuit, mutated_circuit):
-        # For pure states with overlap |<psi|phi>|^2 = 0.25 the difference has
-        # trace norm 2 sqrt(1 - 0.25) = sqrt(3).
-        from quassert.qcore import circuit_to_unitary
-
-        zero = np.zeros(4, dtype=complex)
-        zero[0] = 1.0
-        psi = circuit_to_unitary(bell_circuit) @ zero
-        phi = circuit_to_unitary(mutated_circuit) @ zero
-        assert abs(np.vdot(psi, phi)) ** 2 == pytest.approx(0.25, abs=1e-12)
-        diff = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-        assert trace_norm(diff) == pytest.approx(1.7320508075688772, abs=1e-8)
-
-    def test_lower_bounded_by_abs_trace(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            a = random_hermitian(rng, 4)
-            assert trace_norm(a) >= abs(np.trace(a).real) - 1e-12
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(DimensionError):
-            trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestKron:

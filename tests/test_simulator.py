@@ -29,10 +29,11 @@ from quassert.simulator import (
     derive_seed,
     evolve,
     exact_distribution,
+    pauli_distributions,
     sample,
 )
 
-from conftest import density_matrices, random_circuit, random_density
+from conftest import density_matrices, random_circuit, random_density, random_pure_state
 
 
 def pauli_twirl_depolarize(mat, qubits, p, n):
@@ -55,6 +56,18 @@ def kraus_amplitude_damp(mat, qubit, gamma, n):
     for k in (embed_single_qubit(k0, qubit, n), embed_single_qubit(k1, qubit, n)):
         out += k @ mat @ k.conj().T
     return out
+
+
+def pauli_rotation(k, n):
+    """Reference rotation for setting k: the whole basis change as one circuit."""
+    ops = []
+    for q in range(n):
+        letter = "XYZ"[(k // 3**q) % 3]
+        if letter == "X":
+            ops.append(gate("h", q))
+        elif letter == "Y":
+            ops.extend((gate("sdg", q), gate("h", q)))
+    return Circuit(n, tuple(ops))
 
 
 def per_outcome_readout(probs, shots, seed, p):
@@ -85,6 +98,11 @@ class TestNoiseModel:
 
 
 class TestCounts:
+    def test_as_vector_places_tallies(self):
+        counts = Counts(n_qubits=2, tallies={3: 5, 1: 2}, shots=7)
+        assert counts.as_vector().tolist() == [0, 2, 0, 5]
+        assert Counts(n_qubits=1).as_vector().tolist() == [0, 0]
+
     def test_shot_total_enforced(self):
         with pytest.raises(ValueError):
             Counts(1, {0: 3}, 5)
@@ -188,21 +206,48 @@ class TestExactDistribution:
         state = DensityMatrix(1, np.eye(2) / 2)
         np.testing.assert_allclose(exact_distribution(state).probs, [0.5, 0.5])
 
-    def test_premeasure_rotation(self):
-        # |0> measured in the X basis is uniform.
-        state = DensityMatrix.ground(1)
-        dist = exact_distribution(state, Circuit(1, (gate("h", 0),)))
-        np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-12)
+
+class TestPauliDistributions:
+    @pytest.mark.parametrize("rank", ["pure", "full"])
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_evolving_each_rotation(self, n, noise, rank):
+        rng = np.random.default_rng(40 + n)
+        mat = (
+            random_density(rng, n)
+            if rank == "full"
+            else DensityMatrix.from_statevector(random_pure_state(rng, n)).mat
+        )
+        state = DensityMatrix(n, mat)
+        dists = pauli_distributions(state, noise)
+        assert len(dists) == 3**n
+        for k, dist in enumerate(dists):
+            reference = exact_distribution(evolve(state, pauli_rotation(k, n), noise))
+            assert np.array_equal(dist.probs, reference.probs), k
+
+    def test_x_basis_of_ground_is_uniform(self):
+        x, y, z = pauli_distributions(DensityMatrix.ground(1))
+        np.testing.assert_allclose(x.probs, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(y.probs, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(z.probs, [1.0, 0.0], atol=1e-12)
+
+    def test_sampling_follows_rotated_distribution(self, bell_circuit):
+        state = evolve(DensityMatrix.ground(2), bell_circuit)
+        # Rotating both qubits to the X basis (setting 0) maps the Bell state to
+        # another two-outcome distribution; sampling must follow it.
+        expected = exact_distribution(evolve(state, Circuit(2, (gate("h", 0), gate("h", 1)))))
+        counts = sample(pauli_distributions(state)[0], 100000, seed=11)
+        np.testing.assert_allclose(counts.frequencies(), expected.probs, atol=0.01)
 
 
 class TestSample:
     def test_deterministic_state(self):
-        counts = sample(DensityMatrix.ground(1), None, 100, seed=1)
+        counts = sample(exact_distribution(DensityMatrix.ground(1)), 100, seed=1)
         assert counts.tallies == {0: 100}
 
     def test_bell_support_and_balance(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        counts = sample(state, None, 3000, seed=5)
+        counts = sample(exact_distribution(state), 3000, seed=5)
         assert set(counts.tallies) <= {0, 3}
         sigma = np.sqrt(3000 * 0.25)
         for k in (0, 3):
@@ -210,35 +255,27 @@ class TestSample:
 
     def test_same_seed_identical(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        a = sample(state, None, 1000, seed=42)
-        b = sample(state, None, 1000, seed=42)
+        a = sample(exact_distribution(state), 1000, seed=42)
+        b = sample(exact_distribution(state), 1000, seed=42)
         assert a == b
 
     def test_different_seeds_differ(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        a = sample(state, None, 10000, seed=1)
-        b = sample(state, None, 10000, seed=2)
+        a = sample(exact_distribution(state), 10000, seed=1)
+        b = sample(exact_distribution(state), 10000, seed=2)
         assert a.tallies != b.tallies
 
     def test_certain_readout_flip(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(DensityMatrix.ground(2), None, 50, seed=3, noise=noise)
+        counts = sample(exact_distribution(DensityMatrix.ground(2)), 50, seed=3, noise=noise)
         assert counts.tallies == {3: 50}
 
     def test_readout_flip_rate(self):
         noise = NoiseModel(readout_flip=0.1)
-        counts = sample(DensityMatrix.ground(1), None, 100000, seed=9, noise=noise)
+        dist = exact_distribution(DensityMatrix.ground(1))
+        counts = sample(dist, 100000, seed=9, noise=noise)
         rate = counts.tallies.get(1, 0) / 100000
         assert rate == pytest.approx(0.1, abs=0.01)
-
-    def test_premeasure_applied(self, bell_circuit):
-        state = evolve(DensityMatrix.ground(2), bell_circuit)
-        # Rotating both qubits to the X basis maps the Bell state to another
-        # two-outcome distribution; sampling must follow the rotated diagonal.
-        rotation = Circuit(2, (gate("h", 0), gate("h", 1)))
-        expected = exact_distribution(state, rotation).probs
-        counts = sample(state, rotation, 100000, seed=11)
-        np.testing.assert_allclose(counts.frequencies(), expected, atol=0.01)
 
     def test_readout_flips_match_per_outcome_draws(self, monkeypatch):
         default_rng = np.random.default_rng
@@ -259,7 +296,7 @@ class TestSample:
             p = float(rng.choice([0.02, 0.3, 1.0]))
             seed = int(rng.integers(2**63))
             made.clear()
-            counts = sample(state, None, shots, seed, NoiseModel(readout_flip=p))
+            counts = sample(exact_distribution(state), shots, seed, NoiseModel(readout_flip=p))
             tallies, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
             assert counts.tallies == tallies
             assert made[0].integers(2**63) == after.integers(2**63)
@@ -267,18 +304,19 @@ class TestSample:
     def test_readout_flips_at_huge_shot_counts(self):
         shots = 2**62 + 12345
         state = DensityMatrix(2, random_density(np.random.default_rng(8), 2))
-        counts = sample(state, None, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
+        dist = exact_distribution(state)
+        counts = sample(dist, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
         assert sum(counts.tallies.values()) == counts.shots == shots
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            sample(DensityMatrix.ground(1), None, 0, seed=0)
+            sample(exact_distribution(DensityMatrix.ground(1)), 0, seed=0)
 
     def test_convergence_bound_at_1e5_shots(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
         shots = 100000
         expected = exact_distribution(state).probs
-        counts = sample(state, None, shots, seed=77)
+        counts = sample(exact_distribution(state), shots, seed=77)
         freq = counts.frequencies()
         for p, f in zip(expected, freq):
             bound = 5.0 * np.sqrt(max(p * (1 - p), 1e-12) / shots)
@@ -309,7 +347,7 @@ class TestDeriveSeed:
 class TestBackendSeam:
     def test_backend_carries_noise(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(DensityMatrix.ground(2), None, 10, seed=0, noise=noise)
+        counts = sample(exact_distribution(DensityMatrix.ground(2)), 10, seed=0, noise=noise)
         assert counts.tallies == {3: 10}
 
 

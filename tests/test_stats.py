@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
-from quassert.simulator import Counts, derive_seed, evolve, sample
+from quassert.simulator import Counts, derive_seed, evolve, exact_distribution, sample
 from quassert.stats import (
     Chi2Result,
     DegenerateTestError,
@@ -30,6 +30,17 @@ def gamma_q_by_quadrature(s: float, x: float) -> float:
 
     value, _ = quad(density, 2.0 * x, np.inf, limit=200)
     return value
+
+
+def per_bin_statistic(counts: Counts, probs: np.ndarray) -> float:
+    """Reference statistic: sum over admissible bins, one bin at a time."""
+    statistic = 0.0
+    for i, p in enumerate(probs):
+        if p >= 1e-12:
+            mean = counts.shots * float(p)
+            diff = counts.tallies.get(i, 0) - mean
+            statistic += diff * diff / mean
+    return statistic
 
 
 class TestRegularizedGammaQ:
@@ -144,6 +155,22 @@ class TestChi2Gof:
         assert permuted.statistic == pytest.approx(base.statistic, abs=1e-12)
         assert permuted.p_value == pytest.approx(base.p_value, abs=1e-12)
 
+    def test_statistic_matches_per_bin_sum(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            probs = rng.dirichlet(np.ones(2**n))
+            probs[rng.random(2**n) < 0.3] = 0.0
+            probs[0] += 1.0 - probs.sum()
+            expected = OutcomeDistribution(n, probs)
+            shots = int(rng.choice([10, 1000, 10**6]))
+            drawn = rng.multinomial(shots, expected.probs)
+            counts = Counts(n, {i: int(v) for i, v in enumerate(drawn) if v}, shots)
+            result = chi2_gof(counts, expected)
+            reference = per_bin_statistic(counts, expected.probs)
+            assert result.statistic == pytest.approx(reference, rel=1e-12, abs=0.0)
+            assert result.dof == max(int((expected.probs >= 1e-12).sum()) - 1, 1)
+
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             chi2_gof(Counts(1, {0: 1}, 1), OutcomeDistribution(2, [1, 0, 0, 0]))
@@ -156,7 +183,7 @@ class TestChi2Gof:
         rejections = 0
         trials = 200
         for k in range(trials):
-            counts = sample(state, None, 3000, derive_seed("null-calibration", k))
+            counts = sample(exact_distribution(state), 3000, derive_seed("null-calibration", k))
             if chi2_gof(counts, expected).p_value < 0.05:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.09

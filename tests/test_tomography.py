@@ -19,19 +19,18 @@ from quassert.qcore import (
     gate,
     state_fidelity,
 )
-from quassert.simulator import DEFAULT_NOISE, evolve
+from quassert.simulator import DEFAULT_NOISE, evolve, pauli_distributions
 from quassert.tomography import (
     _DUAL,
     SizeLimitError,
     _assemble_choi,
     _invert_settings,
-    measurement_settings,
     preparation_settings,
     process_tomography,
     state_tomography,
 )
 
-from conftest import random_circuit, random_hermitian
+from conftest import random_circuit, random_density, random_hermitian
 
 NOISELESS = None
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -97,28 +96,30 @@ class TestInversionOracles:
 class TestSettings:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_measurement_setting_count(self, n):
-        assert len(measurement_settings(n)) == 3**n
+        assert len(pauli_distributions(DensityMatrix.ground(n))) == 3**n
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_preparation_setting_count(self, n):
         assert len(preparation_settings(n)) == 4**n
 
     def test_rotations_diagonalize_their_pauli(self):
+        # The +1 eigenstate of each Pauli reads outcome 0 in its own basis.
         paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-        for setting in measurement_settings(1):
-            letter = setting.basis[0]
-            u = circuit_to_unitary(setting.rotation)
-            rotated = u @ paulis[letter] @ u.conj().T
-            np.testing.assert_allclose(rotated, PAULI_Z, atol=1e-12)
+        for k, letter in enumerate("XYZ"):
+            state = DensityMatrix(1, (np.eye(2) + paulis[letter]) / 2.0)
+            dist = pauli_distributions(state)[k]
+            np.testing.assert_allclose(dist.probs, [1.0, 0.0], atol=1e-12)
 
     def test_rotations_touch_only_their_qubit(self):
-        for setting in measurement_settings(2):
-            for q, letter in enumerate(setting.basis):
-                ops_on_q = [op for op in setting.rotation.ops if op.qubits == (q,)]
-                others = [op for op in setting.rotation.ops if op.qubits != (q,)]
-                assert all(op.qubits[0] in (0, 1) for op in ops_on_q + others)
-                if letter == "Z":
-                    assert not ops_on_q
+        # On a product state, setting k's distribution is the product of each
+        # qubit's distribution in its own letter k_q (qubit 0 the low bit).
+        rng = np.random.default_rng(11)
+        singles = [DensityMatrix(1, random_density(rng, 1)) for _ in range(2)]
+        per_qubit = [[d.probs for d in pauli_distributions(rho)] for rho in singles]
+        product = DensityMatrix(2, np.kron(singles[1].mat, singles[0].mat))
+        for k, dist in enumerate(pauli_distributions(product)):
+            expected = np.kron(per_qubit[1][k // 3], per_qubit[0][k % 3])
+            np.testing.assert_allclose(dist.probs, expected, atol=1e-12)
 
     def test_preparations_build_expected_states(self):
         vectors = {
