@@ -151,7 +151,7 @@ def _run_proj(
 def _run_state_tomo(
     subject: Circuit, expected: DensityMatrix, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    estimate = state_tomography(None, subject, config.noise, config.shots, config.seed)
+    estimate = state_tomography(subject, config.noise, config.shots, config.seed)
     probability = state_fidelity(estimate, expected)
     diagnostics = {
         "settings": 3**subject.n_qubits,

@@ -5,6 +5,13 @@
 is passed per call.  :func:`pauli_distributions` alone holds the Pauli
 basis-rotation convention.
 
+One gate kernel evolves a stack of density matrices of shape
+``(..., 2^n, 2^n)``: the expanded gate conjugates every matrix at once
+(``u @ mats @ u^dag`` broadcasts) and the noise channels count qubit axes
+from the end.  :func:`evolve` and :func:`pauli_distributions` accept a
+``(B, 2^n, 2^n)`` stack as well as a DensityMatrix, which is the B = 1 case
+of the same code; process tomography evolves all of its preparations so.
+
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
 targets; the Pauli-basis rotations are noisy gates too.  Readout bit flips
@@ -99,13 +106,17 @@ def derive_seed(*parts: object) -> int:
 
 
 def _map_qubit_block(tensor: np.ndarray, qubit: int, n: int, fn) -> np.ndarray:
-    """Apply ``fn`` to ``qubit``'s 2x2 block of a (2,)*2n reshaped matrix.
+    """Apply ``fn`` to ``qubit``'s 2x2 block of a (..., 2,)*2n reshaped stack.
 
-    Qubit q owns row axis n-1-q and column axis 2n-1-q; ``fn`` sees them as
-    the last two axes.
+    The last 2n axes are the matrix's row then column bits; qubit q owns row
+    axis -n-1-q and column axis -1-q.  ``fn`` sees them as the last two axes.
     """
-    axes = (n - 1 - qubit, 2 * n - 1 - qubit)
+    axes = (-n - 1 - qubit, -1 - qubit)
     return np.moveaxis(fn(np.moveaxis(tensor, axes, (-2, -1))), (-2, -1), axes)
+
+
+def _qubit_view(mats: np.ndarray, n: int) -> np.ndarray:
+    return mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
 
 
 def _half_trace_times_identity(block: np.ndarray) -> np.ndarray:
@@ -113,20 +124,20 @@ def _half_trace_times_identity(block: np.ndarray) -> np.ndarray:
     return half_trace[..., None, None] * np.eye(2)
 
 
-def _depolarize(mat: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
+def _depolarize(mats: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
     """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits."""
     if p == 0.0:
-        return mat
-    mixed = mat.reshape((2,) * (2 * n))
+        return mats
+    mixed = _qubit_view(mats, n)
     for q in qubits:
         mixed = _map_qubit_block(mixed, q, n, _half_trace_times_identity)
-    return (1.0 - p) * mat + p * mixed.reshape(mat.shape)
+    return (1.0 - p) * mats + p * mixed.reshape(mats.shape)
 
 
-def _amplitude_damp(mat: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:
+def _amplitude_damp(mats: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:
     """K0 rho K0^dag + K1 rho K1^dag with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|."""
     if gamma == 0.0:
-        return mat
+        return mats
     k0 = np.array([1.0, np.sqrt(1 - gamma)])
     k1 = np.sqrt(gamma)
 
@@ -136,30 +147,48 @@ def _amplitude_damp(mat: np.ndarray, qubit: int, gamma: float, n: int) -> np.nda
         out[..., 0, 0] += block[..., 1, 1] * k1 * k1
         return out
 
-    return _map_qubit_block(mat.reshape((2,) * (2 * n)), qubit, n, damp).reshape(mat.shape)
+    return _map_qubit_block(_qubit_view(mats, n), qubit, n, damp).reshape(mats.shape)
 
 
-def _evolve_mat(mat: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
+def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
+    """Run every matrix of a (..., 2^n, 2^n) stack through the circuit."""
     n = c.n_qubits
     for op in c.ops:
         u = expanded_gate_matrix(op, n)
-        mat = u @ mat @ u.conj().T
+        mats = u @ mats @ u.conj().T
         if noise is not None:
             if op.name in TWO_QUBIT_GATES:
-                mat = _depolarize(mat, op.qubits, noise.depolarizing_2q, n)
+                mats = _depolarize(mats, op.qubits, noise.depolarizing_2q, n)
             else:
-                mat = _depolarize(mat, op.qubits, noise.depolarizing_1q, n)
-                mat = _amplitude_damp(mat, op.qubits[0], noise.amplitude_damping, n)
-    return mat
+                mats = _depolarize(mats, op.qubits, noise.depolarizing_1q, n)
+                mats = _amplitude_damp(mats, op.qubits[0], noise.amplitude_damping, n)
+    return mats
 
 
-def evolve(state: DensityMatrix, c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
-    """Run the state through the circuit, gate by gate, with optional noise."""
-    if state.n_qubits != c.n_qubits:
-        raise qmath.DimensionError(
-            f"evolve: state on {state.n_qubits} qubit(s) vs circuit on {c.n_qubits}"
-        )
-    return DensityMatrix(c.n_qubits, _evolve_mat(state.mat, c, noise))
+def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
+    """The (B, 2^n, 2^n) stack behind a state and its n; a DensityMatrix is B = 1."""
+    if isinstance(state, DensityMatrix):
+        return state.mat[None], state.n_qubits
+    n = state.shape[-1].bit_length() - 1
+    if n < 1 or state.ndim != 3 or state.shape[1:] != (2**n, 2**n):
+        raise qmath.DimensionError(f"expected a (B, 2^n, 2^n) stack, got shape {state.shape}")
+    return state, n
+
+
+def evolve(
+    state: DensityMatrix | np.ndarray, c: Circuit, noise: NoiseModel | None = None
+) -> DensityMatrix | np.ndarray:
+    """Run the state through the circuit, gate by gate, with optional noise.
+
+    ``state`` is a DensityMatrix or a (B, 2^n, 2^n) stack of density
+    matrices.  A stack is evolved as a whole and returned as a raw stack:
+    unlike a DensityMatrix result it is neither validated nor symmetrized.
+    """
+    mats, n = _stack_of(state)
+    if n != c.n_qubits:
+        raise qmath.DimensionError(f"evolve: state on {n} qubit(s) vs circuit on {c.n_qubits}")
+    mats = _evolve_mat(mats, c, noise)
+    return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
 def _diagonal_probs(mat: np.ndarray) -> np.ndarray:
@@ -181,32 +210,35 @@ _PAULI_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 
 def pauli_distributions(
-    state: DensityMatrix, noise: NoiseModel | None = None
-) -> list[OutcomeDistribution]:
+    state: DensityMatrix | np.ndarray, noise: NoiseModel | None = None
+) -> list[OutcomeDistribution] | list[list[OutcomeDistribution]]:
     """Outcome distributions of all 3^n product Pauli-basis measurements.
 
     Entry k measures qubit q in basis "XYZ"[(k // 3^q) % 3], so qubit 0's
-    letter varies fastest.  The rotations (with gate noise when a noise
-    model is given) are applied one qubit at a time, and settings that agree
-    on qubits 0..q-1 share those rotated matrices.
+    letter varies fastest.  A DensityMatrix gives one list of 3^n entries; a
+    (B, 2^n, 2^n) stack gives one such list per matrix.  The whole stack of
+    settings is rotated one qubit at a time (with gate noise when a noise
+    model is given): settings that agree on qubits 0..q-1 share those
+    rotated matrices, so the rotations cost 3n gate expansions in all.
     """
-    n = state.n_qubits
-    mats = [state.mat]
+    mats, n = _stack_of(state)
+    mats = mats[None]  # (settings, B, 2^n, 2^n)
     for q in range(n):
-        rotations = {
-            name: Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
-            for name, gates in _PAULI_ROTATIONS.items()
-        }
-        mats = [_evolve_mat(mat, rotations[name], noise) for name in "XYZ" for mat in mats]
-    return [OutcomeDistribution(n, _diagonal_probs(mat)) for mat in mats]
+        rotations = [Circuit(n, tuple(GateOp(g, (q,)) for g in _PAULI_ROTATIONS[name]))
+                     for name in "XYZ"]
+        mats = np.concatenate([_evolve_mat(mats, rotation, noise) for rotation in rotations])
+    dists = [
+        [OutcomeDistribution(n, _diagonal_probs(mat)) for mat in mats[:, b]]
+        for b in range(mats.shape[1])
+    ]
+    return dists[0] if isinstance(state, DensityMatrix) else dists
 
 
 def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
     """Probability of each n-bit flip pattern under independent bit flips."""
-    per_bit = np.array([1.0 - p, p])
     probs = np.array([1.0])
     for _ in range(n_qubits):
-        probs = np.kron(per_bit, probs)
+        probs = np.concatenate([(1.0 - p) * probs, p * probs])
     return probs
 
 

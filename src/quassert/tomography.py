@@ -8,8 +8,12 @@ setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
 Pauli-string expectation.  A PSD projection then restores physicality.
 Process tomography feeds the channel all 4^n product preparations from
-{|0>, |1>, |+>, |+i>}, tomographs each output, and inverts the fixed
-preparation frame to assemble the Choi matrix.
+{|0>, |1>, |+>, |+i>} and inverts the fixed preparation frame to assemble
+the Choi matrix.  The preparations are built as one stack of density
+matrices (one qubit at a time, sharing common prefixes), the subject is
+evolved once on the whole stack and the stack is rotated once into every
+setting, all through the simulator seam; each preparation's output is then
+sampled, inverted and projected on its own, with its own seed stream.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
 the exact outcome distributions under noiseless basis rotations, so
@@ -19,8 +23,6 @@ subject under the given noise model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from quassert import qmath
@@ -29,6 +31,7 @@ from quassert.qcore import (
     ChoiMatrix,
     DensityMatrix,
     GateOp,
+    OutcomeDistribution,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -39,7 +42,8 @@ from quassert.simulator import NoiseModel, derive_seed, evolve, pauli_distributi
 MAX_STATE_QUBITS = 4
 MAX_PROCESS_QUBITS = 3
 
-_PREP_LABELS = ("0", "1", "+", "+i")
+# Gates preparing each input label's single-qubit state from |0>, in label order.
+_PREP_GATES = {"0": (), "1": ("x",), "+": ("h",), "+i": ("h", "s")}
 # _SHADOW[letter, o] = I/2 + 3/2 (-1)^o P_letter, the single-qubit inverse
 # channel for outcome bit o measured in basis "XYZ"[letter].
 _SHADOW = np.array(
@@ -52,71 +56,51 @@ class SizeLimitError(ValueError):
     """Tomography requested beyond the supported register size."""
 
 
-@dataclass(frozen=True)
-class PreparationSetting:
-    """Per-qubit input label and the circuit preparing it from |0...0>."""
-
-    label: tuple[str, ...]
-    prep: Circuit
-
-
-def _prep_ops(label: str, qubit: int) -> tuple[GateOp, ...]:
-    if label == "1":
-        return (GateOp("x", (qubit,)),)
-    if label == "+":
-        return (GateOp("h", (qubit,)),)
-    if label == "+i":
-        return (GateOp("h", (qubit,)), GateOp("s", (qubit,)))
-    return ()
+def _check_request(kind: str, n: int, limit: int, shots_per_setting: int) -> None:
+    if n > limit:
+        raise SizeLimitError(f"{kind} tomography supports at most {limit} qubits, got {n}")
+    if shots_per_setting < 0:
+        raise ValueError("shots_per_setting must be >= 0 (0 = analytic mode)")
 
 
-def preparation_settings(n_qubits: int) -> list[PreparationSetting]:
-    """All 4^n product preparations; qubit 0's label varies fastest."""
-    settings = []
-    for m in range(4**n_qubits):
-        labels = tuple(_PREP_LABELS[(m // 4**q) % 4] for q in range(n_qubits))
-        ops: list[GateOp] = []
-        for q, label in enumerate(labels):
-            ops.extend(_prep_ops(label, q))
-        settings.append(PreparationSetting(labels, Circuit(n_qubits, tuple(ops))))
-    return settings
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of each matrix, as a DensityMatrix symmetrizes when built."""
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _estimate(
+    dists: list[OutcomeDistribution],
+    n: int,
+    noise: NoiseModel | None,
+    shots_per_setting: int,
+    seed: int,
+) -> np.ndarray:
+    """PSD-projected inversion of one state's 3^n setting distributions.
+
+    Sampled mode draws setting k with the stream ``derive_seed(seed, "setting", k)``.
+    """
+    if shots_per_setting == 0:
+        probs_by_setting = [dist.probs for dist in dists]
+    else:
+        probs_by_setting = [
+            sample(dist, shots_per_setting, derive_seed(seed, "setting", k), noise).frequencies()
+            for k, dist in enumerate(dists)
+        ]
+    return qmath.psd_project(_invert_settings(probs_by_setting, n), 1.0)
 
 
 def state_tomography(
-    prep: Circuit | None,
     subject: Circuit,
     noise: NoiseModel | None,
     shots_per_setting: int,
     seed: int,
 ) -> DensityMatrix:
-    """Reconstruct the subject's output state for the given preparation."""
+    """Reconstruct the subject's output state on the input |0...0>."""
     n = subject.n_qubits
-    if n > MAX_STATE_QUBITS:
-        raise SizeLimitError(
-            f"state tomography supports at most {MAX_STATE_QUBITS} qubits, got {n}"
-        )
-    if shots_per_setting < 0:
-        raise ValueError("shots_per_setting must be >= 0 (0 = analytic mode)")
-    if prep is not None and prep.n_qubits != n:
-        raise qmath.DimensionError(
-            f"preparation on {prep.n_qubits} qubit(s) vs subject on {n}"
-        )
-
-    state = DensityMatrix.ground(n)
-    if prep is not None and prep.ops:
-        state = evolve(state, prep, noise)
-    state = evolve(state, subject, noise)
-
-    if shots_per_setting == 0:
-        probs_by_setting = [dist.probs for dist in pauli_distributions(state)]
-    else:
-        probs_by_setting = [
-            sample(dist, shots_per_setting, derive_seed(seed, "setting", k), noise).frequencies()
-            for k, dist in enumerate(pauli_distributions(state, noise))
-        ]
-
-    projected = qmath.psd_project(_invert_settings(probs_by_setting, n), 1.0)
-    return DensityMatrix(n, projected)
+    _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
+    state = evolve(DensityMatrix.ground(n), subject, noise)
+    dists = pauli_distributions(state, noise if shots_per_setting else None)
+    return DensityMatrix(n, _estimate(dists, n, noise, shots_per_setting, seed))
 
 
 def _invert_settings(probs_by_setting: list[np.ndarray], n: int) -> np.ndarray:
@@ -160,11 +144,27 @@ def _dual_frame() -> np.ndarray:
 _DUAL = _dual_frame()
 
 
+def _preparations(n: int, noise: NoiseModel | None) -> np.ndarray:
+    """All 4^n product preparations from |0...0> as one (4^n, 2^n, 2^n) stack.
+
+    Preparation m puts qubit q in label (m // 4^q) % 4 of ``0, 1, +, +i``, so
+    qubit 0's label varies fastest.  The preparation gates (noisy like any other)
+    are applied one qubit at a time, so preparations that agree on qubits
+    0..q-1 share those gates.
+    """
+    mats = DensityMatrix.ground(n).mat[None]
+    for q in range(n):
+        preps = [Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
+                 for gates in _PREP_GATES.values()]
+        mats = np.concatenate([evolve(mats, prep, noise) for prep in preps])
+    return _hermitian_part(mats)
+
+
 def _assemble_choi(outputs: list[np.ndarray], n: int) -> np.ndarray:
     """sum_m kron((x)_q D_{m_q}, outputs[m]) with D_s[a, b] = _DUAL[s, 2a + b].
 
     ``outputs[m]`` is the channel's output for preparation m of
-    :func:`preparation_settings`; the result is the unnormalized Choi matrix.
+    :func:`_preparations`; the result is the unnormalized Choi matrix.
     """
     d = 2**n
     # Axes 0..n-1 are preparation labels, n..2n-1 and 2n..3n-1 the input row
@@ -183,22 +183,22 @@ def process_tomography(
     shots_per_setting: int,
     seed: int,
 ) -> ChoiMatrix:
-    """Reconstruct the subject's channel as an unnormalized Choi matrix."""
+    """Reconstruct the subject's channel as an unnormalized Choi matrix.
+
+    The subject runs once on the stack of all 4^n preparations, and the
+    stack of outputs is rotated once into every setting; preparation m is
+    then estimated on its own, with the seed ``derive_seed(seed, "prep", m)``.
+    """
     n = subject.n_qubits
-    if n > MAX_PROCESS_QUBITS:
-        raise SizeLimitError(
-            f"process tomography supports at most {MAX_PROCESS_QUBITS} qubits, got {n}"
-        )
-    d = 2**n
+    _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
 
-    outputs = []
-    for m, prep in enumerate(preparation_settings(n)):
-        estimate = state_tomography(
-            prep.prep, subject, noise, shots_per_setting, derive_seed(seed, "prep", m)
-        )
-        outputs.append(estimate.mat)
+    outputs = _hermitian_part(evolve(_preparations(n, noise), subject, noise))
+    dists = pauli_distributions(outputs, noise if shots_per_setting else None)
+    estimates = [
+        _estimate(dists_m, n, noise, shots_per_setting, derive_seed(seed, "prep", m))
+        for m, dists_m in enumerate(dists)
+    ]
 
-    choi = _assemble_choi(outputs, n)
-    choi = (choi + choi.conj().T) / 2.0
-    projected = qmath.psd_project(choi, float(d))
+    choi = _hermitian_part(_assemble_choi(estimates, n))
+    projected = qmath.psd_project(choi, float(2**n))
     return ChoiMatrix(n, projected)

@@ -136,7 +136,7 @@ def test_criterion_3_tomography_exactness():
             n = int(rng.integers(1, 3))
             subject = random_circuit(rng, n, 8)
             truth = evolve(DensityMatrix.ground(n), subject)
-            estimate = state_tomography(None, subject, noise, 0, seed=0)
+            estimate = state_tomography(subject, noise, 0, seed=0)
             assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
         for _ in range(25):

@@ -25,6 +25,7 @@ from quassert.simulator import (
     NoiseModel,
     _amplitude_damp,
     _depolarize,
+    _evolve_mat,
     _readout_mask_probs,
     derive_seed,
     evolve,
@@ -33,7 +34,15 @@ from quassert.simulator import (
     sample,
 )
 
-from conftest import density_matrices, random_circuit, random_density, random_pure_state
+from conftest import (
+    GATE_POOL_1Q,
+    GATE_POOL_2Q,
+    GATE_POOL_ROT,
+    density_matrices,
+    random_circuit,
+    random_density,
+    random_pure_state,
+)
 
 
 def pauli_twirl_depolarize(mat, qubits, p, n):
@@ -70,6 +79,15 @@ def pauli_rotation(k, n):
     return Circuit(n, tuple(ops))
 
 
+def kron_readout_mask(n, p):
+    """Reference flip-pattern probabilities: the Kronecker product of per-bit (1-p, p)."""
+    per_bit = np.array([1.0 - p, p])
+    probs = np.array([1.0])
+    for _ in range(n):
+        probs = np.kron(per_bit, probs)
+    return probs
+
+
 def per_outcome_readout(probs, shots, seed, p):
     """Reference sampler: one multinomial flip-pattern draw per observed outcome.
 
@@ -77,7 +95,7 @@ def per_outcome_readout(probs, shots, seed, p):
     """
     rng = np.random.default_rng(np.uint64(seed))
     raw = rng.multinomial(shots, probs)
-    mask_probs = _readout_mask_probs(int(np.log2(probs.size)), p)
+    mask_probs = kron_readout_mask(int(np.log2(probs.size)), p)
     flipped = np.zeros_like(raw)
     for outcome, count in enumerate(raw):
         if count:
@@ -187,6 +205,45 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             evolve(DensityMatrix.ground(1), Circuit(2))
+        with pytest.raises(DimensionError):
+            evolve(np.stack([np.eye(2) / 2]), Circuit(2))
+        with pytest.raises(DimensionError):
+            evolve(np.eye(4) / 4, Circuit(2))
+
+
+def every_gate_kind(n):
+    """One op of each gate kind that fits on n qubits, on varying qubits."""
+    ops = [gate(name, i % n) for i, name in enumerate(GATE_POOL_1Q)]
+    ops += [gate(name, i % n, angle=0.3 + i) for i, name in enumerate(GATE_POOL_ROT)]
+    if n > 1:
+        ops += [gate(name, i % n, (i + 1) % n) for i, name in enumerate(GATE_POOL_2Q)]
+    return ops
+
+
+class TestStackedEvolution:
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_matches_per_matrix_loop(self, n, noise):
+        rng = np.random.default_rng(80 + n)
+        stack = np.array([random_density(rng, n) for _ in range(5)])
+        for op in every_gate_kind(n):
+            c = Circuit(n, (op,))
+            evolved = _evolve_mat(stack, c, noise)
+            for mat, out in zip(stack, evolved):
+                assert np.array_equal(out, _evolve_mat(mat, c, noise)), op
+        # Two leading axes, as the settings-by-preparations stack has.
+        c = Circuit(n, tuple(every_gate_kind(n)))
+        grid = stack.reshape((5, 1) + stack.shape[1:])
+        assert np.array_equal(_evolve_mat(grid, c, noise)[:, 0], _evolve_mat(stack, c, noise))
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    def test_density_matrix_is_the_one_matrix_stack(self, noise):
+        rng = np.random.default_rng(85)
+        c = random_circuit(rng, 3, 12)
+        state = DensityMatrix(3, random_density(rng, 3))
+        raw = evolve(state.mat[None], c, noise)
+        assert raw.shape == (1, 8, 8)
+        assert np.array_equal(evolve(state, c, noise).mat, (raw[0] + raw[0].conj().T) / 2.0)
 
 
 class TestExactDistribution:
@@ -224,6 +281,19 @@ class TestPauliDistributions:
         for k, dist in enumerate(dists):
             reference = exact_distribution(evolve(state, pauli_rotation(k, n), noise))
             assert np.array_equal(dist.probs, reference.probs), k
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_each_matrix(self, n, noise):
+        rng = np.random.default_rng(50 + n)
+        stack = np.array([random_density(rng, n) for _ in range(4)])
+        per_state = pauli_distributions(stack, noise)
+        assert len(per_state) == 4
+        for mat, dists in zip(stack, per_state):
+            single = pauli_distributions(DensityMatrix(n, mat), noise)
+            assert len(dists) == len(single) == 3**n
+            for a, b in zip(dists, single):
+                assert np.array_equal(a.probs, b.probs)
 
     def test_x_basis_of_ground_is_uniform(self):
         x, y, z = pauli_distributions(DensityMatrix.ground(1))
@@ -300,6 +370,11 @@ class TestSample:
             tallies, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
             assert counts.tallies == tallies
             assert made[0].integers(2**63) == after.integers(2**63)
+
+    @pytest.mark.parametrize("p", [0.02, 0.3, 1.0])
+    def test_readout_mask_matches_kron_construction(self, p):
+        for n in range(1, 9):
+            assert np.array_equal(_readout_mask_probs(n, p), kron_readout_mask(n, p)), n
 
     def test_readout_flips_at_huge_shot_counts(self):
         shots = 2**62 + 12345

@@ -8,7 +8,9 @@ count and stay reproducible under fixed seeds.
 import numpy as np
 import pytest
 
+from quassert import qmath, simulator, tomography
 from quassert.qcore import (
+    ChoiMatrix,
     Circuit,
     DensityMatrix,
     PAULI_X,
@@ -19,13 +21,20 @@ from quassert.qcore import (
     gate,
     state_fidelity,
 )
-from quassert.simulator import DEFAULT_NOISE, evolve, pauli_distributions
+from quassert.simulator import (
+    DEFAULT_NOISE,
+    NoiseModel,
+    derive_seed,
+    evolve,
+    pauli_distributions,
+    sample,
+)
 from quassert.tomography import (
     _DUAL,
     SizeLimitError,
     _assemble_choi,
     _invert_settings,
-    preparation_settings,
+    _preparations,
     process_tomography,
     state_tomography,
 )
@@ -75,6 +84,54 @@ def blockwise_choi(outputs, n):
     return choi
 
 
+def preparation_settings(n):
+    """Reference preparations: (labels, circuit from |0...0>), qubit 0's label fastest."""
+    ops_by_label = {
+        "0": lambda q: (),
+        "1": lambda q: (gate("x", q),),
+        "+": lambda q: (gate("h", q),),
+        "+i": lambda q: (gate("h", q), gate("s", q)),
+    }
+    settings = []
+    for m in range(4**n):
+        labels = tuple(("0", "1", "+", "+i")[(m // 4**q) % 4] for q in range(n))
+        ops = tuple(op for q, label in enumerate(labels) for op in ops_by_label[label](q))
+        settings.append((labels, Circuit(n, ops)))
+    return settings
+
+
+def per_preparation_state_tomography(prep, subject, noise, shots, seed):
+    """Reference path: evolve the preparation and the subject as DensityMatrix
+    objects, then sample, invert and project one state."""
+    n = subject.n_qubits
+    state = DensityMatrix.ground(n)
+    if prep.ops:
+        state = evolve(state, prep, noise)
+    state = evolve(state, subject, noise)
+    if shots == 0:
+        probs = [dist.probs for dist in pauli_distributions(state)]
+    else:
+        probs = [
+            sample(dist, shots, derive_seed(seed, "setting", k), noise).frequencies()
+            for k, dist in enumerate(pauli_distributions(state, noise))
+        ]
+    return DensityMatrix(n, qmath.psd_project(_invert_settings(probs, n), 1.0))
+
+
+def per_preparation_process_tomography(subject, noise, shots, seed):
+    """Reference path: one state tomography per preparation, then the Choi assembly."""
+    n = subject.n_qubits
+    outputs = [
+        per_preparation_state_tomography(
+            prep, subject, noise, shots, derive_seed(seed, "prep", m)
+        ).mat
+        for m, (_, prep) in enumerate(preparation_settings(n))
+    ]
+    choi = _assemble_choi(outputs, n)
+    choi = (choi + choi.conj().T) / 2.0
+    return ChoiMatrix(n, qmath.psd_project(choi, float(2**n)))
+
+
 class TestInversionOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_shadow_inversion_matches_pauli_averaging(self, n):
@@ -100,7 +157,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_preparation_setting_count(self, n):
-        assert len(preparation_settings(n)) == 4**n
+        assert _preparations(n, None).shape == (4**n, 2**n, 2**n)
 
     def test_rotations_diagonalize_their_pauli(self):
         # The +1 eigenstate of each Pauli reads outcome 0 in its own basis.
@@ -128,21 +185,31 @@ class TestSettings:
             "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
             "+i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
         }
-        for setting in preparation_settings(1):
-            label = setting.label[0]
-            psi = circuit_to_unitary(setting.prep) @ np.array([1, 0], dtype=complex)
-            overlap = abs(np.vdot(vectors[label], psi)) ** 2
-            assert overlap == pytest.approx(1.0, abs=1e-12)
+        for n in (1, 2):
+            stack = _preparations(n, None)
+            for m, (labels, _) in enumerate(preparation_settings(n)):
+                psi = np.array([1.0 + 0j])
+                for label in reversed(labels):
+                    psi = np.kron(psi, vectors[label])
+                np.testing.assert_allclose(stack[m], np.outer(psi, psi.conj()), atol=1e-12)
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_preparations_match_evolving_each_circuit(self, n, noise):
+        stack = _preparations(n, noise)
+        for m, (_, prep) in enumerate(preparation_settings(n)):
+            expected = evolve(DensityMatrix.ground(n), prep, noise).mat
+            assert np.array_equal(stack[m], expected), m
 
 
 class TestStateTomography:
     def test_analytic_mode_bell_exact(self, bell_circuit):
         truth = evolve(DensityMatrix.ground(2), bell_circuit)
-        estimate = state_tomography(None, bell_circuit, NOISELESS, 0, seed=0)
+        estimate = state_tomography(bell_circuit, NOISELESS, 0, seed=0)
         assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
     def test_analytic_mode_identity_circuit(self):
-        estimate = state_tomography(None, Circuit(1), NOISELESS, 0, seed=0)
+        estimate = state_tomography(Circuit(1), NOISELESS, 0, seed=0)
         np.testing.assert_allclose(estimate.mat, np.diag([1.0, 0.0]), atol=1e-9)
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -152,7 +219,9 @@ class TestStateTomography:
             prep = random_circuit(rng, n_qubits, 3)
             subject = random_circuit(rng, n_qubits, 6)
             truth = evolve(evolve(DensityMatrix.ground(n_qubits), prep), subject)
-            estimate = state_tomography(prep, subject, NOISELESS, 0, seed=0)
+            estimate = state_tomography(
+                Circuit(n_qubits, prep.ops + subject.ops), NOISELESS, 0, seed=0
+            )
             assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -160,12 +229,12 @@ class TestStateTomography:
         rng = np.random.default_rng(310 + n_qubits)
         subject = random_circuit(rng, n_qubits, 6)
         truth = evolve(DensityMatrix.ground(n_qubits), subject, DEFAULT_NOISE)
-        estimate = state_tomography(None, subject, DEFAULT_NOISE, 0, seed=0)
+        estimate = state_tomography(subject, DEFAULT_NOISE, 0, seed=0)
         assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
     def test_sampled_bell_high_fidelity(self, bell_circuit):
         truth = evolve(DensityMatrix.ground(2), bell_circuit)
-        estimate = state_tomography(None, bell_circuit, NOISELESS, 3000, seed=17)
+        estimate = state_tomography(bell_circuit, NOISELESS, 3000, seed=17)
         assert state_fidelity(estimate, truth) >= 0.99
 
     def test_fidelity_improves_with_shots(self, bell_circuit):
@@ -174,7 +243,7 @@ class TestStateTomography:
         for shots in (10, 100, 1000, 10000):
             fids = [
                 state_fidelity(
-                    state_tomography(None, bell_circuit, NOISELESS, shots, seed=s), truth
+                    state_tomography(bell_circuit, NOISELESS, shots, seed=s), truth
                 )
                 for s in range(20)
             ]
@@ -184,16 +253,16 @@ class TestStateTomography:
         assert means[-1] > means[0]
 
     def test_deterministic_under_seed(self, bell_circuit):
-        a = state_tomography(None, bell_circuit, NOISELESS, 500, seed=9)
-        b = state_tomography(None, bell_circuit, NOISELESS, 500, seed=9)
+        a = state_tomography(bell_circuit, NOISELESS, 500, seed=9)
+        b = state_tomography(bell_circuit, NOISELESS, 500, seed=9)
         np.testing.assert_array_equal(a.mat, b.mat)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            state_tomography(None, Circuit(5), NOISELESS, 0, seed=0)
+            state_tomography(Circuit(5), NOISELESS, 0, seed=0)
 
     def test_estimate_is_valid_state(self, mutated_circuit):
-        estimate = state_tomography(None, mutated_circuit, NOISELESS, 50, seed=1)
+        estimate = state_tomography(mutated_circuit, NOISELESS, 50, seed=1)
         assert abs(np.trace(estimate.mat).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(estimate.mat).min() >= -1e-10
 
@@ -235,3 +304,52 @@ class TestProcessTomography:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             process_tomography(Circuit(4), NOISELESS, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, shots",
+        [(1, 0), (1, 40), (1, 1000), (2, 0), (2, 40), (2, 1000), (3, 0)],
+    )
+    @pytest.mark.parametrize(
+        "noise",
+        [None, DEFAULT_NOISE, NoiseModel(0.05, 0.1, 0.07, 0.1)],
+        ids=["noiseless", "default_noise", "strong_noise"],
+    )
+    def test_matches_per_preparation_path(self, n, shots, noise):
+        rng = np.random.default_rng(500 + 10 * n + shots % 7)
+        for trial in range(2):
+            subject = random_circuit(rng, n, 4 + 3 * trial)
+            estimate = process_tomography(subject, noise, shots, seed=31 + trial)
+            reference = per_preparation_process_tomography(subject, noise, shots, 31 + trial)
+            assert np.array_equal(estimate.mat, reference.mat)
+
+
+class TestWorkCounts:
+    """Regression guard for the batched path's work: gate expansions and sample draws."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_rotations_expand_3n_gates(self, monkeypatch, n):
+        expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
+        pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
+        assert len(expansions) == 3 * n
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_process_tomography_expands_7n_plus_g_gates(self, monkeypatch, n, shots):
+        subject = random_circuit(np.random.default_rng(600 + n), n, 5)
+        expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
+        draws = self.count_calls(monkeypatch, tomography, "sample")
+        process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
+        assert len(expansions) == 7 * n + len(subject.ops)
+        assert len(draws) == (4**n * 3**n if shots else 0)
