@@ -18,7 +18,6 @@ from quassert.qcore import (
     state_fidelity,
 )
 from quassert.simulator import (
-    Counts,
     NoiseModel,
     derive_seed,
     evolve,
@@ -53,7 +52,6 @@ __all__ = [
     "Chi2Result",
     "ChoiMatrix",
     "Circuit",
-    "Counts",
     "DensityMatrix",
     "GateOp",
     "NoiseModel",

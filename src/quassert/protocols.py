@@ -124,8 +124,8 @@ def _require_context(expected: ExpectedValue, protocol_id: str) -> None:
         )
 
 
-def _counts_to_bitstrings(tallies: dict, n_qubits: int) -> dict[str, int]:
-    return {format(k, f"0{n_qubits}b"): v for k, v in sorted(tallies.items())}
+def _counts_to_bitstrings(counts, n_qubits: int) -> dict[str, int]:
+    return {format(k, f"0{n_qubits}b"): int(v) for k, v in enumerate(counts) if v}
 
 
 def _matrix_to_pairs(mat) -> list:
@@ -136,7 +136,7 @@ def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
     state = evolve(DensityMatrix.ground(subject.n_qubits), subject, config.noise)
-    counts = sample(exact_distribution(state), config.shots, config.seed, config.noise)
+    counts = sample(exact_distribution(state).probs, config.shots, config.seed, config.noise)
     result = chi2_gof(counts, expected)
     diagnostics = {
         "statistic": result.statistic,
@@ -144,7 +144,7 @@ def _run_proj(
         "shots": config.shots,
         "settings": 1,
     }
-    artifacts = {"counts": _counts_to_bitstrings(counts.tallies, subject.n_qubits)}
+    artifacts = {"counts": _counts_to_bitstrings(counts, subject.n_qubits)}
     return result.p_value, diagnostics, artifacts
 
 

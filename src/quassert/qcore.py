@@ -64,6 +64,13 @@ def rotation_matrix(name: str, angle: float) -> np.ndarray:
     raise UnsupportedGateError(f"unknown rotation gate {name!r}")
 
 
+def _qubit_index(q) -> int:
+    """``q`` as an int; floats and bools are rejected rather than truncated."""
+    if isinstance(q, (int, np.integer)) and not isinstance(q, bool):
+        return int(q)
+    raise ValueError(f"qubit index must be an integer, got {q!r}")
+
+
 @dataclass(frozen=True)
 class GateOp:
     """A single gate application: name, target qubits, optional angle."""
@@ -73,7 +80,7 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_qubit_index(q) for q in self.qubits))
         if self.name not in GATE_NAMES:
             raise UnsupportedGateError(
                 f"unsupported gate {self.name!r}; supported: {', '.join(GATE_NAMES)}"

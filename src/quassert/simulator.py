@@ -3,7 +3,9 @@
 :func:`evolve`, :func:`exact_distribution`, :func:`pauli_distributions` and
 :func:`sample` are the one execution seam the protocols call; the noise model
 is passed per call.  :func:`pauli_distributions` alone holds the Pauli
-basis-rotation convention.
+basis-rotation convention.  Distributions and counts in the seam are plain
+arrays; only :func:`exact_distribution`, an oracle users also pass as an
+expected value, returns a validated OutcomeDistribution.
 
 One gate kernel evolves a stack of density matrices of shape
 ``(..., 2^n, 2^n)``: the expanded gate conjugates every matrix at once
@@ -25,7 +27,7 @@ depend on execution order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,33 +72,6 @@ DEFAULT_NOISE = NoiseModel(
     amplitude_damping=0.001,
     readout_flip=0.02,
 )
-
-
-@dataclass(frozen=True)
-class Counts:
-    """Observed shot tallies keyed by little-endian outcome index."""
-
-    n_qubits: int
-    tallies: dict[int, int] = field(default_factory=dict)
-    shots: int = 0
-
-    def __post_init__(self) -> None:
-        total = sum(self.tallies.values())
-        if total != self.shots:
-            raise ValueError(f"tallies sum to {total} but shots = {self.shots}")
-        if any(v < 0 for v in self.tallies.values()):
-            raise ValueError("negative tally")
-        dim = 2**self.n_qubits
-        if any(not 0 <= k < dim for k in self.tallies):
-            raise ValueError("outcome index out of range")
-
-    def as_vector(self) -> np.ndarray:
-        vec = np.zeros(2**self.n_qubits, dtype=np.int64)
-        vec[list(self.tallies)] = list(self.tallies.values())
-        return vec
-
-    def frequencies(self) -> np.ndarray:
-        return self.as_vector() / self.shots
 
 
 def derive_seed(*parts: object) -> int:
@@ -191,13 +166,14 @@ def evolve(
     return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
-def _diagonal_probs(mat: np.ndarray) -> np.ndarray:
-    probs = np.diag(mat).real.copy()
+def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
+    """Normalized computational-basis diagonals of a (..., 2^n, 2^n) stack."""
+    probs = np.diagonal(mats, axis1=-2, axis2=-1).real.copy()
     low = float(probs.min())
     if low < -1e-9:
         raise NumericError(f"negative outcome probability {low:.3e}")
     probs[probs < 0.0] = 0.0
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
@@ -211,15 +187,16 @@ _PAULI_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 def pauli_distributions(
     state: DensityMatrix | np.ndarray, noise: NoiseModel | None = None
-) -> list[OutcomeDistribution] | list[list[OutcomeDistribution]]:
-    """Outcome distributions of all 3^n product Pauli-basis measurements.
+) -> np.ndarray:
+    """Outcome probabilities of all 3^n product Pauli-basis measurements.
 
-    Entry k measures qubit q in basis "XYZ"[(k // 3^q) % 3], so qubit 0's
-    letter varies fastest.  A DensityMatrix gives one list of 3^n entries; a
-    (B, 2^n, 2^n) stack gives one such list per matrix.  The whole stack of
-    settings is rotated one qubit at a time (with gate noise when a noise
-    model is given): settings that agree on qubits 0..q-1 share those
-    rotated matrices, so the rotations cost 3n gate expansions in all.
+    Row k measures qubit q in basis "XYZ"[(k // 3^q) % 3], so qubit 0's
+    letter varies fastest; column o is the little-endian outcome index.  A
+    DensityMatrix gives a (3^n, 2^n) array; a (B, 2^n, 2^n) stack gives a
+    (B, 3^n, 2^n) one.  The whole stack of settings is rotated one qubit at a
+    time (with gate noise when a noise model is given): settings that agree
+    on qubits 0..q-1 share those rotated matrices, so the rotations cost 3n
+    gate expansions in all.
     """
     mats, n = _stack_of(state)
     mats = mats[None]  # (settings, B, 2^n, 2^n)
@@ -227,11 +204,8 @@ def pauli_distributions(
         rotations = [Circuit(n, tuple(GateOp(g, (q,)) for g in _PAULI_ROTATIONS[name]))
                      for name in "XYZ"]
         mats = np.concatenate([_evolve_mat(mats, rotation, noise) for rotation in rotations])
-    dists = [
-        [OutcomeDistribution(n, _diagonal_probs(mat)) for mat in mats[:, b]]
-        for b in range(mats.shape[1])
-    ]
-    return dists[0] if isinstance(state, DensityMatrix) else dists
+    probs = _diagonal_probs(mats.swapaxes(0, 1))
+    return probs[0] if isinstance(state, DensityMatrix) else probs
 
 
 def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
@@ -243,26 +217,33 @@ def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
 
 
 def sample(
-    dist: OutcomeDistribution, shots: int, seed: int, noise: NoiseModel | None = None
-) -> Counts:
-    """Draw seeded measurement counts from an outcome distribution.
+    probs: np.ndarray, shots: int, seed: int, noise: NoiseModel | None = None
+) -> np.ndarray:
+    """Draw seeded measurement counts from a probability vector over 2^n outcomes.
 
-    Readout bit flips of the noise model then act independently per qubit
-    per shot.  Counts are aggregated with multinomial draws, which is
-    distribution-identical to per-shot sampling.
+    Returns the int64 count of each little-endian outcome index; the counts
+    sum to ``shots``.  Readout bit flips of the noise model then act
+    independently per qubit per shot.  Counts are aggregated with multinomial
+    draws, which is distribution-identical to per-shot sampling.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = dist.n_qubits
+    probs = np.asarray(probs, dtype=np.float64)
+    n = probs.size.bit_length() - 1
+    if probs.ndim != 1 or n < 1 or probs.size != 2**n:
+        raise qmath.DimensionError(f"sample needs 2^n probabilities, got shape {probs.shape}")
+    # numpy rejects negative and NaN entries but draws an excess sum's remainder
+    # into the last bin, so the sum is checked here.
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {total:.12g}")
     rng = np.random.default_rng(np.uint64(seed))
-    raw = rng.multinomial(shots, dist.probs)
+    counts = rng.multinomial(shots, probs)
 
     if noise is not None and noise.readout_flip > 0.0:
         # split[j, mask] shots of outcome j read as j ^ mask; a zero count
         # draws nothing, so the stream matches one draw per observed outcome.
-        split = rng.multinomial(raw, _readout_mask_probs(n, noise.readout_flip))
-        index = np.arange(raw.size)
-        raw = split[index[:, None] ^ index, index].sum(axis=1)
-
-    tallies = {int(i): int(v) for i, v in enumerate(raw) if v}
-    return Counts(n_qubits=n, tallies=tallies, shots=shots)
+        split = rng.multinomial(counts, _readout_mask_probs(n, noise.readout_flip))
+        index = np.arange(counts.size)
+        counts = split[index[:, None] ^ index, index].sum(axis=1)
+    return counts

@@ -1,10 +1,11 @@
 """Pearson's chi-squared goodness-of-fit test.
 
 The p-value doubles as the probability-of-passing for the measurement-outcome
-protocol.  Expected distributions routinely contain exact zeros, which the
-textbook statistic cannot absorb, so near-zero bins are pooled into a
-forbidden group: a single observed hit there is decisive evidence against
-equality and short-circuits to p = 0.
+protocol; it compares the sampler's count vector with an OutcomeDistribution.
+Expected distributions routinely contain exact zeros, which the textbook
+statistic cannot absorb, so near-zero bins are pooled into a forbidden
+group: a single observed hit there is decisive evidence against equality
+and short-circuits to p = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from quassert.qcore import OutcomeDistribution
 from quassert.qmath import NumericError
-from quassert.simulator import Counts
 
 FORBIDDEN_BIN_THRESHOLD = 1e-12
 
@@ -101,21 +101,24 @@ def chi2_p_value(statistic: float, dof: int) -> float:
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
 
 
-def chi2_gof(observed: Counts, expected: OutcomeDistribution) -> Chi2Result:
-    """Pearson chi-squared test of observed counts against expected probabilities.
+def chi2_gof(counts: np.ndarray, expected: OutcomeDistribution) -> Chi2Result:
+    """Pearson chi-squared test of a count vector against expected probabilities.
 
-    Bins with expected probability below 1e-12 form the forbidden group: any
-    observed count there returns an infinite statistic and p = 0.  Degrees of
-    freedom count surviving bins minus one; if only one bin survives and
-    nothing forbidden was hit, the observation matches a point mass and the
-    test passes with p = 1.
+    ``counts[i]`` is the number of shots with little-endian outcome index i,
+    as :func:`quassert.simulator.sample` returns it.  Bins with expected
+    probability below 1e-12 form the forbidden group: any observed count
+    there returns an infinite statistic and p = 0.  Degrees of freedom count
+    surviving bins minus one; if only one bin survives and nothing forbidden
+    was hit, the observation matches a point mass and the test passes with
+    p = 1.
     """
-    if observed.n_qubits != expected.n_qubits:
-        raise ValueError(
-            f"chi2_gof: counts on {observed.n_qubits} qubit(s) vs expected on "
-            f"{expected.n_qubits}"
-        )
-    if observed.shots < 1:
+    counts = np.asarray(counts)
+    if counts.shape != expected.probs.shape:
+        raise ValueError(f"chi2_gof: {counts.size} count(s) vs {expected.probs.size} outcomes")
+    if (counts < 0).any():
+        raise ValueError("chi2_gof: negative count")
+    shots = counts.sum()
+    if shots < 1:
         raise ValueError("chi2_gof needs at least one shot")
 
     probs = expected.probs
@@ -124,7 +127,6 @@ def chi2_gof(observed: Counts, expected: OutcomeDistribution) -> Chi2Result:
     if not n_surviving:
         raise DegenerateTestError("expected distribution has no admissible bins")
 
-    counts = observed.as_vector()
     if counts[~surviving].any():
         return Chi2Result(statistic=math.inf, dof=max(n_surviving - 1, 1), p_value=0.0)
 
@@ -136,7 +138,7 @@ def chi2_gof(observed: Counts, expected: OutcomeDistribution) -> Chi2Result:
         # Point-mass expectation and every shot landed on it: perfect match.
         return Chi2Result(statistic=0.0, dof=1, p_value=1.0)
 
-    mean = observed.shots * probs[surviving]
+    mean = shots * probs[surviving]
     diff = counts[surviving] - mean
     statistic = float((diff * diff / mean).sum())
     dof = n_surviving - 1

@@ -1,9 +1,9 @@
 """Quantum state and process tomography by linear inversion.
 
 State tomography measures all 3^n per-qubit Pauli bases, whose outcome
-distributions come from :func:`quassert.simulator.pauli_distributions` (the
-basis rotations are noisy gates like the subject's), and inverts them
-with the product inverse channel of classical shadows: each outcome o of
+probabilities are the rows of one :func:`quassert.simulator.pauli_distributions`
+array (the basis rotations are noisy gates like the subject's), and inverts
+them with the product inverse channel of classical shadows: each outcome o of
 setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
 Pauli-string expectation.  A PSD projection then restores physicality.
@@ -31,7 +31,6 @@ from quassert.qcore import (
     ChoiMatrix,
     DensityMatrix,
     GateOp,
-    OutcomeDistribution,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -69,24 +68,22 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
 
 
 def _estimate(
-    dists: list[OutcomeDistribution],
+    probs: np.ndarray,
     n: int,
     noise: NoiseModel | None,
     shots_per_setting: int,
     seed: int,
 ) -> np.ndarray:
-    """PSD-projected inversion of one state's 3^n setting distributions.
+    """PSD-projected inversion of one state's (3^n, 2^n) setting probabilities.
 
-    Sampled mode draws setting k with the stream ``derive_seed(seed, "setting", k)``.
+    Sampled mode replaces row k by the frequencies of ``shots_per_setting``
+    draws with the stream ``derive_seed(seed, "setting", k)``.
     """
-    if shots_per_setting == 0:
-        probs_by_setting = [dist.probs for dist in dists]
-    else:
-        probs_by_setting = [
-            sample(dist, shots_per_setting, derive_seed(seed, "setting", k), noise).frequencies()
-            for k, dist in enumerate(dists)
-        ]
-    return qmath.psd_project(_invert_settings(probs_by_setting, n), 1.0)
+    if shots_per_setting:
+        counts = [sample(row, shots_per_setting, derive_seed(seed, "setting", k), noise)
+                  for k, row in enumerate(probs)]
+        probs = np.array(counts) / shots_per_setting
+    return qmath.psd_project(_invert_settings(probs, n), 1.0)
 
 
 def state_tomography(
@@ -99,12 +96,12 @@ def state_tomography(
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
     state = evolve(DensityMatrix.ground(n), subject, noise)
-    dists = pauli_distributions(state, noise if shots_per_setting else None)
-    return DensityMatrix(n, _estimate(dists, n, noise, shots_per_setting, seed))
+    probs = pauli_distributions(state, noise if shots_per_setting else None)
+    return DensityMatrix(n, _estimate(probs, n, noise, shots_per_setting, seed))
 
 
-def _invert_settings(probs_by_setting: list[np.ndarray], n: int) -> np.ndarray:
-    """Linear-inversion estimate from the outcome distributions of all 3^n settings.
+def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
+    """Linear-inversion estimate from the (3^n, 2^n) outcome probabilities of the settings.
 
     rho = 3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse
     channel of classical shadows (Huang, Kueng, Preskill 2020); it equals
@@ -113,7 +110,7 @@ def _invert_settings(probs_by_setting: list[np.ndarray], n: int) -> np.ndarray:
     # Axes 0..n-1 are basis letters and n..2n-1 outcome bits; both groups list
     # qubit n-1 first (qubit 0's letter varies fastest, qubit 0 is the low
     # outcome bit), as do the result's row axes 2n.. and column axes 3n..
-    probs = np.array(probs_by_setting).reshape((3,) * n + (2,) * n)
+    probs = probs.reshape((3,) * n + (2,) * n)
     factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
     rho = np.einsum(probs, [*range(2 * n)], *factors, [*range(2 * n, 4 * n)])
     return rho.reshape(2**n, 2**n) / 3**n
@@ -193,10 +190,10 @@ def process_tomography(
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
 
     outputs = _hermitian_part(evolve(_preparations(n, noise), subject, noise))
-    dists = pauli_distributions(outputs, noise if shots_per_setting else None)
+    probs = pauli_distributions(outputs, noise if shots_per_setting else None)
     estimates = [
-        _estimate(dists_m, n, noise, shots_per_setting, derive_seed(seed, "prep", m))
-        for m, dists_m in enumerate(dists)
+        _estimate(probs_m, n, noise, shots_per_setting, derive_seed(seed, "prep", m))
+        for m, probs_m in enumerate(probs)
     ]
 
     choi = _hermitian_part(_assemble_choi(estimates, n))

@@ -264,7 +264,7 @@ def test_criterion_8_property_suites(bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
         shots = 100000
         expected = exact_distribution(state).probs
-        freq = sample(exact_distribution(state), shots, seed=4242).frequencies()
+        freq = sample(exact_distribution(state).probs, shots, seed=4242) / shots
         for p, f in zip(expected, freq):
             bound = 5.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / shots)
             assert abs(f - p) <= max(bound, 5.0 / shots)

@@ -84,6 +84,19 @@ class TestGateOpValidation:
         with pytest.raises(ValueError):
             GateOp("x", (0,), angle=0.5)  # angle on a fixed gate
 
+    @pytest.mark.parametrize("bad", [0.7, 1.0, True, np.True_, "1", None],
+                             ids=["fraction", "float", "bool", "numpy_bool", "str", "none"])
+    def test_non_integer_qubit_index_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"qubit index must be an integer, got {bad!r}"):
+            gate("h", bad)
+        with pytest.raises(ValueError, match="qubit index"):
+            gate("cx", 0, bad)
+
+    def test_integer_qubit_indices_accepted(self):
+        op = gate("cx", np.int64(2), np.uint8(0))
+        assert op.qubits == (2, 0)
+        assert all(type(q) is int for q in op.qubits)
+
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):
             Circuit(1, (gate("x", 1),))

@@ -21,7 +21,6 @@ from quassert.qcore import (
 from quassert.qmath import DimensionError
 from quassert.simulator import (
     DEFAULT_NOISE,
-    Counts,
     NoiseModel,
     _amplitude_damp,
     _depolarize,
@@ -79,6 +78,22 @@ def pauli_rotation(k, n):
     return Circuit(n, tuple(ops))
 
 
+def per_matrix_diagonal_probs(mat):
+    """Reference diagonal read: one 2^n x 2^n matrix at a time."""
+    probs = np.diag(mat).real.copy()
+    assert probs.min() >= -1e-9
+    probs[probs < 0.0] = 0.0
+    return probs / probs.sum()
+
+
+def per_setting_pauli_probs(stack, n, noise):
+    """Reference (B, 3^n, 2^n) Pauli-basis probabilities: each setting's whole
+    rotation evolved on its own, then each matrix's diagonal read on its own."""
+    rotated = [_evolve_mat(stack, pauli_rotation(k, n), noise) for k in range(3**n)]
+    return np.array([[per_matrix_diagonal_probs(mats[b]) for mats in rotated]
+                     for b in range(len(stack))])
+
+
 def kron_readout_mask(n, p):
     """Reference flip-pattern probabilities: the Kronecker product of per-bit (1-p, p)."""
     per_bit = np.array([1.0 - p, p])
@@ -91,7 +106,7 @@ def kron_readout_mask(n, p):
 def per_outcome_readout(probs, shots, seed, p):
     """Reference sampler: one multinomial flip-pattern draw per observed outcome.
 
-    Returns the tallies and the generator, positioned after the last draw.
+    Returns the count vector and the generator, positioned after the last draw.
     """
     rng = np.random.default_rng(np.uint64(seed))
     raw = rng.multinomial(shots, probs)
@@ -101,7 +116,7 @@ def per_outcome_readout(probs, shots, seed, p):
         if count:
             for mask, c in enumerate(rng.multinomial(int(count), mask_probs)):
                 flipped[outcome ^ mask] += c
-    return {int(i): int(v) for i, v in enumerate(flipped) if v}, rng
+    return flipped, rng
 
 
 class TestNoiseModel:
@@ -113,17 +128,6 @@ class TestNoiseModel:
 
     def test_default_preset_values(self):
         assert DEFAULT_NOISE == NoiseModel(0.001, 0.01, 0.001, 0.02)
-
-
-class TestCounts:
-    def test_as_vector_places_tallies(self):
-        counts = Counts(n_qubits=2, tallies={3: 5, 1: 2}, shots=7)
-        assert counts.as_vector().tolist() == [0, 2, 0, 5]
-        assert Counts(n_qubits=1).as_vector().tolist() == [0, 0]
-
-    def test_shot_total_enforced(self):
-        with pytest.raises(ValueError):
-            Counts(1, {0: 3}, 5)
 
 
 class TestEvolve:
@@ -276,11 +280,11 @@ class TestPauliDistributions:
             else DensityMatrix.from_statevector(random_pure_state(rng, n)).mat
         )
         state = DensityMatrix(n, mat)
-        dists = pauli_distributions(state, noise)
-        assert len(dists) == 3**n
-        for k, dist in enumerate(dists):
+        probs = pauli_distributions(state, noise)
+        assert probs.shape == (3**n, 2**n)
+        for k, row in enumerate(probs):
             reference = exact_distribution(evolve(state, pauli_rotation(k, n), noise))
-            assert np.array_equal(dist.probs, reference.probs), k
+            assert np.array_equal(row, reference.probs), k
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -288,18 +292,27 @@ class TestPauliDistributions:
         rng = np.random.default_rng(50 + n)
         stack = np.array([random_density(rng, n) for _ in range(4)])
         per_state = pauli_distributions(stack, noise)
-        assert len(per_state) == 4
-        for mat, dists in zip(stack, per_state):
+        assert per_state.shape == (4, 3**n, 2**n)
+        for mat, probs in zip(stack, per_state):
             single = pauli_distributions(DensityMatrix(n, mat), noise)
-            assert len(dists) == len(single) == 3**n
-            for a, b in zip(dists, single):
-                assert np.array_equal(a.probs, b.probs)
+            assert single.shape == (3**n, 2**n)
+            assert np.array_equal(probs, single)
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_diagonals_match_per_matrix_reference(self, n, noise):
+        rng = np.random.default_rng(90 + n)
+        stack = np.array([random_density(rng, n) for _ in range(3)])
+        reference = per_setting_pauli_probs(stack, n, noise)
+        assert np.array_equal(pauli_distributions(stack, noise), reference)
+        single = pauli_distributions(DensityMatrix(n, stack[1]), noise)
+        assert np.array_equal(single, reference[1])
 
     def test_x_basis_of_ground_is_uniform(self):
         x, y, z = pauli_distributions(DensityMatrix.ground(1))
-        np.testing.assert_allclose(x.probs, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(y.probs, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(z.probs, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(y, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-12)
 
     def test_sampling_follows_rotated_distribution(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
@@ -307,44 +320,44 @@ class TestPauliDistributions:
         # another two-outcome distribution; sampling must follow it.
         expected = exact_distribution(evolve(state, Circuit(2, (gate("h", 0), gate("h", 1)))))
         counts = sample(pauli_distributions(state)[0], 100000, seed=11)
-        np.testing.assert_allclose(counts.frequencies(), expected.probs, atol=0.01)
+        np.testing.assert_allclose(counts / 100000, expected.probs, atol=0.01)
 
 
 class TestSample:
     def test_deterministic_state(self):
-        counts = sample(exact_distribution(DensityMatrix.ground(1)), 100, seed=1)
-        assert counts.tallies == {0: 100}
+        counts = sample(exact_distribution(DensityMatrix.ground(1)).probs, 100, seed=1)
+        assert counts.tolist() == [100, 0]
 
     def test_bell_support_and_balance(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        counts = sample(exact_distribution(state), 3000, seed=5)
-        assert set(counts.tallies) <= {0, 3}
+        counts = sample(exact_distribution(state).probs, 3000, seed=5)
+        assert set(np.flatnonzero(counts)) <= {0, 3}
         sigma = np.sqrt(3000 * 0.25)
         for k in (0, 3):
-            assert abs(counts.tallies.get(k, 0) - 1500) <= 5 * sigma
+            assert abs(counts[k] - 1500) <= 5 * sigma
 
     def test_same_seed_identical(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        a = sample(exact_distribution(state), 1000, seed=42)
-        b = sample(exact_distribution(state), 1000, seed=42)
-        assert a == b
+        a = sample(exact_distribution(state).probs, 1000, seed=42)
+        b = sample(exact_distribution(state).probs, 1000, seed=42)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
-        a = sample(exact_distribution(state), 10000, seed=1)
-        b = sample(exact_distribution(state), 10000, seed=2)
-        assert a.tallies != b.tallies
+        a = sample(exact_distribution(state).probs, 10000, seed=1)
+        b = sample(exact_distribution(state).probs, 10000, seed=2)
+        assert not np.array_equal(a, b)
 
     def test_certain_readout_flip(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(exact_distribution(DensityMatrix.ground(2)), 50, seed=3, noise=noise)
-        assert counts.tallies == {3: 50}
+        counts = sample(exact_distribution(DensityMatrix.ground(2)).probs, 50, seed=3, noise=noise)
+        assert counts.tolist() == [0, 0, 0, 50]
 
     def test_readout_flip_rate(self):
         noise = NoiseModel(readout_flip=0.1)
-        dist = exact_distribution(DensityMatrix.ground(1))
-        counts = sample(dist, 100000, seed=9, noise=noise)
-        rate = counts.tallies.get(1, 0) / 100000
+        probs = exact_distribution(DensityMatrix.ground(1)).probs
+        counts = sample(probs, 100000, seed=9, noise=noise)
+        rate = counts[1] / 100000
         assert rate == pytest.approx(0.1, abs=0.01)
 
     def test_readout_flips_match_per_outcome_draws(self, monkeypatch):
@@ -366,9 +379,10 @@ class TestSample:
             p = float(rng.choice([0.02, 0.3, 1.0]))
             seed = int(rng.integers(2**63))
             made.clear()
-            counts = sample(exact_distribution(state), shots, seed, NoiseModel(readout_flip=p))
-            tallies, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
-            assert counts.tallies == tallies
+            probs = exact_distribution(state).probs
+            counts = sample(probs, shots, seed, NoiseModel(readout_flip=p))
+            reference, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
+            assert np.array_equal(counts, reference)
             assert made[0].integers(2**63) == after.integers(2**63)
 
     @pytest.mark.parametrize("p", [0.02, 0.3, 1.0])
@@ -379,20 +393,50 @@ class TestSample:
     def test_readout_flips_at_huge_shot_counts(self):
         shots = 2**62 + 12345
         state = DensityMatrix(2, random_density(np.random.default_rng(8), 2))
-        dist = exact_distribution(state)
-        counts = sample(dist, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
-        assert sum(counts.tallies.values()) == counts.shots == shots
+        probs = exact_distribution(state).probs
+        counts = sample(probs, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
+        assert counts.dtype == np.int64
+        assert sum(int(c) for c in counts) == shots
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5], [0.0, 0.0]], [0.5, 0.9], [0.3, 0.3],
+         [1.5, -0.5], [0.5, -0.25, 0.5, 0.25], [np.nan, 1.0], [np.inf, 0.0]],
+        ids=["one_entry", "length_3", "two_dims", "sum_1.4", "sum_0.6",
+             "negative", "negative_summing_to_1", "nan", "inf"],
+    )
+    def test_malformed_probabilities_rejected(self, probs):
+        # numpy alone would draw from the sum_1.4 row, putting the remainder in the last bin.
+        with pytest.raises(ValueError):
+            sample(np.array(probs), 10, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n)
+        ).filter(lambda weights: sum(weights) > 1e-6),
+        st.integers(1, 10**9),
+        st.integers(0, 2**64 - 1),
+        st.floats(0.0, 1.0),
+    )
+    def test_counts_are_nonnegative_int64_summing_to_shots(self, weights, shots, seed, p):
+        probs = np.array(weights) / sum(weights)
+        counts = sample(probs, shots, seed, NoiseModel(readout_flip=p))
+        assert counts.dtype == np.int64
+        assert counts.shape == probs.shape
+        assert counts.min() >= 0
+        assert int(counts.sum()) == shots
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            sample(exact_distribution(DensityMatrix.ground(1)), 0, seed=0)
+            sample(exact_distribution(DensityMatrix.ground(1)).probs, 0, seed=0)
 
     def test_convergence_bound_at_1e5_shots(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
         shots = 100000
         expected = exact_distribution(state).probs
-        counts = sample(exact_distribution(state), shots, seed=77)
-        freq = counts.frequencies()
+        counts = sample(exact_distribution(state).probs, shots, seed=77)
+        freq = counts / shots
         for p, f in zip(expected, freq):
             bound = 5.0 * np.sqrt(max(p * (1 - p), 1e-12) / shots)
             assert abs(f - p) <= max(bound, 5.0 / shots)
@@ -422,8 +466,8 @@ class TestDeriveSeed:
 class TestBackendSeam:
     def test_backend_carries_noise(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(exact_distribution(DensityMatrix.ground(2)), 10, seed=0, noise=noise)
-        assert counts.tallies == {3: 10}
+        counts = sample(exact_distribution(DensityMatrix.ground(2)).probs, 10, seed=0, noise=noise)
+        assert counts.tolist() == [0, 0, 0, 10]
 
 
 def assert_is_density_matrix(mat):

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
-from quassert.simulator import Counts, derive_seed, evolve, exact_distribution, sample
+from quassert.simulator import derive_seed, evolve, exact_distribution, sample
 from quassert.stats import (
     Chi2Result,
     DegenerateTestError,
@@ -32,13 +32,14 @@ def gamma_q_by_quadrature(s: float, x: float) -> float:
     return value
 
 
-def per_bin_statistic(counts: Counts, probs: np.ndarray) -> float:
+def per_bin_statistic(counts: np.ndarray, probs: np.ndarray) -> float:
     """Reference statistic: sum over admissible bins, one bin at a time."""
+    shots = sum(int(c) for c in counts)
     statistic = 0.0
     for i, p in enumerate(probs):
         if p >= 1e-12:
-            mean = counts.shots * float(p)
-            diff = counts.tallies.get(i, 0) - mean
+            mean = shots * float(p)
+            diff = int(counts[i]) - mean
             statistic += diff * diff / mean
     return statistic
 
@@ -107,7 +108,7 @@ class TestChi2PValue:
 class TestChi2Gof:
     def test_exact_match_passes_with_one(self):
         expected = OutcomeDistribution(1, [0.5, 0.5])
-        observed = Counts(1, {0: 500, 1: 500}, 1000)
+        observed = np.array([500, 500])
         result = chi2_gof(observed, expected)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
@@ -115,30 +116,30 @@ class TestChi2Gof:
     def test_mutated_bell_counts_rejected(self):
         # Half the mass on a forbidden outcome: decisive failure.
         expected = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])
-        observed = Counts(2, {1: 1500, 3: 1500}, 3000)
+        observed = np.array([0, 1500, 0, 1500])
         result = chi2_gof(observed, expected)
         assert math.isinf(result.statistic)
         assert result.p_value == 0.0
 
     def test_single_forbidden_hit_rejected(self):
         expected = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])
-        observed = Counts(2, {0: 1500, 1: 1, 3: 1499}, 3000)
+        observed = np.array([1500, 1, 0, 1499])
         assert chi2_gof(observed, expected).p_value == 0.0
 
     def test_point_mass_match_passes(self):
         expected = OutcomeDistribution(1, [1.0, 0.0])
-        observed = Counts(1, {0: 50}, 50)
+        observed = np.array([50, 0])
         result = chi2_gof(observed, expected)
         assert result == Chi2Result(statistic=0.0, dof=1, p_value=1.0)
 
     def test_dof_counts_surviving_bins_only(self):
         expected = OutcomeDistribution(2, [0.5, 0.25, 0.25, 0.0])
-        observed = Counts(2, {0: 50, 1: 25, 2: 25}, 100)
+        observed = np.array([50, 25, 25, 0])
         assert chi2_gof(observed, expected).dof == 2
 
     def test_p_value_matches_gamma_invariant(self):
         expected = OutcomeDistribution(1, [0.5, 0.5])
-        observed = Counts(1, {0: 532, 1: 468}, 1000)
+        observed = np.array([532, 468])
         result = chi2_gof(observed, expected)
         assert result.p_value == pytest.approx(
             regularized_gamma_q(result.dof / 2.0, result.statistic / 2.0), abs=1e-8
@@ -146,12 +147,11 @@ class TestChi2Gof:
 
     def test_permutation_invariance(self):
         probs = [0.1, 0.2, 0.3, 0.4]
-        tallies = {0: 9, 1: 22, 2: 31, 3: 38}
-        base = chi2_gof(Counts(2, tallies, 100), OutcomeDistribution(2, probs))
+        counts = np.array([9, 22, 31, 38])
+        base = chi2_gof(counts, OutcomeDistribution(2, probs))
         perm = [2, 0, 3, 1]
         probs_p = [probs[perm[i]] for i in range(4)]
-        tallies_p = {i: tallies[perm[i]] for i in range(4)}
-        permuted = chi2_gof(Counts(2, tallies_p, 100), OutcomeDistribution(2, probs_p))
+        permuted = chi2_gof(counts[perm], OutcomeDistribution(2, probs_p))
         assert permuted.statistic == pytest.approx(base.statistic, abs=1e-12)
         assert permuted.p_value == pytest.approx(base.p_value, abs=1e-12)
 
@@ -164,8 +164,7 @@ class TestChi2Gof:
             probs[0] += 1.0 - probs.sum()
             expected = OutcomeDistribution(n, probs)
             shots = int(rng.choice([10, 1000, 10**6]))
-            drawn = rng.multinomial(shots, expected.probs)
-            counts = Counts(n, {i: int(v) for i, v in enumerate(drawn) if v}, shots)
+            counts = rng.multinomial(shots, expected.probs)
             result = chi2_gof(counts, expected)
             reference = per_bin_statistic(counts, expected.probs)
             assert result.statistic == pytest.approx(reference, rel=1e-12, abs=0.0)
@@ -173,7 +172,16 @@ class TestChi2Gof:
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
-            chi2_gof(Counts(1, {0: 1}, 1), OutcomeDistribution(2, [1, 0, 0, 0]))
+            chi2_gof(np.array([1, 0]), OutcomeDistribution(2, [1, 0, 0, 0]))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1, 0, 0], [[1, 0], [0, 0]], [3, -1], [0, 0]],
+        ids=["length", "shape", "negative", "zero_shots"],
+    )
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            chi2_gof(np.array(counts), OutcomeDistribution(1, [0.5, 0.5]))
 
     def test_null_calibration(self, bell_circuit):
         # Sampling from the expected distribution itself: the rejection rate
@@ -183,7 +191,8 @@ class TestChi2Gof:
         rejections = 0
         trials = 200
         for k in range(trials):
-            counts = sample(exact_distribution(state), 3000, derive_seed("null-calibration", k))
+            seed = derive_seed("null-calibration", k)
+            counts = sample(exact_distribution(state).probs, 3000, seed)
             if chi2_gof(counts, expected).p_value < 0.05:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.09

@@ -109,12 +109,12 @@ def per_preparation_state_tomography(prep, subject, noise, shots, seed):
         state = evolve(state, prep, noise)
     state = evolve(state, subject, noise)
     if shots == 0:
-        probs = [dist.probs for dist in pauli_distributions(state)]
+        probs = pauli_distributions(state)
     else:
-        probs = [
-            sample(dist, shots, derive_seed(seed, "setting", k), noise).frequencies()
-            for k, dist in enumerate(pauli_distributions(state, noise))
-        ]
+        probs = np.array([
+            sample(row, shots, derive_seed(seed, "setting", k), noise) / shots
+            for k, row in enumerate(pauli_distributions(state, noise))
+        ])
     return DensityMatrix(n, qmath.psd_project(_invert_settings(probs, n), 1.0))
 
 
@@ -136,7 +136,7 @@ class TestInversionOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_shadow_inversion_matches_pauli_averaging(self, n):
         rng = np.random.default_rng(60 + n)
-        probs = [rng.dirichlet(np.ones(2**n)) for _ in range(3**n)]
+        probs = np.array([rng.dirichlet(np.ones(2**n)) for _ in range(3**n)])
         np.testing.assert_allclose(
             _invert_settings(probs, n), pauli_averaging_inversion(probs, n), rtol=0, atol=1e-13
         )
@@ -164,19 +164,19 @@ class TestSettings:
         paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
         for k, letter in enumerate("XYZ"):
             state = DensityMatrix(1, (np.eye(2) + paulis[letter]) / 2.0)
-            dist = pauli_distributions(state)[k]
-            np.testing.assert_allclose(dist.probs, [1.0, 0.0], atol=1e-12)
+            probs = pauli_distributions(state)[k]
+            np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_rotations_touch_only_their_qubit(self):
         # On a product state, setting k's distribution is the product of each
         # qubit's distribution in its own letter k_q (qubit 0 the low bit).
         rng = np.random.default_rng(11)
         singles = [DensityMatrix(1, random_density(rng, 1)) for _ in range(2)]
-        per_qubit = [[d.probs for d in pauli_distributions(rho)] for rho in singles]
+        per_qubit = [pauli_distributions(rho) for rho in singles]
         product = DensityMatrix(2, np.kron(singles[1].mat, singles[0].mat))
-        for k, dist in enumerate(pauli_distributions(product)):
+        for k, probs in enumerate(pauli_distributions(product)):
             expected = np.kron(per_qubit[1][k // 3], per_qubit[0][k % 3])
-            np.testing.assert_allclose(dist.probs, expected, atol=1e-12)
+            np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_preparations_build_expected_states(self):
         vectors = {
