@@ -64,11 +64,11 @@ def rotation_matrix(name: str, angle: float) -> np.ndarray:
     raise UnsupportedGateError(f"unknown rotation gate {name!r}")
 
 
-def _qubit_index(q) -> int:
-    """``q`` as an int; floats and bools are rejected rather than truncated."""
-    if isinstance(q, (int, np.integer)) and not isinstance(q, bool):
-        return int(q)
-    raise ValueError(f"qubit index must be an integer, got {q!r}")
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; floats and bools are rejected rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(_qubit_index(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_as_int(q, "qubit index") for q in self.qubits))
         if self.name not in GATE_NAMES:
             raise UnsupportedGateError(
                 f"unsupported gate {self.name!r}; supported: {', '.join(GATE_NAMES)}"
@@ -115,6 +115,7 @@ class Circuit:
     ops: tuple[GateOp, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
@@ -196,9 +197,9 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
-        low = float(qmath.hermitian_eig(mat).values[0])
-        if low < -qmath.PSD_CLAMP:
-            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+        values, _ = qmath.hermitian_eig(mat)
+        if values[0] < -qmath.PSD_CLAMP:
+            raise ValueError(f"density matrix has negative eigenvalue {values[0]:.3e}")
         mat = (mat + mat.conj().T) / 2.0
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
@@ -250,10 +251,10 @@ class ChoiMatrix:
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > qmath.HERMITICITY_TOL:
             raise DimensionError(f"Choi matrix not Hermitian: max |A - A†| = {herm:.3e}")
-        low = float(qmath.hermitian_eig(mat).values[0])
-        if low < -qmath.PSD_CLAMP:
+        values, _ = qmath.hermitian_eig(mat)
+        if values[0] < -qmath.PSD_CLAMP:
             raise ValueError(
-                f"Choi matrix not completely positive: eigenvalue {low:.3e}"
+                f"Choi matrix not completely positive: eigenvalue {values[0]:.3e}"
             )
         mat = (mat + mat.conj().T) / 2.0
         mat.flags.writeable = False
@@ -265,9 +266,9 @@ class ChoiMatrix:
 
     def input_marginal(self) -> np.ndarray:
         """Partial trace over the output factor; identity for TP channels."""
-        n = self.n_qubits
-        # Output-space qubits occupy positions 0..n-1 of the doubled register.
-        return qmath.partial_trace(self.mat, 2 * n, keep=tuple(range(n, 2 * n)))
+        d = 2**self.n_qubits
+        # Index i * d + o: input factor i first, output factor o second.
+        return np.trace(self.mat.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,16 +313,12 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
     return choi
 
 
-def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Transition probability [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1]."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise DimensionError(
-            f"state_fidelity: {rho.n_qubits} vs {sigma.n_qubits} qubit states"
-        )
-    root = qmath.matrix_sqrt_psd(rho.mat)
-    inner = root @ sigma.mat @ root
-    eig = qmath.hermitian_eig((inner + inner.conj().T) / 2.0)
-    values = np.clip(eig.values, 0.0, None)
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 of two exactly Hermitian PSD matrices."""
+    root = qmath.matrix_sqrt_psd(rho)
+    inner = root @ sigma @ root
+    values, _ = qmath.hermitian_eig((inner + inner.conj().T) / 2.0)
+    values = np.clip(values, 0.0, None)
     # Zero rounding-noise eigenvalues: sqrt would blow 1e-16 noise up to 1e-8
     # per eigenvalue and spoil the trace.
     cutoff = float(values.max(initial=0.0)) * values.size * 1e-14
@@ -332,13 +329,24 @@ def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(fid, 0.0), 1.0)
 
 
+def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Transition probability [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1]."""
+    if rho.n_qubits != sigma.n_qubits:
+        raise DimensionError(
+            f"state_fidelity: {rho.n_qubits} vs {sigma.n_qubits} qubit states"
+        )
+    return _fidelity(rho.mat, sigma.mat)
+
+
 def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
-    """State fidelity of the normalized Choi matrices (channel-state duality)."""
+    """State fidelity of the normalized Choi matrices (channel-state duality).
+
+    Both Choi matrices were validated and symmetrized when built, and dividing
+    by 2^n is exact, so the normalized matrices need no second validation.
+    """
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"process_fidelity: {a.n_qubits} vs {b.n_qubits} qubit channels"
         )
     d = 2**a.n_qubits
-    rho_a = DensityMatrix(2 * a.n_qubits, a.mat / d)
-    rho_b = DensityMatrix(2 * b.n_qubits, b.mat / d)
-    return state_fidelity(rho_a, rho_b)
+    return _fidelity(a.mat / d, b.mat / d)

@@ -1,12 +1,14 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything here works on plain ``numpy`` arrays of ``complex128`` and is sized
-for qubit-space matrices up to 256 x 256.  All functions are pure.
+for qubit-space matrices up to 256 x 256.  All functions are pure.  The
+eigendecomposition, PSD square root and PSD projection take a matrix or a
+``(..., d, d)`` stack of them and treat each matrix on its own; this module
+keeps only what numpy lacks: the Hermiticity check before ``eigh``, the
+rounding clamp of the square root and the truncating projection.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,64 +32,43 @@ class DegenerateInputError(ValueError):
     """Input carries no usable positive spectral weight."""
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = V diag(values) V† with ascending eigenvalues.
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix or (..., d, d) stack by LAPACK.
 
-    ``values`` is a real 1-d array; the columns of ``vectors`` are orthonormal.
+    Returns ``numpy.linalg.eigh``'s ``(eigenvalues, eigenvectors)`` pair:
+    ascending real eigenvalues, orthonormal eigenvector columns.  The input is
+    checked for Hermiticity and symmetrized first, so the solver sees an
+    exactly Hermitian operator.
     """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _as_square_complex(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} expects a square matrix, got shape {a.shape}")
-    return a
-
-
-def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    a = _as_square_complex(a, name)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"hermitian_eig expects square matrices, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionError(f"hermitian_eig expects non-empty matrices, got shape {a.shape}")
+    adjoint = a.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(a - adjoint))
     if dev > HERMITICITY_TOL:
         raise DimensionError(
-            f"{name} expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
+            f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
         )
-    # Symmetrize so downstream math sees an exactly Hermitian operator.
-    return (a + a.conj().T) / 2.0
-
-
-def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
-
-    The input is checked for Hermiticity and symmetrized first, so the
-    solver sees an exactly Hermitian operator.
-    """
-    a = _require_hermitian(a, "hermitian_eig")
-    if a.shape[0] == 0:
-        raise DimensionError("hermitian_eig expects a non-empty matrix")
-    values, vectors = np.linalg.eigh(a)
-    return EigenDecomposition(values=values, vectors=vectors)
+    return np.linalg.eigh((a + adjoint) / 2.0)
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root of a matrix or (..., d, d) stack via eigendecomposition.
 
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
     zero; anything more negative raises :class:`NotPSDError`.
     """
-    eig = hermitian_eig(a)
-    values = eig.values.copy()
-    worst = float(values.min()) if values.size else 0.0
+    values, vectors = hermitian_eig(a)
+    worst = float(values.min())
     if worst < -PSD_CLAMP:
         raise NotPSDError(
             f"matrix_sqrt_psd requires a PSD matrix; eigenvalue {worst:.3e} < -{PSD_CLAMP:.0e}"
         )
     values[values < 0.0] = 0.0
-    root = (eig.vectors * np.sqrt(values)) @ eig.vectors.conj().T
-    return (root + root.conj().T) / 2.0
+    root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,70 +76,43 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def partial_trace(a: np.ndarray, n_qubits: int, keep: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep``.
-
-    Qubit 0 is the least significant bit of the matrix index.  Kept qubits
-    retain their relative order in the result.
-    """
-    a = _as_square_complex(a, "partial_trace")
-    dim = 2**n_qubits
-    if a.shape[0] != dim:
-        raise DimensionError(
-            f"partial_trace expects a {dim}x{dim} matrix for {n_qubits} qubits, got {a.shape}"
-        )
-    keep = sorted(set(keep))
-    for q in keep:
-        if not 0 <= q < n_qubits:
-            raise IndexError(f"qubit index {q} out of range for {n_qubits} qubits")
-    if len(keep) == n_qubits:
-        return a.copy()
-
-    # Reshape axis k corresponds to qubit (n_axes - 1 - k); trace qubits one
-    # at a time, tracking which qubits remain.
-    remaining = list(range(n_qubits))
-    tensor = a.reshape((2,) * (2 * n_qubits))
-    for q in sorted(set(range(n_qubits)) - set(keep)):
-        pos = remaining.index(q)
-        n_axes = len(remaining)
-        axis_row = n_axes - 1 - pos
-        axis_col = axis_row + n_axes
-        tensor = np.trace(tensor, axis1=axis_row, axis2=axis_col)
-        remaining.pop(pos)
-    out_dim = 2 ** len(remaining)
-    return tensor.reshape(out_dim, out_dim)
-
-
 def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
-    """Project a Hermitian matrix onto the PSD cone with a prescribed trace.
+    """Project a Hermitian matrix, or each of a (..., d, d) stack, onto the PSD
+    cone with a prescribed trace.
 
     Eigenvalue truncation with redistribution: walking up from the most
-    negative eigenvalue, zero it and spread the deficit uniformly over the
+    negative eigenvalue, zero it while it stays negative after its share of
+    the deficit so far, and spread the deficit uniformly over the
     eigenvalues still standing; finally rescale the spectrum to
-    ``target_trace``.
+    ``target_trace``.  Raises :class:`DegenerateInputError` if any matrix
+    keeps no positive weight.
     """
     if target_trace <= 0.0:
         raise DegenerateInputError(f"target_trace must be positive, got {target_trace}")
-    eig = hermitian_eig(a)
-    values = eig.values[::-1].copy()  # descending
-    vectors = eig.vectors[:, ::-1]
-    d = values.size
-    deficit = 0.0
-    i = d
-    while i > 0 and values[i - 1] + deficit / i < 0.0:
-        deficit += values[i - 1]
-        values[i - 1] = 0.0
-        i -= 1
-    if i == 0:
+    ascending, vectors = hermitian_eig(a)
+    d = ascending.shape[-1]
+    # deficit[..., j] sums the j lowest eigenvalues in ascending order, as a
+    # walk up the spectrum adds them; d - j eigenvalues are still standing.
+    deficit = np.concatenate(
+        [np.zeros(ascending.shape[:-1] + (1,)), np.cumsum(ascending[..., :-1], axis=-1)],
+        axis=-1,
+    )
+    negative = ascending + deficit / np.arange(d, 0, -1) < 0.0
+    cut = np.logical_and.accumulate(negative, axis=-1).sum(axis=-1)
+    if (cut == d).any():
         raise DegenerateInputError(
             "psd_project: no positive spectral weight remains after truncation"
         )
-    values[:i] += deficit / i
-    total = float(values.sum())
-    if total <= 0.0:
+    shift = np.take_along_axis(deficit, cut[..., None], axis=-1) / (d - cut)[..., None]
+    standing = np.arange(d) >= cut[..., None]
+    # Summed and rebuilt in descending order: the order moves the last bits.
+    values = np.where(standing, ascending + shift, 0.0)[..., ::-1]
+    vectors = vectors[..., ::-1]
+    total = values.sum(axis=-1)
+    if (total <= 0.0).any():
         raise DegenerateInputError(
-            f"psd_project: truncated spectrum has non-positive trace {total:.3e}"
+            f"psd_project: truncated spectrum has non-positive trace {total.min():.3e}"
         )
-    values *= target_trace / total
-    out = (vectors * values) @ vectors.conj().T
-    return (out + out.conj().T) / 2.0
+    values *= (target_trace / total)[..., None]
+    out = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0

@@ -113,6 +113,8 @@ def chi2_gof(counts: np.ndarray, expected: OutcomeDistribution) -> Chi2Result:
     p = 1.
     """
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"chi2_gof: counts must be integers, got dtype {counts.dtype}")
     if counts.shape != expected.probs.shape:
         raise ValueError(f"chi2_gof: {counts.size} count(s) vs {expected.probs.size} outcomes")
     if (counts < 0).any():

@@ -7,13 +7,15 @@ them with the product inverse channel of classical shadows: each outcome o of
 setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
 Pauli-string expectation.  A PSD projection then restores physicality.
-Process tomography feeds the channel all 4^n product preparations from
-{|0>, |1>, |+>, |+i>} and inverts the fixed preparation frame to assemble
-the Choi matrix.  The preparations are built as one stack of density
-matrices (one qubit at a time, sharing common prefixes), the subject is
-evolved once on the whole stack and the stack is rotated once into every
-setting, all through the simulator seam; each preparation's output is then
-sampled, inverted and projected on its own, with its own seed stream.
+
+One reconstruction path serves both protocols.  It takes a stack of input
+states, evolves the subject once on the whole stack, rotates the stack once
+into every setting, samples each (input, setting) pair on its own seed
+stream, and inverts and projects the whole stack at once.  State tomography
+is the one-input case (|0...0>).  Process tomography feeds the path all 4^n
+product preparations from {|0>, |1>, |+>, |+i>}, built one qubit at a time
+so that common prefixes are shared, and then inverts the fixed preparation
+frame to assemble the Choi matrix.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
 the exact outcome distributions under noiseless basis rotations, so
@@ -67,21 +69,26 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     return (mats + mats.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _estimate(
-    probs: np.ndarray,
-    n: int,
+def _reconstruct(
+    inputs: np.ndarray,
+    subject: Circuit,
     noise: NoiseModel | None,
     shots_per_setting: int,
-    seed: int,
+    seeds: list[int],
 ) -> np.ndarray:
-    """PSD-projected inversion of one state's (3^n, 2^n) setting probabilities.
+    """PSD-projected estimates of the subject's outputs on a (B, 2^n, 2^n) stack of inputs.
 
-    Sampled mode replaces row k by the frequencies of ``shots_per_setting``
-    draws with the stream ``derive_seed(seed, "setting", k)``.
+    In sampled mode the frequencies of ``shots_per_setting`` draws replace the
+    probabilities of setting k for input b, drawn with the stream
+    ``derive_seed(seeds[b], "setting", k)``.
     """
+    n = subject.n_qubits
+    outputs = _hermitian_part(evolve(inputs, subject, noise))
+    probs = pauli_distributions(outputs, noise if shots_per_setting else None)
     if shots_per_setting:
-        counts = [sample(row, shots_per_setting, derive_seed(seed, "setting", k), noise)
-                  for k, row in enumerate(probs)]
+        counts = [[sample(row, shots_per_setting, derive_seed(seed, "setting", k), noise)
+                   for k, row in enumerate(rows)]
+                  for seed, rows in zip(seeds, probs)]
         probs = np.array(counts) / shots_per_setting
     return qmath.psd_project(_invert_settings(probs, n), 1.0)
 
@@ -95,13 +102,12 @@ def state_tomography(
     """Reconstruct the subject's output state on the input |0...0>."""
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
-    state = evolve(DensityMatrix.ground(n), subject, noise)
-    probs = pauli_distributions(state, noise if shots_per_setting else None)
-    return DensityMatrix(n, _estimate(probs, n, noise, shots_per_setting, seed))
+    ground = DensityMatrix.ground(n).mat[None]
+    return DensityMatrix(n, _reconstruct(ground, subject, noise, shots_per_setting, [seed])[0])
 
 
 def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
-    """Linear-inversion estimate from the (3^n, 2^n) outcome probabilities of the settings.
+    """Linear-inversion estimates from (..., 3^n, 2^n) outcome probabilities of the settings.
 
     rho = 3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse
     channel of classical shadows (Huang, Kueng, Preskill 2020); it equals
@@ -110,10 +116,11 @@ def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
     # Axes 0..n-1 are basis letters and n..2n-1 outcome bits; both groups list
     # qubit n-1 first (qubit 0's letter varies fastest, qubit 0 is the low
     # outcome bit), as do the result's row axes 2n.. and column axes 3n..
-    probs = probs.reshape((3,) * n + (2,) * n)
+    batch = probs.shape[:-2]
+    probs = probs.reshape(batch + (3,) * n + (2,) * n)
     factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
-    rho = np.einsum(probs, [*range(2 * n)], *factors, [*range(2 * n, 4 * n)])
-    return rho.reshape(2**n, 2**n) / 3**n
+    rho = np.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)])
+    return rho.reshape(batch + (2**n, 2**n)) / 3**n
 
 
 def _single_qubit_prep_matrices() -> list[np.ndarray]:
@@ -157,7 +164,7 @@ def _preparations(n: int, noise: NoiseModel | None) -> np.ndarray:
     return _hermitian_part(mats)
 
 
-def _assemble_choi(outputs: list[np.ndarray], n: int) -> np.ndarray:
+def _assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
     """sum_m kron((x)_q D_{m_q}, outputs[m]) with D_s[a, b] = _DUAL[s, 2a + b].
 
     ``outputs[m]`` is the channel's output for preparation m of
@@ -166,7 +173,7 @@ def _assemble_choi(outputs: list[np.ndarray], n: int) -> np.ndarray:
     d = 2**n
     # Axes 0..n-1 are preparation labels, n..2n-1 and 2n..3n-1 the input row
     # and column bits, all listing qubit n-1 first like the kron.
-    outputs = np.array(outputs).reshape((4,) * n + (d, d))
+    outputs = outputs.reshape((4,) * n + (d, d))
     row, col = 3 * n, 3 * n + 1
     factors = [x for j in range(n) for x in (_DUAL.reshape(4, 2, 2), [j, n + j, 2 * n + j])]
     choi_axes = [*range(n, 2 * n), row, *range(2 * n, 3 * n), col]
@@ -182,20 +189,13 @@ def process_tomography(
 ) -> ChoiMatrix:
     """Reconstruct the subject's channel as an unnormalized Choi matrix.
 
-    The subject runs once on the stack of all 4^n preparations, and the
-    stack of outputs is rotated once into every setting; preparation m is
-    then estimated on its own, with the seed ``derive_seed(seed, "prep", m)``.
+    This is state tomography on the stack of all 4^n preparations at once;
+    preparation m samples with the seed ``derive_seed(seed, "prep", m)``.
     """
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
-
-    outputs = _hermitian_part(evolve(_preparations(n, noise), subject, noise))
-    probs = pauli_distributions(outputs, noise if shots_per_setting else None)
-    estimates = [
-        _estimate(probs_m, n, noise, shots_per_setting, derive_seed(seed, "prep", m))
-        for m, probs_m in enumerate(probs)
-    ]
-
+    seeds = [derive_seed(seed, "prep", m) for m in range(4**n)]
+    estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seeds)
     choi = _hermitian_part(_assemble_choi(estimates, n))
     projected = qmath.psd_project(choi, float(2**n))
     return ChoiMatrix(n, projected)

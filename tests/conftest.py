@@ -30,6 +30,25 @@ def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     return mat / np.trace(mat).real
 
 
+def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
+    """One-matrix PSD projection by the explicit truncation loop, kept as the
+    bit-exact reference for the stacked ``qmath.psd_project``."""
+    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    values = values[::-1].copy()  # descending
+    vectors = vectors[:, ::-1]
+    deficit = 0.0
+    i = values.size
+    while i > 0 and values[i - 1] + deficit / i < 0.0:
+        deficit += values[i - 1]
+        values[i - 1] = 0.0
+        i -= 1
+    assert i > 0, "no positive spectral weight remains"
+    values[:i] += deficit / i
+    values *= target_trace / float(values.sum())
+    out = (vectors * values) @ vectors.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def trace_norm(a: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return float(np.abs(np.linalg.eigvalsh(a)).sum())

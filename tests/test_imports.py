@@ -1,11 +1,15 @@
-"""Every name a module imports is used in that module, and exports resolve.
+"""Every name a module imports is used in that module, exports resolve, and
+no private definition is dead.
 
 No lint tool is part of the test environment, so these AST scans are the
-import lints for ``src/quassert``.  ``__init__.py`` is exempt from the
-unused-import scan: its imports are the package's re-exports, so instead
-every name it imports must be listed in ``__all__`` and every name in
-``__all__`` must resolve.  A deleted type therefore cannot leave a stale
-export behind.
+import and dead-code lints for ``src/quassert``.  ``__init__.py`` is exempt
+from the unused-import scan: its imports are the package's re-exports, so
+instead every name it imports must be listed in ``__all__`` and every name
+in ``__all__`` must resolve.  A deleted type therefore cannot leave a stale
+export behind.  Every module-level private function, class or constant
+(``_name``, dunders excepted) must be referenced somewhere in the package
+outside its own definition, so a deleted path cannot leave its helpers
+behind.
 """
 
 import ast
@@ -82,3 +86,60 @@ def test_every_package_import_is_exported():
 def test_export_scan_flags_an_unlisted_name():
     source = "from a import B, c\nimport d\n__all__ = ['B']\n"
     assert unexported_imports(source) == ["line 1: c", "line 2: d"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private names not referenced in any module outside their own definition."""
+    statements = [(module, node) for module, source in sorted(sources.items())
+                  for node in ast.parse(source).body]
+    referenced = [_referenced_names(node) for _, node in statements]
+    dead = []
+    for i, (module, node) in enumerate(statements):
+        for name in filter(_is_private, _defined_names(node)):
+            if not any(name in names for j, names in enumerate(referenced) if j != i):
+                dead.append(f"{module}:{node.lineno} {name}")
+    return dead
+
+
+def test_no_dead_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert dead_private_definitions(sources) == []
+
+
+def test_dead_definition_scan_flags_unreferenced_names():
+    sources = {
+        "a.py": (
+            "_USED = 1\n_UNUSED: int = 2\n__version__ = '1'\n"
+            "def _helper():\n    return _USED\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Orphan:\n    pass\n"
+            "def public():\n    return _helper()\n"
+        ),
+        "b.py": "import a\nprint(a._VIA_ATTRIBUTE)\n",
+        "c.py": "_VIA_ATTRIBUTE = 0\n",
+    }
+    assert dead_private_definitions(sources) == [
+        "a.py:2 _UNUSED", "a.py:6 _recursive", "a.py:8 _Orphan",
+    ]

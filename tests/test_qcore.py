@@ -2,7 +2,8 @@
 
 Fidelities are checked against closed forms: |<psi|phi>|^2 for pure states
 and |tr(U†V)|^2 / 4^n for unitary channels.  The Choi construction is checked
-entrywise against its definition.
+entrywise against its definition, and its input marginal against an
+explicit index-pair sum.
 """
 
 import numpy as np
@@ -96,6 +97,16 @@ class TestGateOpValidation:
         op = gate("cx", np.int64(2), np.uint8(0))
         assert op.qubits == (2, 0)
         assert all(type(q) is int for q in op.qubits)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.True_, "2", None],
+                             ids=["fraction", "float", "bool", "numpy_bool", "str", "none"])
+    def test_non_integer_qubit_count_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {bad!r}"):
+            Circuit(bad, ())
+
+    def test_integer_qubit_count_accepted(self):
+        c = Circuit(np.int64(2), (gate("cx", 0, 1),))
+        assert type(c.n_qubits) is int and c.dim == 4
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):
@@ -208,6 +219,32 @@ class TestCircuitToChoi:
             assert herm <= 1e-9
             assert np.linalg.eigvalsh(choi.mat).min() >= -1e-8
             np.testing.assert_allclose(choi.input_marginal(), np.eye(dim), atol=1e-6)
+
+
+def brute_partial_trace(mat: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
+    """Oracle: explicit sum over index pairs whose traced bits coincide."""
+    keep = sorted(keep)
+    traced = [q for q in range(n_qubits) if q not in keep]
+    out = np.zeros((2 ** len(keep), 2 ** len(keep)), dtype=complex)
+    for i in range(2**n_qubits):
+        for j in range(2**n_qubits):
+            if all(((i >> q) & 1) == ((j >> q) & 1) for q in traced):
+                ik = sum(((i >> q) & 1) << a for a, q in enumerate(keep))
+                jk = sum(((j >> q) & 1) << a for a, q in enumerate(keep))
+                out[ik, jk] += mat[i, j]
+    return out
+
+
+class TestInputMarginal:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_oracle(self, n):
+        # The input factor comes first, so it holds qubits n..2n-1 of the
+        # doubled register.
+        rng = np.random.default_rng(1500 + n)
+        for _ in range(3):
+            choi = ChoiMatrix(n, random_density(rng, 2 * n) * 2**n)
+            expected = brute_partial_trace(choi.mat, 2 * n, list(range(n, 2 * n)))
+            np.testing.assert_allclose(choi.input_marginal(), expected, rtol=0, atol=1e-12)
 
 
 class TestDomainTypes:
@@ -378,6 +415,18 @@ class TestProcessFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             process_fidelity(circuit_to_choi(Circuit(1)), circuit_to_choi(Circuit(2)))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_equals_state_fidelity_of_normalized_choi_states(self, n_qubits):
+        rng = np.random.default_rng(97 + n_qubits)
+        d = 2**n_qubits
+        for _ in range(4):
+            a = ChoiMatrix(n_qubits, random_density(rng, 2 * n_qubits) * d)
+            b = circuit_to_choi(random_circuit(rng, n_qubits, 5))
+            expected = state_fidelity(
+                DensityMatrix(2 * n_qubits, a.mat / d), DensityMatrix(2 * n_qubits, b.mat / d)
+            )
+            assert process_fidelity(a, b) == expected
 
 
 class TestExpandedGateMatrix:

@@ -2,8 +2,8 @@
 
 The eigensolver is cross-checked by rebuilding the input from its own output
 and by recovering a planted spectrum and eigenbasis; the PSD projection
-against hand-executed truncation steps; the partial trace against an explicit
-index-pair sum.
+against hand-executed truncation steps and, bit for bit, against the
+one-matrix truncation loop it replaced; stacks against per-matrix calls.
 Hypothesis property tests cover the eigendecomposition contract and the PSD
 projection's invariants on arbitrary Hermitian input.
 """
@@ -22,11 +22,10 @@ from quassert.qmath import (
     hermitian_eig,
     kron,
     matrix_sqrt_psd,
-    partial_trace,
     psd_project,
 )
 
-from conftest import random_density, random_hermitian, random_psd
+from conftest import random_density, random_hermitian, random_psd, reference_psd_project
 
 
 @st.composite
@@ -49,19 +48,19 @@ BELL_PROJECTOR = 0.5 * np.array(
 
 class TestHermitianEig:
     def test_diagonal_input(self):
-        eig = hermitian_eig(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(eig.values, [1.0, 2.0])
-        np.testing.assert_allclose(np.abs(eig.vectors), np.eye(2), atol=1e-12)
+        values, vectors = hermitian_eig(np.diag([1.0, 2.0]))
+        np.testing.assert_allclose(values, [1.0, 2.0])
+        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-12)
 
     def test_pauli_x_spectrum(self):
-        eig = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(eig.values, [-1.0, 1.0], atol=1e-12)
+        values, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
 
     def test_reconstruction_oracle_8x8(self):
         rng = np.random.default_rng(101)
         a = random_hermitian(rng, 8)
-        eig = hermitian_eig(a)
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+        values, vectors = hermitian_eig(a)
+        rebuilt = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - a)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 12, 16])
@@ -69,12 +68,12 @@ class TestHermitianEig:
         rng = np.random.default_rng(1000 + dim)
         for _ in range(3):
             a = random_hermitian(rng, dim)
-            eig = hermitian_eig(a)
-            rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+            values, vectors = hermitian_eig(a)
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - a)) <= 1e-10
-            gram = eig.vectors.conj().T @ eig.vectors
+            gram = vectors.conj().T @ vectors
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
-            assert np.all(np.diff(eig.values) >= -1e-12)
+            assert np.all(np.diff(values) >= -1e-12)
 
     def test_recovers_planted_spectrum(self):
         # A = V diag(lam) V^dagger with a random unitary V (QR of a complex
@@ -82,25 +81,47 @@ class TestHermitianEig:
         rng = np.random.default_rng(7)
         v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         lam = np.array([-2.5, -1.0, 0.0, 0.5, 1.75, 3.0])
-        eig = hermitian_eig((v * lam) @ v.conj().T)
-        np.testing.assert_allclose(eig.values, lam, atol=1e-10)
+        values, vectors = hermitian_eig((v * lam) @ v.conj().T)
+        np.testing.assert_allclose(values, lam, atol=1e-10)
         # Each eigenvector is the planted column up to a phase.
-        overlaps = np.abs(np.sum(v.conj() * eig.vectors, axis=0))
+        overlaps = np.abs(np.sum(v.conj() * vectors, axis=0))
         np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            hermitian_eig(np.zeros((2, 3)))
+        for shape in [(2, 3), (4, 2, 3), (3,), ()]:
+            with pytest.raises(DimensionError, match="square"):
+                hermitian_eig(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (3, 0, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(DimensionError, match="non-empty"):
+            hermitian_eig(np.zeros(shape))
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="Hermitian"):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        stack = np.array([np.eye(2), [[0, 1], [0, 0]], np.eye(2)], dtype=complex)
+        with pytest.raises(DimensionError, match="Hermitian"):
+            hermitian_eig(stack)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+    def test_stack_matches_per_matrix_calls(self, dim):
+        rng = np.random.default_rng(900 + dim)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(5)]).reshape(5, 1, dim, dim)
+        values, vectors = hermitian_eig(stack)
+        assert values.shape == (5, 1, dim) and vectors.shape == (5, 1, dim, dim)
+        for b in range(5):
+            one_values, one_vectors = hermitian_eig(stack[b, 0])
+            assert np.array_equal(values[b, 0], one_values)
+            assert np.array_equal(vectors[b, 0], one_vectors)
 
     def test_slightly_asymmetric_input_symmetrized(self):
         a = np.diag([1.0, 2.0]).astype(complex)
         a[0, 1] = 1e-10  # inside the 1e-9 window
-        eig = hermitian_eig(a)
-        np.testing.assert_allclose(eig.values, [1.0, 2.0], atol=1e-9)
+        values, _ = hermitian_eig(a)
+        np.testing.assert_allclose(values, [1.0, 2.0], atol=1e-9)
 
 
 class TestMatrixSqrtPsd:
@@ -136,6 +157,17 @@ class TestMatrixSqrtPsd:
         root = matrix_sqrt_psd(np.diag([1.0, -5e-9]))
         np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-8)
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(1400)
+        stack = np.array([random_psd(rng, 4) for _ in range(3)])
+        roots = matrix_sqrt_psd(stack)
+        for b, a in enumerate(stack):
+            assert np.array_equal(roots[b], matrix_sqrt_psd(a))
+
+    def test_negative_eigenvalue_in_stack_rejected(self):
+        with pytest.raises(NotPSDError):
+            matrix_sqrt_psd(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+
 
 class TestKron:
     def test_identity_product(self):
@@ -156,60 +188,6 @@ class TestKron:
             np.testing.assert_allclose(
                 kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
             )
-
-
-def brute_partial_trace(mat: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
-    """Oracle: explicit sum over index pairs whose traced bits coincide."""
-    keep = sorted(keep)
-    traced = [q for q in range(n_qubits) if q not in keep]
-    out = np.zeros((2 ** len(keep), 2 ** len(keep)), dtype=complex)
-    for i in range(2**n_qubits):
-        for j in range(2**n_qubits):
-            if all(((i >> q) & 1) == ((j >> q) & 1) for q in traced):
-                ik = sum(((i >> q) & 1) << a for a, q in enumerate(keep))
-                jk = sum(((j >> q) & 1) << a for a, q in enumerate(keep))
-                out[ik, jk] += mat[i, j]
-    return out
-
-
-class TestPartialTrace:
-    def test_bell_marginals_are_maximally_mixed(self):
-        for q in (0, 1):
-            np.testing.assert_allclose(
-                partial_trace(BELL_PROJECTOR, 2, [q]), np.eye(2) / 2, atol=1e-12
-            )
-
-    def test_keep_all_is_identity_operation(self):
-        rng = np.random.default_rng(5)
-        a = random_density(rng, 2)
-        np.testing.assert_allclose(partial_trace(a, 2, [0, 1]), a)
-
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(8)
-        rho1 = random_density(rng, 1)
-        rho2 = random_density(rng, 1)
-        # Little-endian: qubit 0 is the last kron factor.
-        joint = kron(rho2, rho1)
-        np.testing.assert_allclose(partial_trace(joint, 2, [0]), rho1, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, 2, [1]), rho2, atol=1e-12)
-
-    @pytest.mark.parametrize("n_qubits,keep", [(2, [0]), (3, [1]), (3, [0, 2]), (4, [1, 3])])
-    def test_matches_brute_force_oracle(self, n_qubits, keep):
-        rng = np.random.default_rng(n_qubits * 10 + len(keep))
-        a = random_hermitian(rng, 2**n_qubits)
-        np.testing.assert_allclose(
-            partial_trace(a, n_qubits, keep), brute_partial_trace(a, n_qubits, keep), atol=1e-12
-        )
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(21)
-        a = random_density(rng, 3)
-        reduced = partial_trace(a, 3, [0, 2])
-        assert abs(np.trace(reduced) - np.trace(a)) <= 1e-12
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            partial_trace(np.eye(4), 2, [2])
 
 
 class TestPsdProject:
@@ -265,17 +243,60 @@ class TestPsdProject:
         with pytest.raises(DegenerateInputError):
             psd_project(np.eye(2), 0.0)
 
+    @staticmethod
+    def planted(rng, d, n_negative):
+        """V diag(lam) V^dagger with ``n_negative`` eigenvalues in [-1, -0.5] and
+        the rest in [d, 2d]: each positive one outweighs the whole deficit, so
+        the truncation cuts exactly the ``n_negative`` negative ones."""
+        lam = np.concatenate([rng.uniform(-1.0, -0.5, n_negative),
+                              rng.uniform(d, 2 * d, d - n_negative)])
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return (v * lam) @ v.conj().T
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_stack_matches_truncation_loop(self, d):
+        rng = np.random.default_rng(1200 + d)
+        # Truncating 0, 1 and many eigenvalues, plus a generic Hermitian matrix
+        # with positive trace.
+        stack = np.array(
+            [self.planted(rng, d, k) for k in (0, 1, min(max(2, d // 2), d - 1))]
+            + [random_hermitian(rng, d) + 2.0 * np.sqrt(d) * np.eye(d)]
+        )
+        for target in (1.0, float(d)):
+            projected = psd_project(stack, target)
+            assert projected.shape == stack.shape
+            for b, a in enumerate(stack):
+                expected = reference_psd_project(a, target)
+                assert np.array_equal(projected[b], expected), b
+                assert np.array_equal(psd_project(a, target), expected), b
+
+    def test_leading_axes_preserved(self):
+        rng = np.random.default_rng(1300)
+        stack = np.array([random_density(rng, 2) + 0.1 * random_hermitian(rng, 4)
+                          for _ in range(6)]).reshape(2, 3, 4, 4)
+        projected = psd_project(stack, 1.0)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(projected[index], reference_psd_project(stack[index], 1.0))
+
+    @pytest.mark.parametrize("bad", [np.diag([-1.0, -2.0]), np.zeros((2, 2))],
+                             ids=["negative", "zero"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_stack_with_one_degenerate_matrix_rejected(self, bad, position):
+        stack = [np.eye(2), np.diag([1.1, -0.1])]
+        stack.insert(position, bad)
+        with pytest.raises(DegenerateInputError):
+            psd_project(np.array(stack, dtype=complex), 1.0)
+
 
 class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(hermitian_matrices())
     def test_hermitian_eig_contract(self, a):
-        eig = hermitian_eig(a)
-        v = eig.vectors
-        assert eig.values.dtype == np.float64
-        assert np.all(np.diff(eig.values) >= 0.0)
+        values, v = hermitian_eig(a)
+        assert values.dtype == np.float64
+        assert np.all(np.diff(values) >= 0.0)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(a.shape[0]), rtol=0, atol=1e-10)
-        np.testing.assert_allclose((v * eig.values) @ v.conj().T, a, rtol=0, atol=_tol(a))
+        np.testing.assert_allclose((v * values) @ v.conj().T, a, rtol=0, atol=_tol(a))
 
     @settings(max_examples=150, deadline=None)
     @given(hermitian_matrices(), st.floats(0.1, 10.0))

@@ -176,8 +176,8 @@ class TestChi2Gof:
 
     @pytest.mark.parametrize(
         "counts",
-        [[1, 0, 0], [[1, 0], [0, 0]], [3, -1], [0, 0]],
-        ids=["length", "shape", "negative", "zero_shots"],
+        [[1, 0, 0], [[1, 0], [0, 0]], [3, -1], [0, 0], [0.5, 0.7], [2.0, 3.0], [True, False]],
+        ids=["length", "shape", "negative", "zero_shots", "fractional", "float", "bool"],
     )
     def test_malformed_counts_rejected(self, counts):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ from quassert.tomography import (
     state_tomography,
 )
 
-from conftest import random_circuit, random_density, random_hermitian
+from conftest import random_circuit, random_density, random_hermitian, reference_psd_project
 
 NOISELESS = None
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -102,7 +102,7 @@ def preparation_settings(n):
 
 def per_preparation_state_tomography(prep, subject, noise, shots, seed):
     """Reference path: evolve the preparation and the subject as DensityMatrix
-    objects, then sample, invert and project one state."""
+    objects, then sample, invert and project one state with the one-matrix loop."""
     n = subject.n_qubits
     state = DensityMatrix.ground(n)
     if prep.ops:
@@ -115,21 +115,21 @@ def per_preparation_state_tomography(prep, subject, noise, shots, seed):
             sample(row, shots, derive_seed(seed, "setting", k), noise) / shots
             for k, row in enumerate(pauli_distributions(state, noise))
         ])
-    return DensityMatrix(n, qmath.psd_project(_invert_settings(probs, n), 1.0))
+    return DensityMatrix(n, reference_psd_project(_invert_settings(probs, n), 1.0))
 
 
 def per_preparation_process_tomography(subject, noise, shots, seed):
     """Reference path: one state tomography per preparation, then the Choi assembly."""
     n = subject.n_qubits
-    outputs = [
+    outputs = np.array([
         per_preparation_state_tomography(
             prep, subject, noise, shots, derive_seed(seed, "prep", m)
         ).mat
         for m, (_, prep) in enumerate(preparation_settings(n))
-    ]
+    ])
     choi = _assemble_choi(outputs, n)
     choi = (choi + choi.conj().T) / 2.0
-    return ChoiMatrix(n, qmath.psd_project(choi, float(2**n)))
+    return ChoiMatrix(n, reference_psd_project(choi, float(2**n)))
 
 
 class TestInversionOracles:
@@ -144,7 +144,7 @@ class TestInversionOracles:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_choi_contraction_matches_blockwise_sum(self, n):
         rng = np.random.default_rng(70 + n)
-        outputs = [random_hermitian(rng, 2**n) for _ in range(4**n)]
+        outputs = np.array([random_hermitian(rng, 2**n) for _ in range(4**n)])
         np.testing.assert_allclose(
             _assemble_choi(outputs, n), blockwise_choi(outputs, n), rtol=0, atol=1e-12
         )
@@ -261,6 +261,19 @@ class TestStateTomography:
         with pytest.raises(SizeLimitError):
             state_tomography(Circuit(5), NOISELESS, 0, seed=0)
 
+    @pytest.mark.parametrize("shots", [0, 40, 1000])
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_one_state_path(self, n, noise, shots):
+        rng = np.random.default_rng(700 + 10 * n + shots % 7)
+        for trial in range(2):
+            subject = random_circuit(rng, n, 4 + 3 * trial)
+            estimate = state_tomography(subject, noise, shots, seed=41 + trial)
+            reference = per_preparation_state_tomography(
+                Circuit(n), subject, noise, shots, 41 + trial
+            )
+            assert np.array_equal(estimate.mat, reference.mat)
+
     def test_estimate_is_valid_state(self, mutated_circuit):
         estimate = state_tomography(mutated_circuit, NOISELESS, 50, seed=1)
         assert abs(np.trace(estimate.mat).real - 1.0) <= 1e-9
@@ -350,6 +363,18 @@ class TestWorkCounts:
         subject = random_circuit(np.random.default_rng(600 + n), n, 5)
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         draws = self.count_calls(monkeypatch, tomography, "sample")
+        projections = self.count_calls(monkeypatch, qmath, "psd_project")
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
         assert len(expansions) == 7 * n + len(subject.ops)
         assert len(draws) == (4**n * 3**n if shots else 0)
+        assert [a.shape for a, _ in projections] == [(4**n, 2**n, 2**n), (4**n, 4**n)]
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_state_tomography_projects_once(self, monkeypatch, n, shots):
+        subject = random_circuit(np.random.default_rng(610 + n), n, 5)
+        projections = self.count_calls(monkeypatch, qmath, "psd_project")
+        draws = self.count_calls(monkeypatch, tomography, "sample")
+        state_tomography(subject, DEFAULT_NOISE, shots, seed=2)
+        assert [a.shape for a, _ in projections] == [(1, 2**n, 2**n)]
+        assert len(draws) == (3**n if shots else 0)
