@@ -20,7 +20,6 @@ import numpy as np
 
 from quassert.orchestrator import (
     Assertion,
-    SuiteDefaults,
     SuiteValidationError,
     TestCase,
     TestSuite,
@@ -28,10 +27,10 @@ from quassert.orchestrator import (
     run_suite,
     validate_assertion,
 )
-from quassert.protocols import ProcessRef, RunConfig, check_shots, protocol_for, run_protocol
+from quassert.protocols import ProcessRef, RunConfig, protocol_for, run_protocol
 from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution
 from quassert.qmath import DegenerateInputError, NumericError
-from quassert.simulator import DEFAULT_NOISE, NoiseModel, derive_seed
+from quassert.simulator import DEFAULT_NOISE, NoiseModel, check_seed, check_shots, derive_seed
 from quassert.stats import DegenerateTestError
 
 DEFAULT_SHOT_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
@@ -75,6 +74,7 @@ class SweepConfig:
         check_shots(self.shot_grid[-1], "shot_grid entries")
         if self.trials_per_point < 1:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 # Document decoding: every field is checked once, as it is read, and every
@@ -85,7 +85,7 @@ class SweepConfig:
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number"}
 _NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
-_DEFAULTS_FIELDS = tuple(f.name for f in fields(SuiteDefaults))
+_DEFAULTS_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 def _fail(where: str, message: str) -> NoReturn:
@@ -226,10 +226,10 @@ def _decode_suite(document) -> TestSuite:
     raw = _object(document.get("defaults", {}), "defaults", (), _DEFAULTS_FIELDS)
     defaults = _build(
         "defaults",
-        SuiteDefaults,
-        shots=_field(raw, "shots", "defaults", int, SuiteDefaults.shots),
-        seed=_field(raw, "seed", "defaults", int, SuiteDefaults.seed),
-        threshold=_field(raw, "threshold", "defaults", float, SuiteDefaults.threshold),
+        RunConfig,
+        shots=_field(raw, "shots", "defaults", int, RunConfig.shots),
+        seed=_field(raw, "seed", "defaults", int, RunConfig.seed),
+        threshold=_field(raw, "threshold", "defaults", float, RunConfig.threshold),
         noise=decode_noise(raw.get("noise"), "defaults.noise"),
     )
     cases = _expect(document["cases"], "cases", list, nonempty=True)
@@ -325,17 +325,12 @@ def run_sweep(config: SweepConfig, rates: bool = False) -> tuple[str, str, float
 
 def cmd_run(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite)
-    defaults = suite.defaults
-    if args.shots is not None:
-        defaults = replace(defaults, shots=args.shots)
-    if args.seed is not None:
-        defaults = replace(defaults, seed=args.seed)
-    if args.threshold is not None:
-        defaults = replace(defaults, threshold=args.threshold)
+    flags = {"shots": args.shots, "seed": args.seed, "threshold": args.threshold}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.noise is not None:
-        defaults = replace(defaults, noise=_noise_from_flag(args.noise))
+        overrides["noise"] = _noise_from_flag(args.noise)
     save_data = suite.save_data or args.save_data is not None
-    suite = replace(suite, defaults=defaults, save_data=save_data)
+    suite = replace(suite, defaults=replace(suite.defaults, **overrides), save_data=save_data)
     if args.save_data is not None:
         # Made before the run, so an unusable DIR fails before anything executes.
         Path(args.save_data).mkdir(parents=True, exist_ok=True)

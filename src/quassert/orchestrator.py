@@ -12,22 +12,20 @@ these dataclasses and run with :func:`run_suite`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from quassert.protocols import (
     PROTOCOL_PROCESS,
     PROTOCOL_STATE,
     AssertionResult,
     ExpectedValue,
-    ProcessRef,
     RunConfig,
-    check_shots,
     check_threshold,
     protocol_for,
     run_protocol_detailed,
 )
 from quassert.qcore import Circuit
-from quassert.simulator import NoiseModel, derive_seed
+from quassert.simulator import check_shots, derive_seed
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
 _TOMOGRAPHY_QUBIT_LIMITS = {
@@ -62,25 +60,13 @@ class TestCase:
 
 
 @dataclass(frozen=True)
-class SuiteDefaults:
-    shots: int = 1000
-    seed: int = 0
-    threshold: float = 0.5
-    noise: NoiseModel | None = None
-
-    def __post_init__(self) -> None:
-        check_shots(self.shots)
-        check_threshold(self.threshold)
-
-
-@dataclass(frozen=True)
 class TestSuite:
     __test__ = False  # domain object, not a pytest class
 
     name: str
     n_qubits: int
     cases: tuple[TestCase, ...]
-    defaults: SuiteDefaults = field(default_factory=SuiteDefaults)
+    defaults: RunConfig = field(default_factory=RunConfig)
     save_data: bool = False
 
     def __post_init__(self) -> None:
@@ -117,17 +103,11 @@ class TestReport:
         return all(c.passed for c in self.cases)
 
 
-def _expected_qubits(expected: ExpectedValue) -> int:
-    if isinstance(expected, ProcessRef):
-        return expected.circuit.n_qubits
-    return expected.n_qubits
-
-
 def validate_assertion(assertion: Assertion, n_qubits: int, where: str) -> None:
     """Raise :class:`SuiteValidationError` at ``where`` unless the assertion
     can run on a register of ``n_qubits`` qubits.
     """
-    qubits = _expected_qubits(assertion.expected)
+    qubits = assertion.expected.n_qubits
     if qubits != n_qubits:
         raise SuiteValidationError(
             f"{where}: expected value uses {qubits} qubit(s) but the register "
@@ -175,15 +155,11 @@ def run_suite(suite: TestSuite) -> TestReport:
     for case in suite.cases:
         case_passed = True
         for i, assertion in enumerate(case.assertions):
-            config = RunConfig(
-                shots=assertion.shots if assertion.shots is not None else suite.defaults.shots,
+            overrides = {"shots": assertion.shots, "threshold": assertion.threshold}
+            config = replace(
+                suite.defaults,
                 seed=derive_seed(suite.defaults.seed, case.name, i),
-                threshold=(
-                    assertion.threshold
-                    if assertion.threshold is not None
-                    else suite.defaults.threshold
-                ),
-                noise=suite.defaults.noise,
+                **{key: value for key, value in overrides.items() if value is not None},
             )
             result, artifacts = run_protocol_detailed(case.subject, assertion.expected, config)
             records.append(

@@ -23,7 +23,14 @@ from quassert.qcore import (
     state_fidelity,
 )
 from quassert.qmath import DimensionError, NumericError
-from quassert.simulator import NoiseModel, evolve, exact_distribution, sample
+from quassert.simulator import (
+    NoiseModel,
+    check_seed,
+    check_shots,
+    evolve,
+    exact_distribution,
+    sample,
+)
 from quassert.stats import chi2_gof
 from quassert.tomography import process_tomography, state_tomography
 
@@ -33,11 +40,10 @@ PROTOCOL_PROCESS = "process_tomo"
 PROTOCOL_IDS = (PROTOCOL_PROJ, PROTOCOL_STATE, PROTOCOL_PROCESS)
 
 DEFAULT_THRESHOLD = 0.5
-MAX_SHOTS = 2**63 - 1  # numpy draws counts as int64
 
 
 class ContextError(TypeError):
-    """Expected-value type does not match the requested protocol."""
+    """No protocol accepts the expected value's type."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,10 @@ class ProcessRef:
     """Expected channel given as a reference circuit; converted on demand."""
 
     circuit: Circuit
+
+    @property
+    def n_qubits(self) -> int:
+        return self.circuit.n_qubits
 
     def choi(self) -> ChoiMatrix:
         return circuit_to_choi(self.circuit)
@@ -76,12 +86,6 @@ def context_check(expected: ExpectedValue, protocol_id: str) -> bool:
         return False
 
 
-def check_shots(shots: int, name: str = "shots") -> None:
-    """Raise ValueError unless ``shots`` is a shot count the sampler can draw."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"{name} must be in [1, 2**63 - 1], got {shots}")
-
-
 def check_threshold(threshold: float) -> None:
     """Raise ValueError unless ``threshold`` is a probability."""
     if not 0.0 <= threshold <= 1.0:
@@ -98,10 +102,9 @@ class RunConfig:
     noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
-        check_shots(self.shots)
+        object.__setattr__(self, "shots", check_shots(self.shots))  # numpy ints stored as int
         check_threshold(self.threshold)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,6 @@ class AssertionResult:
     passed: bool
     threshold: float
     diagnostics: dict = field(default_factory=dict)
-
-
-def _require_context(expected: ExpectedValue, protocol_id: str) -> None:
-    actual = protocol_for(expected)
-    if actual != protocol_id:
-        raise ContextError(
-            f"expected value of type {type(expected).__name__} selects protocol "
-            f"{actual!r}, not {protocol_id!r}"
-        )
 
 
 def _counts_to_bitstrings(counts, n_qubits: int) -> dict[str, int]:
@@ -177,40 +171,32 @@ def _run_process_tomo(
     return probability, diagnostics, artifacts
 
 
+_RUNNERS = {
+    PROTOCOL_PROJ: _run_proj,
+    PROTOCOL_STATE: _run_state_tomo,
+    PROTOCOL_PROCESS: _run_process_tomo,
+}
+
+
 def run_protocol_detailed(
-    subject: Circuit,
-    expected: ExpectedValue,
-    config: RunConfig,
-    protocol_id: str | None = None,
+    subject: Circuit, expected: ExpectedValue, config: RunConfig
 ) -> tuple[AssertionResult, dict]:
     """Run the protocol selected by the expected value; also return artifacts.
 
-    Passing ``protocol_id`` pins the protocol explicitly; a type mismatch then
-    raises :class:`ContextError` naming both sides.  Artifacts are the raw
-    intermediates (counts or reconstructed matrices) in JSON-ready form;
-    :func:`run_protocol` discards them.
+    Artifacts are the raw intermediates (counts or reconstructed matrices) in
+    JSON-ready form; :func:`run_protocol` discards them.
     """
-    if protocol_id is None:
-        protocol_id = protocol_for(expected)
-    else:
-        _require_context(expected, protocol_id)
-
-    if isinstance(expected, ProcessRef):
-        expected = expected.choi()
-
+    protocol_id = protocol_for(expected)
     if expected.n_qubits != subject.n_qubits:
         raise DimensionError(
             f"expected value on {expected.n_qubits} qubit(s) vs subject on "
             f"{subject.n_qubits}"
         )
+    if isinstance(expected, ProcessRef):
+        expected = expected.choi()
 
     try:
-        if protocol_id == PROTOCOL_PROJ:
-            probability, diagnostics, artifacts = _run_proj(subject, expected, config)
-        elif protocol_id == PROTOCOL_STATE:
-            probability, diagnostics, artifacts = _run_state_tomo(subject, expected, config)
-        else:
-            probability, diagnostics, artifacts = _run_process_tomo(subject, expected, config)
+        probability, diagnostics, artifacts = _RUNNERS[protocol_id](subject, expected, config)
     except NumericError as exc:
         raise NumericError(f"{protocol_id}: {exc}") from exc
 
@@ -224,12 +210,7 @@ def run_protocol_detailed(
     return result, artifacts
 
 
-def run_protocol(
-    subject: Circuit,
-    expected: ExpectedValue,
-    config: RunConfig,
-    protocol_id: str | None = None,
-) -> AssertionResult:
+def run_protocol(subject: Circuit, expected: ExpectedValue, config: RunConfig) -> AssertionResult:
     """Dispatch on the expected value's type and evaluate the assertion."""
-    result, _ = run_protocol_detailed(subject, expected, config, protocol_id)
+    result, _ = run_protocol_detailed(subject, expected, config)
     return result

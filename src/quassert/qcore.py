@@ -71,6 +71,14 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_qubit_count(value) -> int:
+    """``value`` as a register size: an int of at least 1."""
+    n_qubits = _as_int(value, "n_qubits")
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+    return n_qubits
+
+
 @dataclass(frozen=True)
 class GateOp:
     """A single gate application: name, target qubits, optional angle."""
@@ -115,10 +123,8 @@ class Circuit:
     ops: tuple[GateOp, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
+        object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
         for op in self.ops:
             if max(op.qubits) >= self.n_qubits:
                 raise ValueError(
@@ -175,6 +181,36 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
+def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:
+    """Check ``obj.mat`` as a ``obj.dim``-square Hermitian PSD matrix of the given
+    trace, then store it symmetrized and read-only.
+
+    The validation shared by :class:`DensityMatrix` and :class:`ChoiMatrix`;
+    ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.
+    """
+    mat = np.asarray(obj.mat, dtype=np.complex128)
+    dim = obj.dim
+    if mat.shape != (dim, dim):
+        raise DimensionError(
+            f"{type(obj).__name__} for {obj.n_qubits} qubit(s) must be {dim}x{dim}, "
+            f"got {mat.shape}"
+        )
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{kind} has non-finite entries")
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm > qmath.HERMITICITY_TOL:
+        raise DimensionError(f"{kind} not Hermitian: max |A - A†| = {herm:.3e}")
+    tr = complex(np.trace(mat))
+    if abs(tr - trace) > 1e-9 * trace:
+        raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
+    values, _ = qmath.hermitian_eig(mat)
+    if values[0] < -qmath.PSD_CLAMP:
+        raise ValueError(f"{kind} {negative} {values[0]:.3e}")
+    mat = (mat + mat.conj().T) / 2.0
+    mat.flags.writeable = False
+    object.__setattr__(obj, "mat", mat)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator on an n-qubit register."""
@@ -183,26 +219,8 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=np.complex128)
-        dim = 2**self.n_qubits
-        if mat.shape != (dim, dim):
-            raise DimensionError(
-                f"DensityMatrix for {self.n_qubits} qubit(s) must be {dim}x{dim}, got {mat.shape}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has non-finite entries")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > qmath.HERMITICITY_TOL:
-            raise DimensionError(f"density matrix not Hermitian: max |A - A†| = {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
-        values, _ = qmath.hermitian_eig(mat)
-        if values[0] < -qmath.PSD_CLAMP:
-            raise ValueError(f"density matrix has negative eigenvalue {values[0]:.3e}")
-        mat = (mat + mat.conj().T) / 2.0
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
+        _store_checked_matrix(self, "density matrix", 1, "1", "has negative eigenvalue")
 
     @classmethod
     def ground(cls, n_qubits: int) -> DensityMatrix:
@@ -237,28 +255,11 @@ class ChoiMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=np.complex128)
-        dim = 4**self.n_qubits
-        if mat.shape != (dim, dim):
-            raise DimensionError(
-                f"ChoiMatrix for {self.n_qubits} qubit(s) must be {dim}x{dim}, got {mat.shape}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValueError("Choi matrix has non-finite entries")
-        tr, d = complex(np.trace(mat)), 2**self.n_qubits
-        if abs(tr - d) > 1e-9 * d:
-            raise ValueError(f"Choi matrix trace must be 2**n = {d}, got {tr:.12g}")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > qmath.HERMITICITY_TOL:
-            raise DimensionError(f"Choi matrix not Hermitian: max |A - A†| = {herm:.3e}")
-        values, _ = qmath.hermitian_eig(mat)
-        if values[0] < -qmath.PSD_CLAMP:
-            raise ValueError(
-                f"Choi matrix not completely positive: eigenvalue {values[0]:.3e}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
+        d = 2**self.n_qubits
+        _store_checked_matrix(
+            self, "Choi matrix", d, f"2**n = {d}", "not completely positive: eigenvalue"
+        )
 
     @property
     def dim(self) -> int:
@@ -279,6 +280,7 @@ class OutcomeDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size != 2**self.n_qubits:
             raise DimensionError(

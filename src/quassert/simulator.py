@@ -38,9 +38,28 @@ from quassert.qcore import (
     GateOp,
     OutcomeDistribution,
     TWO_QUBIT_GATES,
+    _as_int,
     expanded_gate_matrix,
 )
 from quassert.qmath import NumericError
+
+MAX_SHOTS = 2**63 - 1  # numpy draws counts as int64
+
+
+def check_shots(shots: int, name: str = "shots") -> int:
+    """``shots`` as an int; ValueError unless it is a shot count the sampler can draw."""
+    shots = _as_int(shots, name)
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"{name} must be in [1, 2**63 - 1], got {shots}")
+    return shots
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; ValueError unless it can seed a generator: [0, 2**64)."""
+    seed = _as_int(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -226,8 +245,8 @@ def sample(
     independently per qubit per shot.  Counts are aggregated with multinomial
     draws, which is distribution-identical to per-shot sampling.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots)
+    seed = check_seed(seed)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.size.bit_length() - 1
     if probs.ndim != 1 or n < 1 or probs.size != 2**n:

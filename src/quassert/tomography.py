@@ -37,6 +37,7 @@ from quassert.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _as_int,
 )
 from quassert.simulator import NoiseModel, derive_seed, evolve, pauli_distributions, sample
 
@@ -60,7 +61,7 @@ class SizeLimitError(ValueError):
 def _check_request(kind: str, n: int, limit: int, shots_per_setting: int) -> None:
     if n > limit:
         raise SizeLimitError(f"{kind} tomography supports at most {limit} qubits, got {n}")
-    if shots_per_setting < 0:
+    if _as_int(shots_per_setting, "shots_per_setting") < 0:
         raise ValueError("shots_per_setting must be >= 0 (0 = analytic mode)")
 
 

@@ -257,8 +257,11 @@ class TestCmdRun:
             (["--shots", "0"], "shots"),
             (["--threshold", "1.5"], "threshold"),
             (["--threshold", "nan"], "threshold"),
+            (["--seed", "-1"], "seed"),
+            (["--seed", str(2**64)], "seed"),
         ],
-        ids=["shots_1e30", "shots_zero", "threshold_above_1", "threshold_nan"],
+        ids=["shots_1e30", "shots_zero", "threshold_above_1", "threshold_nan", "seed_negative",
+             "seed_above_64_bits"],
     )
     def test_flag_overrides_checked_like_document_values(self, capsys, tiny_suite, flags,
                                                           field):
@@ -393,6 +396,13 @@ class TestCmdSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "trials_per_point" in captured.err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_outside_64_bits_rejected(self, capsys, tiny_sweep, seed):
+        assert main(["sweep", tiny_sweep, "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must be in [0, 2**64), got {seed}" in captured.err
 
     def test_mismatched_types_exit_two(self, capsys, tmp_path):
         doc = json.loads(Path(SWEEP_STATE_PATH).read_text())
@@ -600,6 +610,13 @@ _ONE_PASS_REJECTION_ROWS = [
     ("run", _A0 + ("shots",), 1e30, ["cases[0].assertions[0]", "shots"],
      "assertion_shots_1e30"),
     ("sweep", ("shot_grid",), [10, 2**63], ["shot_grid"], "shot_grid_above_int64"),
+    # master seeds outside [0, 2**64), the range every generator seed shares
+    ("run", ("defaults", "seed"), -1, ["defaults", "seed must be in [0, 2**64)"],
+     "negative_seed"),
+    ("run", ("defaults", "seed"), 2**64, ["defaults", "seed must be in [0, 2**64)"],
+     "seed_above_64_bits"),
+    ("sweep", ("seed",), -1, ["seed must be in [0, 2**64)"], "negative_sweep_seed"),
+    ("sweep", ("seed",), 2**64, ["seed must be in [0, 2**64)"], "sweep_seed_above_64_bits"),
     # registers too large for any document to describe
     ("run", ("n_qubits",), 1e30, ["n_qubits"], "register_no_document_can_describe"),
     # a Choi matrix whose trace is not 2**n

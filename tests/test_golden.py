@@ -27,13 +27,12 @@ import pytest
 from quassert.cli import load_suite, load_sweep, run_sweep
 from quassert.orchestrator import (
     Assertion,
-    SuiteDefaults,
     TestCase,
     TestSuite,
     report_to_dict,
     run_suite,
 )
-from quassert.protocols import ProcessRef
+from quassert.protocols import ProcessRef, RunConfig
 from quassert.qcore import (
     Circuit,
     DensityMatrix,
@@ -83,7 +82,7 @@ def _programmatic_suites() -> dict[str, TestSuite]:
 
     def suite(name, n, subject, expected, shots, noise):
         case = TestCase(name, subject, tuple(Assertion(e) for e in expected))
-        defaults = SuiteDefaults(shots=shots, seed=29, noise=noise)
+        defaults = RunConfig(shots=shots, seed=29, noise=noise)
         return TestSuite(name, n, (case,), defaults=defaults, save_data=True)
 
     return {

@@ -9,7 +9,8 @@ in ``__all__`` must resolve.  A deleted type therefore cannot leave a stale
 export behind.  Every module-level private function, class or constant
 (``_name``, dunders excepted) must be referenced somewhere in the package
 outside its own definition, so a deleted path cannot leave its helpers
-behind.
+behind.  No two config dataclasses (every field defaulted) may declare the
+same ordered field list, so one set of execution parameters has one type.
 """
 
 import ast
@@ -142,4 +143,73 @@ def test_dead_definition_scan_flags_unreferenced_names():
     }
     assert dead_private_definitions(sources) == [
         "a.py:2 _UNUSED", "a.py:6 _recursive", "a.py:8 _Orphan",
+    ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def config_field_lists(source: str) -> dict[str, tuple[str, ...]]:
+    """Ordered field names of each dataclass whose fields all have defaults."""
+    configs = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            if fields and all(_has_default(f.value) for f in fields):
+                configs[node.name] = tuple(f.target.id for f in fields)
+    return configs
+
+
+def duplicate_configs(sources: dict[str, str]) -> list[str]:
+    """Config dataclasses repeating the field list of an earlier one."""
+    first: dict[tuple[str, ...], str] = {}
+    duplicates = []
+    for module, source in sorted(sources.items()):
+        for name, field_names in config_field_lists(source).items():
+            where = f"{module}:{name}"
+            if field_names in first:
+                duplicates.append(f"{where} repeats {first[field_names]}")
+            first.setdefault(field_names, where)
+    return duplicates
+
+
+def test_no_duplicate_config_dataclasses():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert duplicate_configs(sources) == []
+
+
+def test_config_scan_flags_repeated_field_lists():
+    sources = {
+        "a.py": (
+            "import dataclasses\nfrom dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\nclass Run:\n    shots: int = 1\n    seed: int = 0\n"
+            "@dataclass(frozen=True, eq=False)\nclass State:\n"
+            "    n_qubits: int\n    mat: object = field(repr=False)\n"
+            "class Plain:\n    shots: int = 1\n    seed: int = 0\n"
+        ),
+        "b.py": (
+            "import dataclasses\nfrom dataclasses import dataclass, field\n"
+            "@dataclasses.dataclass\nclass Defaults:\n"
+            "    shots: int = 2\n    seed: int = field(default=0)\n"
+            "@dataclass\nclass Reordered:\n    seed: int = 0\n    shots: int = 1\n"
+            "@dataclass(frozen=True, eq=False)\nclass Choi:\n"
+            "    n_qubits: int\n    mat: object = field(repr=False)\n"
+            "@dataclass\nclass Factory:\n    seed: int = 0\n"
+            "    shots: list = field(default_factory=list)\n"
+        ),
+    }
+    assert config_field_lists(sources["a.py"]) == {"Run": ("shots", "seed")}
+    assert duplicate_configs(sources) == [
+        "b.py:Defaults repeats a.py:Run", "b.py:Factory repeats b.py:Reordered",
     ]

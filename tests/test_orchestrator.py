@@ -5,7 +5,6 @@ import pytest
 
 from quassert.orchestrator import (
     Assertion,
-    SuiteDefaults,
     SuiteValidationError,
     TestCase,
     TestSuite,
@@ -33,7 +32,7 @@ def bell_suite(bell_circuit, mutated_circuit):
             TestCase("test_1", bell_circuit, assertions),
             TestCase("test_2", mutated_circuit, assertions),
         ),
-        defaults=SuiteDefaults(shots=3000, seed=17, threshold=0.5),
+        defaults=RunConfig(shots=3000, seed=17, threshold=0.5),
     )
 
 
@@ -73,7 +72,7 @@ class TestRunSuite:
                     (Assertion(OutcomeDistribution(1, [1.0, 0.0])),),
                 ),
             ),
-            defaults=SuiteDefaults(shots=100, seed=0),
+            defaults=RunConfig(shots=100, seed=0),
         )
         report = run_suite(suite)
         assert report.records[0].result.probability == 1.0
@@ -121,7 +120,7 @@ class TestRunSuite:
                     (Assertion(dist, shots=123, threshold=0.01),),
                 ),
             ),
-            defaults=SuiteDefaults(shots=999, seed=4, threshold=0.9),
+            defaults=RunConfig(shots=999, seed=4, threshold=0.9),
         )
         report = run_suite(suite)
         result = report.records[0].result

@@ -1,11 +1,9 @@
 """Polymorphic dispatch and the three protocol implementations."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
-from quassert.orchestrator import SuiteDefaults
+from quassert import protocols
 from quassert.protocols import (
     AssertionResult,
     ContextError,
@@ -114,18 +112,6 @@ class TestRunProtocol:
         assert result.probability <= 0.05
         assert not result.passed
 
-    def test_explicit_protocol_mismatch_names_both(self, bell_circuit, expected_state):
-        config = RunConfig(shots=100, seed=0)
-        with pytest.raises(ContextError, match="state_tomo.*proj"):
-            run_protocol(bell_circuit, expected_state, config, protocol_id=PROTOCOL_PROJ)
-
-    def test_explicit_protocol_match_accepted(self, bell_circuit, expected_distribution):
-        config = RunConfig(shots=100, seed=0)
-        result = run_protocol(
-            bell_circuit, expected_distribution, config, protocol_id=PROTOCOL_PROJ
-        )
-        assert result.protocol_id == PROTOCOL_PROJ
-
     def test_determinism(self, bell_circuit, expected_state):
         config = RunConfig(shots=500, seed=99, threshold=0.5)
         a = run_protocol(bell_circuit, expected_state, config)
@@ -143,6 +129,18 @@ class TestRunProtocol:
         config = RunConfig(shots=100, seed=0)
         with pytest.raises(DimensionError):
             run_protocol(Circuit(1, (gate("h", 0),)), expected_distribution, config)
+
+    def test_mis_sized_process_ref_rejected_before_conversion(self, monkeypatch, bell_circuit):
+        def fail(c):
+            raise AssertionError("circuit_to_choi ran on a mis-sized reference")
+
+        monkeypatch.setattr(protocols, "circuit_to_choi", fail)
+        config = RunConfig(shots=100, seed=0)
+        with pytest.raises(DimensionError, match="2 qubit"):
+            run_protocol(Circuit(1, (gate("h", 0),)), ProcessRef(bell_circuit), config)
+
+    def test_process_ref_reports_its_circuits_qubit_count(self, bell_circuit):
+        assert ProcessRef(bell_circuit).n_qubits == bell_circuit.n_qubits == 2
 
     def test_noise_flows_through_backend(self, bell_circuit, expected_distribution):
         # Certain readout flips push every shot into forbidden bins.
@@ -164,15 +162,36 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             RunConfig(threshold=1.5)
 
-    def test_config_fields_follow_suite_defaults(self):
-        assert [f.name for f in fields(RunConfig)] == [f.name for f in fields(SuiteDefaults)]
-
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=seed)
         assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True],
+                             ids=["fraction", "float", "bool"])
+    def test_non_integer_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {bad!r}"):
+            RunConfig(seed=bad)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        seed = RunConfig(seed=np.uint64(7)).seed
+        assert seed == 7 and type(seed) is int
+
     def test_shots_beyond_int64_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             RunConfig(shots=2**63)
+
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, np.True_],
+                             ids=["fraction", "float", "bool", "numpy_bool"])
+    def test_non_integer_shots_rejected(self, bad):
+        # A float would draw int(shots) shots but report the float in the diagnostics.
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {bad!r}"):
+            RunConfig(shots=bad)
+
+    def test_numpy_integer_shots_accepted(self, bell_circuit, expected_distribution):
+        config = RunConfig(shots=np.int64(50))
+        assert type(config.shots) is int
+        a = run_protocol(bell_circuit, expected_distribution, config)
+        b = run_protocol(bell_circuit, expected_distribution, RunConfig(shots=50))
+        assert a == b and type(a.diagnostics["shots"]) is int

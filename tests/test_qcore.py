@@ -304,6 +304,44 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ChoiMatrix(1, np.diag([2.0, 1.0, -0.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, True, np.True_, "1", None],
+                             ids=["float", "fraction", "bool", "numpy_bool", "str", "none"])
+    def test_value_types_reject_non_integer_qubit_counts(self, bad):
+        for build in (
+            lambda: DensityMatrix(bad, np.diag([1.0, 0.0])),
+            lambda: ChoiMatrix(bad, np.diag([1.0, 0.0, 0.0, 1.0])),
+            lambda: OutcomeDistribution(bad, [0.5, 0.5]),
+        ):
+            with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {bad!r}"):
+                build()
+
+    @pytest.mark.parametrize("zero", [0, np.int64(0)], ids=["int", "numpy_int"])
+    def test_value_types_reject_zero_qubits(self, zero):
+        for build in (
+            lambda: Circuit(zero, ()),
+            lambda: DensityMatrix(zero, np.ones((1, 1))),
+            lambda: ChoiMatrix(zero, np.ones((1, 1))),
+            lambda: OutcomeDistribution(zero, [1.0]),
+        ):
+            with pytest.raises(ValueError, match="n_qubits must be positive, got 0"):
+                build()
+
+    def test_value_types_store_numpy_qubit_counts_as_int(self):
+        for value in (
+            DensityMatrix(np.int64(1), np.diag([1.0, 0.0])),
+            ChoiMatrix(np.uint8(1), np.diag([1.0, 0.0, 0.0, 1.0])),
+            OutcomeDistribution(np.int32(1), [0.5, 0.5]),
+        ):
+            assert type(value.n_qubits) is int and value.n_qubits == 1
+
+    def test_choi_matrix_checks_hermiticity_like_a_density_matrix(self):
+        bad = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
+        bad[0, 1] = 0.5
+        with pytest.raises(DimensionError, match="Choi matrix not Hermitian"):
+            ChoiMatrix(1, bad)
+        with pytest.raises(ValueError, match="Choi matrix not completely positive"):
+            ChoiMatrix(1, np.diag([2.5, 0.0, 0.0, -0.5]))
+
 
 class TestStateFidelity:
     def test_self_fidelity(self):

@@ -431,6 +431,32 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(exact_distribution(DensityMatrix.ground(1)).probs, 0, seed=0)
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, np.True_],
+                             ids=["fraction", "float", "bool", "numpy_bool"])
+    def test_non_integer_shots_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {bad!r}"):
+            sample(np.array([0.5, 0.5]), bad, seed=0)
+
+    def test_numpy_integer_shots_accepted(self):
+        counts = sample(np.array([0.5, 0.5]), np.int64(10), seed=0)
+        assert np.array_equal(counts, sample(np.array([0.5, 0.5]), 10, seed=0))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            sample(np.array([0.5, 0.5]), 10, seed)
+        assert sample(np.array([0.5, 0.5]), 10, 2**64 - 1).sum() == 10
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.True_],
+                             ids=["fraction", "float", "bool", "numpy_bool"])
+    def test_non_integer_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {bad!r}"):
+            sample(np.array([0.5, 0.5]), 10, bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        counts = sample(np.array([0.5, 0.5]), 10, np.uint64(7))
+        assert np.array_equal(counts, sample(np.array([0.5, 0.5]), 10, 7))
+
     def test_convergence_bound_at_1e5_shots(self, bell_circuit):
         state = evolve(DensityMatrix.ground(2), bell_circuit)
         shots = 100000

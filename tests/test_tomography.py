@@ -261,6 +261,19 @@ class TestStateTomography:
         with pytest.raises(SizeLimitError):
             state_tomography(Circuit(5), NOISELESS, 0, seed=0)
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, False],
+                             ids=["fraction", "float", "true", "false"])
+    def test_non_integer_shots_rejected(self, bad):
+        # A float would divide int(shots) counts by it: frequencies not summing to 1.
+        for tomography_fn in (state_tomography, process_tomography):
+            with pytest.raises(ValueError, match="shots_per_setting must be an integer"):
+                tomography_fn(Circuit(1, (gate("h", 0),)), NOISELESS, bad, seed=0)
+
+    def test_numpy_integer_shots_accepted(self, bell_circuit):
+        a = state_tomography(bell_circuit, NOISELESS, np.int64(40), seed=3)
+        b = state_tomography(bell_circuit, NOISELESS, 40, seed=3)
+        np.testing.assert_array_equal(a.mat, b.mat)
+
     @pytest.mark.parametrize("shots", [0, 40, 1000])
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
