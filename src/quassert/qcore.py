@@ -316,16 +316,21 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
 
 
 def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 of two exactly Hermitian PSD matrices."""
-    root = qmath.matrix_sqrt_psd(rho)
-    inner = root @ sigma @ root
-    values, _ = qmath.hermitian_eig((inner + inner.conj().T) / 2.0)
-    values = np.clip(values, 0.0, None)
-    # Zero rounding-noise eigenvalues: sqrt would blow 1e-16 noise up to 1e-8
-    # per eigenvalue and spoil the trace.
-    cutoff = float(values.max(initial=0.0)) * values.size * 1e-14
+    """Uhlmann fidelity [tr |sqrt(rho) sqrt(sigma)|]^2 of two exactly Hermitian PSD matrices.
+
+    Eigenvalues below ``max * d * 1e-14`` count as rounding noise.  When that
+    leaves either side with rank 1, F = tr(rho sigma) exactly; otherwise F is
+    the squared sum of the singular values of sqrt(rho) sqrt(sigma), taking
+    square roots of the states' own eigenvalues, never of a product's.
+    """
+    values, vectors = qmath.hermitian_eig(np.stack([rho, sigma]))
+    cutoff = values[:, -1:] * values.shape[-1] * 1e-14
     values[values < cutoff] = 0.0
-    fid = float(np.sum(np.sqrt(values)) ** 2)
+    if (values[:, -2] == 0.0).any():
+        fid = float(np.sum(rho * sigma.T).real)
+    else:
+        roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+        fid = float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
     if fid < -1e-6 or fid > 1.0 + 1e-6:
         raise NumericError(f"fidelity {fid!r} out of [0, 1] beyond tolerance")
     return min(max(fid, 0.0), 1.0)

@@ -405,16 +405,10 @@ class TestStateFidelity:
         rho = DensityMatrix(n, data.draw(density_matrices(n)))
         sigma = DensityMatrix(n, data.draw(density_matrices(n)))
         assert 0.0 <= state_fidelity(rho, sigma) <= 1.0
-        # The rounding cutoff in state_fidelity also zeroes genuine eigenvalues
-        # of rho below about sqrt(d) * 1e-7, which costs up to 2 d^1.5 * 1e-7;
-        # hypothesis finds such spectra (self-fidelity 1 - 3.2e-7 at d = 4).
-        dim = 2**n
-        assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=2 * dim**1.5 * 1e-7)
+        # Only eigenvalues below max * d * 1e-14 are dropped, so self-fidelity
+        # loses at most about 2 d^2 * 1e-14.
+        assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the rounding cutoff in state_fidelity zeroes the genuine eigenvalue 1.6e-7",
-    )
     def test_self_fidelity_keeps_small_genuine_eigenvalues(self):
         values = np.array([1.0, 4.5e-6, 1.6e-7, 0.0])
         rho = DensityMatrix(2, np.diag(values / values.sum()))
