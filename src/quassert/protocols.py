@@ -10,6 +10,7 @@ confidence threshold.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -25,10 +26,11 @@ from quassert.qcore import (
 from quassert.qmath import DimensionError, NumericError
 from quassert.simulator import (
     NoiseModel,
+    _diagonal_probs,
+    apply_readout,
     check_seed,
     check_shots,
     evolve,
-    exact_distribution,
     sample,
 )
 from quassert.stats import chi2_gof
@@ -87,9 +89,10 @@ def context_check(expected: ExpectedValue, protocol_id: str) -> bool:
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a probability."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    """Raise ValueError unless ``threshold`` is a real number (not a bool) in [0, 1]."""
+    real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+    if not (real and 0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,8 @@ def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
     state = evolve(DensityMatrix.ground(subject.n_qubits), subject, config.noise)
-    counts = sample(exact_distribution(state).probs, config.shots, config.seed, config.noise)
+    probs = apply_readout(_diagonal_probs(state.mat), config.noise)
+    counts = sample(probs, config.shots, config.seed)
     result = chi2_gof(counts, expected)
     diagnostics = {
         "statistic": result.statistic,

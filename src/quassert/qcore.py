@@ -303,9 +303,7 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
     """Choi matrix of the unitary channel implemented by the circuit."""
     u = circuit_to_unitary(c)
     d = c.dim
-    omega_vec = np.zeros(d * d, dtype=np.complex128)
-    omega_vec[:: d + 1] = 1.0  # sum_i |i> (x) |i>
-    lifted = qmath.kron(np.eye(d, dtype=np.complex128), u) @ omega_vec
+    lifted = u.T.reshape(-1)  # (I (x) u) sum_i |i> (x) |i>
     mat = np.outer(lifted, lifted.conj())
     choi = ChoiMatrix(c.n_qubits, mat)
     marginal = choi.input_marginal()
@@ -316,16 +314,13 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
 
 
 def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity [tr |sqrt(rho) sqrt(sigma)|]^2 of two exactly Hermitian PSD matrices.
+    """[tr |sqrt(rho) sqrt(sigma)|]^2 of two exactly Hermitian PSD matrices.
 
-    Eigenvalues below ``max * d * 1e-14`` count as rounding noise.  When that
-    leaves either side with rank 1, F = tr(rho sigma) exactly; otherwise F is
-    the squared sum of the singular values of sqrt(rho) sqrt(sigma), taking
-    square roots of the states' own eigenvalues, never of a product's.
-    """
+    Eigenvalues below ``max * d * 1e-14`` are rounding noise.  If either side
+    is then rank 1, F = tr(rho sigma); otherwise F squares the singular-value
+    sum of sqrt(rho) sqrt(sigma), rooting the states' own eigenvalues."""
     values, vectors = qmath.hermitian_eig(np.stack([rho, sigma]))
-    cutoff = values[:, -1:] * values.shape[-1] * 1e-14
-    values[values < cutoff] = 0.0
+    values[values < values[:, -1:] * values.shape[-1] * 1e-14] = 0.0
     if (values[:, -2] == 0.0).any():
         fid = float(np.sum(rho * sigma.T).real)
     else:

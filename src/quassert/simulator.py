@@ -2,10 +2,9 @@
 
 :func:`evolve`, :func:`exact_distribution`, :func:`pauli_distributions` and
 :func:`sample` are the one execution seam the protocols call; the noise model
-is passed per call.  :func:`pauli_distributions` alone holds the Pauli
-basis-rotation convention.  Distributions and counts in the seam are plain
-arrays; only :func:`exact_distribution`, an oracle users also pass as an
-expected value, returns a validated OutcomeDistribution.
+is passed per call.  Distributions and counts in the seam are plain arrays;
+only :func:`exact_distribution`, an oracle users also pass as an expected
+value, returns a validated OutcomeDistribution.
 
 One gate kernel evolves a stack of density matrices of shape
 ``(..., 2^n, 2^n)``: the expanded gate conjugates every matrix at once
@@ -16,16 +15,18 @@ of the same code; process tomography evolves all of its preparations so.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
-targets; the Pauli-basis rotations are noisy gates too.  Readout bit flips
-are applied by ``sample`` only.
+targets.  Readout bit flips, independent per bit, are folded into outcome
+probabilities (:func:`apply_readout`, and the Pauli-basis POVM of
+:func:`pauli_povm`, whose basis rotations are noisy gates too).
 
-Sampling is reproducible: every call owns a fresh generator built from its
-seed, and derived streams come from :func:`derive_seed` so results do not
-depend on execution order.
+Sampling is reproducible: :func:`sample` draws all of an assertion's counts
+from one generator built from its seed, and :func:`derive_seed` derives
+those seeds, so results do not depend on execution order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -185,9 +186,8 @@ def evolve(
     return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
-def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
-    """Normalized computational-basis diagonals of a (..., 2^n, 2^n) stack."""
-    probs = np.diagonal(mats, axis1=-2, axis2=-1).real.copy()
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """(..., 2^n) probabilities with rounding negatives zeroed and each row rescaled to sum 1."""
     low = float(probs.min())
     if low < -1e-9:
         raise NumericError(f"negative outcome probability {low:.3e}")
@@ -195,74 +195,87 @@ def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
+def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
+    """Normalized computational-basis diagonals of a (..., 2^n, 2^n) stack."""
+    return _normalized(np.diagonal(mats, axis1=-2, axis2=-1).real.copy())
+
+
 def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
     """Infinite-shot oracle: the computational-basis diagonal of the state."""
     return OutcomeDistribution(state.n_qubits, _diagonal_probs(state.mat))
 
 
-# Gates rotating each Pauli basis onto the computational (Z) basis.
-_PAULI_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
+def apply_readout(probs: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+    """(..., 2^n) outcome probabilities as read out: each bit flips independently
+    with ``readout_flip`` (the tensor-product readout model), which is
+    distribution-identical to flipping the bits of every drawn shot."""
+    if noise is None or noise.readout_flip == 0.0:
+        return probs
+    p, n = noise.readout_flip, probs.shape[-1].bit_length() - 1
+    grid = probs.reshape(probs.shape[:-1] + (2,) * n)
+    for axis in range(-n, 0):
+        grid = (1.0 - p) * grid + p * np.flip(grid, axis=axis)
+    return grid.reshape(probs.shape)
+
+
+# One-qubit circuits rotating the X, Y and Z bases onto the computational basis.
+_PAULI_ROTATIONS = [Circuit(1, tuple(GateOp(g, (0,)) for g in gates))
+                    for gates in (("h",), ("sdg", "h"), ())]
+
+
+@functools.lru_cache(maxsize=64)
+def pauli_povm(noise: NoiseModel | None) -> np.ndarray:
+    """E[letter, o], read-only, shape (3, 2, 2, 2): a qubit in state rho reads bit o
+    in basis "XYZ"[letter] with probability tr(rho E[letter, o]), noisy basis
+    rotation and readout flips included.  Built once per noise model by
+    running the four matrix units |i><j| through each rotation."""
+    units = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)  # unit 2i + j is |i><j|
+    reads = apply_readout(np.array([np.diagonal(_evolve_mat(units, rotation, noise), 0, 1, 2)
+                                    for rotation in _PAULI_ROTATIONS]), noise)
+    # reads[letter, 2i + j, o] = tr(|i><j| E[letter, o]) = E[letter, o][j, i]
+    povm = reads.transpose(0, 2, 1).reshape(3, 2, 2, 2).swapaxes(-1, -2)
+    povm.flags.writeable = False
+    return povm
 
 
 def pauli_distributions(
     state: DensityMatrix | np.ndarray, noise: NoiseModel | None = None
 ) -> np.ndarray:
-    """Outcome probabilities of all 3^n product Pauli-basis measurements.
+    """Outcome probabilities of all 3^n product Pauli-basis measurements, as read out.
 
     Row k measures qubit q in basis "XYZ"[(k // 3^q) % 3], so qubit 0's
     letter varies fastest; column o is the little-endian outcome index.  A
     DensityMatrix gives a (3^n, 2^n) array; a (B, 2^n, 2^n) stack gives a
-    (B, 3^n, 2^n) one.  The whole stack of settings is rotated one qubit at a
-    time (with gate noise when a noise model is given): settings that agree
-    on qubits 0..q-1 share those rotated matrices, so the rotations cost 3n
-    gate expansions in all.
+    (B, 3^n, 2^n) one.  Rotations, noise and readout flips act per qubit, so
+    setting k reads o with probability tr(rho (x)_q E[k_q, o_q]) for the POVM
+    E of :func:`pauli_povm`: one einsum of the stack with n copies of E.
     """
     mats, n = _stack_of(state)
-    mats = mats[None]  # (settings, B, 2^n, 2^n)
-    for q in range(n):
-        rotations = [Circuit(n, tuple(GateOp(g, (q,)) for g in _PAULI_ROTATIONS[name]))
-                     for name in "XYZ"]
-        mats = np.concatenate([_evolve_mat(mats, rotation, noise) for rotation in rotations])
-    probs = _diagonal_probs(mats.swapaxes(0, 1))
+    # Axis 0 is the stack; row, column, letter and outcome axes list qubit n-1 first.
+    rows, cols, letters, outcomes = (list(range(1 + g * n, 1 + (g + 1) * n)) for g in range(4))
+    povm = pauli_povm(noise)
+    factors = [x for j in range(n) for x in (povm, [letters[j], outcomes[j], cols[j], rows[j]])]
+    probs = np.einsum(mats.reshape((len(mats),) + (2,) * (2 * n)), [0, *rows, *cols],
+                      *factors, [0, *letters, *outcomes], optimize=True)
+    probs = _normalized(probs.real.reshape(len(mats), 3**n, 2**n))
     return probs[0] if isinstance(state, DensityMatrix) else probs
 
 
-def _readout_mask_probs(n_qubits: int, p: float) -> np.ndarray:
-    """Probability of each n-bit flip pattern under independent bit flips."""
-    probs = np.array([1.0])
-    for _ in range(n_qubits):
-        probs = np.concatenate([(1.0 - p) * probs, p * probs])
-    return probs
+def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """int64 counts of ``shots`` draws from each row of (..., 2^n) probabilities.
 
-
-def sample(
-    probs: np.ndarray, shots: int, seed: int, noise: NoiseModel | None = None
-) -> np.ndarray:
-    """Draw seeded measurement counts from a probability vector over 2^n outcomes.
-
-    Returns the int64 count of each little-endian outcome index; the counts
-    sum to ``shots``.  Readout bit flips of the noise model then act
-    independently per qubit per shot.  Counts are aggregated with multinomial
-    draws, which is distribution-identical to per-shot sampling.
+    One generator built from ``seed`` draws every row in one multinomial
+    call, which is distribution-identical to per-shot sampling.
     """
     shots = check_shots(shots)
     seed = check_seed(seed)
     probs = np.asarray(probs, dtype=np.float64)
-    n = probs.size.bit_length() - 1
-    if probs.ndim != 1 or n < 1 or probs.size != 2**n:
-        raise qmath.DimensionError(f"sample needs 2^n probabilities, got shape {probs.shape}")
+    n = probs.shape[-1].bit_length() - 1 if probs.ndim else 0
+    if n < 1 or probs.shape[-1] != 2**n:
+        raise qmath.DimensionError(f"sample needs rows of 2^n probabilities, got {probs.shape}")
     # numpy rejects negative and NaN entries but draws an excess sum's remainder
-    # into the last bin, so the sum is checked here.
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total:.12g}")
-    rng = np.random.default_rng(np.uint64(seed))
-    counts = rng.multinomial(shots, probs)
-
-    if noise is not None and noise.readout_flip > 0.0:
-        # split[j, mask] shots of outcome j read as j ^ mask; a zero count
-        # draws nothing, so the stream matches one draw per observed outcome.
-        split = rng.multinomial(counts, _readout_mask_probs(n, noise.readout_flip))
-        index = np.arange(counts.size)
-        counts = split[index[:, None] ^ index, index].sum(axis=1)
-    return counts
+    # into the last bin, so every row's sum is checked here.
+    off = float(np.max(np.abs(probs.sum(axis=-1) - 1.0)))
+    if off > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, a row is off by {off:.3g}")
+    return np.random.default_rng(np.uint64(seed)).multinomial(shots, probs)

@@ -1,29 +1,30 @@
 """Quantum state and process tomography by linear inversion.
 
 State tomography measures all 3^n per-qubit Pauli bases, whose outcome
-probabilities are the rows of one :func:`quassert.simulator.pauli_distributions`
-array (the basis rotations are noisy gates like the subject's), and inverts
-them with the product inverse channel of classical shadows: each outcome o of
+probabilities (noisy basis rotations and readout flips included) are the rows
+of one :func:`quassert.simulator.pauli_distributions` array, and inverts them
+with the product inverse channel of classical shadows: each outcome o of
 setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
 Pauli-string expectation.  A PSD projection then restores physicality.
 
 One reconstruction path serves both protocols.  It takes a stack of input
-states, evolves the subject once on the whole stack, rotates the stack once
-into every setting, samples each (input, setting) pair on its own seed
-stream, and inverts and projects the whole stack at once.  State tomography
-is the one-input case (|0...0>).  Process tomography feeds the path all 4^n
-product preparations from {|0>, |1>, |+>, |+i>}, built one qubit at a time
-so that common prefixes are shared, and then inverts the fixed preparation
-frame to assemble the Choi matrix.
+states, evolves the subject once on the whole stack, reads every (input,
+setting) distribution at once, draws all of the assertion's counts with one
+``sample`` call on its seed, and inverts and projects the whole stack at
+once.  State tomography is the one-input case (|0...0>).  Process tomography
+feeds the path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and
+then inverts the fixed preparation frame to assemble the Choi matrix.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
-the exact outcome distributions under noiseless basis rotations, so
-reconstruction is exact (up to the PSD projection's rounding) for the
+the exact outcome distributions under noiseless basis rotations and readout,
+so reconstruction is exact (up to the PSD projection's rounding) for the
 subject under the given noise model.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from quassert.qcore import (
     PAULI_Z,
     _as_int,
 )
-from quassert.simulator import NoiseModel, derive_seed, evolve, pauli_distributions, sample
+from quassert.simulator import NoiseModel, evolve, pauli_distributions, sample
 
 MAX_STATE_QUBITS = 4
 MAX_PROCESS_QUBITS = 3
@@ -75,22 +76,19 @@ def _reconstruct(
     subject: Circuit,
     noise: NoiseModel | None,
     shots_per_setting: int,
-    seeds: list[int],
+    seed: int,
 ) -> np.ndarray:
     """PSD-projected estimates of the subject's outputs on a (B, 2^n, 2^n) stack of inputs.
 
-    In sampled mode the frequencies of ``shots_per_setting`` draws replace the
-    probabilities of setting k for input b, drawn with the stream
-    ``derive_seed(seeds[b], "setting", k)``.
+    In sampled mode the frequencies of ``shots_per_setting`` draws, all from
+    one ``sample`` call on ``seed``, replace every (input, setting) pair's
+    probabilities.
     """
     n = subject.n_qubits
     outputs = _hermitian_part(evolve(inputs, subject, noise))
     probs = pauli_distributions(outputs, noise if shots_per_setting else None)
     if shots_per_setting:
-        counts = [[sample(row, shots_per_setting, derive_seed(seed, "setting", k), noise)
-                   for k, row in enumerate(rows)]
-                  for seed, rows in zip(seeds, probs)]
-        probs = np.array(counts) / shots_per_setting
+        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
     return qmath.psd_project(_invert_settings(probs, n), 1.0)
 
 
@@ -104,7 +102,7 @@ def state_tomography(
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
     ground = DensityMatrix.ground(n).mat[None]
-    return DensityMatrix(n, _reconstruct(ground, subject, noise, shots_per_setting, [seed])[0])
+    return DensityMatrix(n, _reconstruct(ground, subject, noise, shots_per_setting, seed)[0])
 
 
 def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
@@ -120,49 +118,33 @@ def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
     batch = probs.shape[:-2]
     probs = probs.reshape(batch + (3,) * n + (2,) * n)
     factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
-    rho = np.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)])
+    rho = np.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)],
+                    optimize=True)
     return rho.reshape(batch + (2**n, 2**n)) / 3**n
 
 
-def _single_qubit_prep_matrices() -> list[np.ndarray]:
-    zero = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    one = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    plus = np.full((2, 2), 0.5, dtype=np.complex128)
-    plus_i = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=np.complex128)
-    return [zero, one, plus, plus_i]
-
-
-def _dual_frame() -> np.ndarray:
-    """Coefficients expressing matrix units in the preparation frame.
-
-    ``DUAL[s, 2*a + b]`` is the weight of preparation ``s`` in the expansion
-    of the matrix unit |a><b|.  The frame is informationally complete by
-    construction; the inversion is asserted at import time.
-    """
-    frame = np.array([p.reshape(-1) for p in _single_qubit_prep_matrices()])
-    dual = np.linalg.inv(frame.T)
-    residual = np.max(np.abs(frame.T @ dual - np.eye(4)))
-    assert residual < 1e-12, f"preparation frame inversion failed: residual {residual:.3e}"
-    return dual
-
-
-_DUAL = _dual_frame()
-
-
+@functools.lru_cache(maxsize=64)
 def _preparations(n: int, noise: NoiseModel | None) -> np.ndarray:
-    """All 4^n product preparations from |0...0> as one (4^n, 2^n, 2^n) stack.
+    """All 4^n product preparations from |0...0> as one read-only (4^n, 2^n, 2^n) stack.
 
     Preparation m puts qubit q in label (m // 4^q) % 4 of ``0, 1, +, +i``, so
     qubit 0's label varies fastest.  The preparation gates (noisy like any other)
     are applied one qubit at a time, so preparations that agree on qubits
-    0..q-1 share those gates.
+    0..q-1 share those gates.  The stack is built once per (n, noise model).
     """
     mats = DensityMatrix.ground(n).mat[None]
     for q in range(n):
         preps = [Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
                  for gates in _PREP_GATES.values()]
         mats = np.concatenate([evolve(mats, prep, noise) for prep in preps])
-    return _hermitian_part(mats)
+    mats = _hermitian_part(mats)
+    mats.flags.writeable = False
+    return mats
+
+
+# _DUAL[s, 2a + b] is the weight of noiseless preparation s in the expansion of
+# the matrix unit |a><b|; the four preparations span the 2x2 matrices.
+_DUAL = np.linalg.inv(_preparations(1, None).reshape(4, 4).T)
 
 
 def _assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
@@ -190,13 +172,12 @@ def process_tomography(
 ) -> ChoiMatrix:
     """Reconstruct the subject's channel as an unnormalized Choi matrix.
 
-    This is state tomography on the stack of all 4^n preparations at once;
-    preparation m samples with the seed ``derive_seed(seed, "prep", m)``.
+    This is state tomography on the stack of all 4^n preparations at once,
+    all of it drawn from the one seed.
     """
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
-    seeds = [derive_seed(seed, "prep", m) for m in range(4**n)]
-    estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seeds)
+    estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seed)
     choi = _hermitian_part(_assemble_choi(estimates, n))
     projected = qmath.psd_project(choi, float(2**n))
     return ChoiMatrix(n, projected)

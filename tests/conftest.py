@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quassert.qcore import Circuit, GateOp, gate
+from quassert.simulator import _evolve_mat
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -88,6 +89,54 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> Cir
             a, b = rng.choice(n_qubits, size=2, replace=False)
             ops.append(GateOp(name, (int(a), int(b))))
     return Circuit(n_qubits, tuple(ops))
+
+
+def pauli_rotation(k, n):
+    """Reference rotation for setting k: the whole basis change as one circuit."""
+    ops = []
+    for q in range(n):
+        letter = "XYZ"[(k // 3**q) % 3]
+        if letter == "X":
+            ops.append(gate("h", q))
+        elif letter == "Y":
+            ops.extend((gate("sdg", q), gate("h", q)))
+    return Circuit(n, tuple(ops))
+
+
+def per_matrix_diagonal_probs(mat):
+    """Reference diagonal read: one 2^n x 2^n matrix at a time."""
+    probs = np.diag(mat).real.copy()
+    assert probs.min() >= -1e-9
+    probs[probs < 0.0] = 0.0
+    return probs / probs.sum()
+
+
+def kron_readout_mask(n, p):
+    """Reference flip-pattern probabilities: the Kronecker product of per-bit (1-p, p)."""
+    per_bit = np.array([1.0 - p, p])
+    probs = np.array([1.0])
+    for _ in range(n):
+        probs = np.kron(per_bit, probs)
+    return probs
+
+
+def xor_readout(probs, noise):
+    """Reference readout: outcome o ^ mask is read with the flip pattern's probability."""
+    if noise is None:
+        return probs
+    n = probs.shape[-1].bit_length() - 1
+    index = np.arange(2**n)
+    mask = kron_readout_mask(n, noise.readout_flip)
+    return np.einsum("...m,...om->...o", mask, probs[..., index[:, None] ^ index])
+
+
+def per_setting_pauli_probs(stack, n, noise):
+    """Reference (B, 3^n, 2^n) Pauli-basis probabilities as read out: each
+    setting's whole rotation evolved on its own, each matrix's diagonal read on
+    its own, then the readout flips of every outcome."""
+    rotated = [_evolve_mat(stack, pauli_rotation(k, n), noise) for k in range(3**n)]
+    return xor_readout(np.array([[per_matrix_diagonal_probs(mats[b]) for mats in rotated]
+                                 for b in range(len(stack))]), noise)
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ export behind.  Every module-level private function, class or constant
 outside its own definition, so a deleted path cannot leave its helpers
 behind.  No two config dataclasses (every field defaulted) may declare the
 same ordered field list, so one set of execution parameters has one type.
+Only ``simulator.sample`` may touch ``numpy.random``, so every count an
+assertion draws comes from the one generator its seed builds.
 """
 
 import ast
@@ -212,4 +214,46 @@ def test_config_scan_flags_repeated_field_lists():
     assert config_field_lists(sources["a.py"]) == {"Run": ("shots", "seed")}
     assert duplicate_configs(sources) == [
         "b.py:Defaults repeats a.py:Run", "b.py:Factory repeats b.py:Reordered",
+    ]
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """Each use of ``numpy.random`` as "owner:line", where owner is the
+    enclosing top-level definition (``<module>`` outside any)."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                hit = module.startswith("numpy.random") or (
+                    module == "numpy" and any(a.name == "random" for a in node.names))
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.random") for a in node.names)
+            else:
+                hit = False
+            if hit:
+                uses.append(f"{owner}:{node.lineno}")
+    return uses
+
+
+def test_only_sample_touches_numpy_random():
+    owners = {f"{p.name}:{use.split(':')[0]}" for p in PACKAGE.glob("*.py")
+              for use in numpy_random_uses(p.read_text(encoding="utf-8"))}
+    assert owners == {"simulator.py:sample"}
+
+
+def test_random_scan_flags_planted_generators():
+    source = (
+        "import numpy as np\nfrom numpy.random import default_rng\nimport numpy.random\n"
+        "from numpy import random\nfrom typing import Generator\n"
+        "def sample(seed):\n    return np.random.default_rng(seed)\n"
+        "def helper():\n    return numpy.random.Generator(np.random.PCG64(1))\n"
+        "RNG = np.random.default_rng(0)\n"
+    )
+    assert numpy_random_uses(source) == [
+        "<module>:2", "<module>:3", "<module>:4", "sample:7", "helper:9", "helper:9",
+        "<module>:10",
     ]

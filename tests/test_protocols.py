@@ -1,5 +1,7 @@
 """Polymorphic dispatch and the three protocol implementations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,17 @@ class TestRunProtocol:
         # A float would draw int(shots) shots but report the float in the diagnostics.
         with pytest.raises(ValueError, match=f"shots must be an integer, got {bad!r}"):
             RunConfig(shots=bad)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", None, 0.5j],
+                             ids=["true", "false", "numpy_bool", "string", "none", "complex"])
+    def test_non_real_threshold_rejected(self, bad):
+        message = f"threshold must be a real number in [0, 1], got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(threshold=bad)
+
+    @pytest.mark.parametrize("good", [0, 1, 0.25, np.float64(0.75), np.int64(1)])
+    def test_real_threshold_kept(self, good):
+        assert RunConfig(threshold=good).threshold == good
 
     def test_numpy_integer_shots_accepted(self, bell_circuit, expected_distribution):
         config = RunConfig(shots=np.int64(50))

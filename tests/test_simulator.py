@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from quassert.qcore import (
     PAULI_I,
@@ -25,11 +26,12 @@ from quassert.simulator import (
     _amplitude_damp,
     _depolarize,
     _evolve_mat,
-    _readout_mask_probs,
+    apply_readout,
     derive_seed,
     evolve,
     exact_distribution,
     pauli_distributions,
+    pauli_povm,
     sample,
 )
 
@@ -38,10 +40,18 @@ from conftest import (
     GATE_POOL_2Q,
     GATE_POOL_ROT,
     density_matrices,
+    kron_readout_mask,
+    pauli_rotation,
+    per_setting_pauli_probs,
     random_circuit,
     random_density,
     random_pure_state,
+    xor_readout,
 )
+
+# The product-POVM probabilities and the rotate-each-setting reference sum the
+# same terms in different orders; they agree to a few ulps.
+POVM_TOL = 1e-15
 
 
 def pauli_twirl_depolarize(mat, qubits, p, n):
@@ -64,43 +74,6 @@ def kraus_amplitude_damp(mat, qubit, gamma, n):
     for k in (embed_single_qubit(k0, qubit, n), embed_single_qubit(k1, qubit, n)):
         out += k @ mat @ k.conj().T
     return out
-
-
-def pauli_rotation(k, n):
-    """Reference rotation for setting k: the whole basis change as one circuit."""
-    ops = []
-    for q in range(n):
-        letter = "XYZ"[(k // 3**q) % 3]
-        if letter == "X":
-            ops.append(gate("h", q))
-        elif letter == "Y":
-            ops.extend((gate("sdg", q), gate("h", q)))
-    return Circuit(n, tuple(ops))
-
-
-def per_matrix_diagonal_probs(mat):
-    """Reference diagonal read: one 2^n x 2^n matrix at a time."""
-    probs = np.diag(mat).real.copy()
-    assert probs.min() >= -1e-9
-    probs[probs < 0.0] = 0.0
-    return probs / probs.sum()
-
-
-def per_setting_pauli_probs(stack, n, noise):
-    """Reference (B, 3^n, 2^n) Pauli-basis probabilities: each setting's whole
-    rotation evolved on its own, then each matrix's diagonal read on its own."""
-    rotated = [_evolve_mat(stack, pauli_rotation(k, n), noise) for k in range(3**n)]
-    return np.array([[per_matrix_diagonal_probs(mats[b]) for mats in rotated]
-                     for b in range(len(stack))])
-
-
-def kron_readout_mask(n, p):
-    """Reference flip-pattern probabilities: the Kronecker product of per-bit (1-p, p)."""
-    per_bit = np.array([1.0 - p, p])
-    probs = np.array([1.0])
-    for _ in range(n):
-        probs = np.kron(per_bit, probs)
-    return probs
 
 
 def per_outcome_readout(probs, shots, seed, p):
@@ -283,8 +256,8 @@ class TestPauliDistributions:
         probs = pauli_distributions(state, noise)
         assert probs.shape == (3**n, 2**n)
         for k, row in enumerate(probs):
-            reference = exact_distribution(evolve(state, pauli_rotation(k, n), noise))
-            assert np.array_equal(row, reference.probs), k
+            rotated = exact_distribution(evolve(state, pauli_rotation(k, n), noise)).probs
+            np.testing.assert_allclose(row, xor_readout(rotated, noise), rtol=0, atol=POVM_TOL)
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -296,17 +269,19 @@ class TestPauliDistributions:
         for mat, probs in zip(stack, per_state):
             single = pauli_distributions(DensityMatrix(n, mat), noise)
             assert single.shape == (3**n, 2**n)
-            assert np.array_equal(probs, single)
+            np.testing.assert_allclose(probs, single, rtol=0, atol=POVM_TOL)
 
-    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE, NoiseModel(0.05, 0.1, 0.07, 0.3)],
+                             ids=["noiseless", "default_noise", "strong_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_diagonals_match_per_matrix_reference(self, n, noise):
         rng = np.random.default_rng(90 + n)
         stack = np.array([random_density(rng, n) for _ in range(3)])
         reference = per_setting_pauli_probs(stack, n, noise)
-        assert np.array_equal(pauli_distributions(stack, noise), reference)
+        np.testing.assert_allclose(pauli_distributions(stack, noise), reference,
+                                   rtol=0, atol=POVM_TOL)
         single = pauli_distributions(DensityMatrix(n, stack[1]), noise)
-        assert np.array_equal(single, reference[1])
+        np.testing.assert_allclose(single, reference[1], rtol=0, atol=POVM_TOL)
 
     def test_x_basis_of_ground_is_uniform(self):
         x, y, z = pauli_distributions(DensityMatrix.ground(1))
@@ -321,6 +296,35 @@ class TestPauliDistributions:
         expected = exact_distribution(evolve(state, Circuit(2, (gate("h", 0), gate("h", 1)))))
         counts = sample(pauli_distributions(state)[0], 100000, seed=11)
         np.testing.assert_allclose(counts / 100000, expected.probs, atol=0.01)
+
+
+noise_models = st.builds(NoiseModel, *(st.floats(0.0, 1.0) for _ in range(4)))
+
+
+class TestPauliPovm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.none(), noise_models))
+    def test_effects_are_psd_and_sum_to_identity(self, noise):
+        povm = pauli_povm(noise)
+        assert povm.shape == (3, 2, 2, 2)
+        for letter in range(3):
+            np.testing.assert_allclose(povm[letter].sum(axis=0), np.eye(2), rtol=0, atol=POVM_TOL)
+            for effect in povm[letter]:
+                assert np.max(np.abs(effect - effect.conj().T)) <= POVM_TOL
+                assert np.linalg.eigvalsh(effect).min() >= -POVM_TOL
+
+    def test_noiseless_effects_are_the_eigenprojectors(self):
+        povm = pauli_povm(None)
+        for letter, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+            for outcome, sign in enumerate((1.0, -1.0)):
+                np.testing.assert_allclose(
+                    povm[letter, outcome], (PAULI_I + sign * pauli) / 2.0, rtol=0, atol=POVM_TOL
+                )
+
+    def test_built_once_per_noise_model_and_read_only(self):
+        assert pauli_povm(DEFAULT_NOISE) is pauli_povm(NoiseModel(0.001, 0.01, 0.001, 0.02))
+        with pytest.raises(ValueError):
+            pauli_povm(None)[0, 0, 0, 0] = 1.0
 
 
 class TestSample:
@@ -350,53 +354,70 @@ class TestSample:
 
     def test_certain_readout_flip(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(exact_distribution(DensityMatrix.ground(2)).probs, 50, seed=3, noise=noise)
+        probs = apply_readout(exact_distribution(DensityMatrix.ground(2)).probs, noise)
+        counts = sample(probs, 50, seed=3)
         assert counts.tolist() == [0, 0, 0, 50]
 
     def test_readout_flip_rate(self):
         noise = NoiseModel(readout_flip=0.1)
-        probs = exact_distribution(DensityMatrix.ground(1)).probs
-        counts = sample(probs, 100000, seed=9, noise=noise)
+        probs = apply_readout(exact_distribution(DensityMatrix.ground(1)).probs, noise)
+        counts = sample(probs, 100000, seed=9)
         rate = counts[1] / 100000
         assert rate == pytest.approx(0.1, abs=0.01)
 
-    def test_readout_flips_match_per_outcome_draws(self, monkeypatch):
-        default_rng = np.random.default_rng
-        made = []
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
-        )
-        rng = default_rng(12)
-        for case in range(40):
-            n = int(rng.integers(1, 5))
-            # Half the cases are basis states, so most outcomes draw no flips.
-            state = (
-                DensityMatrix(n, random_density(rng, n))
-                if case % 2
-                else DensityMatrix.from_statevector(np.eye(2**n)[rng.integers(2**n)])
-            )
-            shots = int(rng.choice([1, 7, 1000, 10**6]))
-            p = float(rng.choice([0.02, 0.3, 1.0]))
-            seed = int(rng.integers(2**63))
-            made.clear()
-            probs = exact_distribution(state).probs
-            counts = sample(probs, shots, seed, NoiseModel(readout_flip=p))
-            reference, after = per_outcome_readout(np.diag(state.mat).real, shots, seed, p)
-            assert np.array_equal(counts, reference)
-            assert made[0].integers(2**63) == after.integers(2**63)
+    def test_zero_readout_keeps_the_probabilities(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        assert apply_readout(probs, None) is probs
+        assert apply_readout(probs, NoiseModel(depolarizing_1q=0.2)) is probs
+
+    def test_readout_flips_match_per_outcome_draws(self):
+        # Folding the flips into the probabilities draws from the same law as
+        # flipping the bits of every drawn shot: pooled over seeds, the two
+        # samplers' counts pass a chi-squared homogeneity test.
+        rng = np.random.default_rng(12)
+        for n, p in ((1, 0.02), (2, 0.3), (3, 1.0), (3, 0.02)):
+            probs = exact_distribution(DensityMatrix(n, random_density(rng, n))).probs
+            folded = apply_readout(probs, NoiseModel(readout_flip=p))
+            pooled = np.zeros((2, 2**n), dtype=np.int64)
+            for seed in range(100):
+                pooled[0] += sample(folded, 200, seed)
+                pooled[1] += per_outcome_readout(probs, 200, 10**6 + seed, p)[0]
+            seen = pooled.sum(axis=0) > 0
+            assert chi2_contingency(pooled[:, seen]).pvalue > 1e-3, (n, p)
 
     @pytest.mark.parametrize("p", [0.02, 0.3, 1.0])
     def test_readout_mask_matches_kron_construction(self, p):
+        rng = np.random.default_rng(13)
+        noise = NoiseModel(readout_flip=p)
         for n in range(1, 9):
-            assert np.array_equal(_readout_mask_probs(n, p), kron_readout_mask(n, p)), n
+            probs = rng.dirichlet(np.ones(2**n), size=3)
+            folded = apply_readout(probs, noise)
+            np.testing.assert_allclose(folded, xor_readout(probs, noise), rtol=0, atol=POVM_TOL)
+            assert folded.shape == probs.shape
 
     def test_readout_flips_at_huge_shot_counts(self):
         shots = 2**62 + 12345
         state = DensityMatrix(2, random_density(np.random.default_rng(8), 2))
-        probs = exact_distribution(state).probs
-        counts = sample(probs, shots, seed=4, noise=NoiseModel(readout_flip=0.02))
+        probs = apply_readout(exact_distribution(state).probs, NoiseModel(readout_flip=0.02))
+        counts = sample(probs, shots, seed=4)
         assert counts.dtype == np.int64
         assert sum(int(c) for c in counts) == shots
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 9, 8)])
+    def test_one_draw_for_every_row(self, monkeypatch, shape):
+        rows = np.random.default_rng(14).dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+        )
+        counts = sample(rows, 30, seed=21)
+        assert len(made) == 1
+        assert counts.shape == shape and counts.dtype == np.int64
+        assert (counts.sum(axis=-1) == 30).all()
+        # The rows are drawn in order from the one generator, as one multinomial call.
+        expected = default_rng(np.uint64(21)).multinomial(30, rows)
+        assert np.array_equal(counts, expected)
 
     @pytest.mark.parametrize(
         "probs",
@@ -420,8 +441,8 @@ class TestSample:
         st.floats(0.0, 1.0),
     )
     def test_counts_are_nonnegative_int64_summing_to_shots(self, weights, shots, seed, p):
-        probs = np.array(weights) / sum(weights)
-        counts = sample(probs, shots, seed, NoiseModel(readout_flip=p))
+        probs = apply_readout(np.array(weights) / sum(weights), NoiseModel(readout_flip=p))
+        counts = sample(probs, shots, seed)
         assert counts.dtype == np.int64
         assert counts.shape == probs.shape
         assert counts.min() >= 0
@@ -492,8 +513,9 @@ class TestDeriveSeed:
 class TestBackendSeam:
     def test_backend_carries_noise(self):
         noise = NoiseModel(readout_flip=1.0)
-        counts = sample(exact_distribution(DensityMatrix.ground(2)).probs, 10, seed=0, noise=noise)
-        assert counts.tolist() == [0, 0, 0, 10]
+        probs = apply_readout(exact_distribution(DensityMatrix.ground(2)).probs, noise)
+        assert sample(probs, 10, seed=0).tolist() == [0, 0, 0, 10]
+        assert pauli_distributions(DensityMatrix.ground(1), noise)[2].tolist() == [0.0, 1.0]
 
 
 def assert_is_density_matrix(mat):

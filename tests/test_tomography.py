@@ -7,12 +7,15 @@ count and stay reproducible under fixed seeds.
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from quassert import qmath, simulator, tomography
+from quassert.protocols import RunConfig, run_protocol_detailed
 from quassert.qcore import (
     ChoiMatrix,
     Circuit,
     DensityMatrix,
+    OutcomeDistribution,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -24,7 +27,6 @@ from quassert.qcore import (
 from quassert.simulator import (
     DEFAULT_NOISE,
     NoiseModel,
-    derive_seed,
     evolve,
     pauli_distributions,
     sample,
@@ -39,9 +41,21 @@ from quassert.tomography import (
     state_tomography,
 )
 
-from conftest import random_circuit, random_density, random_hermitian, reference_psd_project
+from conftest import (
+    per_setting_pauli_probs,
+    random_circuit,
+    random_density,
+    random_hermitian,
+    reference_psd_project,
+    xor_readout,
+)
 
 NOISELESS = None
+# The product-POVM probabilities and the rotate-each-setting reference sum the
+# same terms in different orders; they agree to a few ulps.
+POVM_TOL = 1e-15
+# Batched and one-matrix inversions of the same counts differ in the last bits.
+REFERENCE_TOL = 1e-15
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
@@ -100,33 +114,41 @@ def preparation_settings(n):
     return settings
 
 
-def per_preparation_state_tomography(prep, subject, noise, shots, seed):
-    """Reference path: evolve the preparation and the subject as DensityMatrix
-    objects, then sample, invert and project one state with the one-matrix loop."""
-    n = subject.n_qubits
-    state = DensityMatrix.ground(n)
-    if prep.ops:
-        state = evolve(state, prep, noise)
-    state = evolve(state, subject, noise)
-    if shots == 0:
-        probs = pauli_distributions(state)
-    else:
-        probs = np.array([
-            sample(row, shots, derive_seed(seed, "setting", k), noise) / shots
-            for k, row in enumerate(pauli_distributions(state, noise))
-        ])
-    return DensityMatrix(n, reference_psd_project(_invert_settings(probs, n), 1.0))
+def spy_on_probabilities(monkeypatch):
+    """Record every probability array the tomography path reads."""
+    seen = []
+    original = tomography.pauli_distributions
+    monkeypatch.setattr(tomography, "pauli_distributions",
+                        lambda *args: seen.append(original(*args)) or seen[-1])
+    return seen
 
 
-def per_preparation_process_tomography(subject, noise, shots, seed):
-    """Reference path: one state tomography per preparation, then the Choi assembly."""
+def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
+    """Reference path: evolve each preparation and the subject as DensityMatrix
+    objects and rotate each setting on its own (:func:`per_setting_pauli_probs`).
+    Those probabilities must match ``drawn_from``, the ones the batched path
+    read, to ``POVM_TOL``.  Then draw every count from ``drawn_from`` with one
+    ``sample`` call (an exact zero draws nothing, so the stream depends on
+    which probabilities are exactly zero), and invert and project one state at
+    a time with the one-matrix loop."""
     n = subject.n_qubits
-    outputs = np.array([
-        per_preparation_state_tomography(
-            prep, subject, noise, shots, derive_seed(seed, "prep", m)
-        ).mat
-        for m, (_, prep) in enumerate(preparation_settings(n))
-    ])
+    outputs = []
+    for prep in preps:
+        state = DensityMatrix.ground(n)
+        if prep.ops:
+            state = evolve(state, prep, noise)
+        outputs.append(evolve(state, subject, noise).mat)
+    reference = per_setting_pauli_probs(np.array(outputs), n, noise if shots else None)
+    np.testing.assert_allclose(drawn_from, reference, rtol=0, atol=POVM_TOL)
+    probs = sample(drawn_from, shots, seed) / shots if shots else drawn_from
+    return np.array([reference_psd_project(_invert_settings(p, n), 1.0) for p in probs])
+
+
+def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from):
+    """Reference path: every preparation's state estimate, then the Choi assembly."""
+    n = subject.n_qubits
+    preps = [prep for _, prep in preparation_settings(n)]
+    outputs = per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from)
     choi = _assemble_choi(outputs, n)
     choi = (choi + choi.conj().T) / 2.0
     return ChoiMatrix(n, reference_psd_project(choi, float(2**n)))
@@ -277,15 +299,16 @@ class TestStateTomography:
     @pytest.mark.parametrize("shots", [0, 40, 1000])
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_one_state_path(self, n, noise, shots):
+    def test_matches_one_state_path(self, monkeypatch, n, noise, shots):
         rng = np.random.default_rng(700 + 10 * n + shots % 7)
+        seen = spy_on_probabilities(monkeypatch)
         for trial in range(2):
             subject = random_circuit(rng, n, 4 + 3 * trial)
             estimate = state_tomography(subject, noise, shots, seed=41 + trial)
-            reference = per_preparation_state_tomography(
-                Circuit(n), subject, noise, shots, 41 + trial
+            reference = per_preparation_estimates(
+                [Circuit(n)], subject, noise, shots, 41 + trial, seen[-1]
             )
-            assert np.array_equal(estimate.mat, reference.mat)
+            np.testing.assert_allclose(estimate.mat, reference[0], rtol=0, atol=REFERENCE_TOL)
 
     def test_estimate_is_valid_state(self, mutated_circuit):
         estimate = state_tomography(mutated_circuit, NOISELESS, 50, seed=1)
@@ -340,13 +363,103 @@ class TestProcessTomography:
         [None, DEFAULT_NOISE, NoiseModel(0.05, 0.1, 0.07, 0.1)],
         ids=["noiseless", "default_noise", "strong_noise"],
     )
-    def test_matches_per_preparation_path(self, n, shots, noise):
+    def test_matches_per_preparation_path(self, monkeypatch, n, shots, noise):
         rng = np.random.default_rng(500 + 10 * n + shots % 7)
+        seen = spy_on_probabilities(monkeypatch)
         for trial in range(2):
             subject = random_circuit(rng, n, 4 + 3 * trial)
             estimate = process_tomography(subject, noise, shots, seed=31 + trial)
-            reference = per_preparation_process_tomography(subject, noise, shots, 31 + trial)
-            assert np.array_equal(estimate.mat, reference.mat)
+            reference = per_preparation_process_tomography(
+                subject, noise, shots, 31 + trial, seen[-1]
+            )
+            # Compared as unit-trace states, like the state estimates.
+            np.testing.assert_allclose(estimate.mat / 2**n, reference.mat / 2**n,
+                                       rtol=0, atol=REFERENCE_TOL)
+
+
+def pooled_chi2_pvalue(counts, probs):
+    """Pearson chi-squared p-value of count rows, pooled over seeds, against
+    their exact probabilities.
+
+    Bins of probability below 1e-12 must stay empty and add no degree of
+    freedom; every other bin must expect at least 5 counts, so the
+    chi-squared approximation holds.
+    """
+    counts = counts.reshape(-1, counts.shape[-1])
+    probs = probs.reshape(counts.shape)
+    expected = counts.sum(axis=1, keepdims=True) * probs
+    live = probs >= 1e-12
+    assert not counts[~live].any()
+    assert expected[live].min() >= 5.0
+    statistic = float(np.sum((counts - expected)[live] ** 2 / expected[live]))
+    dof = int(np.sum(live.sum(axis=1) - 1))
+    return chi2.sf(statistic, dof) if dof else 1.0
+
+
+class TestPooledCounts:
+    """Counts pooled over many seeds follow the readout-confused exact
+    distribution of every setting, for each readout flip rate."""
+
+    SEEDS = range(40)
+    SHOTS = 500
+
+    @staticmethod
+    def noise(flip):
+        return NoiseModel(0.02, 0.05, 0.02, flip)
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        drawn = []
+        original = tomography.sample
+        monkeypatch.setattr(tomography, "sample",
+                            lambda *args: drawn.append(original(*args)) or drawn[-1])
+        return drawn
+
+    @pytest.mark.parametrize("flip", [0.0, 0.02, 0.3, 1.0])
+    def test_proj(self, flip):
+        n = 3
+        subject = random_circuit(np.random.default_rng(800), n, 8)
+        noise = self.noise(flip)
+        uniform = OutcomeDistribution(n, np.full(2**n, 2.0**-n))
+        pooled = np.zeros(2**n, dtype=np.int64)
+        for seed in self.SEEDS:
+            _, artifacts = run_protocol_detailed(
+                subject, uniform, RunConfig(shots=self.SHOTS, seed=seed, noise=noise)
+            )
+            for bits, count in artifacts["counts"].items():
+                pooled[int(bits, 2)] += count
+        state = evolve(DensityMatrix.ground(n), subject, noise)
+        exact = xor_readout(np.diag(state.mat).real, noise)
+        assert pooled_chi2_pvalue(pooled, exact) > 1e-3
+
+    @pytest.mark.parametrize("flip", [0.0, 0.02, 0.3, 1.0])
+    def test_state_tomography_settings(self, monkeypatch, flip):
+        n = 2
+        subject = random_circuit(np.random.default_rng(810), n, 6)
+        noise = self.noise(flip)
+        drawn = self.record_draws(monkeypatch)
+        for seed in self.SEEDS:
+            state_tomography(subject, noise, self.SHOTS, seed)
+        output = evolve(DensityMatrix.ground(n), subject, noise).mat[None]
+        exact = per_setting_pauli_probs(output, n, noise)
+        assert len(drawn) == len(self.SEEDS)
+        assert pooled_chi2_pvalue(sum(drawn), exact) > 1e-3
+
+    @pytest.mark.parametrize("flip", [0.0, 0.02, 0.3, 1.0])
+    def test_process_tomography_settings(self, monkeypatch, flip):
+        n = 1
+        subject = Circuit(n, (gate("rx", 0, angle=0.9), gate("t", 0)))
+        noise = self.noise(flip)
+        drawn = self.record_draws(monkeypatch)
+        for seed in self.SEEDS:
+            process_tomography(subject, noise, self.SHOTS, seed)
+        outputs = np.array([
+            evolve(evolve(DensityMatrix.ground(n), prep, noise), subject, noise).mat
+            for _, prep in preparation_settings(n)
+        ])
+        exact = per_setting_pauli_probs(outputs, n, noise)
+        assert len(drawn) == len(self.SEEDS)
+        assert pooled_chi2_pvalue(sum(drawn), exact) > 1e-3
 
 
 class TestWorkCounts:
@@ -365,21 +478,30 @@ class TestWorkCounts:
         return calls
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_pauli_rotations_expand_3n_gates(self, monkeypatch, n):
+    def test_pauli_povm_expands_3_gates_once(self, monkeypatch, n):
+        simulator.pauli_povm.cache_clear()
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
-        assert len(expansions) == 3 * n
+        pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
+        assert len(expansions) == 3
 
     @pytest.mark.parametrize("shots", [0, 10])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_process_tomography_expands_7n_plus_g_gates(self, monkeypatch, n, shots):
+    def test_process_tomography_expands_g_gates_once_warm(self, monkeypatch, n, shots):
         subject = random_circuit(np.random.default_rng(600 + n), n, 5)
+        simulator.pauli_povm.cache_clear()
+        tomography._preparations.cache_clear()
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
+        process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
+        # The first call also builds the preparations (4n gates) and the POVM
+        # (3 gates): noisy in sampled mode, noiseless in analytic mode.
+        assert len(expansions) == 4 * n + 3 + len(subject.ops)
+        expansions.clear()
         draws = self.count_calls(monkeypatch, tomography, "sample")
         projections = self.count_calls(monkeypatch, qmath, "psd_project")
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
-        assert len(expansions) == 7 * n + len(subject.ops)
-        assert len(draws) == (4**n * 3**n if shots else 0)
+        assert len(expansions) == len(subject.ops)
+        assert [a[0].shape for a in draws] == ([(4**n, 3**n, 2**n)] if shots else [])
         assert [a.shape for a, _ in projections] == [(4**n, 2**n, 2**n), (4**n, 4**n)]
 
     @pytest.mark.parametrize("shots", [0, 10])
@@ -390,4 +512,4 @@ class TestWorkCounts:
         draws = self.count_calls(monkeypatch, tomography, "sample")
         state_tomography(subject, DEFAULT_NOISE, shots, seed=2)
         assert [a.shape for a, _ in projections] == [(1, 2**n, 2**n)]
-        assert len(draws) == (3**n if shots else 0)
+        assert [a[0].shape for a in draws] == ([(1, 3**n, 2**n)] if shots else [])
