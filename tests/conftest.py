@@ -14,6 +14,10 @@ from quassert.simulator import _evolve_mat
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
 GATE_POOL_2Q = ("cx", "cz", "swap")
+# The product-POVM probabilities and the rotate-each-setting reference
+# (per_setting_pauli_probs) sum the same terms in different orders; they
+# agree to a few ulps.
+POVM_TOL = 1e-15
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from conftest import (
     GATE_POOL_1Q,
     GATE_POOL_2Q,
     GATE_POOL_ROT,
+    POVM_TOL,
     density_matrices,
     kron_readout_mask,
     pauli_rotation,
@@ -48,10 +49,6 @@ from conftest import (
     random_pure_state,
     xor_readout,
 )
-
-# The product-POVM probabilities and the rotate-each-setting reference sum the
-# same terms in different orders; they agree to a few ulps.
-POVM_TOL = 1e-15
 
 
 def pauli_twirl_depolarize(mat, qubits, p, n):
@@ -77,10 +74,8 @@ def kraus_amplitude_damp(mat, qubit, gamma, n):
 
 
 def per_outcome_readout(probs, shots, seed, p):
-    """Reference sampler: one multinomial flip-pattern draw per observed outcome.
-
-    Returns the count vector and the generator, positioned after the last draw.
-    """
+    """Reference sampler: draw the true outcomes, then one multinomial
+    flip-pattern draw per observed outcome."""
     rng = np.random.default_rng(np.uint64(seed))
     raw = rng.multinomial(shots, probs)
     mask_probs = kron_readout_mask(int(np.log2(probs.size)), p)
@@ -89,7 +84,7 @@ def per_outcome_readout(probs, shots, seed, p):
         if count:
             for mask, c in enumerate(rng.multinomial(int(count), mask_probs)):
                 flipped[outcome ^ mask] += c
-    return flipped, rng
+    return flipped
 
 
 class TestNoiseModel:
@@ -381,7 +376,7 @@ class TestSample:
             pooled = np.zeros((2, 2**n), dtype=np.int64)
             for seed in range(100):
                 pooled[0] += sample(folded, 200, seed)
-                pooled[1] += per_outcome_readout(probs, 200, 10**6 + seed, p)[0]
+                pooled[1] += per_outcome_readout(probs, 200, 10**6 + seed, p)
             seen = pooled.sum(axis=0) > 0
             assert chi2_contingency(pooled[:, seen]).pvalue > 1e-3, (n, p)
 

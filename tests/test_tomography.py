@@ -42,6 +42,7 @@ from quassert.tomography import (
 )
 
 from conftest import (
+    POVM_TOL,
     per_setting_pauli_probs,
     random_circuit,
     random_density,
@@ -51,9 +52,6 @@ from conftest import (
 )
 
 NOISELESS = None
-# The product-POVM probabilities and the rotate-each-setting reference sum the
-# same terms in different orders; they agree to a few ulps.
-POVM_TOL = 1e-15
 # Batched and one-matrix inversions of the same counts differ in the last bits.
 REFERENCE_TOL = 1e-15
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -114,12 +112,11 @@ def preparation_settings(n):
     return settings
 
 
-def spy_on_probabilities(monkeypatch):
-    """Record every probability array the tomography path reads."""
+def record_results(monkeypatch, name):
+    """Record every result of the function the tomography module calls as ``name``."""
     seen = []
-    original = tomography.pauli_distributions
-    monkeypatch.setattr(tomography, "pauli_distributions",
-                        lambda *args: seen.append(original(*args)) or seen[-1])
+    original = getattr(tomography, name)
+    monkeypatch.setattr(tomography, name, lambda *args: seen.append(original(*args)) or seen[-1])
     return seen
 
 
@@ -301,7 +298,7 @@ class TestStateTomography:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_one_state_path(self, monkeypatch, n, noise, shots):
         rng = np.random.default_rng(700 + 10 * n + shots % 7)
-        seen = spy_on_probabilities(monkeypatch)
+        seen = record_results(monkeypatch, "pauli_distributions")
         for trial in range(2):
             subject = random_circuit(rng, n, 4 + 3 * trial)
             estimate = state_tomography(subject, noise, shots, seed=41 + trial)
@@ -365,7 +362,7 @@ class TestProcessTomography:
     )
     def test_matches_per_preparation_path(self, monkeypatch, n, shots, noise):
         rng = np.random.default_rng(500 + 10 * n + shots % 7)
-        seen = spy_on_probabilities(monkeypatch)
+        seen = record_results(monkeypatch, "pauli_distributions")
         for trial in range(2):
             subject = random_circuit(rng, n, 4 + 3 * trial)
             estimate = process_tomography(subject, noise, shots, seed=31 + trial)
@@ -407,14 +404,6 @@ class TestPooledCounts:
     def noise(flip):
         return NoiseModel(0.02, 0.05, 0.02, flip)
 
-    @staticmethod
-    def record_draws(monkeypatch):
-        drawn = []
-        original = tomography.sample
-        monkeypatch.setattr(tomography, "sample",
-                            lambda *args: drawn.append(original(*args)) or drawn[-1])
-        return drawn
-
     @pytest.mark.parametrize("flip", [0.0, 0.02, 0.3, 1.0])
     def test_proj(self, flip):
         n = 3
@@ -437,7 +426,7 @@ class TestPooledCounts:
         n = 2
         subject = random_circuit(np.random.default_rng(810), n, 6)
         noise = self.noise(flip)
-        drawn = self.record_draws(monkeypatch)
+        drawn = record_results(monkeypatch, "sample")
         for seed in self.SEEDS:
             state_tomography(subject, noise, self.SHOTS, seed)
         output = evolve(DensityMatrix.ground(n), subject, noise).mat[None]
@@ -450,7 +439,7 @@ class TestPooledCounts:
         n = 1
         subject = Circuit(n, (gate("rx", 0, angle=0.9), gate("t", 0)))
         noise = self.noise(flip)
-        drawn = self.record_draws(monkeypatch)
+        drawn = record_results(monkeypatch, "sample")
         for seed in self.SEEDS:
             process_tomography(subject, noise, self.SHOTS, seed)
         outputs = np.array([
