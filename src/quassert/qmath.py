@@ -2,10 +2,10 @@
 
 Everything here works on plain ``numpy`` arrays of ``complex128`` and is sized
 for qubit-space matrices up to 256 x 256.  All functions are pure.  The
-eigendecomposition, PSD square root and PSD projection take a matrix or a
-``(..., d, d)`` stack of them and treat each matrix on its own; this module
-keeps only what numpy lacks: the Hermiticity check before ``eigh``, the
-rounding clamp of the square root and the truncating projection.
+eigendecomposition and PSD projection take a matrix or a ``(..., d, d)``
+stack of them and treat each matrix on its own; this module keeps only what
+numpy lacks: the Hermiticity check before ``eigh`` and the truncating
+projection.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ class DimensionError(ValueError):
 
 class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge or produced garbage."""
-
-
-class NotPSDError(NumericError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
 class DegenerateInputError(ValueError):
@@ -54,26 +50,15 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((a + adjoint) / 2.0)
 
 
-def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of a matrix or (..., d, d) stack via eigendecomposition.
-
-    Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
-    zero; anything more negative raises :class:`NotPSDError`.
-    """
-    values, vectors = hermitian_eig(a)
-    worst = float(values.min())
-    if worst < -PSD_CLAMP:
-        raise NotPSDError(
-            f"matrix_sqrt_psd requires a PSD matrix; eigenvalue {worst:.3e} < -{PSD_CLAMP:.0e}"
-        )
-    values[values < 0.0] = 0.0
-    root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    return (root + root.conj().swapaxes(-1, -2)) / 2.0
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product of two matrices; dimensions multiply.
+
+    One broadcast product forms the same entrywise products as ``np.kron``,
+    so the result is identical to it, without its general-rank bookkeeping."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:

@@ -7,11 +7,14 @@ only :func:`exact_distribution`, an oracle users also pass as an expected
 value, returns a validated OutcomeDistribution.
 
 One gate kernel evolves a stack of density matrices of shape
-``(..., 2^n, 2^n)``: the expanded gate conjugates every matrix at once
-(``u @ mats @ u^dag`` broadcasts) and the noise channels count qubit axes
-from the end.  :func:`evolve` and :func:`pauli_distributions` accept a
-``(B, 2^n, 2^n)`` stack as well as a DensityMatrix, which is the B = 1 case
-of the same code; process tomography evolves all of its preparations so.
+``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator: a one-qubit gate's
+2x2 unitary multiplies the qubit's row bit of every matrix, once before and
+once after a transpose; ``cx`` and ``swap`` gather rows and columns and ``cz``
+flips signs, both exactly; the noise channels act on the blocks of the
+gate's qubits, counting qubit axes from the end.  :func:`evolve` and
+:func:`pauli_distributions` accept a ``(B, 2^n, 2^n)`` stack as well as a
+DensityMatrix, which is the B = 1 case of the same code; process tomography
+evolves all of its preparations so.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,61 +104,107 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:8], "little")
 
 
-def _map_qubit_block(tensor: np.ndarray, qubit: int, n: int, fn) -> np.ndarray:
-    """Apply ``fn`` to ``qubit``'s 2x2 block of a (..., 2,)*2n reshaped stack.
+def _bit_block(n: int, qubit: int, row: int, col: int) -> tuple:
+    """Index of the (..., 2,)*2n bit view of a (..., 2^n, 2^n) stack that keeps
+    row bit ``row`` and column bit ``col`` of ``qubit`` (as length-1 axes).
 
-    The last 2n axes are the matrix's row then column bits; qubit q owns row
-    axis -n-1-q and column axis -1-q.  ``fn`` sees them as the last two axes.
-    """
-    axes = (-n - 1 - qubit, -1 - qubit)
-    return np.moveaxis(fn(np.moveaxis(tensor, axes, (-2, -1))), (-2, -1), axes)
-
-
-def _qubit_view(mats: np.ndarray, n: int) -> np.ndarray:
-    return mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
-
-
-def _half_trace_times_identity(block: np.ndarray) -> np.ndarray:
-    half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
-    return half_trace[..., None, None] * np.eye(2)
+    The last 2n axes are the matrix's row then column bits, most significant
+    first: qubit q owns row axis -n-1-q and column axis -1-q."""
+    index = [slice(None)] * (2 * n)
+    index[n - 1 - qubit] = slice(row, row + 1)
+    index[2 * n - 1 - qubit] = slice(col, col + 1)
+    return (Ellipsis, *index)
 
 
 def _depolarize(mats: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits."""
+    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits.
+
+    Half-traces one qubit at a time and adds p times the result to the
+    blocks where every traced qubit's row and column bits agree."""
     if p == 0.0:
         return mats
-    mixed = _qubit_view(mats, n)
+    bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
+    traced = bits
     for q in qubits:
-        mixed = _map_qubit_block(mixed, q, n, _half_trace_times_identity)
-    return (1.0 - p) * mats + p * mixed.reshape(mats.shape)
+        traced = (traced[_bit_block(n, q, 0, 0)] + traced[_bit_block(n, q, 1, 1)]) / 2.0
+    mixed = p * traced
+    out = (1.0 - p) * bits
+    for diagonal in itertools.product((0, 1), repeat=len(qubits)):
+        block = out
+        for q, bit in zip(qubits, diagonal):
+            block = block[_bit_block(n, q, bit, bit)]
+        block += mixed
+    return out.reshape(mats.shape)
 
 
 def _amplitude_damp(mats: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:
     """K0 rho K0^dag + K1 rho K1^dag with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|."""
     if gamma == 0.0:
         return mats
-    k0 = np.array([1.0, np.sqrt(1 - gamma)])
+    k0 = np.sqrt(1 - gamma)
     k1 = np.sqrt(gamma)
+    bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
+    at = functools.partial(_bit_block, n, qubit)
+    out = np.empty_like(bits)
+    # Same multiplication order as K rho K^dag, so the Kraus sum is matched bit for bit.
+    out[at(0, 0)] = bits[at(0, 0)] + bits[at(1, 1)] * k1 * k1
+    out[at(0, 1)] = bits[at(0, 1)] * k0
+    out[at(1, 0)] = bits[at(1, 0)] * k0
+    out[at(1, 1)] = bits[at(1, 1)] * k0 * k0
+    return out.reshape(mats.shape)
 
-    def damp(block: np.ndarray) -> np.ndarray:
-        # Same multiplication order as K rho K^dag, so the Kraus sum is matched bit for bit.
-        out = block * k0[:, None] * k0
-        out[..., 0, 0] += block[..., 1, 1] * k1 * k1
-        return out
 
-    return _map_qubit_block(_qubit_view(mats, n), qubit, n, damp).reshape(mats.shape)
+def _conjugate_one_qubit(mats: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """u rho u^dag on ``qubit`` of every matrix, as (conj(u) (u rho)^T)^T.
+
+    u multiplies ``qubit``'s row bit of the contiguous (..., L, 2, R * 2^n)
+    view, so no 2^n x 2^n operator is formed."""
+    shape = mats.shape
+    rows = shape[:-2] + (2 ** (n - 1 - qubit), 2, 2**qubit * shape[-1])
+    for factor in (u, u.conj()):
+        mats = np.matmul(factor, mats.reshape(rows)).reshape(shape).swapaxes(-1, -2)
+    return mats
+
+
+def _conjugate_two_qubit(
+    mats: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int
+) -> np.ndarray:
+    """u rho u^dag for a real signed-permutation 4x4 u (cx, cz, swap) on ``qubits``.
+
+    Row i of u (x) I has its one nonzero, sign[i], in column source[i], so the
+    result is sign[i] sign[j] rho[source[i], source[j]]: an exact gather and an
+    exact sign flip."""
+    a, b = qubits
+    index = np.arange(2**n)
+    local = ((index >> a) & 1) | (((index >> b) & 1) << 1)  # u's basis index of i
+    target = np.argmax(u != 0, axis=1)[local]
+    moved = local ^ target
+    source = index ^ ((moved & 1) << a) ^ ((moved >> 1) << b)
+    sign = u[local, target].real
+    if (source != index).any():
+        flat = (source[:, None] * index.size + source).reshape(-1)
+        mats = np.take(mats.reshape(mats.shape[:-2] + (-1,)), flat, axis=-1).reshape(mats.shape)
+    if (sign != 1.0).any():
+        mats = mats * (sign[:, None] * sign)
+    return mats
 
 
 def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    """Run every matrix of a (..., 2^n, 2^n) stack through the circuit."""
+    """Run every matrix of a (..., 2^n, 2^n) stack through the circuit.
+
+    Each gate takes its 2x2 or 4x4 unitary from the gate table on a register
+    of its own size and acts, with its noise, on its qubits' axes alone."""
     n = c.n_qubits
     for op in c.ops:
-        u = expanded_gate_matrix(op, n)
-        mats = u @ mats @ u.conj().T
-        if noise is not None:
-            if op.name in TWO_QUBIT_GATES:
+        k = len(op.qubits)
+        u = expanded_gate_matrix(GateOp(op.name, tuple(range(k)), op.angle), k)
+        if op.name in TWO_QUBIT_GATES:
+            mats = _conjugate_two_qubit(mats, u, op.qubits, n)
+            if noise is not None:
                 mats = _depolarize(mats, op.qubits, noise.depolarizing_2q, n)
-            else:
+        else:
+            mats = _conjugate_one_qubit(mats, u, op.qubits[0], n)
+            if noise is not None:
                 mats = _depolarize(mats, op.qubits, noise.depolarizing_1q, n)
                 mats = _amplitude_damp(mats, op.qubits[0], noise.amplitude_damping, n)
     return mats

@@ -8,7 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quassert.qcore import Circuit, GateOp, gate
+from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
 from quassert.simulator import _evolve_mat
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
@@ -18,6 +18,10 @@ GATE_POOL_2Q = ("cx", "cz", "swap")
 # (per_setting_pauli_probs) sum the same terms in different orders; they
 # agree to a few ulps.
 POVM_TOL = 1e-15
+# The gate kernel's one-qubit conjugation and the dense reference
+# (dense_conjugation) add the same nonzero products in different orders; they
+# agree to a few ulps.  Two-qubit gates must match the reference exactly.
+KERNEL_TOL = 1e-15
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -52,6 +56,53 @@ def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
     values *= target_trace / float(values.sum())
     out = (vectors * values) @ vectors.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def dense_conjugation(mats: np.ndarray, op: GateOp, n_qubits: int) -> np.ndarray:
+    """Reference gate application: U rho U^dag with the full 2^n x 2^n U."""
+    u = expanded_gate_matrix(op, n_qubits)
+    return u @ mats @ u.conj().T
+
+
+def _map_qubit_block(tensor, qubit, n, fn):
+    """Apply ``fn`` to ``qubit``'s 2x2 block of a (..., 2,)*2n reshaped stack,
+    moved to the last two axes and back (qubit q owns row axis -n-1-q and
+    column axis -1-q)."""
+    axes = (-n - 1 - qubit, -1 - qubit)
+    return np.moveaxis(fn(np.moveaxis(tensor, axes, (-2, -1))), (-2, -1), axes)
+
+
+def _half_trace_times_identity(block):
+    half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
+    return half_trace[..., None, None] * np.eye(2)
+
+
+def reference_depolarize(mats, qubits, p, n):
+    """The depolarizing channel by moving each qubit's block to the last two
+    axes, kept as the bit-exact reference for ``simulator._depolarize``."""
+    if p == 0.0:
+        return mats
+    mixed = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
+    for q in qubits:
+        mixed = _map_qubit_block(mixed, q, n, _half_trace_times_identity)
+    return (1.0 - p) * mats + p * mixed.reshape(mats.shape)
+
+
+def reference_amplitude_damp(mats, qubit, gamma, n):
+    """Amplitude damping by moving the qubit's block to the last two axes, kept
+    as the bit-exact reference for ``simulator._amplitude_damp``."""
+    if gamma == 0.0:
+        return mats
+    k0 = np.array([1.0, np.sqrt(1 - gamma)])
+    k1 = np.sqrt(gamma)
+
+    def damp(block):
+        out = block * k0[:, None] * k0
+        out[..., 0, 0] += block[..., 1, 1] * k1 * k1
+        return out
+
+    bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
+    return _map_qubit_block(bits, qubit, n, damp).reshape(mats.shape)
 
 
 def trace_norm(a: np.ndarray) -> float:

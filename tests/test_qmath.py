@@ -18,14 +18,12 @@ from quassert import qmath
 from quassert.qmath import (
     DegenerateInputError,
     DimensionError,
-    NotPSDError,
     hermitian_eig,
     kron,
-    matrix_sqrt_psd,
     psd_project,
 )
 
-from conftest import random_density, random_hermitian, random_psd, reference_psd_project
+from conftest import random_density, random_hermitian, reference_psd_project
 
 
 @st.composite
@@ -39,11 +37,6 @@ def hermitian_matrices(draw, max_dim: int = 8) -> np.ndarray:
 
 def _tol(a: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.abs(a).max()) * a.shape[0])
-
-
-BELL_PROJECTOR = 0.5 * np.array(
-    [[1, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]], dtype=complex
-)
 
 
 class TestHermitianEig:
@@ -124,51 +117,6 @@ class TestHermitianEig:
         np.testing.assert_allclose(values, [1.0, 2.0], atol=1e-9)
 
 
-class TestMatrixSqrtPsd:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
-
-    def test_pure_projector_is_its_own_root(self):
-        # Idempotent trace-1 projectors satisfy sqrt(rho) = rho.
-        np.testing.assert_allclose(
-            BELL_PROJECTOR @ BELL_PROJECTOR, BELL_PROJECTOR, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            matrix_sqrt_psd(BELL_PROJECTOR), BELL_PROJECTOR, atol=1e-10
-        )
-
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_square_recovers_input(self, dim):
-        rng = np.random.default_rng(dim)
-        a = random_psd(rng, dim)
-        root = matrix_sqrt_psd(a)
-        assert np.max(np.abs(root @ root - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NotPSDError, match="-1"):
-            matrix_sqrt_psd(np.diag([1.0, -1.0]))
-
-    def test_tiny_negative_clamped(self):
-        root = matrix_sqrt_psd(np.diag([1.0, -5e-9]))
-        np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-8)
-
-    def test_stack_matches_per_matrix_calls(self):
-        rng = np.random.default_rng(1400)
-        stack = np.array([random_psd(rng, 4) for _ in range(3)])
-        roots = matrix_sqrt_psd(stack)
-        for b, a in enumerate(stack):
-            assert np.array_equal(roots[b], matrix_sqrt_psd(a))
-
-    def test_negative_eigenvalue_in_stack_rejected(self):
-        with pytest.raises(NotPSDError):
-            matrix_sqrt_psd(np.array([np.eye(2), np.diag([1.0, -1.0])]))
-
-
 class TestKron:
     def test_identity_product(self):
         np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -188,6 +136,21 @@ class TestKron:
             np.testing.assert_allclose(
                 kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((1, 1), (2, 2)), ((2, 2), (1, 1)), ((1, 1), (1, 1)), ((2, 3), (4, 1)),
+         ((1, 4), (3, 2)), ((4, 4), (2, 2))],
+    )
+    def test_identical_to_numpy_kron(self, a_shape, b_shape):
+        rng = np.random.default_rng(1500)
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        for left, right in ((a, b), (a.real, b), (a, np.eye(*b_shape))):
+            expected = np.kron(left.astype(np.complex128), right.astype(np.complex128))
+            out = kron(left, right)
+            assert out.dtype == np.complex128 and out.shape == expected.shape
+            assert np.array_equal(out, expected)
 
 
 class TestPsdProject:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from quassert import simulator
 from quassert.qcore import (
     PAULI_I,
     PAULI_X,
@@ -39,14 +40,18 @@ from conftest import (
     GATE_POOL_1Q,
     GATE_POOL_2Q,
     GATE_POOL_ROT,
+    KERNEL_TOL,
     POVM_TOL,
     density_matrices,
+    dense_conjugation,
     kron_readout_mask,
     pauli_rotation,
     per_setting_pauli_probs,
     random_circuit,
     random_density,
     random_pure_state,
+    reference_amplitude_damp,
+    reference_depolarize,
     xor_readout,
 )
 
@@ -216,6 +221,64 @@ class TestStackedEvolution:
         raw = evolve(state.mat[None], c, noise)
         assert raw.shape == (1, 8, 8)
         assert np.array_equal(evolve(state, c, noise).mat, (raw[0] + raw[0].conj().T) / 2.0)
+
+
+class TestGateKernel:
+    """The axis-local kernel against the dense U rho U^dag and against the
+    moveaxis forms of the noise channels it replaced."""
+
+    @staticmethod
+    def inputs(rng, n):
+        """Two density matrices and a non-Hermitian matrix (pauli_povm evolves
+        the matrix units |i><j|): as a stack, as a (3, 1) grid and one at a time."""
+        d = 2**n
+        g = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+        stack = np.array([random_density(rng, n), random_density(rng, n), g])
+        return [stack, stack.reshape((3, 1, d, d))] + list(stack)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_conjugation(self, n):
+        ops = [gate(name, q) for name in GATE_POOL_1Q for q in range(n)]
+        ops += [gate(name, q, angle=0.7 + q) for name in GATE_POOL_ROT for q in range(n)]
+        ops += [gate(name, a, b) for name in GATE_POOL_2Q
+                for a in range(n) for b in range(n) if a != b]
+        inputs = self.inputs(np.random.default_rng(900 + n), n)
+        for op in ops:
+            for mats in inputs:
+                out = _evolve_mat(mats, Circuit(n, (op,)), None)
+                expected = dense_conjugation(mats, op, n)
+                assert out.shape == mats.shape
+                if op.name in GATE_POOL_2Q:
+                    assert np.array_equal(out, expected), op
+                else:
+                    assert np.max(np.abs(out - expected)) <= KERNEL_TOL, op
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_noise_channels_match_moveaxis_forms(self, n):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for mats in self.inputs(np.random.default_rng(910 + n), n):
+            for q in range(n):
+                for gamma in (0.001, 0.3, 1.0):
+                    assert np.array_equal(_amplitude_damp(mats, q, gamma, n),
+                                          reference_amplitude_damp(mats, q, gamma, n))
+            for qubits in [(q,) for q in range(n)] + pairs:
+                for p in (0.01, 0.5, 1.0):
+                    assert np.array_equal(_depolarize(mats, qubits, p, n),
+                                          reference_depolarize(mats, qubits, p, n)), qubits
+
+    def test_gates_expand_on_their_own_register(self, monkeypatch):
+        expand = simulator.expanded_gate_matrix
+        calls = []
+
+        def recording(op, n_qubits):
+            calls.append((op, n_qubits))
+            return expand(op, n_qubits)
+
+        monkeypatch.setattr(simulator, "expanded_gate_matrix", recording)
+        c = Circuit(4, tuple(every_gate_kind(4)))
+        _evolve_mat(self.inputs(np.random.default_rng(920), 4)[0], c, DEFAULT_NOISE)
+        assert len(calls) == len(c.ops)
+        assert all(n_qubits == len(op.qubits) for op, n_qubits in calls)
 
 
 class TestExactDistribution:
