@@ -132,8 +132,10 @@ def _matrix_to_pairs(mat) -> list:
 def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    state = evolve(DensityMatrix.ground(subject.n_qubits), subject, config.noise)
-    probs = apply_readout(_diagonal_probs(state.mat), config.noise)
+    # The validated ground state is the trust boundary; its CPTP image stays a
+    # raw stack (symmetrizing would leave the real diagonal exactly as it is).
+    outputs = evolve(DensityMatrix.ground(subject.n_qubits).mat[None], subject, config.noise)
+    probs = apply_readout(_diagonal_probs(outputs[0]), config.noise)
     counts = sample(probs, config.shots, config.seed)
     result = chi2_gof(counts, expected)
     diagnostics = {

@@ -4,11 +4,13 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` and is sized
 for qubit-space matrices up to 256 x 256.  All functions are pure.  The
 eigendecomposition and PSD projection take a matrix or a ``(..., d, d)``
 stack of them and treat each matrix on its own; this module keeps only what
-numpy lacks: the Hermiticity check before ``eigh`` and the truncating
-projection.
+numpy lacks: the Hermiticity check before ``eigh``, the truncating
+projection, and an ``einsum`` that plans its contraction path once per shape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -59,6 +61,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
+
+
+def einsum(*operands) -> np.ndarray:
+    """``np.einsum(*operands, optimize=True)`` for the interleaved form (array,
+    axes, ..., output axes), with the contraction path planned once per
+    operand shapes and axes rather than on every call."""
+    key = tuple((a.shape, tuple(axes)) for a, axes in zip(operands[:-1:2], operands[1:-1:2]))
+    return np.einsum(*operands, optimize=_einsum_path(key, tuple(operands[-1])))
+
+
+@functools.lru_cache(maxsize=128)
+def _einsum_path(operands: tuple, output: tuple) -> list:
+    """The path ``optimize=True`` picks; it depends on the shapes and axes alone."""
+    args = [x for shape, axes in operands for x in (np.broadcast_to(0.0, shape), list(axes))]
+    return np.einsum_path(*args, list(output), optimize=True)[0]
 
 
 def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:

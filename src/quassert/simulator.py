@@ -11,10 +11,13 @@ One gate kernel evolves a stack of density matrices of shape
 2x2 unitary multiplies the qubit's row bit of every matrix, once before and
 once after a transpose; ``cx`` and ``swap`` gather rows and columns and ``cz``
 flips signs, both exactly; the noise channels act on the blocks of the
-gate's qubits, counting qubit axes from the end.  :func:`evolve` and
-:func:`pauli_distributions` accept a ``(B, 2^n, 2^n)`` stack as well as a
-DensityMatrix, which is the B = 1 case of the same code; process tomography
-evolves all of its preparations so.
+gate's qubits, counting qubit axes from the end, and a one-qubit gate's
+depolarizing and damping noise is one pass (:func:`_noise_one_qubit`).
+:func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
+stack as well as a DensityMatrix, which is the B = 1 case of the same code.
+A stack stays raw: it is validated where it enters as a DensityMatrix, not
+after every gate.  Process tomography evolves all of its preparations so,
+and ``proj`` its validated ground state.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -117,7 +120,8 @@ def _bit_block(n: int, qubit: int, row: int, col: int) -> tuple:
 
 
 def _depolarize(mats: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits.
+    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits (a
+    two-qubit gate's noise; one-qubit gates use :func:`_noise_one_qubit`).
 
     Half-traces one qubit at a time and adds p times the result to the
     blocks where every traced qubit's row and column bits agree."""
@@ -137,20 +141,30 @@ def _depolarize(mats: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> 
     return out.reshape(mats.shape)
 
 
-def _amplitude_damp(mats: np.ndarray, qubit: int, gamma: float, n: int) -> np.ndarray:
-    """K0 rho K0^dag + K1 rho K1^dag with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|."""
-    if gamma == 0.0:
+def _noise_one_qubit(mats: np.ndarray, qubit: int, noise: NoiseModel, n: int) -> np.ndarray:
+    """A one-qubit gate's noise on ``qubit``, in one pass: depolarizing, then
+    amplitude damping with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|.
+
+    Works on the (..., 2^(n-1-q), 2, 2^(n-1), 2, 2^q) view whose axes -4 and -2
+    are the qubit's row and column bits, with the float operations, in their
+    order, of :func:`_depolarize` followed by K0 rho K0^dag + K1 rho K1^dag."""
+    p, gamma = noise.depolarizing_1q, noise.amplitude_damping
+    if p == 0.0 and gamma == 0.0:
         return mats
-    k0 = np.sqrt(1 - gamma)
-    k1 = np.sqrt(gamma)
-    bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
-    at = functools.partial(_bit_block, n, qubit)
-    out = np.empty_like(bits)
-    # Same multiplication order as K rho K^dag, so the Kraus sum is matched bit for bit.
-    out[at(0, 0)] = bits[at(0, 0)] + bits[at(1, 1)] * k1 * k1
-    out[at(0, 1)] = bits[at(0, 1)] * k0
-    out[at(1, 0)] = bits[at(1, 0)] * k0
-    out[at(1, 1)] = bits[at(1, 1)] * k0 * k0
+    view = mats.reshape(mats.shape[:-2] + (2 ** (n - 1 - qubit), 2, 2 ** (n - 1), 2, 2**qubit))
+    # (1.0 - p) * x would turn some signed zeros, so p == 0 copies instead.
+    out = (1.0 - p) * view if p else view.copy()
+    d00, d11 = out[..., 0, :, 0, :], out[..., 1, :, 1, :]
+    if p:
+        mixed = p * ((view[..., 0, :, 0, :] + view[..., 1, :, 1, :]) / 2.0)
+        d00 += mixed
+        d11 += mixed
+    if gamma:
+        k0 = np.sqrt(1 - gamma)
+        k1 = np.sqrt(gamma)
+        d00 += d11 * k1 * k1
+        out[..., 1, :, :, :] *= k0  # row bit 1: rho_10, and rho_11 (then rho_11 * k0 * k0)
+        out[..., :, :, 1, :] *= k0  # column bit 1: rho_01, and rho_11 again
     return out.reshape(mats.shape)
 
 
@@ -205,8 +219,7 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
         else:
             mats = _conjugate_one_qubit(mats, u, op.qubits[0], n)
             if noise is not None:
-                mats = _depolarize(mats, op.qubits, noise.depolarizing_1q, n)
-                mats = _amplitude_damp(mats, op.qubits[0], noise.amplitude_damping, n)
+                mats = _noise_one_qubit(mats, op.qubits[0], noise, n)
     return mats
 
 
@@ -305,8 +318,8 @@ def pauli_distributions(
     rows, cols, letters, outcomes = (list(range(1 + g * n, 1 + (g + 1) * n)) for g in range(4))
     povm = pauli_povm(noise)
     factors = [x for j in range(n) for x in (povm, [letters[j], outcomes[j], cols[j], rows[j]])]
-    probs = np.einsum(mats.reshape((len(mats),) + (2,) * (2 * n)), [0, *rows, *cols],
-                      *factors, [0, *letters, *outcomes], optimize=True)
+    probs = qmath.einsum(mats.reshape((len(mats),) + (2,) * (2 * n)), [0, *rows, *cols],
+                         *factors, [0, *letters, *outcomes])
     probs = _normalized(probs.real.reshape(len(mats), 3**n, 2**n))
     return probs[0] if isinstance(state, DensityMatrix) else probs
 

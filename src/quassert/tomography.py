@@ -118,8 +118,7 @@ def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
     batch = probs.shape[:-2]
     probs = probs.reshape(batch + (3,) * n + (2,) * n)
     factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
-    rho = np.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)],
-                    optimize=True)
+    rho = qmath.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)])
     return rho.reshape(batch + (2**n, 2**n)) / 3**n
 
 

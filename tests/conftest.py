@@ -74,31 +74,46 @@ def _map_qubit_block(tensor, qubit, n, fn):
 
 def _half_trace_times_identity(block):
     half_trace = np.trace(block, axis1=-2, axis2=-1) / 2.0
-    return half_trace[..., None, None] * np.eye(2)
+    return np.where(np.eye(2, dtype=bool), half_trace[..., None, None], 0.0)
+
+
+def _keep_diagonal(block):
+    return block & np.eye(2, dtype=bool)
 
 
 def reference_depolarize(mats, qubits, p, n):
     """The depolarizing channel by moving each qubit's block to the last two
-    axes, kept as the bit-exact reference for ``simulator._depolarize``."""
+    axes, kept as the bit-exact reference for ``simulator._depolarize``.
+
+    The mixed part is added only where every qubit's row and column bits
+    agree, so an exact zero keeps its sign (x + 0.0 would turn -0.0)."""
     if p == 0.0:
         return mats
     mixed = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
+    on_diagonal = np.ones(mixed.shape, dtype=bool)
     for q in qubits:
         mixed = _map_qubit_block(mixed, q, n, _half_trace_times_identity)
-    return (1.0 - p) * mats + p * mixed.reshape(mats.shape)
+        on_diagonal = _map_qubit_block(on_diagonal, q, n, _keep_diagonal)
+    out = (1.0 - p) * mats
+    np.add(out, p * mixed.reshape(mats.shape), out=out, where=on_diagonal.reshape(mats.shape))
+    return out
 
 
 def reference_amplitude_damp(mats, qubit, gamma, n):
     """Amplitude damping by moving the qubit's block to the last two axes, kept
-    as the bit-exact reference for ``simulator._amplitude_damp``."""
+    as the bit-exact reference for the damping stage of
+    ``simulator._noise_one_qubit``: K0 rho K0^dag scales row 1 and column 1 by
+    sqrt(1 - gamma), and K1 rho K1^dag adds gamma rho[1, 1] to rho[0, 0]."""
     if gamma == 0.0:
         return mats
-    k0 = np.array([1.0, np.sqrt(1 - gamma)])
+    k0 = np.sqrt(1 - gamma)
     k1 = np.sqrt(gamma)
 
     def damp(block):
-        out = block * k0[:, None] * k0
+        out = block.copy()
         out[..., 0, 0] += block[..., 1, 1] * k1 * k1
+        out[..., 1, :] *= k0
+        out[..., :, 1] *= k0
         return out
 
     bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))

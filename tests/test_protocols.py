@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from quassert import protocols
+from quassert import protocols, qmath
 from quassert.protocols import (
     AssertionResult,
     ContextError,
@@ -27,7 +27,16 @@ from quassert.qcore import (
     gate,
 )
 from quassert.qmath import DimensionError
-from quassert.simulator import NoiseModel
+from quassert.simulator import (
+    DEFAULT_NOISE,
+    NoiseModel,
+    apply_readout,
+    evolve,
+    exact_distribution,
+    sample,
+)
+
+from conftest import random_circuit
 
 
 @pytest.fixture
@@ -37,8 +46,6 @@ def expected_distribution():
 
 @pytest.fixture
 def expected_state(bell_circuit):
-    from quassert.simulator import evolve
-
     return evolve(DensityMatrix.ground(2), bell_circuit)
 
 
@@ -208,3 +215,36 @@ class TestRunProtocol:
         a = run_protocol(bell_circuit, expected_distribution, config)
         b = run_protocol(bell_circuit, expected_distribution, RunConfig(shots=50))
         assert a == b and type(a.diagnostics["shots"]) is int
+
+
+class TestProjWork:
+    """proj validates the ground state once and evolves it as a raw stack."""
+
+    def test_one_density_matrix_and_one_eigensolve(self, monkeypatch):
+        subject = random_circuit(np.random.default_rng(40), 3, 12)
+        expected = OutcomeDistribution(3, np.full(8, 1 / 8))
+        ground = DensityMatrix.ground(3).mat
+        built, solved = [], []
+        init, eig = DensityMatrix.__init__, qmath.hermitian_eig
+        monkeypatch.setattr(DensityMatrix, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a) or eig(a))
+        run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
+        assert len(built) == 1 and np.array_equal(built[0][1], ground)
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_match_the_validated_state(self, n, noise):
+        rng = np.random.default_rng(50 + n)
+        expected = OutcomeDistribution(n, np.full(2**n, 2.0**-n))
+        for _ in range(3):
+            subject = random_circuit(rng, n, 4 * n)
+            config = RunConfig(shots=300, seed=int(rng.integers(2**32)), noise=noise)
+            _, artifacts = run_protocol_detailed(subject, expected, config)
+            state = evolve(DensityMatrix.ground(n), subject, noise)
+            probs = apply_readout(exact_distribution(state).probs, noise)
+            counts = sample(probs, config.shots, config.seed)
+            assert artifacts["counts"] == {
+                format(k, f"0{n}b"): int(v) for k, v in enumerate(counts) if v
+            }

@@ -24,9 +24,9 @@ from quassert.qmath import DimensionError
 from quassert.simulator import (
     DEFAULT_NOISE,
     NoiseModel,
-    _amplitude_damp,
     _depolarize,
     _evolve_mat,
+    _noise_one_qubit,
     apply_readout,
     derive_seed,
     evolve,
@@ -173,9 +173,10 @@ class TestEvolve:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
     def test_amplitude_damp_matches_kraus_sum(self, n_qubits, gamma):
         rho = random_density(np.random.default_rng(54 + n_qubits), n_qubits)
+        damping = NoiseModel(amplitude_damping=gamma)
         for qubit in range(n_qubits):
             np.testing.assert_array_equal(
-                _amplitude_damp(rho, qubit, gamma, n_qubits),
+                _noise_one_qubit(rho, qubit, damping, n_qubits),
                 kraus_amplitude_damp(rho, qubit, gamma, n_qubits),
             )
 
@@ -223,6 +224,12 @@ class TestStackedEvolution:
         assert np.array_equal(evolve(state, c, noise).mat, (raw[0] + raw[0].conj().T) / 2.0)
 
 
+def same_bits(a, b):
+    """Equal bit for bit: -0.0 and 0.0 differ, unlike under np.array_equal."""
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
 class TestGateKernel:
     """The axis-local kernel against the dense U rho U^dag and against the
     moveaxis forms of the noise channels it replaced."""
@@ -257,14 +264,31 @@ class TestGateKernel:
     def test_noise_channels_match_moveaxis_forms(self, n):
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         for mats in self.inputs(np.random.default_rng(910 + n), n):
-            for q in range(n):
-                for gamma in (0.001, 0.3, 1.0):
-                    assert np.array_equal(_amplitude_damp(mats, q, gamma, n),
-                                          reference_amplitude_damp(mats, q, gamma, n))
             for qubits in [(q,) for q in range(n)] + pairs:
                 for p in (0.01, 0.5, 1.0):
-                    assert np.array_equal(_depolarize(mats, qubits, p, n),
-                                          reference_depolarize(mats, qubits, p, n)), qubits
+                    assert same_bits(_depolarize(mats, qubits, p, n),
+                                     reference_depolarize(mats, qubits, p, n)), qubits
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_fused_one_qubit_noise_matches_the_two_channels_bit_for_bit(self, n):
+        """Compared on the uint64 view, so that signed zeros count too: the
+        matrix units |i><j| (a stack of 4^n at n <= 3) are mostly exact zeros,
+        and every input gets a -0.0 entry, which 1.0 * x or x + 0.0 would turn."""
+        strengths = [(0.001, 0.001), (0.3, 0.7), (0.0, 0.2), (0.2, 0.0), (1.0, 1.0), (0.0, 0.0)]
+        inputs = self.inputs(np.random.default_rng(930 + n), n)
+        if n <= 3:
+            inputs.append(np.eye(4**n, dtype=np.complex128).reshape(4**n, 2**n, 2**n))
+        for mats in inputs:
+            mats = mats.copy()
+            mats[..., 0, -1] = complex(-0.0, -0.0)
+            for q in range(n):
+                for p, gamma in strengths:
+                    noise = NoiseModel(depolarizing_1q=p, amplitude_damping=gamma)
+                    fused = _noise_one_qubit(mats, q, noise, n)
+                    expected = reference_amplitude_damp(
+                        reference_depolarize(mats, (q,), p, n), q, gamma, n)
+                    assert fused.shape == mats.shape
+                    assert same_bits(fused, expected), (q, p, gamma)
 
     def test_gates_expand_on_their_own_register(self, monkeypatch):
         expand = simulator.expanded_gate_matrix
@@ -596,4 +620,15 @@ class TestNoiseChannelProperties:
     def test_amplitude_damp_keeps_a_density_matrix(self, data, n, gamma):
         rho = data.draw(density_matrices(n))
         qubit = data.draw(st.integers(0, n - 1))
-        assert_is_density_matrix(_amplitude_damp(rho, qubit, gamma, n))
+        p = data.draw(st.floats(0.0, 1.0))
+        noise = NoiseModel(depolarizing_1q=p, amplitude_damping=gamma)
+        assert_is_density_matrix(_noise_one_qubit(rho, qubit, noise, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 4), noise_models)
+    def test_evolved_raw_stack_stays_a_density_matrix(self, data, n, noise):
+        """The invariant proj no longer re-validates on its evolved state."""
+        rho = data.draw(density_matrices(n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        c = random_circuit(np.random.default_rng(seed), n, data.draw(st.integers(1, 16)))
+        assert_is_density_matrix(_evolve_mat(rho[None], c, noise)[0])

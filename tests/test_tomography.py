@@ -502,3 +502,21 @@ class TestWorkCounts:
         state_tomography(subject, DEFAULT_NOISE, shots, seed=2)
         assert [a.shape for a, _ in projections] == [(1, 2**n, 2**n)]
         assert [a[0].shape for a in draws] == ([(1, 3**n, 2**n)] if shots else [])
+
+
+class TestPlannedContractions:
+    """The contraction paths planned once per shape give the arrays that
+    planning on every call (``optimize=True``) gives."""
+
+    @pytest.mark.parametrize("noise", [NOISELESS, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cached_paths_match_optimize_true(self, monkeypatch, n, noise):
+        rng = np.random.default_rng(620 + n)
+        for size in (1, 4**n):
+            stack = np.array([random_density(rng, n) for _ in range(size)])
+            probs = pauli_distributions(stack, noise)
+            estimates = _invert_settings(probs, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(qmath, "einsum", lambda *ops: np.einsum(*ops, optimize=True))
+                assert np.array_equal(pauli_distributions(stack, noise), probs)
+                assert np.array_equal(_invert_settings(probs, n), estimates)
