@@ -31,7 +31,6 @@ from quassert.protocols import ProcessRef, RunConfig, protocol_for, run_protocol
 from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution
 from quassert.qmath import DegenerateInputError, NumericError
 from quassert.simulator import DEFAULT_NOISE, NoiseModel, check_seed, check_shots, derive_seed
-from quassert.stats import DegenerateTestError
 
 DEFAULT_SHOT_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
 DEFAULT_TRIALS = 20
@@ -180,8 +179,15 @@ def _decode_matrix(value, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _decode_assertion(obj, n_qubits: int, where: str) -> Assertion:
-    _object(obj, where, ("type", "value"), ("shots", "threshold"))
+def _decode_assertion(
+    obj, n_qubits: int, where: str, overrides: tuple[str, ...] = ("shots", "threshold")
+) -> Assertion:
+    """An assertion whose optional keys are ``overrides``.
+
+    A sweep's assertion takes none: its shots come from ``shot_grid``, and
+    the sweep averages probabilities instead of applying a threshold.
+    """
+    _object(obj, where, ("type", "value"), overrides)
     kind, value, at = obj["type"], obj["value"], f"{where}.value"
     if kind == "distribution":
         probs = np.asarray(_numbers(value, at), dtype=np.float64)
@@ -211,7 +217,7 @@ def _decode_case(raw, n_qubits: int, where: str, key: str) -> TestCase:
     subject = _decode_circuit(raw["circuit"], n_qubits, f"{where}.circuit")
     at = f"{where}.{key}"
     if key == "assertion":
-        return TestCase(name, subject, (_decode_assertion(raw[key], n_qubits, at),))
+        return TestCase(name, subject, (_decode_assertion(raw[key], n_qubits, at, ()),))
     items = _expect(raw[key], at, list, nonempty=True)
     return TestCase(name, subject, tuple(
         _decode_assertion(a, n_qubits, f"{at}[{i}]") for i, a in enumerate(items)
@@ -236,6 +242,10 @@ def _decode_suite(document) -> TestSuite:
     cases = tuple(
         _decode_case(case, n_qubits, f"cases[{i}]", "assertions") for i, case in enumerate(cases)
     )
+    first: dict[str, int] = {}
+    for i, case in enumerate(cases):
+        if first.setdefault(case.name, i) != i:
+            _fail(f"cases[{i}].name", f"duplicate case name {case.name!r}")
     return TestSuite(name, n_qubits, cases, defaults=defaults, save_data=save_data)
 
 
@@ -405,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_sweep(args)
-    except (NumericError, DegenerateInputError, DegenerateTestError) as exc:
+    except (NumericError, DegenerateInputError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as exc:  # SuiteValidationError is a ValueError

@@ -177,6 +177,6 @@ def process_tomography(
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
     estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seed)
-    choi = _hermitian_part(_assemble_choi(estimates, n))
-    projected = qmath.psd_project(choi, float(2**n))
+    # psd_project symmetrizes the assembled matrix before its eigensolve.
+    projected = qmath.psd_project(_assemble_choi(estimates, n), float(2**n))
     return ChoiMatrix(n, projected)

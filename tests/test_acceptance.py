@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from quassert.cli import load_suite, load_sweep, run_sweep
 from quassert.orchestrator import run_suite
@@ -37,7 +36,7 @@ from quassert.simulator import (
     exact_distribution,
     sample,
 )
-from quassert.stats import chi2_gof, chi2_p_value, regularized_gamma_q
+from quassert.stats import chi2_p_value, regularized_gamma_q
 from quassert.tomography import process_tomography, state_tomography
 
 from conftest import random_circuit, random_density, random_pure_state, trace_norm

@@ -506,6 +506,11 @@ _SCHEMA_RULE_ROWS = [
     ("run", ("defaults", "noise"), {"dephasing": 0.1}, ["defaults.noise"], "unknown_noise_key"),
     ("sweep", ("trials",), 2, ["trials"], "unknown_sweep_key"),
     ("sweep", ("positive_case", "extra"), 1, ["positive_case", "extra"], "unknown_case_key"),
+    # a sweep takes its shots from shot_grid and averages probabilities
+    ("sweep", ("positive_case", "assertion", "shots"), 40,
+     ["positive_case.assertion: unknown key 'shots'"], "sweep_assertion_shots"),
+    ("sweep", ("negative_case", "assertion", "threshold"), 0.1,
+     ["negative_case.assertion: unknown key 'threshold'"], "sweep_assertion_threshold"),
     # wrong JSON type for each field
     ("run", ("name",), 5, ["name"], "type_name"),
     ("run", ("n_qubits",), "1", ["n_qubits"], "type_n_qubits"),
@@ -648,6 +653,16 @@ class TestMalformedDocuments:
         assert captured.out == ""
         for needle in needles:
             assert needle in captured.err
+
+    def test_duplicate_case_name_located(self, capsys, tmp_path):
+        document = _table_document(tmp_path, "run", ("name",), "table")
+        doc = json.loads(Path(document).read_text())
+        doc["cases"] = [dict(doc["cases"][0], name="a"), dict(doc["cases"][0], name="a")]
+        Path(document).write_text(json.dumps(doc))
+        assert main(["run", document]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{document}: cases[1].name: duplicate case name 'a'" in captured.err
 
     @pytest.mark.parametrize(
         "command, path, as_float, as_int",

@@ -2,8 +2,8 @@
 no private definition is dead.
 
 No lint tool is part of the test environment, so these AST scans are the
-import and dead-code lints for ``src/quassert``.  ``__init__.py`` is exempt
-from the unused-import scan: its imports are the package's re-exports, so
+import and dead-code lints for ``src/quassert``; the unused-import scan
+covers ``tests/`` too.  ``__init__.py`` is exempt from the unused-import scan: its imports are the package's re-exports, so
 instead every name it imports must be listed in ``__all__`` and every name
 in ``__all__`` must resolve.  A deleted type therefore cannot leave a stale
 export behind.  Every module-level private function, class or constant
@@ -24,6 +24,7 @@ import quassert
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quassert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -59,7 +60,11 @@ def unexported_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in exported]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

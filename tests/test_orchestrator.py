@@ -14,7 +14,7 @@ from quassert.orchestrator import (
     validate_suite,
 )
 from quassert.protocols import ProcessRef, RunConfig, run_protocol
-from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, circuit_to_choi, gate
+from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, circuit_to_choi
 from quassert.simulator import DEFAULT_NOISE, derive_seed, evolve
 
 

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quassert import qmath
 from quassert.qmath import (
     DegenerateInputError,
     DimensionError,

@@ -1,8 +1,8 @@
 """Chi-squared goodness of fit and the incomplete gamma function.
 
-The gamma implementation is checked against direct numerical integration of
-the chi-squared density (an oracle that shares no code with the series or
-continued-fraction evaluation).
+The finite-sum gamma tail is checked against direct numerical integration of
+the chi-squared density (an oracle that shares no code with it) and against
+``scipy.special.gammaincc`` at the large shapes a wide register produces.
 """
 
 import math
@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
-from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
+from quassert.qcore import DensityMatrix, OutcomeDistribution
 from quassert.simulator import derive_seed, evolve, exact_distribution, sample
 from quassert.stats import (
     Chi2Result,
-    DegenerateTestError,
     chi2_gof,
     chi2_p_value,
     regularized_gamma_q,
@@ -84,6 +84,21 @@ class TestRegularizedGammaQ:
             regularized_gamma_q(0.0, 1.0)
         with pytest.raises(ValueError):
             regularized_gamma_q(1.0, -0.5)
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            regularized_gamma_q(0.3, 1.0)
+
+    @pytest.mark.parametrize(
+        "twice_s", [1, 2, 3, 4, 7, 16, 31, 80, 127, 512, 1023, 4095, 8191, 16384, 65535]
+    )
+    def test_matches_scipy_gammaincc(self, twice_s):
+        # x near 0, across s +- 4 sqrt(s) where the chi-squared tail turns
+        # over, and far beyond s.
+        s = twice_s / 2.0
+        width = 4.0 * math.sqrt(s)
+        xs = [1e-300, 1e-9, 1e-3, *np.linspace(max(s - width, 1e-3), s + width, 17),
+              10.0 * s + 50.0, 100.0 * s + 500.0]
+        for x in xs:
+            assert regularized_gamma_q(s, x) == pytest.approx(gammaincc(s, x), abs=1e-10), x
 
 
 class TestChi2PValue:
@@ -103,6 +118,9 @@ class TestChi2PValue:
     def test_dof_validated(self):
         with pytest.raises(ValueError):
             chi2_p_value(1.0, 0)
+
+    def test_thousands_of_degrees_of_freedom(self):
+        assert chi2_p_value(8190.0, 8191) == pytest.approx(gammaincc(4095.5, 4095.0), abs=1e-10)
 
 
 class TestChi2Gof:
@@ -182,6 +200,13 @@ class TestChi2Gof:
     def test_malformed_counts_rejected(self, counts):
         with pytest.raises(ValueError):
             chi2_gof(np.array(counts), OutcomeDistribution(1, [0.5, 0.5]))
+
+    def test_uniform_13_qubit_counts_get_a_p_value(self):
+        expected = OutcomeDistribution(13, np.full(2**13, 2.0**-13))
+        for seed in range(20):
+            result = chi2_gof(sample(expected.probs, 10**5, seed), expected)
+            assert result.dof == 2**13 - 1
+            assert 0.0 <= result.p_value <= 1.0
 
     def test_null_calibration(self, bell_circuit):
         # Sampling from the expected distribution itself: the rejection rate

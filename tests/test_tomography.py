@@ -20,7 +20,6 @@ from quassert.qcore import (
     PAULI_Y,
     PAULI_Z,
     circuit_to_choi,
-    circuit_to_unitary,
     gate,
     state_fidelity,
 )
