@@ -25,10 +25,9 @@ from quassert.orchestrator import (
     TestSuite,
     format_report,
     run_suite,
-    validate_assertion,
 )
 from quassert.protocols import ProcessRef, RunConfig, protocol_for, run_protocol
-from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution
+from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution, _as_int
 from quassert.qmath import DegenerateInputError, NumericError
 from quassert.simulator import DEFAULT_NOISE, NoiseModel, check_seed, check_shots, derive_seed
 
@@ -51,7 +50,6 @@ class SweepConfig:
     """A correct/mutated subroutine pair swept over shot counts."""
 
     name: str
-    n_qubits: int
     positive_case: TestCase
     negative_case: TestCase
     shot_grid: tuple[int, ...] = DEFAULT_SHOT_GRID
@@ -67,12 +65,14 @@ class SweepConfig:
                 f"positive and negative cases use different assertion types "
                 f"({proto_pos} vs {proto_neg})"
             )
-        if not self.shot_grid or list(self.shot_grid) != sorted(self.shot_grid):
+        grid = tuple(check_shots(shots, "shot_grid entries") for shots in self.shot_grid)
+        if not grid or list(grid) != sorted(grid):
             raise ValueError("shot_grid must be non-empty and ascending")
-        check_shots(self.shot_grid[0], "shot_grid entries")
-        check_shots(self.shot_grid[-1], "shot_grid entries")
-        if self.trials_per_point < 1:
-            raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        object.__setattr__(self, "shot_grid", grid)
+        trials = _as_int(self.trials_per_point, "trials_per_point")
+        if trials < 1:
+            raise ValueError(f"trials_per_point must be >= 1, got {trials}")
+        object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -202,12 +202,7 @@ def _decode_assertion(
         _fail(f"{where}.type", f"unknown assertion type {kind!r}; "
               "use distribution, state, process or process_ref")
     shots, threshold = _field(obj, "shots", where, int), _field(obj, "threshold", where, float)
-    assertion = Assertion(expected, shots, threshold)
-    validate_assertion(assertion, n_qubits, where)
-    if kind == "process_ref":
-        # Checked against the tomography cap above, before the 4^n Choi matrix is built.
-        assertion = replace(assertion, expected=_build(where, expected.choi))
-    return assertion
+    return _build(where, Assertion, expected, shots, threshold)
 
 
 def _decode_case(raw, n_qubits: int, where: str, key: str) -> TestCase:
@@ -242,10 +237,6 @@ def _decode_suite(document) -> TestSuite:
     cases = tuple(
         _decode_case(case, n_qubits, f"cases[{i}]", "assertions") for i, case in enumerate(cases)
     )
-    first: dict[str, int] = {}
-    for i, case in enumerate(cases):
-        if first.setdefault(case.name, i) != i:
-            _fail(f"cases[{i}].name", f"duplicate case name {case.name!r}")
     return TestSuite(name, n_qubits, cases, defaults=defaults, save_data=save_data)
 
 
@@ -264,7 +255,6 @@ def _decode_sweep(document) -> SweepConfig:
         "",
         SweepConfig,
         name=name,
-        n_qubits=n_qubits,
         **cases,
         shot_grid=grid,
         trials_per_point=_field(document, "trials_per_point", "", int, DEFAULT_TRIALS),
@@ -274,7 +264,10 @@ def _decode_sweep(document) -> SweepConfig:
 
 
 def _load(path: str | Path, decode):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SuiteValidationError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     try:
         return decode(json.loads(text))
     except json.JSONDecodeError as exc:

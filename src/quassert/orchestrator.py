@@ -2,11 +2,12 @@
 
 A suite is a declarative document: named cases, each holding a subject
 circuit and an ordered list of assertions whose expected-value types select
-the protocols.  Execution never aborts on a failing assertion - failures are
-results, not errors.  Per-assertion seeds derive from the master seed, the
-case name and the assertion ordinal, so reports are reproducible and
-independent of scheduling.  Suites can equally be built programmatically from
-these dataclasses and run with :func:`run_suite`.
+the protocols.  Each type raises :class:`SuiteValidationError` for its own
+rules when it is built, so a suite that exists runs: :func:`run_suite`
+checks nothing.  Failures are results, not errors.  Per-assertion seeds
+derive from the master seed, the case name and the assertion ordinal, so
+reports are reproducible.  A report stores only its records; case verdicts
+and the summary derive from them.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from quassert.protocols import (
     PROTOCOL_PROCESS,
     PROTOCOL_STATE,
     AssertionResult,
+    ContextError,
     ExpectedValue,
+    ProcessRef,
     RunConfig,
-    check_threshold,
     protocol_for,
     run_protocol_detailed,
 )
 from quassert.qcore import Circuit
-from quassert.simulator import check_shots, derive_seed
+from quassert.simulator import check_shots, check_threshold, derive_seed
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
 _TOMOGRAPHY_QUBIT_LIMITS = {
@@ -40,15 +42,36 @@ class SuiteValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Assertion:
-    """One expected value plus optional per-assertion overrides."""
+    """One expected value plus optional per-assertion overrides.
+
+    A :class:`ProcessRef` is replaced by its Choi matrix once it has passed
+    the tomography cap, so an oversized 4^n matrix is never built.
+    """
 
     expected: ExpectedValue
     shots: int | None = None
     threshold: float | None = None
 
+    def __post_init__(self) -> None:
+        try:
+            protocol, n_qubits = protocol_for(self.expected), self.expected.n_qubits
+            limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
+            if limit is not None and n_qubits > limit:
+                raise ValueError(f"{protocol} supports at most {limit} qubit(s), got {n_qubits}")
+            if self.shots is not None:
+                object.__setattr__(self, "shots", check_shots(self.shots))
+            if self.threshold is not None:
+                check_threshold(self.threshold)
+        except (ContextError, ValueError) as exc:
+            raise SuiteValidationError(str(exc)) from exc
+        if isinstance(self.expected, ProcessRef):
+            object.__setattr__(self, "expected", self.expected.choi())
+
 
 @dataclass(frozen=True)
 class TestCase:
+    """A subject circuit and its non-empty assertions, all on its register."""
+
     __test__ = False  # domain object, not a pytest class
 
     name: str
@@ -57,10 +80,21 @@ class TestCase:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assertions", tuple(self.assertions))
+        if not self.assertions:
+            raise SuiteValidationError(f"case {self.name!r} has no assertions")
+        for i, assertion in enumerate(self.assertions):
+            qubits = assertion.expected.n_qubits
+            if qubits != self.subject.n_qubits:
+                raise SuiteValidationError(
+                    f"case {self.name!r}, assertion {i}: expected value uses {qubits} "
+                    f"qubit(s) but the subject has {self.subject.n_qubits}"
+                )
 
 
 @dataclass(frozen=True)
 class TestSuite:
+    """Uniquely named cases whose subjects all act on the suite's register."""
+
     __test__ = False  # domain object, not a pytest class
 
     name: str
@@ -71,6 +105,15 @@ class TestSuite:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cases", tuple(self.cases))
+        names = [case.name for case in self.cases]
+        for i, case in enumerate(self.cases):
+            if case.name in names[:i]:
+                raise SuiteValidationError(f"cases[{i}].name: duplicate case name {case.name!r}")
+            if case.subject.n_qubits != self.n_qubits:
+                raise SuiteValidationError(
+                    f"cases[{i}]: subject uses {case.subject.n_qubits} qubit(s) "
+                    f"but the suite declares {self.n_qubits}"
+                )
 
 
 @dataclass(frozen=True)
@@ -91,69 +134,40 @@ class CaseVerdict:
 
 @dataclass(frozen=True)
 class TestReport:
+    """A suite's records in declaration order; every verdict derives from them."""
+
     __test__ = False  # domain object, not a pytest class
 
     suite_name: str
     records: tuple[AssertionRecord, ...]
-    cases: tuple[CaseVerdict, ...]
-    summary: dict
+
+    @property
+    def cases(self) -> tuple[CaseVerdict, ...]:
+        """One verdict per case, in order: passed iff all its assertions passed."""
+        passed: dict[str, bool] = {}
+        for r in self.records:
+            passed[r.case_name] = passed.get(r.case_name, True) and r.result.passed
+        return tuple(CaseVerdict(name, verdict) for name, verdict in passed.items())
+
+    @property
+    def summary(self) -> dict:
+        summary = {}
+        for unit, verdicts in (("assertions", [r.result.passed for r in self.records]),
+                               ("cases", [c.passed for c in self.cases])):
+            passed = sum(verdicts)
+            summary.update({unit: len(verdicts), f"{unit}_passed": passed,
+                            f"{unit}_failed": len(verdicts) - passed})
+        return summary
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-
-def validate_assertion(assertion: Assertion, n_qubits: int, where: str) -> None:
-    """Raise :class:`SuiteValidationError` at ``where`` unless the assertion
-    can run on a register of ``n_qubits`` qubits.
-    """
-    qubits = assertion.expected.n_qubits
-    if qubits != n_qubits:
-        raise SuiteValidationError(
-            f"{where}: expected value uses {qubits} qubit(s) but the register "
-            f"has {n_qubits}"
-        )
-    protocol = protocol_for(assertion.expected)
-    limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
-    if limit is not None and n_qubits > limit:
-        raise SuiteValidationError(
-            f"{where}: {protocol} supports at most {limit} qubit(s), got {n_qubits}"
-        )
-    try:
-        if assertion.shots is not None:
-            check_shots(assertion.shots)
-        if assertion.threshold is not None:
-            check_threshold(assertion.threshold)
-    except ValueError as exc:
-        raise SuiteValidationError(f"{where}: {exc}") from exc
-
-
-def validate_suite(suite: TestSuite) -> None:
-    """Raise :class:`SuiteValidationError` on any structural problem."""
-    seen: set[str] = set()
-    for case in suite.cases:
-        if case.name in seen:
-            raise SuiteValidationError(f"duplicate case name {case.name!r}")
-        seen.add(case.name)
-        if not case.assertions:
-            raise SuiteValidationError(f"case {case.name!r} has no assertions")
-        if case.subject.n_qubits != suite.n_qubits:
-            raise SuiteValidationError(
-                f"case {case.name!r}: subject uses {case.subject.n_qubits} qubit(s) "
-                f"but the suite declares {suite.n_qubits}"
-            )
-        for i, assertion in enumerate(case.assertions):
-            validate_assertion(assertion, suite.n_qubits, f"case {case.name!r}, assertion {i}")
+        return all(r.result.passed for r in self.records)
 
 
 def run_suite(suite: TestSuite) -> TestReport:
-    """Execute every assertion of every case and aggregate a report."""
-    validate_suite(suite)
-
+    """Execute every assertion of every case, in declaration order."""
     records: list[AssertionRecord] = []
-    verdicts: list[CaseVerdict] = []
     for case in suite.cases:
-        case_passed = True
         for i, assertion in enumerate(case.assertions):
             overrides = {"shots": assertion.shots, "threshold": assertion.threshold}
             config = replace(
@@ -163,32 +177,9 @@ def run_suite(suite: TestSuite) -> TestReport:
             )
             result, artifacts = run_protocol_detailed(case.subject, assertion.expected, config)
             records.append(
-                AssertionRecord(
-                    case_name=case.name,
-                    index=i,
-                    result=result,
-                    artifacts=artifacts if suite.save_data else None,
-                )
+                AssertionRecord(case.name, i, result, artifacts if suite.save_data else None)
             )
-            case_passed = case_passed and result.passed
-        verdicts.append(CaseVerdict(case.name, case_passed))
-
-    passed = sum(1 for r in records if r.result.passed)
-    cases_passed = sum(1 for v in verdicts if v.passed)
-    summary = {
-        "assertions": len(records),
-        "assertions_passed": passed,
-        "assertions_failed": len(records) - passed,
-        "cases": len(verdicts),
-        "cases_passed": cases_passed,
-        "cases_failed": len(verdicts) - cases_passed,
-    }
-    return TestReport(
-        suite_name=suite.name,
-        records=tuple(records),
-        cases=tuple(verdicts),
-        summary=summary,
-    )
+    return TestReport(suite.name, tuple(records))
 
 
 def report_to_dict(report: TestReport) -> dict:
@@ -213,6 +204,7 @@ def report_to_dict(report: TestReport) -> dict:
 
 
 def report_from_dict(data: dict) -> TestReport:
+    """Inverse of :func:`report_to_dict`; the derived verdict fields are not read."""
     records = tuple(
         AssertionRecord(
             case_name=entry["case"],
@@ -220,7 +212,6 @@ def report_from_dict(data: dict) -> TestReport:
             result=AssertionResult(
                 protocol_id=entry["protocol"],
                 probability=entry["probability"],
-                passed=entry["passed"],
                 threshold=entry["threshold"],
                 diagnostics=entry["diagnostics"],
             ),
@@ -228,13 +219,7 @@ def report_from_dict(data: dict) -> TestReport:
         )
         for entry in data["results"]
     )
-    cases = tuple(CaseVerdict(c["name"], c["passed"]) for c in data["cases"])
-    return TestReport(
-        suite_name=data["suite"],
-        records=records,
-        cases=cases,
-        summary=data["summary"],
-    )
+    return TestReport(suite_name=data["suite"], records=records)
 
 
 def format_report(report: TestReport, mode: str = "text") -> str:

@@ -10,7 +10,6 @@ confidence threshold.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -30,6 +29,7 @@ from quassert.simulator import (
     apply_readout,
     check_seed,
     check_shots,
+    check_threshold,
     evolve,
     sample,
 )
@@ -88,13 +88,6 @@ def context_check(expected: ExpectedValue, protocol_id: str) -> bool:
         return False
 
 
-def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a real number (not a bool) in [0, 1]."""
-    real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
-    if not (real and 0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Execution parameters for one assertion run."""
@@ -116,9 +109,12 @@ class AssertionResult:
 
     protocol_id: str
     probability: float
-    passed: bool
     threshold: float
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.probability >= self.threshold
 
 
 def _counts_to_bitstrings(counts, n_qubits: int) -> dict[str, int]:
@@ -209,7 +205,6 @@ def run_protocol_detailed(
     result = AssertionResult(
         protocol_id=protocol_id,
         probability=probability,
-        passed=probability >= config.threshold,
         threshold=config.threshold,
         diagnostics=diagnostics,
     )

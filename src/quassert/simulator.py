@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,18 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _is_unit_real(value) -> bool:
+    """True iff ``value`` is a real number, not a bool, in [0, 1]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and 0.0 <= value <= 1.0
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a real number (not a bool) in [0, 1]."""
+    if not _is_unit_real(threshold):
+        raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate noise strengths; all probabilities in [0, 1].
@@ -88,8 +101,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name in ("depolarizing_1q", "depolarizing_2q", "amplitude_damping", "readout_flip"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            if not _is_unit_real(value):
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 # Artifact default for a noisy run; representative of a 27-qubit-era device.

@@ -3,17 +3,20 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quassert.cli import (
     DEFAULT_TRIALS,
+    SweepConfig,
     decode_noise,
     load_suite,
     load_sweep,
     main,
     run_sweep,
 )
-from quassert.orchestrator import SuiteValidationError
+from quassert.orchestrator import Assertion, SuiteValidationError, TestCase
+from quassert.qcore import Circuit, OutcomeDistribution, gate
 
 NaN = float("nan")
 Infinity = float("inf")
@@ -177,6 +180,36 @@ class TestLoadSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert where in captured.err
+
+
+def _sweep_case(name: str, subject_qubits: int = 1, expected_qubits: int = 1) -> TestCase:
+    expected = OutcomeDistribution(expected_qubits, [0.5**expected_qubits] * 2**expected_qubits)
+    return TestCase(name, Circuit(subject_qubits, (gate("h", 0),)), (Assertion(expected),))
+
+
+class TestSweepConfig:
+    """A Python-built sweep is checked when it is built, not partway through its run."""
+
+    def test_every_grid_entry_checked(self):
+        with pytest.raises(ValueError, match="shot_grid entries must be an integer, got 20.5"):
+            SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"), shot_grid=(10, 20.5, 30))
+
+    @pytest.mark.parametrize("trials", [2.5, True], ids=["float", "bool"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials_per_point must be an integer"):
+            SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"), trials_per_point=trials)
+
+    def test_numbers_stored_as_ints(self):
+        config = SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"),
+                             shot_grid=(np.int64(10), 20), trials_per_point=np.int64(2))
+        assert config.shot_grid == (10, 20) and type(config.shot_grid[0]) is int
+        assert type(config.trials_per_point) is int
+        csv_text, _, _ = run_sweep(config)
+        assert csv_text.splitlines()[1].startswith("10,")
+
+    def test_mismatched_register_rejected_while_built(self):
+        with pytest.raises(SuiteValidationError, match="expected value uses 1 qubit"):
+            SweepConfig("s", _sweep_case("pos", 2, 1), _sweep_case("neg", 2, 2))
 
 
 class TestCmdRun:
@@ -653,6 +686,19 @@ class TestMalformedDocuments:
         assert captured.out == ""
         for needle in needles:
             assert needle in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "{bad}"], ["sweep", "{bad}"], ["run", "{suite}", "--noise", "{bad}"]],
+        ids=["run", "sweep", "noise_file"],
+    )
+    def test_non_utf8_document_names_its_path(self, capsys, tmp_path, tiny_suite, argv):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main([arg.format(bad=path, suite=tiny_suite) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text: invalid start byte\n"
 
     def test_duplicate_case_name_located(self, capsys, tmp_path):
         document = _table_document(tmp_path, "run", ("name",), "table")

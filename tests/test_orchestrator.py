@@ -1,7 +1,11 @@
 """Suite execution, report aggregation and serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quassert.orchestrator import (
     Assertion,
@@ -11,11 +15,19 @@ from quassert.orchestrator import (
     format_report,
     parse_report,
     run_suite,
-    validate_suite,
 )
 from quassert.protocols import ProcessRef, RunConfig, run_protocol
-from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, circuit_to_choi
+from quassert.qcore import (
+    ChoiMatrix,
+    Circuit,
+    DensityMatrix,
+    OutcomeDistribution,
+    circuit_to_choi,
+    gate,
+)
 from quassert.simulator import DEFAULT_NOISE, derive_seed, evolve
+
+NaN = float("nan")
 
 
 @pytest.fixture
@@ -146,101 +158,144 @@ class TestRunSuite:
 
 
 class TestValidation:
+    """Each structural rule is raised while the type that owns it is built."""
+
     def test_duplicate_case_names(self, bell_circuit):
         dist = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])
-        suite = TestSuite(
-            name="dup",
-            n_qubits=2,
-            cases=(
-                TestCase("same", bell_circuit, (Assertion(dist),)),
-                TestCase("same", bell_circuit, (Assertion(dist),)),
-            ),
-        )
-        with pytest.raises(SuiteValidationError, match="duplicate"):
-            run_suite(suite)
+        with pytest.raises(SuiteValidationError, match=r"cases\[1\]\.name: duplicate"):
+            TestSuite(
+                name="dup",
+                n_qubits=2,
+                cases=(
+                    TestCase("same", bell_circuit, (Assertion(dist),)),
+                    TestCase("same", bell_circuit, (Assertion(dist),)),
+                ),
+            )
 
     def test_case_without_assertions(self, bell_circuit):
-        suite = TestSuite(
-            name="empty",
-            n_qubits=2,
-            cases=(TestCase("case", bell_circuit, ()),),
-        )
         with pytest.raises(SuiteValidationError, match="no assertions"):
-            validate_suite(suite)
+            TestCase("case", bell_circuit, ())
 
     def test_qubit_count_mismatch(self, bell_circuit):
-        suite = TestSuite(
-            name="mismatch",
-            n_qubits=3,
-            cases=(
-                TestCase(
-                    "case",
-                    bell_circuit,
-                    (Assertion(OutcomeDistribution(2, [0.5, 0, 0, 0.5])),),
-                ),
-            ),
+        case = TestCase(
+            "case", bell_circuit, (Assertion(OutcomeDistribution(2, [0.5, 0, 0, 0.5])),)
         )
-        with pytest.raises(SuiteValidationError, match="qubit"):
-            validate_suite(suite)
+        with pytest.raises(
+            SuiteValidationError,
+            match=r"cases\[0\]: subject uses 2 qubit\(s\) but the suite declares 3",
+        ):
+            TestSuite(name="mismatch", n_qubits=3, cases=(case,))
 
     def test_expected_value_qubit_mismatch(self, bell_circuit):
-        suite = TestSuite(
-            name="mismatch",
-            n_qubits=2,
-            cases=(
-                TestCase(
-                    "case",
-                    bell_circuit,
-                    (Assertion(OutcomeDistribution(1, [1.0, 0.0])),),
-                ),
-            ),
-        )
-        with pytest.raises(SuiteValidationError, match="assertion 0"):
-            validate_suite(suite)
+        with pytest.raises(
+            SuiteValidationError,
+            match=r"case 'case', assertion 0: expected value uses 1 qubit\(s\) "
+            r"but the subject has 2",
+        ):
+            TestCase("case", bell_circuit, (Assertion(OutcomeDistribution(1, [1.0, 0.0])),))
 
     def test_process_ref_qubits_checked(self, bell_circuit):
-        suite = TestSuite(
-            name="refcheck",
-            n_qubits=2,
-            cases=(
-                TestCase("case", bell_circuit, (Assertion(ProcessRef(Circuit(1))),)),
-            ),
-        )
-        with pytest.raises(SuiteValidationError):
-            validate_suite(suite)
+        with pytest.raises(SuiteValidationError, match="assertion 0: expected value uses 1"):
+            TestCase("case", bell_circuit, (Assertion(ProcessRef(Circuit(1))),))
 
     @pytest.mark.parametrize(
-        "n_qubits, expected",
+        "n_qubits, expected, protocol",
         [
-            (5, lambda n: DensityMatrix.ground(n)),
-            (4, lambda n: ProcessRef(Circuit(n))),
+            (5, lambda n: DensityMatrix.ground(n), "state_tomo"),
+            (4, lambda n: ProcessRef(Circuit(n)), "process_tomo"),
         ],
         ids=["state_5q", "process_4q"],
     )
-    def test_tomography_size_caps_checked_up_front(self, n_qubits, expected):
-        ground = OutcomeDistribution(n_qubits, np.eye(2**n_qubits)[0])
-        first = TestCase("first", Circuit(n_qubits), (Assertion(ground),))
-        too_big = TestCase(
-            "too_big", Circuit(n_qubits), (Assertion(ground), Assertion(expected(n_qubits)))
-        )
-        suite = TestSuite("caps", n_qubits, (first, too_big))
-        with pytest.raises(SuiteValidationError, match="case 'too_big', assertion 1"):
-            run_suite(suite)
+    def test_tomography_size_caps_checked_up_front(self, n_qubits, expected, protocol):
+        value = expected(n_qubits)
+        with pytest.raises(
+            SuiteValidationError,
+            match=f"{protocol} supports at most {n_qubits - 1} qubit\\(s\\), got {n_qubits}",
+        ):
+            Assertion(value)
 
-    def test_bad_override_values(self, bell_circuit):
+    def test_bad_override_values(self):
         dist = OutcomeDistribution(2, [0.5, 0.0, 0.0, 0.5])
         with pytest.raises(SuiteValidationError, match="shots"):
-            validate_suite(
-                TestSuite(
-                    "s", 2, (TestCase("c", bell_circuit, (Assertion(dist, shots=0),)),)
-                )
-            )
+            Assertion(dist, shots=0)
         with pytest.raises(SuiteValidationError, match="threshold"):
-            validate_suite(
-                TestSuite(
-                    "s", 2, (TestCase("c", bell_circuit, (Assertion(dist, threshold=2.0),)),)
-                )
+            Assertion(dist, threshold=2.0)
+
+
+def _expected(kind: str, n_qubits: int):
+    if kind == "distribution":
+        return OutcomeDistribution(n_qubits, np.full(2**n_qubits, 0.5**n_qubits))
+    if kind == "state":
+        return DensityMatrix.ground(n_qubits)
+    if kind == "choi":
+        return circuit_to_choi(Circuit(n_qubits))
+    return ProcessRef(Circuit(n_qubits, (gate("h", 0),)))
+
+
+@st.composite
+def suite_inputs(draw):
+    """Raw inputs of a Python-built suite: (register, [(case name, subject
+    register, [(kind, size, shots, threshold)])]), valid or not."""
+    register = draw(st.integers(1, 5))
+    cases = []
+    for _ in range(draw(st.integers(1, 2))):
+        subject = draw(st.sampled_from([register, register, draw(st.integers(1, 5))]))
+        assertions = []
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 0]))):
+            kind = draw(st.sampled_from(["distribution", "state", "choi", "process_ref"]))
+            sizes = [subject] * 4 + [draw(st.integers(1, 4 if kind == "choi" else 5))]
+            assertions.append((
+                kind,
+                draw(st.sampled_from(sizes)),
+                draw(st.sampled_from([None, 1, 7, np.int64(3)] * 4 + [0, -1, 2.5, True])),
+                draw(st.sampled_from([None, 0.0, 0.3, 1.0] * 4 + [NaN, 2.0, -0.1, True])),
+            ))
+        cases.append((draw(st.sampled_from(["a", "b", "c"])), subject, assertions))
+    return register, cases
+
+
+class TestBuiltChecked:
+    """A suite that could be built runs: each type checks its rules at construction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(suite_inputs())
+    def test_built_suites_run_or_are_rejected_while_built(self, inputs):
+        register, raw_cases = inputs
+        try:
+            suite = TestSuite(
+                "random",
+                register,
+                tuple(
+                    TestCase(
+                        name,
+                        Circuit(subject, (gate("h", 0),)),
+                        tuple(
+                            Assertion(_expected(kind, size), shots, threshold)
+                            for kind, size, shots, threshold in assertions
+                        ),
+                    )
+                    for name, subject, assertions in raw_cases
+                ),
+                defaults=RunConfig(shots=5, seed=2),
             )
+        except SuiteValidationError:
+            return
+        report = run_suite(suite)
+        assert len(report.records) == sum(len(case.assertions) for case in suite.cases)
+        assert all(0.0 <= r.result.probability <= 1.0 for r in report.records)
+
+    def test_process_ref_is_held_as_its_choi_matrix(self, bell_circuit):
+        assertion = Assertion(ProcessRef(bell_circuit))
+        assert isinstance(assertion.expected, ChoiMatrix)
+        assert np.array_equal(assertion.expected.mat, circuit_to_choi(bell_circuit).mat)
+
+    def test_expected_value_without_a_protocol_rejected(self):
+        with pytest.raises(SuiteValidationError, match="no protocol accepts"):
+            Assertion([0.5, 0.5])
+
+    def test_override_stored_as_int(self):
+        assertion = Assertion(OutcomeDistribution(1, [1.0, 0.0]), shots=np.int64(40))
+        assert type(assertion.shots) is int and assertion.shots == 40
 
 
 class TestReportFormatting:
@@ -255,20 +310,16 @@ class TestReportFormatting:
 
     def test_text_formatting_of_known_values(self):
         # Frozen examples of the verdict line format.
-        from quassert.orchestrator import AssertionRecord, CaseVerdict, TestReport
+        from quassert.orchestrator import AssertionRecord, TestReport
         from quassert.protocols import AssertionResult
 
-        def line_for(probability, passed):
-            record = AssertionRecord(
-                "case",
-                0,
-                AssertionResult("proj", probability, passed, 0.5, {}),
-            )
-            report = TestReport("x", (record,), (CaseVerdict("case", passed),), {})
-            return format_report(report, "text").rstrip("\n")
+        def line_for(probability):
+            record = AssertionRecord("case", 0, AssertionResult("proj", probability, 0.5, {}))
+            return format_report(TestReport("x", (record,)), "text").rstrip("\n")
 
-        assert line_for(0.995, True) == "[PASSED]: with a 0.995 probability of passing."
-        assert line_for(0.0, False) == "[FAILED]: with a 0.000 probability of passing."
+        assert line_for(0.995) == "[PASSED]: with a 0.995 probability of passing."
+        assert line_for(0.5) == "[PASSED]: with a 0.500 probability of passing."
+        assert line_for(0.0) == "[FAILED]: with a 0.000 probability of passing."
 
     def test_json_round_trip(self, bell_suite):
         from dataclasses import replace
@@ -276,6 +327,29 @@ class TestReportFormatting:
         report = run_suite(replace(bell_suite, save_data=True))
         text = format_report(report, "json")
         assert parse_report(text) == report
+
+    def test_parse_report_derives_verdicts(self, bell_suite):
+        text = format_report(run_suite(bell_suite), "json")
+        data = json.loads(text)
+        for entry in data["results"]:
+            entry["passed"] = not entry["passed"]
+        data["cases"] = [{"name": "test_2", "passed": True}]
+        data["summary"] = {"assertions": 0}
+        parsed = parse_report(json.dumps(data))
+        assert [r.result.passed for r in parsed.records] == [True] * 3 + [False] * 3
+        assert [(c.name, c.passed) for c in parsed.cases] == [
+            ("test_1", True), ("test_2", False)
+        ]
+        assert parsed.summary == {
+            "assertions": 6,
+            "assertions_passed": 3,
+            "assertions_failed": 3,
+            "cases": 2,
+            "cases_passed": 1,
+            "cases_failed": 1,
+        }
+        assert not parsed.all_passed
+        assert format_report(parsed, "json") == text
 
     def test_unknown_mode(self, bell_suite):
         report = run_suite(bell_suite)

@@ -99,6 +99,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(readout_flip=-0.1)
 
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "string"])
+    def test_strength_is_a_real_number(self, value):
+        # The threshold rule: a real number, not a bool, in [0, 1].
+        with pytest.raises(ValueError, match="depolarizing_1q must be in"):
+            NoiseModel(depolarizing_1q=value)
+
     def test_default_preset_values(self):
         assert DEFAULT_NOISE == NoiseModel(0.001, 0.01, 0.001, 0.02)
 
