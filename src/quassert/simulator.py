@@ -262,12 +262,20 @@ def evolve(
     return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
+# Probabilities below this are rounding residue and become exact zeros.  numpy's
+# binomial draws no random number for p == 0 but does for any p > 0, so without
+# a floor the order of a sum, which decides what rounds to exactly zero, would
+# shift every later draw of a seed.
+PROBABILITY_FLOOR = 1e-15
+
+
 def _normalized(probs: np.ndarray) -> np.ndarray:
-    """(..., 2^n) probabilities with rounding negatives zeroed and each row rescaled to sum 1."""
+    """(..., 2^n) probabilities with entries below PROBABILITY_FLOOR zeroed and
+    each row rescaled to sum 1."""
     low = float(probs.min())
     if low < -1e-9:
         raise NumericError(f"negative outcome probability {low:.3e}")
-    probs[probs < 0.0] = 0.0
+    probs[probs < PROBABILITY_FLOOR] = 0.0
     return probs / probs.sum(axis=-1, keepdims=True)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
-from quassert.simulator import _evolve_mat
+from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -174,10 +174,11 @@ def pauli_rotation(k, n):
 
 
 def per_matrix_diagonal_probs(mat):
-    """Reference diagonal read: one 2^n x 2^n matrix at a time."""
+    """Reference diagonal read: one 2^n x 2^n matrix at a time, with the
+    simulator's probability floor."""
     probs = np.diag(mat).real.copy()
     assert probs.min() >= -1e-9
-    probs[probs < 0.0] = 0.0
+    probs[probs < PROBABILITY_FLOOR] = 0.0
     return probs / probs.sum()
 
 

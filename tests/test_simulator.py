@@ -20,13 +20,16 @@ from quassert.qcore import (
     embed_single_qubit,
     gate,
 )
-from quassert.qmath import DimensionError
+from quassert.qmath import DimensionError, NumericError
+from quassert.tomography import _preparations
 from quassert.simulator import (
     DEFAULT_NOISE,
+    PROBABILITY_FLOOR,
     NoiseModel,
     _depolarize,
     _evolve_mat,
     _noise_one_qubit,
+    _normalized,
     apply_readout,
     derive_seed,
     evolve,
@@ -371,6 +374,20 @@ class TestPauliDistributions:
         single = pauli_distributions(DensityMatrix(n, stack[1]), noise)
         np.testing.assert_allclose(single, reference[1], rtol=0, atol=POVM_TOL)
 
+    @pytest.mark.parametrize("inputs, n", [("ground", n) for n in (1, 2, 3, 4)]
+                             + [("preparations", n) for n in (1, 2, 3)])
+    def test_noiseless_zero_set_matches_reference(self, inputs, n):
+        """The floor makes which probabilities are exactly zero independent of
+        the order of the sums, so it matches the rotate-each-setting reference."""
+        rng = np.random.default_rng(140 + n)
+        start = DensityMatrix.ground(n).mat[None] if inputs == "ground" else _preparations(n, None)
+        for _ in range(24):
+            subject = random_circuit(rng, n, int(rng.integers(0, 2 * n + 1)))
+            stack = _evolve_mat(start, subject, None)
+            probs = pauli_distributions(stack)
+            reference = per_setting_pauli_probs(stack, n, None)
+            np.testing.assert_array_equal(probs == 0.0, reference == 0.0)
+
     def test_x_basis_of_ground_is_uniform(self):
         x, y, z = pauli_distributions(DensityMatrix.ground(1))
         np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
@@ -384,6 +401,21 @@ class TestPauliDistributions:
         expected = exact_distribution(evolve(state, Circuit(2, (gate("h", 0), gate("h", 1)))))
         counts = sample(pauli_distributions(state)[0], 100000, seed=11)
         np.testing.assert_allclose(counts / 100000, expected.probs, atol=0.01)
+
+
+class TestProbabilityFloor:
+    def test_values_below_the_floor_become_zero(self):
+        probs = np.array([[0.5, PROBABILITY_FLOOR / 2, 1e-32, 0.5],
+                          [-1e-17, PROBABILITY_FLOOR, 0.25, 0.75]])
+        out = _normalized(probs.copy())
+        np.testing.assert_array_equal(out == 0.0, [[False, True, True, False],
+                                                   [True, False, False, False]])
+        assert out[1, 1] > 0.0
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    def test_negative_beyond_rounding_rejected(self):
+        with pytest.raises(NumericError, match="negative outcome probability"):
+            _normalized(np.array([1.1, -0.1]))
 
 
 noise_models = st.builds(NoiseModel, *(st.floats(0.0, 1.0) for _ in range(4)))
