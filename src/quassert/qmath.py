@@ -5,12 +5,11 @@ for qubit-space matrices up to 256 x 256.  All functions are pure.  The
 eigendecomposition and PSD projection take a matrix or a ``(..., d, d)``
 stack of them and treat each matrix on its own; this module keeps only what
 numpy lacks: the Hermiticity check before ``eigh``, the truncating
-projection, and an ``einsum`` that plans its contraction path once per shape.
+projection, and :func:`kron_map`, the n-fold tensor power of a one-qubit map
+that every tomography contraction is.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -63,19 +62,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
-def einsum(*operands) -> np.ndarray:
-    """``np.einsum(*operands, optimize=True)`` for the interleaved form (array,
-    axes, ..., output axes), with the contraction path planned once per
-    operand shapes and axes rather than on every call."""
-    key = tuple((a.shape, tuple(axes)) for a, axes in zip(operands[:-1:2], operands[1:-1:2]))
-    return np.einsum(*operands, optimize=_einsum_path(key, tuple(operands[-1])))
-
-
-@functools.lru_cache(maxsize=128)
-def _einsum_path(operands: tuple, output: tuple) -> list:
-    """The path ``optimize=True`` picks; it depends on the shapes and axes alone."""
-    args = [x for shape, axes in operands for x in (np.broadcast_to(0.0, shape), list(axes))]
-    return np.einsum_path(*args, list(output), optimize=True)[0]
+def kron_map(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold tensor power of the one-qubit map ``m[b1, b2, a1, a2]`` applied
+    to (..., a1^n, a2^n) arrays, giving (..., b1^n, b2^n); each index group
+    lists qubit n-1 first.  Each of n rounds maps the leading qubit's index pair
+    with one matmul and rotates it to the end: no a^n x b^n matrix is formed.
+    """
+    b1, b2, a1, a2 = m.shape
+    batch = x.shape[:-2]
+    y = x.reshape((-1,) + (a1,) * n + (a2,) * n)
+    y = y.transpose(0, *(1 + g * n + q for q in range(n) for g in (0, 1)))
+    step = m.reshape(b1 * b2, a1 * a2)
+    for _ in range(n):
+        y = (step @ y.reshape(len(y), a1 * a2, -1)).swapaxes(1, 2)
+    y = y.reshape((-1,) + (b1, b2) * n).transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    return y.reshape(batch + (b1**n, b2**n))
 
 
 def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:

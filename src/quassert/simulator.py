@@ -262,16 +262,14 @@ def evolve(
     return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
-# Probabilities below this are rounding residue and become exact zeros.  numpy's
-# binomial draws no random number for p == 0 but does for any p > 0, so without
-# a floor the order of a sum, which decides what rounds to exactly zero, would
-# shift every later draw of a seed.
+# Probabilities below this are rounding residue, zeroed: numpy's binomial draws
+# no random number for p == 0 but does for any p > 0, so otherwise the order of
+# a sum, which decides what rounds to exactly zero, would steer a seed's draws.
 PROBABILITY_FLOOR = 1e-15
 
 
 def _normalized(probs: np.ndarray) -> np.ndarray:
-    """(..., 2^n) probabilities with entries below PROBABILITY_FLOOR zeroed and
-    each row rescaled to sum 1."""
+    """(..., 2^n) probabilities with sub-floor entries zeroed and each row rescaled to sum 1."""
     low = float(probs.min())
     if low < -1e-9:
         raise NumericError(f"negative outcome probability {low:.3e}")
@@ -332,16 +330,11 @@ def pauli_distributions(
     DensityMatrix gives a (3^n, 2^n) array; a (B, 2^n, 2^n) stack gives a
     (B, 3^n, 2^n) one.  Rotations, noise and readout flips act per qubit, so
     setting k reads o with probability tr(rho (x)_q E[k_q, o_q]) for the POVM
-    E of :func:`pauli_povm`: one einsum of the stack with n copies of E.
+    E of :func:`pauli_povm`: the n-fold tensor power of the map
+    rho -> tr(rho E[letter, o]), applied by :func:`quassert.qmath.kron_map`.
     """
     mats, n = _stack_of(state)
-    # Axis 0 is the stack; row, column, letter and outcome axes list qubit n-1 first.
-    rows, cols, letters, outcomes = (list(range(1 + g * n, 1 + (g + 1) * n)) for g in range(4))
-    povm = pauli_povm(noise)
-    factors = [x for j in range(n) for x in (povm, [letters[j], outcomes[j], cols[j], rows[j]])]
-    probs = qmath.einsum(mats.reshape((len(mats),) + (2,) * (2 * n)), [0, *rows, *cols],
-                         *factors, [0, *letters, *outcomes])
-    probs = _normalized(probs.real.reshape(len(mats), 3**n, 2**n))
+    probs = _normalized(qmath.kron_map(pauli_povm(noise).swapaxes(-1, -2), mats, n).real)
     return probs[0] if isinstance(state, DensityMatrix) else probs
 
 

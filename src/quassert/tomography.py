@@ -15,6 +15,9 @@ setting) distribution at once, draws all of the assertion's counts with one
 once.  State tomography is the one-input case (|0...0>).  Process tomography
 feeds the path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and
 then inverts the fixed preparation frame to assemble the Choi matrix.
+Reading the settings, the inverse channel and the preparation frame's dual
+are each the n-fold tensor power of a one-qubit map, applied by
+:func:`quassert.qmath.kron_map`.
 
 ``shots_per_setting == 0`` selects analytic mode: measurement statistics are
 the exact outcome distributions under noiseless basis rotations and readout,
@@ -112,14 +115,7 @@ def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
     channel of classical shadows (Huang, Kueng, Preskill 2020); it equals
     averaging every compatible setting into each Pauli-string expectation.
     """
-    # Axes 0..n-1 are basis letters and n..2n-1 outcome bits; both groups list
-    # qubit n-1 first (qubit 0's letter varies fastest, qubit 0 is the low
-    # outcome bit), as do the result's row axes 2n.. and column axes 3n..
-    batch = probs.shape[:-2]
-    probs = probs.reshape(batch + (3,) * n + (2,) * n)
-    factors = [x for j in range(n) for x in (_SHADOW, [j, n + j, 2 * n + j, 3 * n + j])]
-    rho = qmath.einsum(probs, [..., *range(2 * n)], *factors, [..., *range(2 * n, 4 * n)])
-    return rho.reshape(batch + (2**n, 2**n)) / 3**n
+    return qmath.kron_map(_SHADOW.transpose(2, 3, 0, 1), probs, n) / 3**n
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,14 +149,11 @@ def _assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
     :func:`_preparations`; the result is the unnormalized Choi matrix.
     """
     d = 2**n
-    # Axes 0..n-1 are preparation labels, n..2n-1 and 2n..3n-1 the input row
-    # and column bits, all listing qubit n-1 first like the kron.
-    outputs = outputs.reshape((4,) * n + (d, d))
-    row, col = 3 * n, 3 * n + 1
-    factors = [x for j in range(n) for x in (_DUAL.reshape(4, 2, 2), [j, n + j, 2 * n + j])]
-    choi_axes = [*range(n, 2 * n), row, *range(2 * n, 3 * n), col]
-    choi = np.einsum(outputs, [*range(n), row, col], *factors, choi_axes)
-    return choi.reshape(d * d, d * d)
+    # Output entry (r, c) maps its 4^n preparation weights to the bits (a, b)
+    # of (x)_q D; the Choi matrix orders its axes (a, r, b, c).
+    entries = outputs.reshape(4**n, d * d).T[..., None]
+    choi = qmath.kron_map(_DUAL.T.reshape(2, 2, 4, 1), entries, n)
+    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def process_tomography(

@@ -12,7 +12,8 @@ outside its own definition, so a deleted path cannot leave its helpers
 behind.  No two config dataclasses (every field defaulted) may declare the
 same ordered field list, so one set of execution parameters has one type.
 Only ``simulator.sample`` may touch ``numpy.random``, so every count an
-assertion draws comes from the one generator its seed builds.
+assertion draws comes from the one generator its seed builds.  ``einsum``
+appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 """
 
 import ast
@@ -262,3 +263,25 @@ def test_random_scan_flags_planted_generators():
         "<module>:2", "<module>:3", "<module>:4", "sample:7", "helper:9", "helper:9",
         "<module>:10",
     ]
+
+
+def einsum_mentions(source: str) -> list[int]:
+    """Line numbers of every mention of ``einsum``, in code, strings or comments."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if "einsum" in line]
+
+
+def test_no_einsum_in_the_package():
+    mentions = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py"))
+                for line in einsum_mentions(p.read_text(encoding="utf-8"))]
+    assert mentions == []
+
+
+def test_einsum_scan_flags_planted_contractions():
+    source = (
+        "import numpy as np\nfrom numpy import einsum as contract\n"
+        "def f(a, b):\n    return np.einsum('ij,jk->ik', a, b)\n"
+        "PATH = np.einsum_path\n"
+        "# planned like opt_einsum\n"
+        "def g(a):\n    return a @ a\n"
+    )
+    assert einsum_mentions(source) == [2, 4, 5, 6]

@@ -3,7 +3,8 @@
 The eigensolver is cross-checked by rebuilding the input from its own output
 and by recovering a planted spectrum and eigenbasis; the PSD projection
 against hand-executed truncation steps and, bit for bit, against the
-one-matrix truncation loop it replaced; stacks against per-matrix calls.
+one-matrix truncation loop it replaced; stacks against per-matrix calls; the
+tensor-power map against the dense Kronecker power of its one-qubit map.
 Hypothesis property tests cover the eigendecomposition contract and the PSD
 projection's invariants on arbitrary Hermitian input.
 """
@@ -19,6 +20,7 @@ from quassert.qmath import (
     DimensionError,
     hermitian_eig,
     kron,
+    kron_map,
     psd_project,
 )
 
@@ -150,6 +152,37 @@ class TestKron:
             out = kron(left, right)
             assert out.dtype == np.complex128 and out.shape == expected.shape
             assert np.array_equal(out, expected)
+
+
+class TestKronMap:
+    """kron_map against the dense matrix of n Kronecker copies of the map."""
+
+    @staticmethod
+    def dense(m, x, n):
+        power = m
+        for _ in range(n - 1):
+            power = np.kron(m, power)  # the left factor is qubit n-1, as in kron_map
+        b1, b2, a1, a2 = power.shape
+        flat = x.reshape(x.shape[:-2] + (a1 * a2,))
+        return (flat @ power.reshape(b1 * b2, a1 * a2).T).reshape(x.shape[:-2] + (b1, b2))
+
+    # The Pauli-setting POVM, the inverse shadow channel and the preparation dual.
+    @pytest.mark.parametrize("shape", [(3, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 1)],
+                             ids=["povm", "shadow", "dual"])
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["no_batch", "batch"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_kronecker_power(self, n, batch, shape):
+        rng = np.random.default_rng(1600 + n)
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x = rng.normal(size=batch + (shape[2] ** n, shape[3] ** n))
+        out = kron_map(m, x, n)
+        assert out.shape == batch + (shape[0] ** n, shape[1] ** n)
+        np.testing.assert_allclose(out, self.dense(m, x, n), rtol=1e-12, atol=1e-12)
+
+    def test_identity_map_returns_input(self):
+        identity = np.eye(4).reshape(2, 2, 2, 2)
+        x = np.random.default_rng(1610).normal(size=(3, 8, 8))
+        assert np.array_equal(kron_map(identity, x, 3), x)
 
 
 class TestPsdProject:
