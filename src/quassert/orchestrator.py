@@ -3,8 +3,8 @@
 A suite is a declarative document: named cases, each holding a subject
 circuit and an ordered list of assertions whose expected-value types select
 the protocols.  Each type raises :class:`SuiteValidationError` for its own
-rules when it is built, so a suite that exists runs: :func:`run_suite`
-checks nothing.  Failures are results, not errors.  Per-assertion seeds
+rules and field types when it is built, so a suite that exists runs:
+:func:`run_suite` checks nothing.  Failures are results, not errors.  Per-assertion seeds
 derive from the master seed, the case name and the assertion ordinal, so
 reports are reproducible.  A report stores only its records; case verdicts
 and the summary derive from them.
@@ -26,7 +26,7 @@ from quassert.protocols import (
     protocol_for,
     run_protocol_detailed,
 )
-from quassert.qcore import Circuit
+from quassert.qcore import Circuit, _as_qubit_count
 from quassert.simulator import check_shots, check_threshold, derive_seed
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
@@ -38,6 +38,20 @@ _TOMOGRAPHY_QUBIT_LIMITS = {
 
 class SuiteValidationError(ValueError):
     """The suite is structurally invalid; nothing was executed."""
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise SuiteValidationError(f"{what}: expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _tuple_of(items, kind: type, what: str) -> tuple:
+    """A tuple or list of ``kind`` values, as a tuple."""
+    if not isinstance(items, (tuple, list)):
+        raise SuiteValidationError(f"{what}: expected tuple or list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        _check_type(item, kind, f"{what}[{i}]")
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,10 @@ class TestCase:
     assertions: tuple[Assertion, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assertions", tuple(self.assertions))
+        _check_type(self.name, str, "case name")
+        _check_type(self.subject, Circuit, f"case {self.name!r}, subject")
+        assertions = _tuple_of(self.assertions, Assertion, f"case {self.name!r}, assertions")
+        object.__setattr__(self, "assertions", assertions)
         if not self.assertions:
             raise SuiteValidationError(f"case {self.name!r} has no assertions")
         for i, assertion in enumerate(self.assertions):
@@ -104,7 +121,14 @@ class TestSuite:
     save_data: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cases", tuple(self.cases))
+        _check_type(self.name, str, "suite name")
+        try:
+            object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
+        except ValueError as exc:
+            raise SuiteValidationError(str(exc)) from exc
+        _check_type(self.defaults, RunConfig, "defaults")
+        _check_type(self.save_data, bool, "save_data")
+        object.__setattr__(self, "cases", _tuple_of(self.cases, TestCase, "cases"))
         names = [case.name for case in self.cases]
         for i, case in enumerate(self.cases):
             if case.name in names[:i]:

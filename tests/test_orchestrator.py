@@ -1,6 +1,7 @@
 """Suite execution, report aggregation and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,33 +235,45 @@ def _expected(kind: str, n_qubits: int):
 
 @st.composite
 def suite_inputs(draw):
-    """Raw inputs of a Python-built suite: (register, [(case name, subject
-    register, [(kind, size, shots, threshold)])]), valid or not."""
-    register = draw(st.integers(1, 5))
+    """Raw inputs of a Python-built suite, valid or not: (register, defaults,
+    save_data, [(case name, subject register or None, [(kind, size, shots,
+    threshold, wrapped in Assertion)])]).  Each field sometimes has a wrong type."""
+    size = draw(st.integers(1, 5))
+    register = draw(st.sampled_from([size] * 8 + [float(size), True, str(size), None]))
+    defaults = draw(st.sampled_from([RunConfig(shots=5, seed=2)] * 8 + [None, {"shots": 5}]))
+    save_data = draw(st.sampled_from([False] * 8 + [True, "yes", 1]))
     cases = []
     for _ in range(draw(st.integers(1, 2))):
-        subject = draw(st.sampled_from([register, register, draw(st.integers(1, 5))]))
+        subject = draw(st.sampled_from([size, size, draw(st.integers(1, 5))] * 3 + [None]))
         assertions = []
         for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 0]))):
             kind = draw(st.sampled_from(["distribution", "state", "choi", "process_ref"]))
-            sizes = [subject] * 4 + [draw(st.integers(1, 4 if kind == "choi" else 5))]
+            sizes = [subject or size] * 4 + [draw(st.integers(1, 4 if kind == "choi" else 5))]
             assertions.append((
                 kind,
                 draw(st.sampled_from(sizes)),
                 draw(st.sampled_from([None, 1, 7, np.int64(3)] * 4 + [0, -1, 2.5, True])),
                 draw(st.sampled_from([None, 0.0, 0.3, 1.0] * 4 + [NaN, 2.0, -0.1, True])),
+                draw(st.sampled_from([True] * 8 + [False])),
             ))
-        cases.append((draw(st.sampled_from(["a", "b", "c"])), subject, assertions))
-    return register, cases
+        name = draw(st.sampled_from(["a", "b", "c"] * 3 + [5, None]))
+        cases.append((name, subject, assertions))
+    return register, defaults, save_data, cases
+
+
+def _built_assertion(kind, size, shots, threshold, wrapped):
+    expected = _expected(kind, size)
+    return Assertion(expected, shots, threshold) if wrapped else expected
 
 
 class TestBuiltChecked:
-    """A suite that could be built runs: each type checks its rules at construction."""
+    """A suite that could be built runs: each type checks its rules and its
+    field types at construction."""
 
     @settings(max_examples=150, deadline=None)
     @given(suite_inputs())
     def test_built_suites_run_or_are_rejected_while_built(self, inputs):
-        register, raw_cases = inputs
+        register, defaults, save_data, raw_cases = inputs
         try:
             suite = TestSuite(
                 "random",
@@ -268,21 +281,54 @@ class TestBuiltChecked:
                 tuple(
                     TestCase(
                         name,
-                        Circuit(subject, (gate("h", 0),)),
-                        tuple(
-                            Assertion(_expected(kind, size), shots, threshold)
-                            for kind, size, shots, threshold in assertions
-                        ),
+                        None if subject is None else Circuit(subject, (gate("h", 0),)),
+                        tuple(_built_assertion(*assertion) for assertion in assertions),
                     )
                     for name, subject, assertions in raw_cases
                 ),
-                defaults=RunConfig(shots=5, seed=2),
+                defaults=defaults,
+                save_data=save_data,
             )
         except SuiteValidationError:
             return
+        assert type(suite.n_qubits) is int and type(suite.save_data) is bool
+        assert isinstance(suite.defaults, RunConfig)
+        for case in suite.cases:
+            assert isinstance(case.name, str) and isinstance(case.subject, Circuit)
+            assert all(isinstance(a, Assertion) for a in case.assertions)
         report = run_suite(suite)
         assert len(report.records) == sum(len(case.assertions) for case in suite.cases)
         assert all(0.0 <= r.result.probability <= 1.0 for r in report.records)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),), defaults=None),
+         "defaults: expected RunConfig, got NoneType"),
+        (lambda c, a: TestCase("a", c, (a.expected,)),
+         "case 'a', assertions[0]: expected Assertion, got OutcomeDistribution"),
+        (lambda c, a: TestCase("a", None, (a,)),
+         "case 'a', subject: expected Circuit, got NoneType"),
+        (lambda c, a: TestCase(5, c, (a,)), "case name: expected str, got int"),
+        (lambda c, a: TestCase("a", c, None), "case 'a', assertions: expected tuple or list, got NoneType"),
+        (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),), save_data="yes"),
+         "save_data: expected bool, got str"),
+        (lambda c, a: TestSuite("s", 1.0, (TestCase("a", c, (a,)),)),
+         "n_qubits must be an integer, got 1.0"),
+        (lambda c, a: TestSuite("s", 1, None), "cases: expected tuple or list, got NoneType"),
+        (lambda c, a: TestSuite("s", 1, (a,)), "cases[0]: expected TestCase, got Assertion"),
+        (lambda c, a: TestSuite(None, 1, (TestCase("a", c, (a,)),)),
+         "suite name: expected str, got NoneType"),
+    ], ids=["defaults", "bare_expected", "subject", "case_name", "assertions", "save_data",
+            "n_qubits", "cases", "case", "suite_name"])
+    def test_wrong_field_types_rejected_while_built(self, build, message):
+        subject = Circuit(1, (gate("h", 0),))
+        assertion = Assertion(OutcomeDistribution(1, [0.5, 0.5]))
+        with pytest.raises(SuiteValidationError, match=re.escape(message)):
+            build(subject, assertion)
+
+    def test_register_stored_as_int(self):
+        case = TestCase("a", Circuit(1), [Assertion(OutcomeDistribution(1, [1.0, 0.0]))])
+        suite = TestSuite("s", np.int64(1), [case])
+        assert type(suite.n_qubits) is int and isinstance(suite.cases, tuple)
 
     def test_process_ref_is_held_as_its_choi_matrix(self, bell_circuit):
         assertion = Assertion(ProcessRef(bell_circuit))
