@@ -6,13 +6,12 @@ is passed per call.  Distributions and counts in the seam are plain arrays;
 only :func:`exact_distribution`, an oracle users also pass as an expected
 value, returns a validated OutcomeDistribution.
 
-One gate kernel evolves a stack of density matrices of shape
-``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator: a one-qubit gate's
-2x2 unitary multiplies the qubit's row bit of every matrix, once before and
-once after a transpose; ``cx`` and ``swap`` gather rows and columns and ``cz``
-flips signs, both exactly; the noise channels act on the blocks of the
-gate's qubits, counting qubit axes from the end, and a one-qubit gate's
-depolarizing and damping noise is one pass (:func:`_noise_one_qubit`).
+One channel kernel evolves a stack of density matrices of shape
+``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator.  Each k-qubit gate
+and its noise are one 4^k x 4^k Liouville superoperator, u (x) u* followed by
+the cached noise superoperator (:func:`_noise_superop`), and
+:func:`_apply_channel` applies it with one matmul to the row and column bits
+of the gate's qubits (Wood, Biamonte and Cory, QIC 15, 759, 2015).
 :func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -46,7 +44,6 @@ from quassert.qcore import (
     DensityMatrix,
     GateOp,
     OutcomeDistribution,
-    TWO_QUBIT_GATES,
     _as_int,
     expanded_gate_matrix,
 )
@@ -120,119 +117,75 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:8], "little")
 
 
-def _bit_block(n: int, qubit: int, row: int, col: int) -> tuple:
-    """Index of the (..., 2,)*2n bit view of a (..., 2^n, 2^n) stack that keeps
-    row bit ``row`` and column bit ``col`` of ``qubit`` (as length-1 axes).
+@functools.lru_cache(maxsize=64)
+def _noise_superop(k: int, noise: NoiseModel) -> np.ndarray:
+    """The noise after a k-qubit gate as a read-only 4^k x 4^k superoperator S,
+    row-major: vec(rho)[d i + j] = rho[i, j], and S vec(rho) is the noisy vec(rho).
 
-    The last 2n axes are the matrix's row then column bits, most significant
-    first: qubit q owns row axis -n-1-q and column axis -1-q."""
-    index = [slice(None)] * (2 * n)
-    index[n - 1 - qubit] = slice(row, row + 1)
-    index[2 * n - 1 - qubit] = slice(col, col + 1)
-    return (Ellipsis, *index)
-
-
-def _depolarize(mats: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """(1 - p) * rho + p * (I/2^k (x) Tr_qubits rho) on the given k qubits (a
-    two-qubit gate's noise; one-qubit gates use :func:`_noise_one_qubit`).
-
-    Half-traces one qubit at a time and adds p times the result to the
-    blocks where every traced qubit's row and column bits agree."""
-    if p == 0.0:
-        return mats
-    bits = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
-    traced = bits
-    for q in qubits:
-        traced = (traced[_bit_block(n, q, 0, 0)] + traced[_bit_block(n, q, 1, 1)]) / 2.0
-    mixed = p * traced
-    out = (1.0 - p) * bits
-    for diagonal in itertools.product((0, 1), repeat=len(qubits)):
-        block = out
-        for q, bit in zip(qubits, diagonal):
-            block = block[_bit_block(n, q, bit, bit)]
-        block += mixed
-    return out.reshape(mats.shape)
+    Depolarizing, (1 - p) rho + p tr(rho) I/d, is (1 - p) I + (p/d) |vec I><vec I|.
+    A one-qubit gate's amplitude damping, K0 = diag(1, sqrt(1-gamma)) and
+    K1 = sqrt(gamma)|0><1|, follows it as K0 (x) K0* + K1 (x) K1*."""
+    d = 2**k
+    p = noise.depolarizing_1q if k == 1 else noise.depolarizing_2q
+    vec_identity = np.eye(d, dtype=np.complex128).reshape(-1)
+    superop = (1.0 - p) * np.eye(d * d) + (p / d) * np.outer(vec_identity, vec_identity)
+    if k == 1:
+        k0 = np.diag([1.0, np.sqrt(1 - noise.amplitude_damping)])
+        k1 = np.array([[0.0, np.sqrt(noise.amplitude_damping)], [0.0, 0.0]])
+        superop = (np.kron(k0, k0) + np.kron(k1, k1)) @ superop
+    superop.flags.writeable = False
+    return superop
 
 
-def _noise_one_qubit(mats: np.ndarray, qubit: int, noise: NoiseModel, n: int) -> np.ndarray:
-    """A one-qubit gate's noise on ``qubit``, in one pass: depolarizing, then
-    amplitude damping with K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|.
-
-    Works on the (..., 2^(n-1-q), 2, 2^(n-1), 2, 2^q) view whose axes -4 and -2
-    are the qubit's row and column bits, with the float operations, in their
-    order, of :func:`_depolarize` followed by K0 rho K0^dag + K1 rho K1^dag."""
-    p, gamma = noise.depolarizing_1q, noise.amplitude_damping
-    if p == 0.0 and gamma == 0.0:
-        return mats
-    view = mats.reshape(mats.shape[:-2] + (2 ** (n - 1 - qubit), 2, 2 ** (n - 1), 2, 2**qubit))
-    # (1.0 - p) * x would turn some signed zeros, so p == 0 copies instead.
-    out = (1.0 - p) * view if p else view.copy()
-    d00, d11 = out[..., 0, :, 0, :], out[..., 1, :, 1, :]
-    if p:
-        mixed = p * ((view[..., 0, :, 0, :] + view[..., 1, :, 1, :]) / 2.0)
-        d00 += mixed
-        d11 += mixed
-    if gamma:
-        k0 = np.sqrt(1 - gamma)
-        k1 = np.sqrt(gamma)
-        d00 += d11 * k1 * k1
-        out[..., 1, :, :, :] *= k0  # row bit 1: rho_10, and rho_11 (then rho_11 * k0 * k0)
-        out[..., :, :, 1, :] *= k0  # column bit 1: rho_01, and rho_11 again
-    return out.reshape(mats.shape)
+@functools.lru_cache(maxsize=None)
+def _channel_view(qubits: tuple[int, ...], n: int) -> tuple[tuple, tuple, tuple]:
+    """How :func:`_apply_channel` lays out a (..., 2^n, 2^n) stack: the dims of
+    its (B, row bits, column bits) view, each run of other qubits' bits merged
+    into one axis; the axis order that puts B first, then the gate qubits' row
+    bits and column bits, ``qubits[0]`` last in each (local bit 0); its inverse."""
+    dims, axis_of = [-1], {}
+    for half in ("row", "column"):
+        top = n  # bits are listed from qubit n-1 down; those above ``top`` are placed
+        for q in sorted(qubits, reverse=True):
+            if top - 1 > q:
+                dims.append(2 ** (top - 1 - q))
+            axis_of[half, q] = len(dims)
+            dims.append(2)
+            top = q
+        if top:
+            dims.append(2**top)
+    front = [axis_of[half, q] for half in ("row", "column") for q in reversed(qubits)]
+    order = [0] + front + [axis for axis in range(1, len(dims)) if axis not in front]
+    return tuple(dims), tuple(order), tuple(np.argsort(order))
 
 
-def _conjugate_one_qubit(mats: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """u rho u^dag on ``qubit`` of every matrix, as (conj(u) (u rho)^T)^T.
-
-    u multiplies ``qubit``'s row bit of the contiguous (..., L, 2, R * 2^n)
-    view, so no 2^n x 2^n operator is formed."""
-    shape = mats.shape
-    rows = shape[:-2] + (2 ** (n - 1 - qubit), 2, 2**qubit * shape[-1])
-    for factor in (u, u.conj()):
-        mats = np.matmul(factor, mats.reshape(rows)).reshape(shape).swapaxes(-1, -2)
-    return mats
-
-
-def _conjugate_two_qubit(
-    mats: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int
+def _apply_channel(
+    mats: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int
 ) -> np.ndarray:
-    """u rho u^dag for a real signed-permutation 4x4 u (cx, cz, swap) on ``qubits``.
-
-    Row i of u (x) I has its one nonzero, sign[i], in column source[i], so the
-    result is sign[i] sign[j] rho[source[i], source[j]]: an exact gather and an
-    exact sign flip."""
-    a, b = qubits
-    index = np.arange(2**n)
-    local = ((index >> a) & 1) | (((index >> b) & 1) << 1)  # u's basis index of i
-    target = np.argmax(u != 0, axis=1)[local]
-    moved = local ^ target
-    source = index ^ ((moved & 1) << a) ^ ((moved >> 1) << b)
-    sign = u[local, target].real
-    if (source != index).any():
-        flat = (source[:, None] * index.size + source).reshape(-1)
-        mats = np.take(mats.reshape(mats.shape[:-2] + (-1,)), flat, axis=-1).reshape(mats.shape)
-    if (sign != 1.0).any():
-        mats = mats * (sign[:, None] * sign)
-    return mats
+    """The channel of a 4^k x 4^k superoperator on the k ``qubits`` of every
+    matrix of a (..., 2^n, 2^n) stack: one (4^k, 4^k) @ (B, 4^k, M) matmul, so
+    each matrix's result is the same alone or in a stack.  The gate's local
+    basis index has bit m equal to qubit ``qubits[m]``."""
+    dims, order, inverse = _channel_view(qubits, n)
+    view = mats.reshape(dims).transpose(order)
+    out = superop @ view.reshape(view.shape[0], superop.shape[1], -1)
+    return out.reshape(view.shape).transpose(inverse).reshape(mats.shape)
 
 
 def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
     """Run every matrix of a (..., 2^n, 2^n) stack through the circuit.
 
-    Each gate takes its 2x2 or 4x4 unitary from the gate table on a register
-    of its own size and acts, with its noise, on its qubits' axes alone."""
+    Each gate takes its 2x2 or 4x4 unitary u from the gate table on a register
+    of its own size; u (x) u*, followed by the noise superoperator, acts on its
+    qubits' axes alone."""
     n = c.n_qubits
     for op in c.ops:
         k = len(op.qubits)
         u = expanded_gate_matrix(GateOp(op.name, tuple(range(k)), op.angle), k)
-        if op.name in TWO_QUBIT_GATES:
-            mats = _conjugate_two_qubit(mats, u, op.qubits, n)
-            if noise is not None:
-                mats = _depolarize(mats, op.qubits, noise.depolarizing_2q, n)
-        else:
-            mats = _conjugate_one_qubit(mats, u, op.qubits[0], n)
-            if noise is not None:
-                mats = _noise_one_qubit(mats, op.qubits[0], noise, n)
+        superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4**k, 4**k)
+        if noise is not None:
+            superop = _noise_superop(k, noise) @ superop
+        mats = _apply_channel(mats, superop, op.qubits, n)
     return mats
 
 

@@ -18,9 +18,10 @@ GATE_POOL_2Q = ("cx", "cz", "swap")
 # (per_setting_pauli_probs) sum the same terms in different orders; they
 # agree to a few ulps.
 POVM_TOL = 1e-15
-# The gate kernel's one-qubit conjugation and the dense reference
-# (dense_conjugation) add the same nonzero products in different orders; they
-# agree to a few ulps.  Two-qubit gates must match the reference exactly.
+# The channel kernel (a gate and its noise as one superoperator, applied by one
+# matmul) and the dense references (dense_conjugation, then reference_depolarize
+# and reference_amplitude_damp) add the same products in different orders; they
+# agree to a few ulps.  Noiseless two-qubit gates must match exactly.
 KERNEL_TOL = 1e-15
 
 
@@ -83,10 +84,10 @@ def _keep_diagonal(block):
 
 def reference_depolarize(mats, qubits, p, n):
     """The depolarizing channel by moving each qubit's block to the last two
-    axes, kept as the bit-exact reference for ``simulator._depolarize``.
+    axes, the reference for the depolarizing part of a noisy gate's
+    superoperator (``simulator._noise_superop``), to ``KERNEL_TOL``.
 
-    The mixed part is added only where every qubit's row and column bits
-    agree, so an exact zero keeps its sign (x + 0.0 would turn -0.0)."""
+    The mixed part is added only where every qubit's row and column bits agree."""
     if p == 0.0:
         return mats
     mixed = mats.reshape(mats.shape[:-2] + (2,) * (2 * n))
@@ -100,10 +101,11 @@ def reference_depolarize(mats, qubits, p, n):
 
 
 def reference_amplitude_damp(mats, qubit, gamma, n):
-    """Amplitude damping by moving the qubit's block to the last two axes, kept
-    as the bit-exact reference for the damping stage of
-    ``simulator._noise_one_qubit``: K0 rho K0^dag scales row 1 and column 1 by
-    sqrt(1 - gamma), and K1 rho K1^dag adds gamma rho[1, 1] to rho[0, 0]."""
+    """Amplitude damping by moving the qubit's block to the last two axes, the
+    reference for the damping part of a one-qubit gate's superoperator
+    (``simulator._noise_superop``), to ``KERNEL_TOL``: K0 rho K0^dag scales
+    row 1 and column 1 by sqrt(1 - gamma), and K1 rho K1^dag adds
+    gamma rho[1, 1] to rho[0, 0]."""
     if gamma == 0.0:
         return mats
     k0 = np.sqrt(1 - gamma)

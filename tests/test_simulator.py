@@ -25,9 +25,9 @@ from quassert.simulator import (
     DEFAULT_NOISE,
     PROBABILITY_FLOOR,
     NoiseModel,
-    _depolarize,
+    _apply_channel,
     _evolve_mat,
-    _noise_one_qubit,
+    _noise_superop,
     _normalized,
     apply_readout,
     derive_seed,
@@ -69,6 +69,11 @@ def pauli_twirl_depolarize(mat, qubits, p, n):
             op = op @ embed_single_qubit(paulis[letter], q, n)
         acc += op @ mat @ op.conj().T
     return (1.0 - p) * mat + (p / 4 ** len(qubits)) * acc
+
+
+def noise_channel(mats, qubits, noise, n):
+    """The noise that follows a gate on ``qubits``, on its own."""
+    return _apply_channel(mats, _noise_superop(len(qubits), noise), qubits, n)
 
 
 def kraus_amplitude_damp(mat, qubit, gamma, n):
@@ -165,7 +170,7 @@ class TestEvolve:
     def test_depolarize_matches_pauli_twirl(self, qubits):
         rho = random_density(np.random.default_rng(53), 3)
         np.testing.assert_allclose(
-            _depolarize(rho, qubits, 0.3, 3),
+            noise_channel(rho, qubits, NoiseModel(depolarizing_1q=0.3, depolarizing_2q=0.3), 3),
             pauli_twirl_depolarize(rho, qubits, 0.3, 3),
             rtol=0,
             atol=1e-14,
@@ -184,9 +189,11 @@ class TestEvolve:
         rho = random_density(np.random.default_rng(54 + n_qubits), n_qubits)
         damping = NoiseModel(amplitude_damping=gamma)
         for qubit in range(n_qubits):
-            np.testing.assert_array_equal(
-                _noise_one_qubit(rho, qubit, damping, n_qubits),
+            np.testing.assert_allclose(
+                noise_channel(rho, (qubit,), damping, n_qubits),
                 kraus_amplitude_damp(rho, qubit, gamma, n_qubits),
+                rtol=0,
+                atol=KERNEL_TOL,
             )
 
     def test_dimension_mismatch(self):
@@ -233,15 +240,9 @@ class TestStackedEvolution:
         assert np.array_equal(evolve(state, c, noise).mat, (raw[0] + raw[0].conj().T) / 2.0)
 
 
-def same_bits(a, b):
-    """Equal bit for bit: -0.0 and 0.0 differ, unlike under np.array_equal."""
-    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                          np.ascontiguousarray(b).view(np.uint64))
-
-
 class TestGateKernel:
-    """The axis-local kernel against the dense U rho U^dag and against the
-    moveaxis forms of the noise channels it replaced."""
+    """The channel kernel against the dense U rho U^dag, followed by the
+    moveaxis forms of the noise channels."""
 
     @staticmethod
     def inputs(rng, n):
@@ -274,30 +275,33 @@ class TestGateKernel:
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         for mats in self.inputs(np.random.default_rng(910 + n), n):
             for qubits in [(q,) for q in range(n)] + pairs:
+                op = gate("ry", *qubits, angle=0.7) if len(qubits) == 1 else gate("cx", *qubits)
                 for p in (0.01, 0.5, 1.0):
-                    assert same_bits(_depolarize(mats, qubits, p, n),
-                                     reference_depolarize(mats, qubits, p, n)), qubits
+                    noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
+                    out = _evolve_mat(mats, Circuit(n, (op,)), noise)
+                    expected = reference_depolarize(dense_conjugation(mats, op, n), qubits, p, n)
+                    assert np.max(np.abs(out - expected)) <= KERNEL_TOL, (qubits, p)
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_fused_one_qubit_noise_matches_the_two_channels_bit_for_bit(self, n):
-        """Compared on the uint64 view, so that signed zeros count too: the
-        matrix units |i><j| (a stack of 4^n at n <= 3) are mostly exact zeros,
-        and every input gets a -0.0 entry, which 1.0 * x or x + 0.0 would turn."""
+    def test_noisy_one_qubit_gate_matches_the_reference_channels(self, n):
+        """A one-qubit gate, its depolarizing and its damping, one superoperator,
+        against the dense gate and the two moveaxis channels one after the
+        other; the inputs include the matrix units |i><j| (a stack of 4^n at
+        n <= 3), mostly exact zeros, as pauli_povm evolves them."""
         strengths = [(0.001, 0.001), (0.3, 0.7), (0.0, 0.2), (0.2, 0.0), (1.0, 1.0), (0.0, 0.0)]
         inputs = self.inputs(np.random.default_rng(930 + n), n)
         if n <= 3:
             inputs.append(np.eye(4**n, dtype=np.complex128).reshape(4**n, 2**n, 2**n))
         for mats in inputs:
-            mats = mats.copy()
-            mats[..., 0, -1] = complex(-0.0, -0.0)
             for q in range(n):
+                op = gate(GATE_POOL_ROT[q % 3], q, angle=0.7 + q)
                 for p, gamma in strengths:
                     noise = NoiseModel(depolarizing_1q=p, amplitude_damping=gamma)
-                    fused = _noise_one_qubit(mats, q, noise, n)
-                    expected = reference_amplitude_damp(
-                        reference_depolarize(mats, (q,), p, n), q, gamma, n)
-                    assert fused.shape == mats.shape
-                    assert same_bits(fused, expected), (q, p, gamma)
+                    out = _evolve_mat(mats, Circuit(n, (op,)), noise)
+                    expected = reference_amplitude_damp(reference_depolarize(
+                        dense_conjugation(mats, op, n), (q,), p, n), q, gamma, n)
+                    assert out.shape == mats.shape
+                    assert np.max(np.abs(out - expected)) <= KERNEL_TOL, (q, p, gamma)
 
     def test_gates_expand_on_their_own_register(self, monkeypatch):
         expand = simulator.expanded_gate_matrix
@@ -650,7 +654,8 @@ class TestNoiseChannelProperties:
         rho = data.draw(density_matrices(n))
         size = data.draw(st.integers(1, min(n, 2)))
         qubits = tuple(data.draw(st.permutations(range(n)))[:size])
-        assert_is_density_matrix(_depolarize(rho, qubits, p, n))
+        noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
+        assert_is_density_matrix(noise_channel(rho, qubits, noise, n))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 3), st.floats(0.0, 1.0))
@@ -659,7 +664,17 @@ class TestNoiseChannelProperties:
         qubit = data.draw(st.integers(0, n - 1))
         p = data.draw(st.floats(0.0, 1.0))
         noise = NoiseModel(depolarizing_1q=p, amplitude_damping=gamma)
-        assert_is_density_matrix(_noise_one_qubit(rho, qubit, noise, n))
+        assert_is_density_matrix(noise_channel(rho, (qubit,), noise, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2), noise_models)
+    def test_noise_superoperator_preserves_trace(self, k, noise):
+        """sum_i S[(i, i), (k, l)] = delta_kl: tr(S vec(rho)) = tr(rho) for every rho."""
+        d = 2**k
+        superop = _noise_superop(k, noise)
+        assert superop.shape == (d * d, d * d) and not superop.flags.writeable
+        traced = np.trace(superop.reshape(d, d, d * d))
+        np.testing.assert_allclose(traced, np.eye(d).reshape(-1), rtol=0, atol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(1, 4), noise_models)
