@@ -188,8 +188,22 @@ class TestReport:
         return all(r.result.passed for r in self.records)
 
 
+def _saved_artifacts(artifacts: dict) -> dict:
+    """A runner's raw artifacts in report form: counts as {bitstring: count} over
+    the nonzero outcomes, a reconstructed matrix as rows of [re, im] pairs."""
+    saved = {}
+    for name, value in artifacts.items():
+        if name == "counts":
+            n_qubits = value.size.bit_length() - 1
+            saved[name] = {format(k, f"0{n_qubits}b"): int(v) for k, v in enumerate(value) if v}
+        else:
+            saved[name] = [[[float(z.real), float(z.imag)] for z in row] for row in value]
+    return saved
+
+
 def run_suite(suite: TestSuite) -> TestReport:
-    """Execute every assertion of every case, in declaration order."""
+    """Execute every assertion of every case, in declaration order; artifacts
+    are converted to report form only when the suite saves them."""
     records: list[AssertionRecord] = []
     for case in suite.cases:
         for i, assertion in enumerate(case.assertions):
@@ -200,9 +214,8 @@ def run_suite(suite: TestSuite) -> TestReport:
                 **{key: value for key, value in overrides.items() if value is not None},
             )
             result, artifacts = run_protocol_detailed(case.subject, assertion.expected, config)
-            records.append(
-                AssertionRecord(case.name, i, result, artifacts if suite.save_data else None)
-            )
+            saved = _saved_artifacts(artifacts) if suite.save_data else None
+            records.append(AssertionRecord(case.name, i, result, saved))
     return TestReport(suite.name, tuple(records))
 
 

@@ -117,14 +117,6 @@ class AssertionResult:
         return self.probability >= self.threshold
 
 
-def _counts_to_bitstrings(counts, n_qubits: int) -> dict[str, int]:
-    return {format(k, f"0{n_qubits}b"): int(v) for k, v in enumerate(counts) if v}
-
-
-def _matrix_to_pairs(mat) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
@@ -140,8 +132,7 @@ def _run_proj(
         "shots": config.shots,
         "settings": 1,
     }
-    artifacts = {"counts": _counts_to_bitstrings(counts, subject.n_qubits)}
-    return result.p_value, diagnostics, artifacts
+    return result.p_value, diagnostics, {"counts": counts}
 
 
 def _run_state_tomo(
@@ -154,8 +145,7 @@ def _run_state_tomo(
         "shots_per_setting": config.shots,
         "estimate_purity": estimate.purity(),
     }
-    artifacts = {"reconstructed_state": _matrix_to_pairs(estimate.mat)}
-    return probability, diagnostics, artifacts
+    return probability, diagnostics, {"reconstructed_state": estimate.mat}
 
 
 def _run_process_tomo(
@@ -169,8 +159,7 @@ def _run_process_tomo(
         "shots_per_setting": config.shots,
         "estimate_trace": float(estimate.mat.trace().real),
     }
-    artifacts = {"reconstructed_choi": _matrix_to_pairs(estimate.mat)}
-    return probability, diagnostics, artifacts
+    return probability, diagnostics, {"reconstructed_choi": estimate.mat}
 
 
 _RUNNERS = {
@@ -185,8 +174,8 @@ def run_protocol_detailed(
 ) -> tuple[AssertionResult, dict]:
     """Run the protocol selected by the expected value; also return artifacts.
 
-    Artifacts are the raw intermediates (counts or reconstructed matrices) in
-    JSON-ready form; :func:`run_protocol` discards them.
+    Artifacts are the raw intermediates as arrays: the int64 counts, or the
+    reconstructed matrix.  :func:`run_protocol` discards them.
     """
     protocol_id = protocol_for(expected)
     if expected.n_qubits != subject.n_qubits:

@@ -422,8 +422,7 @@ class TestPooledCounts:
             _, artifacts = run_protocol_detailed(
                 subject, uniform, RunConfig(shots=self.SHOTS, seed=seed, noise=noise)
             )
-            for bits, count in artifacts["counts"].items():
-                pooled[int(bits, 2)] += count
+            pooled += artifacts["counts"]
         state = evolve(DensityMatrix.ground(n), subject, noise)
         exact = xor_readout(np.diag(state.mat).real, noise)
         assert pooled_chi2_pvalue(pooled, exact) > 1e-3
