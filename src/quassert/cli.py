@@ -3,7 +3,7 @@
 Suite and sweep documents are JSON.  Complex matrix entries are encoded as
 [re, im] pairs; distributions are probability arrays in little-endian index
 order.  Exit codes: 0 all cases passed, 1 some assertion failed, 2 parse or
-validation failure, 3 numeric failure.
+validation failure, 3 numeric failure or an allocation numpy refused.
 """
 
 from __future__ import annotations
@@ -410,6 +410,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_sweep(args)
     except (NumericError, DegenerateInputError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy refused an allocation: a register too large
+        print(f"numeric error: out of memory: {str(exc) or 'allocation refused'}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as exc:  # SuiteValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

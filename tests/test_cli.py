@@ -234,6 +234,31 @@ class TestCmdRun:
         assert code == 0
         assert capsys.readouterr().out == "[PASSED]: with a 1.000 probability of passing.\n"
 
+    @pytest.mark.parametrize(
+        "command, runner, error",
+        [
+            ("run", "run_suite", MemoryError("Unable to allocate 256. GiB for an array with "
+                                             "shape (65536, 65536) and data type complex128")),
+            ("sweep", "run_protocol", MemoryError()),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_refused_allocation_exit_three(self, capsys, monkeypatch, tiny_suite, tiny_sweep,
+                                           command, runner, error):
+        """numpy's refusal is raised by a stand-in runner: a real oversized
+        allocation can succeed on a host that overcommits memory, then exhaust it."""
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"quassert.cli.{runner}", refuse)
+        code = main([command, tiny_suite if command == "run" else tiny_sweep])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: out of memory: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "/definitely/not/here.json"]) == 2
         assert "error" in capsys.readouterr().err
