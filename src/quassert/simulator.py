@@ -137,7 +137,7 @@ def _noise_superop(k: int, noise: NoiseModel) -> np.ndarray:
     return superop
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _channel_view(qubits: tuple[int, ...], n: int) -> tuple[tuple, tuple, tuple]:
     """How :func:`_apply_channel` lays out a (..., 2^n, 2^n) stack: the dims of
     its (B, row bits, column bits) view, each run of other qubits' bits merged
