@@ -138,25 +138,12 @@ def _noise_superop(k: int, noise: NoiseModel) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _channel_view(qubits: tuple[int, ...], n: int) -> tuple[tuple, tuple, tuple]:
-    """How :func:`_apply_channel` lays out a (..., 2^n, 2^n) stack: the dims of
-    its (B, row bits, column bits) view, each run of other qubits' bits merged
-    into one axis; the axis order that puts B first, then the gate qubits' row
-    bits and column bits, ``qubits[0]`` last in each (local bit 0); its inverse."""
-    dims, axis_of = [-1], {}
-    for half in ("row", "column"):
-        top = n  # bits are listed from qubit n-1 down; those above ``top`` are placed
-        for q in sorted(qubits, reverse=True):
-            if top - 1 > q:
-                dims.append(2 ** (top - 1 - q))
-            axis_of[half, q] = len(dims)
-            dims.append(2)
-            top = q
-        if top:
-            dims.append(2**top)
-    front = [axis_of[half, q] for half in ("row", "column") for q in reversed(qubits)]
-    order = [0] + front + [axis for axis in range(1, len(dims)) if axis not in front]
-    return tuple(dims), tuple(order), tuple(np.argsort(order))
+def _channel_order(qubits: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
+    """The axis order of :func:`_apply_channel`'s view that puts B first, then
+    the gate qubits' row bits and column bits, ``qubits[0]`` last in each; its inverse."""
+    front = [half + n - q for half in (0, n) for q in reversed(qubits)]
+    order = [0] + front + [axis for axis in range(1, 2 * n + 1) if axis not in front]
+    return tuple(order), tuple(sorted(range(2 * n + 1), key=order.__getitem__))
 
 
 def _apply_channel(
@@ -165,9 +152,13 @@ def _apply_channel(
     """The channel of a 4^k x 4^k superoperator on the k ``qubits`` of every
     matrix of a (..., 2^n, 2^n) stack: one (4^k, 4^k) @ (B, 4^k, M) matmul, so
     each matrix's result is the same alone or in a stack.  The gate's local
-    basis index has bit m equal to qubit ``qubits[m]``."""
-    dims, order, inverse = _channel_view(qubits, n)
-    view = mats.reshape(dims).transpose(order)
+    basis index has bit m equal to qubit ``qubits[m]``.
+
+    The stack is viewed as (B,) + (2,) * 2n, row bits of qubits n-1..0 and then
+    column bits, so qubit q's row bit is axis n - q and its column bit 2n - q;
+    numpy's copies merge the axes that stay adjacent."""
+    order, inverse = _channel_order(qubits, n)
+    view = mats.reshape((-1,) + (2,) * (2 * n)).transpose(order)
     out = superop @ view.reshape(view.shape[0], superop.shape[1], -1)
     return out.reshape(view.shape).transpose(inverse).reshape(mats.shape)
 
