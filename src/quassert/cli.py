@@ -29,7 +29,14 @@ from quassert.orchestrator import (
 from quassert.protocols import ProcessRef, RunConfig, protocol_for, run_protocol
 from quassert.qcore import ChoiMatrix, Circuit, DensityMatrix, GateOp, OutcomeDistribution, _as_int
 from quassert.qmath import DegenerateInputError, NumericError
-from quassert.simulator import DEFAULT_NOISE, NoiseModel, check_seed, check_shots, derive_seed
+from quassert.simulator import (
+    DEFAULT_NOISE,
+    NoiseModel,
+    check_noise,
+    check_seed,
+    check_shots,
+    derive_seed,
+)
 
 DEFAULT_SHOT_GRID = (10, 30, 100, 300, 1000, 3000, 10000)
 DEFAULT_TRIALS = 20
@@ -74,6 +81,7 @@ class SweepConfig:
             raise ValueError(f"trials_per_point must be >= 1, got {trials}")
         object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "seed", check_seed(self.seed))
+        check_noise(self.noise)
 
 
 # Document decoding: every field is checked once, as it is read, and every

@@ -75,7 +75,7 @@ class Assertion:
             if self.shots is not None:
                 object.__setattr__(self, "shots", check_shots(self.shots))
             if self.threshold is not None:
-                check_threshold(self.threshold)
+                object.__setattr__(self, "threshold", check_threshold(self.threshold))
         except (ContextError, ValueError) as exc:
             raise SuiteValidationError(str(exc)) from exc
         if isinstance(self.expected, ProcessRef):

@@ -27,6 +27,7 @@ from quassert.simulator import (
     NoiseModel,
     _diagonal_probs,
     apply_readout,
+    check_noise,
     check_seed,
     check_shots,
     check_threshold,
@@ -99,8 +100,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shots", check_shots(self.shots))  # numpy ints stored as int
-        check_threshold(self.threshold)
+        object.__setattr__(self, "threshold", check_threshold(self.threshold))
         object.__setattr__(self, "seed", check_seed(self.seed))
+        check_noise(self.noise)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +73,11 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """True iff ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_qubit_count(value) -> int:
     """``value`` as a register size: an int of at least 1."""
     n_qubits = _as_int(value, "n_qubits")
@@ -104,7 +111,11 @@ class GateOp:
             raise ValueError(
                 f"gate {self.name!r}: angle must be given for rotation gates and only for them"
             )
-        if self.angle is not None and not np.isfinite(self.angle):
+        if self.angle is not None and not _is_real(self.angle):
+            raise ValueError(
+                f"gate {self.name!r}: angle must be a real number, got {self.angle!r}"
+            )
+        if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"gate {self.name!r}: angle must be finite, got {self.angle}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")

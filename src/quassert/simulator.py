@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from quassert.qcore import (
     GateOp,
     OutcomeDistribution,
     _as_int,
+    _is_real,
     expanded_gate_matrix,
 )
 from quassert.qmath import NumericError
@@ -70,14 +70,14 @@ def check_seed(seed: int) -> int:
 
 def _is_unit_real(value) -> bool:
     """True iff ``value`` is a real number, not a bool, in [0, 1]."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and 0.0 <= value <= 1.0
+    return _is_real(value) and 0.0 <= value <= 1.0
 
 
-def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a real number (not a bool) in [0, 1]."""
+def check_threshold(threshold: float) -> float:
+    """``threshold`` as a float; ValueError unless it is a real number (not a bool) in [0, 1]."""
     if not _is_unit_real(threshold):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
+    return float(threshold)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,12 @@ class NoiseModel:
             value = getattr(self, name)
             if not _is_unit_real(value):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def check_noise(noise: NoiseModel | None) -> None:
+    """Raise ValueError unless ``noise`` is None or a NoiseModel."""
+    if noise is not None and not isinstance(noise, NoiseModel):
+        raise ValueError(f"noise must be a NoiseModel or None, got {type(noise).__name__}")
 
 
 # Artifact default for a noisy run; representative of a 27-qubit-era device.

@@ -199,6 +199,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="trials_per_point must be an integer"):
             SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"), trials_per_point=trials)
 
+    @pytest.mark.parametrize("noise, kind", [("default", "str"), ({"readout_flip": 0.1}, "dict")],
+                             ids=["str", "dict"])
+    def test_noise_must_be_a_noise_model(self, noise, kind):
+        with pytest.raises(ValueError, match=f"noise must be a NoiseModel or None, got {kind}"):
+            SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"), noise=noise)
+
     def test_numbers_stored_as_ints(self):
         config = SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"),
                              shot_grid=(np.int64(10), 20), trials_per_point=np.int64(2))

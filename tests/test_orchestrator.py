@@ -237,10 +237,12 @@ def _expected(kind: str, n_qubits: int):
 def suite_inputs(draw):
     """Raw inputs of a Python-built suite, valid or not: (register, defaults,
     save_data, [(case name, subject register or None, [(kind, size, shots,
-    threshold, wrapped in Assertion)])]).  Each field sometimes has a wrong type."""
+    threshold, wrapped in Assertion)])]).  Each field sometimes has a wrong type;
+    a threshold is sometimes a numpy scalar."""
     size = draw(st.integers(1, 5))
     register = draw(st.sampled_from([size] * 8 + [float(size), True, str(size), None]))
-    defaults = draw(st.sampled_from([RunConfig(shots=5, seed=2)] * 8 + [None, {"shots": 5}]))
+    defaults = draw(st.sampled_from([RunConfig(shots=5, seed=2)] * 6 + [
+        RunConfig(shots=5, seed=2, threshold=np.float64(0.5))] * 2 + [None, {"shots": 5}]))
     save_data = draw(st.sampled_from([False] * 8 + [True, "yes", 1]))
     cases = []
     for _ in range(draw(st.integers(1, 2))):
@@ -253,7 +255,8 @@ def suite_inputs(draw):
                 kind,
                 draw(st.sampled_from(sizes)),
                 draw(st.sampled_from([None, 1, 7, np.int64(3)] * 4 + [0, -1, 2.5, True])),
-                draw(st.sampled_from([None, 0.0, 0.3, 1.0] * 4 + [NaN, 2.0, -0.1, True])),
+                draw(st.sampled_from([None, 0.0, 0.3, 1.0, np.float64(0.5), np.float32(0.25),
+                                      np.float16(0.75)] * 3 + [NaN, 2.0, -0.1, True])),
                 draw(st.sampled_from([True] * 8 + [False])),
             ))
         name = draw(st.sampled_from(["a", "b", "c"] * 3 + [5, None]))
@@ -292,38 +295,51 @@ class TestBuiltChecked:
         except SuiteValidationError:
             return
         assert type(suite.n_qubits) is int and type(suite.save_data) is bool
-        assert isinstance(suite.defaults, RunConfig)
+        assert isinstance(suite.defaults, RunConfig) and type(suite.defaults.threshold) is float
         for case in suite.cases:
             assert isinstance(case.name, str) and isinstance(case.subject, Circuit)
             assert all(isinstance(a, Assertion) for a in case.assertions)
+            assert all(a.threshold is None or type(a.threshold) is float for a in case.assertions)
         report = run_suite(suite)
         assert len(report.records) == sum(len(case.assertions) for case in suite.cases)
         assert all(0.0 <= r.result.probability <= 1.0 for r in report.records)
+        assert parse_report(format_report(report, "json")) == report
 
-    @pytest.mark.parametrize("build, message", [
+    @pytest.mark.parametrize("build, error, message", [
         (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),), defaults=None),
-         "defaults: expected RunConfig, got NoneType"),
-        (lambda c, a: TestCase("a", c, (a.expected,)),
+         SuiteValidationError, "defaults: expected RunConfig, got NoneType"),
+        # RunConfig is the protocols' config: it raises ValueError, as for its shots and seed
+        (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),),
+                                defaults=RunConfig(noise="default")),
+         ValueError, "noise must be a NoiseModel or None, got str"),
+        (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),),
+                                defaults=RunConfig(noise={"readout_flip": 0.1})),
+         ValueError, "noise must be a NoiseModel or None, got dict"),
+        (lambda c, a: TestCase("a", c, (a.expected,)), SuiteValidationError,
          "case 'a', assertions[0]: expected Assertion, got OutcomeDistribution"),
         (lambda c, a: TestCase("a", None, (a,)),
-         "case 'a', subject: expected Circuit, got NoneType"),
-        (lambda c, a: TestCase(5, c, (a,)), "case name: expected str, got int"),
-        (lambda c, a: TestCase("a", c, None), "case 'a', assertions: expected tuple or list, got NoneType"),
+         SuiteValidationError, "case 'a', subject: expected Circuit, got NoneType"),
+        (lambda c, a: TestCase(5, c, (a,)), SuiteValidationError, "case name: expected str, got int"),
+        (lambda c, a: TestCase("a", c, None),
+         SuiteValidationError, "case 'a', assertions: expected tuple or list, got NoneType"),
         (lambda c, a: TestSuite("s", 1, (TestCase("a", c, (a,)),), save_data="yes"),
-         "save_data: expected bool, got str"),
+         SuiteValidationError, "save_data: expected bool, got str"),
         (lambda c, a: TestSuite("s", 1.0, (TestCase("a", c, (a,)),)),
-         "n_qubits must be an integer, got 1.0"),
-        (lambda c, a: TestSuite("s", 1, None), "cases: expected tuple or list, got NoneType"),
-        (lambda c, a: TestSuite("s", 1, (a,)), "cases[0]: expected TestCase, got Assertion"),
+         SuiteValidationError, "n_qubits must be an integer, got 1.0"),
+        (lambda c, a: TestSuite("s", 1, None),
+         SuiteValidationError, "cases: expected tuple or list, got NoneType"),
+        (lambda c, a: TestSuite("s", 1, (a,)),
+         SuiteValidationError, "cases[0]: expected TestCase, got Assertion"),
         (lambda c, a: TestSuite(None, 1, (TestCase("a", c, (a,)),)),
-         "suite name: expected str, got NoneType"),
-    ], ids=["defaults", "bare_expected", "subject", "case_name", "assertions", "save_data",
-            "n_qubits", "cases", "case", "suite_name"])
-    def test_wrong_field_types_rejected_while_built(self, build, message):
+         SuiteValidationError, "suite name: expected str, got NoneType"),
+    ], ids=["defaults", "noise_str", "noise_dict", "bare_expected", "subject", "case_name",
+            "assertions", "save_data", "n_qubits", "cases", "case", "suite_name"])
+    def test_wrong_field_types_rejected_while_built(self, build, error, message):
         subject = Circuit(1, (gate("h", 0),))
         assertion = Assertion(OutcomeDistribution(1, [0.5, 0.5]))
-        with pytest.raises(SuiteValidationError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)) as raised:
             build(subject, assertion)
+        assert type(raised.value) is error
 
     def test_register_stored_as_int(self):
         case = TestCase("a", Circuit(1), [Assertion(OutcomeDistribution(1, [1.0, 0.0]))])

@@ -6,6 +6,8 @@ entrywise against its definition, and its input marginal against an
 explicit index-pair sum.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,17 @@ class TestGateOpValidation:
             GateOp("rx", (0,))  # rotation without angle
         with pytest.raises(ValueError):
             GateOp("x", (0,), angle=0.5)  # angle on a fixed gate
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.3", 1j, [0.3]],
+                             ids=["bool", "numpy_bool", "str", "complex", "list"])
+    def test_non_real_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gate 'rx': angle must be a real number, got {bad!r}")):
+            GateOp("rx", (0,), angle=bad)
+
+    @pytest.mark.parametrize("angle", [1, np.int64(2), np.float32(0.3)])
+    def test_real_angle_types_accepted(self, angle):
+        assert GateOp("rx", (0,), angle=angle).angle == angle
 
     @pytest.mark.parametrize("bad", [0.7, 1.0, True, np.True_, "1", None],
                              ids=["fraction", "float", "bool", "numpy_bool", "str", "none"])
