@@ -14,6 +14,9 @@ same ordered field list, so one set of execution parameters has one type.
 Only ``simulator.sample`` may touch ``numpy.random``, so every count an
 assertion draws comes from the one generator its seed builds.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
+Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
+not used, so no cache keyed by user input (angles, noise models) can grow
+without bound.
 """
 
 import ast
@@ -285,3 +288,52 @@ def test_einsum_scan_flags_planted_contractions():
         "def g(a):\n    return a @ a\n"
     )
     assert einsum_mentions(source) == [2, 4, 5, 6]
+
+
+def _is_bounded(call: ast.Call) -> bool:
+    """True iff an ``lru_cache(...)`` call states a maxsize other than None."""
+    maxsize = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "maxsize"), None)
+    return maxsize is not None and not (
+        isinstance(maxsize, ast.Constant) and maxsize.value is None)
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Line numbers of each ``functools.cache`` and each ``lru_cache`` that is
+    bare or called without a maxsize, or with ``maxsize=None``."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hit = any(alias.name == "cache" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            hit = getattr(node.value, "id", None) == "functools"
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            hit = id(node) not in calls or not _is_bounded(calls[id(node)])
+        else:
+            hit = False
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_in_the_package_is_bounded():
+    found = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py"))
+             for line in unbounded_caches(p.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_cache_scan_flags_unbounded_caches():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache\ndef a(x):\n    return x\n"
+        "@lru_cache(maxsize=None)\ndef b(x):\n    return x\n"
+        "@functools.cache\ndef c(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=64)\ndef d(x):\n    return x\n"
+        "@lru_cache(32, typed=True)\ndef e(x):\n    return x\n"
+        "@lru_cache(typed=True)\ndef f(x):\n    return x\n"
+        "g = functools.lru_cache(None)(len)\n"
+        "cache = {}\nh = cache.get\n"
+    )
+    assert unbounded_caches(source) == [2, 3, 6, 9, 18, 21]
