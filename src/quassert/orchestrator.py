@@ -16,24 +16,15 @@ import json
 from dataclasses import dataclass, field, replace
 
 from quassert.protocols import (
-    PROTOCOL_PROCESS,
-    PROTOCOL_STATE,
     AssertionResult,
     ContextError,
     ExpectedValue,
-    ProcessRef,
     RunConfig,
-    protocol_for,
+    checked_expected,
     run_protocol_detailed,
 )
 from quassert.qcore import Circuit, _as_qubit_count
 from quassert.simulator import check_shots, check_threshold, derive_seed
-from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
-
-_TOMOGRAPHY_QUBIT_LIMITS = {
-    PROTOCOL_STATE: MAX_STATE_QUBITS,
-    PROTOCOL_PROCESS: MAX_PROCESS_QUBITS,
-}
 
 
 class SuiteValidationError(ValueError):
@@ -68,18 +59,13 @@ class Assertion:
 
     def __post_init__(self) -> None:
         try:
-            protocol, n_qubits = protocol_for(self.expected), self.expected.n_qubits
-            limit = _TOMOGRAPHY_QUBIT_LIMITS.get(protocol)
-            if limit is not None and n_qubits > limit:
-                raise ValueError(f"{protocol} supports at most {limit} qubit(s), got {n_qubits}")
+            object.__setattr__(self, "expected", checked_expected(self.expected))
             if self.shots is not None:
                 object.__setattr__(self, "shots", check_shots(self.shots))
             if self.threshold is not None:
                 object.__setattr__(self, "threshold", check_threshold(self.threshold))
         except (ContextError, ValueError) as exc:
             raise SuiteValidationError(str(exc)) from exc
-        if isinstance(self.expected, ProcessRef):
-            object.__setattr__(self, "expected", self.expected.choi())
 
 
 @dataclass(frozen=True)

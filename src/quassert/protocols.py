@@ -35,12 +35,17 @@ from quassert.simulator import (
     sample,
 )
 from quassert.stats import chi2_gof
-from quassert.tomography import process_tomography, state_tomography
+from quassert.tomography import (
+    MAX_PROCESS_QUBITS,
+    MAX_STATE_QUBITS,
+    SizeLimitError,
+    process_tomography,
+    state_tomography,
+)
 
 PROTOCOL_PROJ = "proj"
 PROTOCOL_STATE = "state_tomo"
 PROTOCOL_PROCESS = "process_tomo"
-PROTOCOL_IDS = (PROTOCOL_PROJ, PROTOCOL_STATE, PROTOCOL_PROCESS)
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -51,7 +56,7 @@ class ContextError(TypeError):
 
 @dataclass(frozen=True)
 class ProcessRef:
-    """Expected channel given as a reference circuit; converted on demand."""
+    """Expected channel given as a reference circuit; :func:`checked_expected` converts it."""
 
     circuit: Circuit
 
@@ -59,29 +64,36 @@ class ProcessRef:
     def n_qubits(self) -> int:
         return self.circuit.n_qubits
 
-    def choi(self) -> ChoiMatrix:
-        return circuit_to_choi(self.circuit)
-
 
 ExpectedValue = Union[OutcomeDistribution, DensityMatrix, ChoiMatrix, ProcessRef]
 
 
+def _protocol(expected: ExpectedValue) -> tuple:
+    """The (protocol id, runner, qubit cap) row the expected value's type selects."""
+    for types, row in _PROTOCOLS.items():
+        if isinstance(expected, types):
+            return row
+    raise ContextError(f"no protocol accepts expected values of type {type(expected).__name__}")
+
+
 def protocol_for(expected: ExpectedValue) -> str:
     """Total dispatch from expected-value type to protocol id."""
-    if isinstance(expected, OutcomeDistribution):
-        return PROTOCOL_PROJ
-    if isinstance(expected, DensityMatrix):
-        return PROTOCOL_STATE
-    if isinstance(expected, (ChoiMatrix, ProcessRef)):
-        return PROTOCOL_PROCESS
-    raise ContextError(
-        f"no protocol accepts expected values of type {type(expected).__name__}"
-    )
+    return _protocol(expected)[0]
+
+
+def checked_expected(expected: ExpectedValue) -> ExpectedValue:
+    """The expected value within its protocol's qubit cap, a :class:`ProcessRef`
+    converted to its Choi matrix only once the cap has passed."""
+    protocol_id, _, limit = _protocol(expected)
+    if limit is not None and expected.n_qubits > limit:
+        message = f"{protocol_id} supports at most {limit} qubit(s), got {expected.n_qubits}"
+        raise SizeLimitError(message)
+    return circuit_to_choi(expected.circuit) if isinstance(expected, ProcessRef) else expected
 
 
 def context_check(expected: ExpectedValue, protocol_id: str) -> bool:
     """True iff the expected value's type selects the given protocol."""
-    if protocol_id not in PROTOCOL_IDS:
+    if protocol_id not in {row[0] for row in _PROTOCOLS.values()}:
         raise ValueError(f"unknown protocol id {protocol_id!r}")
     try:
         return protocol_for(expected) == protocol_id
@@ -164,10 +176,11 @@ def _run_process_tomo(
     return probability, diagnostics, {"reconstructed_choi": estimate.mat}
 
 
-_RUNNERS = {
-    PROTOCOL_PROJ: _run_proj,
-    PROTOCOL_STATE: _run_state_tomo,
-    PROTOCOL_PROCESS: _run_process_tomo,
+# The one dispatch, by isinstance: type(s) -> (protocol id, runner, qubit cap or None).
+_PROTOCOLS = {
+    OutcomeDistribution: (PROTOCOL_PROJ, _run_proj, None),
+    DensityMatrix: (PROTOCOL_STATE, _run_state_tomo, MAX_STATE_QUBITS),
+    (ChoiMatrix, ProcessRef): (PROTOCOL_PROCESS, _run_process_tomo, MAX_PROCESS_QUBITS),
 }
 
 
@@ -179,17 +192,16 @@ def run_protocol_detailed(
     Artifacts are the raw intermediates as arrays: the int64 counts, or the
     reconstructed matrix.  :func:`run_protocol` discards them.
     """
-    protocol_id = protocol_for(expected)
+    protocol_id, run, _ = _protocol(expected)
     if expected.n_qubits != subject.n_qubits:
         raise DimensionError(
             f"expected value on {expected.n_qubits} qubit(s) vs subject on "
             f"{subject.n_qubits}"
         )
-    if isinstance(expected, ProcessRef):
-        expected = expected.choi()
+    expected = checked_expected(expected)
 
     try:
-        probability, diagnostics, artifacts = _RUNNERS[protocol_id](subject, expected, config)
+        probability, diagnostics, artifacts = run(subject, expected, config)
     except NumericError as exc:
         raise NumericError(f"{protocol_id}: {exc}") from exc
 

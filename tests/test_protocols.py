@@ -1,14 +1,16 @@
 """Polymorphic dispatch and the three protocol implementations."""
 
 import re
+import typing
 
 import numpy as np
 import pytest
 
-from quassert import protocols, qmath
+from quassert import protocols, qmath, tomography
 from quassert.protocols import (
     AssertionResult,
     ContextError,
+    ExpectedValue,
     PROTOCOL_PROCESS,
     PROTOCOL_PROJ,
     PROTOCOL_STATE,
@@ -27,6 +29,7 @@ from quassert.qcore import (
     gate,
 )
 from quassert.qmath import DimensionError
+from quassert.tomography import SizeLimitError
 from quassert.simulator import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -86,6 +89,18 @@ class TestContextCheck:
     def test_unsupported_expected_type(self):
         with pytest.raises(ContextError):
             protocol_for([0.5, 0.5])
+
+    def test_every_expected_type_selects_one_row(self):
+        for kind in typing.get_args(ExpectedValue):
+            assert sum(issubclass(kind, types) for types in protocols._PROTOCOLS) == 1, kind
+
+    def test_table_ids_are_the_three_protocols(self):
+        ids = [row[0] for row in protocols._PROTOCOLS.values()]
+        assert sorted(ids) == sorted([PROTOCOL_PROJ, PROTOCOL_STATE, PROTOCOL_PROCESS])
+
+    def test_subclass_dispatches_like_its_base(self):
+        subclass = type("LabelledState", (DensityMatrix,), {})
+        assert protocol_for(subclass(1, DensityMatrix.ground(1).mat)) == PROTOCOL_STATE
 
 
 class TestRunProtocol:
@@ -147,6 +162,20 @@ class TestRunProtocol:
         config = RunConfig(shots=100, seed=0)
         with pytest.raises(DimensionError, match="2 qubit"):
             run_protocol(Circuit(1, (gate("h", 0),)), ProcessRef(bell_circuit), config)
+
+    @pytest.mark.parametrize("expected, message", [
+        (lambda: DensityMatrix.ground(5), "state_tomo supports at most 4 qubit(s), got 5"),
+        (lambda: ProcessRef(Circuit(4)), "process_tomo supports at most 3 qubit(s), got 4"),
+    ], ids=["state_5q", "process_ref_4q"])
+    def test_oversized_expected_rejected_before_running(self, monkeypatch, expected, message):
+        def fail(*args):
+            raise AssertionError("ran on a register beyond the tomography cap")
+
+        monkeypatch.setattr(tomography, "evolve", fail)
+        monkeypatch.setattr(protocols, "circuit_to_choi", fail)
+        value = expected()
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
+            run_protocol(Circuit(value.n_qubits), value, RunConfig(shots=100, seed=0))
 
     def test_process_ref_reports_its_circuits_qubit_count(self, bell_circuit):
         assert ProcessRef(bell_circuit).n_qubits == bell_circuit.n_qubits == 2
