@@ -108,7 +108,8 @@ def _build(where: str, factory, *args, **kwargs):
 
 
 def _expect(value, where: str, kind: type, nonempty: bool = False):
-    """``value`` if it has the JSON type ``kind``; ``float`` means any number.
+    """``value`` if it has the JSON type ``kind``; ``float`` means any number
+    that fits a float.
 
     An integral float such as ``3.0`` reads as the integer ``3``.
     """
@@ -117,6 +118,8 @@ def _expect(value, where: str, kind: type, nonempty: bool = False):
     if type(value) is not kind and not (kind is float and type(value) is int):
         got = type(value) in (dict, list) and _JSON_TYPES[type(value)]
         _fail(where, f"expected {_JSON_TYPES[kind]}, got {got or json.dumps(value, default=repr)}")
+    if kind is float and type(value) is int and abs(value) > sys.float_info.max:
+        _fail(where, "expected a number, got an integer too large for a float")
     if nonempty and not value:
         _fail(where, "must not be empty")
     return value

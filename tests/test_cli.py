@@ -666,6 +666,13 @@ _ONE_PASS_REJECTION_ROWS = [
      ["cases[0].assertions[1].value[0][0][1]"], "bool_in_state"),
     ("sweep", ("positive_case", "assertion", "value"), [0.5, True],
      ["positive_case.assertion.value[1]"], "bool_in_sweep_distribution"),
+    # integers too large for a float where a number goes
+    ("run", _G0 + ("angle",), 10**400, ["cases[0].circuit[0].angle", "too large for a float"],
+     "huge_int_angle"),
+    ("run", _A0 + ("value",), [10**400, 0], ["cases[0].assertions[0].value[0]", "too large"],
+     "huge_int_in_distribution"),
+    ("run", _STATE, [[[1, 0], [0, 0]], [[0, 0], [0, -10**400]]],
+     ["cases[0].assertions[1].value[1][1][1]", "too large"], "huge_int_in_state"),
     # process_ref circuits get the same checks as subject circuits
     ("run", _REF, [{"gate": "h"}], ["cases[0].assertions[2].value[0]", "qubits"],
      "process_ref_missing_qubits"),
