@@ -54,7 +54,11 @@ MAX_DOCUMENT_QUBITS = 64
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A correct/mutated subroutine pair swept over shot counts."""
+    """A correct/mutated subroutine pair swept over shot counts.
+
+    Each case holds one assertion with no overrides: the grid sets its shots,
+    and the sweep averages probabilities instead of applying a threshold.
+    """
 
     name: str
     positive_case: TestCase
@@ -65,6 +69,11 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for case in (self.positive_case, self.negative_case):
+            first = case.assertions[0]
+            if len(case.assertions) != 1 or first.shots is not None or first.threshold is not None:
+                raise ValueError(f"sweep case {case.name!r} must hold exactly one assertion, "
+                                 "with no shots or threshold override")
         proto_pos = protocol_for(self.positive_case.assertions[0].expected)
         proto_neg = protocol_for(self.negative_case.assertions[0].expected)
         if proto_pos != proto_neg:

@@ -16,7 +16,7 @@ from quassert.cli import (
     run_sweep,
 )
 from quassert.orchestrator import Assertion, SuiteValidationError, TestCase
-from quassert.qcore import Circuit, OutcomeDistribution, gate
+from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
 
 NaN = float("nan")
 Infinity = float("inf")
@@ -212,6 +212,21 @@ class TestSweepConfig:
         assert type(config.trials_per_point) is int
         csv_text, _, _ = run_sweep(config)
         assert csv_text.splitlines()[1].startswith("10,")
+
+    @pytest.mark.parametrize("assertions, side", [
+        (lambda d: (Assertion(d, shots=7, threshold=0.9), Assertion(DensityMatrix.ground(1))),
+         "positive"),
+        (lambda d: (Assertion(d), Assertion(d)), "negative"),
+        (lambda d: (Assertion(d, shots=7),), "positive"),
+        (lambda d: (Assertion(d, threshold=0.9),), "negative"),
+    ], ids=["override_and_second_assertion", "two_assertions", "shots", "threshold"])
+    def test_case_holds_one_assertion_without_overrides(self, assertions, side):
+        dist = OutcomeDistribution(1, [0.5, 0.5])
+        cases = {"positive": _sweep_case("pos"), "negative": _sweep_case("neg")}
+        name = cases[side].name
+        cases[side] = TestCase(name, Circuit(1, (gate("h", 0),)), assertions(dist))
+        with pytest.raises(ValueError, match=f"sweep case '{name}' must hold exactly one assertion"):
+            SweepConfig("s", cases["positive"], cases["negative"])
 
     def test_mismatched_register_rejected_while_built(self):
         with pytest.raises(SuiteValidationError, match="expected value uses 1 qubit"):
