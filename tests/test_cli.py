@@ -225,7 +225,7 @@ class TestSweepConfig:
         cases = {"positive": _sweep_case("pos"), "negative": _sweep_case("neg")}
         name = cases[side].name
         cases[side] = TestCase(name, Circuit(1, (gate("h", 0),)), assertions(dist))
-        with pytest.raises(ValueError, match=f"sweep case '{name}' must hold exactly one assertion"):
+        with pytest.raises(ValueError, match=f"case '{name}' must hold exactly one assertion"):
             SweepConfig("s", cases["positive"], cases["negative"])
 
     def test_mismatched_register_rejected_while_built(self):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quassert.orchestrator import (
@@ -27,6 +27,7 @@ from quassert.qcore import (
     gate,
 )
 from quassert.simulator import DEFAULT_NOISE, derive_seed, evolve
+from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
 NaN = float("nan")
 
@@ -233,33 +234,58 @@ def _expected(kind: str, n_qubits: int):
     return ProcessRef(Circuit(n_qubits, (gate("h", 0),)))
 
 
+# The largest register each assertion kind accepts; a distribution's is the
+# largest register drawn.
+_KIND_CAPS = {"distribution": 5, "state": MAX_STATE_QUBITS, "choi": MAX_PROCESS_QUBITS,
+              "process_ref": MAX_PROCESS_QUBITS}
+_WRONG_FIELDS = ["register", "defaults", "save_data", "name", "subject", "count", "size", "shots",
+                 "threshold", "wrapped"]
+
+
 @st.composite
 def suite_inputs(draw):
     """Raw inputs of a Python-built suite, valid or not: (register, defaults,
     save_data, [(case name, subject register or None, [(kind, size, shots,
-    threshold, wrapped in Assertion)])]).  Each field sometimes has a wrong type;
-    a threshold is sometimes a numpy scalar."""
+    threshold, wrapped in Assertion)])]).  At most one field holds a wrong value
+    (a wrong type, a value out of range, a register that does not match, a size
+    beyond a tomography cap, a duplicate name or no assertions), so most
+    examples build; a threshold is sometimes a numpy scalar."""
+    wrong = draw(st.sampled_from([None] * 15 + _WRONG_FIELDS))
+    n_cases = draw(st.integers(1, 2))
+    bad_case = draw(st.integers(0, n_cases - 1))
+
+    def pick(name, valid, wrong_values, here=True):
+        return draw(st.sampled_from(wrong_values if wrong == name and here else valid))
+
     size = draw(st.integers(1, 5))
-    register = draw(st.sampled_from([size] * 8 + [float(size), True, str(size), None]))
-    defaults = draw(st.sampled_from([RunConfig(shots=5, seed=2)] * 6 + [
-        RunConfig(shots=5, seed=2, threshold=np.float64(0.5))] * 2 + [None, {"shots": 5}]))
-    save_data = draw(st.sampled_from([False] * 8 + [True, "yes", 1]))
+    register = pick("register", [size], [float(size), True, str(size), None])
+    defaults = pick("defaults", [RunConfig(shots=5, seed=2)] * 3 + [
+        RunConfig(shots=5, seed=2, threshold=np.float64(0.5))], [None, {"shots": 5}])
+    save_data = pick("save_data", [False] * 3 + [True], ["yes", 1])
     cases = []
-    for _ in range(draw(st.integers(1, 2))):
-        subject = draw(st.sampled_from([size, size, draw(st.integers(1, 5))] * 3 + [None]))
+    for c in range(n_cases):
+        names = [case[0] for case in cases]
+        name = pick("name", [n for n in "abc" if n not in names], [5, None] + names, c == bad_case)
+        subject = pick("subject", [size], [s for s in range(1, 6) if s != size] + [None],
+                       c == bad_case)
+        count = pick("count", [1, 1, 2], [0], c == bad_case)
+        bad_assertion = draw(st.integers(0, max(count - 1, 0)))
         assertions = []
-        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 0]))):
-            kind = draw(st.sampled_from(["distribution", "state", "choi", "process_ref"]))
-            sizes = [subject or size] * 4 + [draw(st.integers(1, 4 if kind == "choi" else 5))]
+        for a in range(count):
+            here = c == bad_case and a == bad_assertion
+            r = subject or size
+            kind = pick("size", [k for k, cap in _KIND_CAPS.items() if cap >= r], list(_KIND_CAPS),
+                        here)
+            top = 4 if kind == "choi" else 5  # a 5-qubit Choi matrix is slow to build
             assertions.append((
                 kind,
-                draw(st.sampled_from(sizes)),
-                draw(st.sampled_from([None, 1, 7, np.int64(3)] * 4 + [0, -1, 2.5, True])),
-                draw(st.sampled_from([None, 0.0, 0.3, 1.0, np.float64(0.5), np.float32(0.25),
-                                      np.float16(0.75)] * 3 + [NaN, 2.0, -0.1, True])),
-                draw(st.sampled_from([True] * 8 + [False])),
+                pick("size", [r], [s for s in range(1, top + 1)
+                                   if s != r or s > _KIND_CAPS[kind]], here),
+                pick("shots", [None, 1, 7, np.int64(3)], [0, -1, 2.5, True], here),
+                pick("threshold", [None, 0.0, 0.3, 1.0, np.float64(0.5), np.float32(0.25),
+                                   np.float16(0.75)], [NaN, 2.0, -0.1, True], here),
+                pick("wrapped", [True], [False], here),
             ))
-        name = draw(st.sampled_from(["a", "b", "c"] * 3 + [5, None]))
         cases.append((name, subject, assertions))
     return register, defaults, save_data, cases
 
@@ -293,7 +319,9 @@ class TestBuiltChecked:
                 save_data=save_data,
             )
         except SuiteValidationError:
+            event("rejected while built")
             return
+        event("built")
         assert type(suite.n_qubits) is int and type(suite.save_data) is bool
         assert isinstance(suite.defaults, RunConfig) and type(suite.defaults.threshold) is float
         for case in suite.cases:
