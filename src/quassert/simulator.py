@@ -7,11 +7,10 @@ only :func:`exact_distribution`, an oracle users also pass as an expected
 value, returns a validated OutcomeDistribution.
 
 One channel kernel evolves a stack of density matrices of shape
-``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator.  Each k-qubit gate
-and its noise are one 4^k x 4^k Liouville superoperator, u (x) u* followed by
-the cached noise superoperator (:func:`_noise_superop`), and
-:func:`_apply_channel` applies it with one matmul to the row and column bits
-of the gate's qubits (Wood, Biamonte and Cory, QIC 15, 759, 2015).
+``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator: each k-qubit gate
+and its noise are one 4^k x 4^k Liouville superoperator (Wood, Biamonte and
+Cory, QIC 15, 759, 2015), applied by :func:`_evolve_mat` with one transposed
+copy and one matmul per gate into two reused work buffers.
 :func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
@@ -143,47 +142,40 @@ def _noise_superop(k: int, noise: NoiseModel) -> np.ndarray:
     return superop
 
 
-@functools.lru_cache(maxsize=1024)
-def _channel_order(qubits: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
-    """The axis order of :func:`_apply_channel`'s view that puts B first, then
-    the gate qubits' row bits and column bits, ``qubits[0]`` last in each; its inverse."""
-    front = [half + n - q for half in (0, n) for q in reversed(qubits)]
-    order = [0] + front + [axis for axis in range(1, 2 * n + 1) if axis not in front]
-    return tuple(order), tuple(sorted(range(2 * n + 1), key=order.__getitem__))
-
-
-def _apply_channel(
-    mats: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    """The channel of a 4^k x 4^k superoperator on the k ``qubits`` of every
-    matrix of a (..., 2^n, 2^n) stack: one (4^k, 4^k) @ (B, 4^k, M) matmul, so
-    each matrix's result is the same alone or in a stack.  The gate's local
-    basis index has bit m equal to qubit ``qubits[m]``.
-
-    The stack is viewed as (B,) + (2,) * 2n, row bits of qubits n-1..0 and then
-    column bits, so qubit q's row bit is axis n - q and its column bit 2n - q;
-    numpy's copies merge the axes that stay adjacent."""
-    order, inverse = _channel_order(qubits, n)
-    view = mats.reshape((-1,) + (2,) * (2 * n)).transpose(order)
-    out = superop @ view.reshape(view.shape[0], superop.shape[1], -1)
-    return out.reshape(view.shape).transpose(inverse).reshape(mats.shape)
+def _gate_superop(op: GateOp, noise: NoiseModel | None) -> np.ndarray:
+    """u (x) u* for the gate's table unitary u, then its noise; local bit m is op.qubits[m]."""
+    k = len(op.qubits)
+    u = expanded_gate_matrix(GateOp(op.name, tuple(range(k)), op.angle), k)
+    superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4**k, 4**k)
+    return superop if noise is None else _noise_superop(k, noise) @ superop
 
 
 def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
     """Run every matrix of a (..., 2^n, 2^n) stack through the circuit.
 
-    Each gate takes its 2x2 or 4x4 unitary u from the gate table on a register
-    of its own size; u (x) u*, followed by the noise superoperator, acts on its
-    qubits' axes alone."""
+    The stack is viewed as (B,) + (2,) * 2n: qubit q's row bit is axis n - q,
+    its column bit 2n - q.  A gate moves its row bits, then its column bits
+    (``qubits[0]`` last in each), in front of the other axes, which keep their
+    order: one transposed copy into a work buffer, skipped when those bits are
+    in front already, and one (4^k, 4^k) @ (B, 4^k, M) matmul into the other,
+    so the stack keeps the last gate's axis order up to one final copy.  B is a
+    matmul batch axis: a matrix evolves to the same bits alone or in a stack."""
     n = c.n_qubits
+    view = mats.reshape((-1,) + (2,) * (2 * n))
+    buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # [view's or free, free]
+    layout = plain = list(range(1, 2 * n + 1))  # the bit axis at each position of view
     for op in c.ops:
-        k = len(op.qubits)
-        u = expanded_gate_matrix(GateOp(op.name, tuple(range(k)), op.angle), k)
-        superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4**k, 4**k)
-        if noise is not None:
-            superop = _noise_superop(k, noise) @ superop
-        mats = _apply_channel(mats, superop, op.qubits, n)
-    return mats
+        front = [half + n - q for half in (0, n) for q in reversed(op.qubits)]
+        if layout[: len(front)] != front:
+            moved = front + [axis for axis in layout if axis not in front]
+            np.copyto(buffers[1], view.transpose([0] + [layout.index(a) + 1 for a in moved]))
+            buffers.reverse()
+            view, layout = buffers[0], moved
+        rows = (len(view), 4 ** len(op.qubits), -1)
+        np.matmul(_gate_superop(op, noise), view.reshape(rows), out=buffers[1].reshape(rows))
+        buffers.reverse()
+        view = buffers[0]
+    return view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
-from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat
+from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat, _gate_superop
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -63,6 +63,31 @@ def dense_conjugation(mats: np.ndarray, op: GateOp, n_qubits: int) -> np.ndarray
     """Reference gate application: U rho U^dag with the full 2^n x 2^n U."""
     u = expanded_gate_matrix(op, n_qubits)
     return u @ mats @ u.conj().T
+
+
+def reference_apply_channel(mats, superop, qubits, n):
+    """The gate-by-gate channel kernel: a 4^k x 4^k superoperator on the k
+    ``qubits`` of every matrix of a (..., 2^n, 2^n) stack, starting and ending in
+    the plain axis order.  The stack is viewed as (B,) + (2,) * 2n (qubit q's
+    row bit at axis n - q, its column bit at 2n - q); one transpose puts the
+    gate's row bits and then column bits, ``qubits[0]`` last in each, in front
+    of the other axes in their plain order, one (4^k, 4^k) @ (B, 4^k, M)
+    matmul applies the superoperator, and the inverse transpose restores the
+    order."""
+    front = [half + n - q for half in (0, n) for q in reversed(qubits)]
+    order = [0] + front + [axis for axis in range(1, 2 * n + 1) if axis not in front]
+    view = mats.reshape((-1,) + (2,) * (2 * n)).transpose(order)
+    out = superop @ view.reshape(view.shape[0], superop.shape[1], -1)
+    return out.reshape(view.shape).transpose(np.argsort(order)).reshape(mats.shape)
+
+
+def reference_evolve_mat(mats, c, noise):
+    """The bit-exact reference for ``simulator._evolve_mat``, which carries
+    each gate's axis order on to the next gate: every gate by
+    :func:`reference_apply_channel`."""
+    for op in c.ops:
+        mats = reference_apply_channel(mats, _gate_superop(op, noise), op.qubits, c.n_qubits)
+    return mats
 
 
 def _map_qubit_block(tensor, qubit, n, fn):

@@ -25,7 +25,6 @@ from quassert.simulator import (
     DEFAULT_NOISE,
     PROBABILITY_FLOOR,
     NoiseModel,
-    _apply_channel,
     _evolve_mat,
     _noise_superop,
     _normalized,
@@ -54,7 +53,9 @@ from conftest import (
     random_density,
     random_pure_state,
     reference_amplitude_damp,
+    reference_apply_channel,
     reference_depolarize,
+    reference_evolve_mat,
     xor_readout,
 )
 
@@ -73,7 +74,7 @@ def pauli_twirl_depolarize(mat, qubits, p, n):
 
 def noise_channel(mats, qubits, noise, n):
     """The noise that follows a gate on ``qubits``, on its own."""
-    return _apply_channel(mats, _noise_superop(len(qubits), noise), qubits, n)
+    return reference_apply_channel(mats, _noise_superop(len(qubits), noise), qubits, n)
 
 
 def kraus_amplitude_damp(mat, qubit, gamma, n):
@@ -238,6 +239,48 @@ class TestStackedEvolution:
         raw = evolve(state.mat[None], c, noise)
         assert raw.shape == (1, 8, 8)
         assert np.array_equal(evolve(state, c, noise).mat, (raw[0] + raw[0].conj().T) / 2.0)
+
+
+class TestCarriedLayout:
+    """_evolve_mat keeps the stack in the last gate's axis order between gates;
+    the gate-by-gate reference restores the plain order after every gate.  The
+    matmuls see the same rows and the same columns, reordered, so the results
+    agree bit for bit."""
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_gate_by_gate_kernel(self, n, noise):
+        rng = np.random.default_rng(940 + n)
+        stack = np.array([random_density(rng, n) for _ in range(5)])
+        inputs = [stack[0], stack[:1], stack, stack.reshape((5, 1) + stack.shape[1:])]
+        c = random_circuit(rng, n, 3 * n + 2)
+        runs = Circuit(n, tuple(op for op in c.ops for _ in range(2)))  # each second copy skipped
+        for circuit in (c, runs):
+            for mats in inputs:
+                out = _evolve_mat(mats, circuit, noise)
+                assert out.shape == mats.shape
+                assert np.array_equal(out, reference_evolve_mat(mats, circuit, noise))
+
+    def test_one_copy_per_change_of_axes(self, monkeypatch):
+        copies = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto", lambda dst, src: copies.append(1) or copyto(dst, src))
+        c = Circuit(2, (gate("h", 0), gate("rz", 0, angle=0.3), gate("cx", 0, 1),
+                        gate("cz", 0, 1), gate("cx", 1, 0)))
+        _evolve_mat(DensityMatrix.ground(2).mat, c, DEFAULT_NOISE)
+        assert len(copies) == 3  # before h, cx(0, 1) and cx(1, 0)
+        copies.clear()
+        _evolve_mat(DensityMatrix.ground(1).mat, Circuit(1, (gate("h", 0),) * 3), None)
+        assert not copies  # a one-qubit register's bits are in front already
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    def test_read_only_input_left_unchanged(self, noise):
+        mats = DensityMatrix.ground(3).mat[None]
+        assert not mats.flags.writeable
+        before = mats.copy()
+        c = random_circuit(np.random.default_rng(950), 3, 10)
+        out = _evolve_mat(mats, c, noise)
+        assert np.array_equal(mats, before) and not np.shares_memory(out, mats)
 
 
 class TestGateKernel:
