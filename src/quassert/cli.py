@@ -23,6 +23,7 @@ from quassert.orchestrator import (
     SuiteValidationError,
     TestCase,
     TestSuite,
+    _check_type,
     format_report,
     run_suite,
 )
@@ -69,6 +70,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_type(self.name, str, "sweep name")
+        _check_type(self.positive_case, TestCase, "positive_case")
+        _check_type(self.negative_case, TestCase, "negative_case")
         for case in (self.positive_case, self.negative_case):
             first = case.assertions[0]
             if len(case.assertions) != 1 or first.shots is not None or first.threshold is not None:
@@ -289,11 +293,15 @@ def _load(path: str | Path, decode):
     except UnicodeDecodeError as exc:
         raise SuiteValidationError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     try:
-        return decode(json.loads(text))
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SuiteValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:  # arrays or objects nested deeper than the parser's stack
         raise SuiteValidationError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer beyond Python's int-string limit
+        raise SuiteValidationError(f"{path}: an integer has too many digits to read") from exc
+    try:
+        return decode(document)
     except SuiteValidationError as exc:
         raise SuiteValidationError(f"{path}: {exc}") from exc
 

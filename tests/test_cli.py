@@ -228,6 +228,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"case '{name}' must hold exactly one assertion"):
             SweepConfig("s", cases["positive"], cases["negative"])
 
+    @pytest.mark.parametrize("fields, message", [
+        (lambda: (None, _sweep_case("pos"), _sweep_case("neg")),
+         "sweep name: expected str, got NoneType"),
+        (lambda: ("s", None, _sweep_case("neg")),
+         "positive_case: expected TestCase, got NoneType"),
+        (lambda: ("s", _sweep_case("pos"), "neg"), "negative_case: expected TestCase, got str"),
+    ], ids=["name", "positive_case", "negative_case"])
+    def test_field_types_checked_first(self, fields, message):
+        with pytest.raises(SuiteValidationError, match=message):
+            SweepConfig(*fields())
+
     def test_mismatched_register_rejected_while_built(self):
         with pytest.raises(SuiteValidationError, match="expected value uses 1 qubit"):
             SweepConfig("s", _sweep_case("pos", 2, 1), _sweep_case("neg", 2, 2))
@@ -739,6 +750,14 @@ class TestMalformedDocuments:
         assert captured.out == ""
         for needle in needles:
             assert needle in captured.err
+
+    def test_integer_too_long_to_read_names_its_path(self, capsys, tmp_path):
+        document = Path(_table_document(tmp_path, "run", _G0 + ("angle",), "ANGLE"))
+        document.write_text(document.read_text().replace('"ANGLE"', "1" * 5001))
+        assert main(["run", str(document)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {document}: an integer has too many digits to read\n"
 
     @pytest.mark.parametrize(
         "argv",
