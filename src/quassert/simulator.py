@@ -162,7 +162,7 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
     matmul batch axis: a matrix evolves to the same bits alone or in a stack."""
     n = c.n_qubits
     view = mats.reshape((-1,) + (2,) * (2 * n))
-    buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # [view's or free, free]
+    buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # view: mats or [0]
     layout = plain = list(range(1, 2 * n + 1))  # the bit axis at each position of view
     for op in c.ops:
         front = [half + n - q for half in (0, n) for q in reversed(op.qubits)]
