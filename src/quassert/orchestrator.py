@@ -256,7 +256,7 @@ def format_report(report: TestReport, mode: str = "text") -> str:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     if mode == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     raise ValueError(f"unknown report mode {mode!r}")
 
 

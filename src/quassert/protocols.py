@@ -10,6 +10,7 @@ confidence threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -141,7 +142,7 @@ def _run_proj(
     counts = sample(probs, config.shots, config.seed)
     result = chi2_gof(counts, expected)
     diagnostics = {
-        "statistic": result.statistic,
+        "statistic": result.statistic if math.isfinite(result.statistic) else None,
         "dof": result.dof,
         "shots": config.shots,
         "settings": 1,

@@ -6,15 +6,16 @@ of one :func:`quassert.simulator.pauli_distributions` array, and inverts them
 with the product inverse channel of classical shadows: each outcome o of
 setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
 settings.  This equals averaging every compatible setting into each
-Pauli-string expectation.  A PSD projection then restores physicality.
+Pauli-string expectation.
 
 One reconstruction path serves both protocols.  It takes a stack of input
 states, evolves the subject once on the whole stack, reads every (input,
 setting) distribution at once, draws all of the assertion's counts with one
-``sample`` call on its seed, and inverts and projects the whole stack at
-once.  State tomography is the one-input case (|0...0>).  Process tomography
-feeds the path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and
-then inverts the fixed preparation frame to assemble the Choi matrix.
+``sample`` call on its seed, and inverts the whole stack at once.  State
+tomography is the one-input case (|0...0>).  Process tomography feeds the
+path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and inverts the
+fixed preparation frame to assemble the Choi matrix.  One PSD projection of
+the final estimate, state or Choi matrix, then restores physicality.
 Reading the settings, the inverse channel and the preparation frame's dual
 are each the n-fold tensor power of a one-qubit map, applied by
 :func:`quassert.qmath.kron_map`.
@@ -81,18 +82,17 @@ def _reconstruct(
     shots_per_setting: int,
     seed: int,
 ) -> np.ndarray:
-    """PSD-projected estimates of the subject's outputs on a (B, 2^n, 2^n) stack of inputs.
+    """Unprojected linear-inversion estimates of the subject's outputs on a (B, 2^n, 2^n) stack.
 
     In sampled mode the frequencies of ``shots_per_setting`` draws, all from
     one ``sample`` call on ``seed``, replace every (input, setting) pair's
     probabilities.
     """
-    n = subject.n_qubits
     outputs = _hermitian_part(evolve(inputs, subject, noise))
     probs = pauli_distributions(outputs, noise if shots_per_setting else None)
     if shots_per_setting:
         probs = sample(probs, shots_per_setting, seed) / shots_per_setting
-    return qmath.psd_project(_invert_settings(probs, n), 1.0)
+    return _invert_settings(probs, subject.n_qubits)
 
 
 def state_tomography(
@@ -105,7 +105,8 @@ def state_tomography(
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
     ground = DensityMatrix.ground(n).mat[None]
-    return DensityMatrix(n, _reconstruct(ground, subject, noise, shots_per_setting, seed)[0])
+    estimate = _reconstruct(ground, subject, noise, shots_per_setting, seed)
+    return DensityMatrix(n, qmath.psd_project(estimate, 1.0)[0])
 
 
 def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
@@ -132,7 +133,6 @@ def _preparations(n: int, noise: NoiseModel | None) -> np.ndarray:
         preps = [Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
                  for gates in _PREP_GATES.values()]
         mats = np.concatenate([evolve(mats, prep, noise) for prep in preps])
-    mats = _hermitian_part(mats)
     mats.flags.writeable = False
     return mats
 
@@ -164,12 +164,11 @@ def process_tomography(
 ) -> ChoiMatrix:
     """Reconstruct the subject's channel as an unnormalized Choi matrix.
 
-    This is state tomography on the stack of all 4^n preparations at once,
-    all of it drawn from the one seed.
+    This is unprojected state tomography on the stack of all 4^n preparations
+    at once, all drawn from the one seed; only the assembled Choi matrix is projected.
     """
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
     estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seed)
     # psd_project symmetrizes the assembled matrix before its eigensolve.
-    projected = qmath.psd_project(_assemble_choi(estimates, n), float(2**n))
-    return ChoiMatrix(n, projected)
+    return ChoiMatrix(n, qmath.psd_project(_assemble_choi(estimates, n), float(2**n)))

@@ -15,7 +15,13 @@ from quassert.cli import (
     main,
     run_sweep,
 )
-from quassert.orchestrator import Assertion, SuiteValidationError, TestCase
+from quassert.orchestrator import (
+    Assertion,
+    SuiteValidationError,
+    TestCase,
+    format_report,
+    parse_report,
+)
 from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
 
 NaN = float("nan")
@@ -373,6 +379,21 @@ class TestCmdRun:
         # Readout flips hit forbidden bins: the chi-squared line fails at 0.
         assert out.splitlines()[0] == "[FAILED]: with a 0.000 probability of passing."
         assert code == 1
+
+    def test_noisy_json_report_is_strict_json(self, capsys, tmp_path):
+        # A forbidden-bin hit has an infinite chi2 statistic, which a report
+        # writes as null: NaN and Infinity are not JSON.
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out_dir = tmp_path / "out"
+        argv = ["run", SUITE_PATH, "--noise", "default", "--format", "json"]
+        assert main(argv + ["--save-data", str(out_dir)]) == 1
+        stdout = capsys.readouterr().out
+        for text in (stdout, (out_dir / "report.json").read_text(encoding="utf-8")):
+            payload = json.loads(text, parse_constant=reject)
+            assert payload["results"][0]["diagnostics"]["statistic"] is None
+            assert format_report(parse_report(text), "json") == text
 
     def test_noise_file_override(self, capsys, tmp_path, tiny_suite):
         noise_path = tmp_path / "noise.json"

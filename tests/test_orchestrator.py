@@ -418,6 +418,14 @@ class TestReportFormatting:
         text = format_report(report, "json")
         assert parse_report(text) == report
 
+    def test_json_mode_rejects_non_finite_floats(self):
+        from quassert.orchestrator import AssertionRecord, TestReport
+        from quassert.protocols import AssertionResult
+
+        result = AssertionResult("proj", 0.5, 0.5, {"statistic": float("inf")})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            format_report(TestReport("x", (AssertionRecord("case", 0, result),)), "json")
+
     def test_parse_report_derives_verdicts(self, bell_suite):
         text = format_report(run_suite(bell_suite), "json")
         data = json.loads(text)

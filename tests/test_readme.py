@@ -1,7 +1,9 @@
-"""The README's examples run as shown."""
+"""The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command."""
 
 import re
 from pathlib import Path
+
+import pytest
 
 from quassert.cli import main
 
@@ -27,3 +29,12 @@ def test_verdict_lines_match_the_cli(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(["run", "suites/bell_pair.json"]) == 1
     assert capsys.readouterr().out == _block_after("prints one verdict line per assertion")
+
+
+def test_ci_runs_the_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
+    runs = [step.get("run") for step in workflow["jobs"]["tests"]["steps"]]
+    assert runs[-2:] == ['pip install -e ".[test]"', tier1]

@@ -124,8 +124,7 @@ def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
     objects and rotate each setting on its own (:func:`per_setting_pauli_probs`).
     Those probabilities must match ``drawn_from``, the ones the batched path
     read, to ``POVM_TOL``.  Then draw every count from ``drawn_from`` with one
-    ``sample`` call, and invert and project one state at a time with the
-    one-matrix loop.
+    ``sample`` call, and invert one state at a time, unprojected.
 
     The counts are drawn from the batched probabilities, not the reference's,
     for two reasons.  An exact zero draws no random number, so the stream
@@ -145,17 +144,21 @@ def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
     reference = per_setting_pauli_probs(np.array(outputs), n, noise if shots else None)
     np.testing.assert_allclose(drawn_from, reference, rtol=0, atol=POVM_TOL)
     probs = sample(drawn_from, shots, seed) / shots if shots else drawn_from
-    return np.array([reference_psd_project(_invert_settings(p, n), 1.0) for p in probs])
+    return np.array([_invert_settings(p, n) for p in probs])
 
 
-def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from):
-    """Reference path: every preparation's state estimate, then the Choi assembly."""
+def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from,
+                                       project_each=False):
+    """Reference path: every preparation's linear inversion, the Choi assembly,
+    then one projection.  ``project_each`` also projects every preparation's
+    estimate before the assembly, as the estimator did before one projection
+    of the Choi matrix replaced it."""
     n = subject.n_qubits
     preps = [prep for _, prep in preparation_settings(n)]
     outputs = per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from)
-    choi = _assemble_choi(outputs, n)
-    choi = (choi + choi.conj().T) / 2.0
-    return ChoiMatrix(n, reference_psd_project(choi, float(2**n)))
+    if project_each:
+        outputs = np.array([reference_psd_project(output, 1.0) for output in outputs])
+    return ChoiMatrix(n, reference_psd_project(_assemble_choi(outputs, n), float(2**n)))
 
 
 class TestInversionOracles:
@@ -219,10 +222,16 @@ class TestSettings:
                     psi = np.kron(psi, vectors[label])
                 np.testing.assert_allclose(stack[m], np.outer(psi, psi.conj()), atol=1e-12)
 
-    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize(
+        "noise",
+        [None, DEFAULT_NOISE, NoiseModel(0.05, 0.1, 0.05, 0.1), NoiseModel(0.3, 0.3, 0.7, 0.2)],
+        ids=["noiseless", "default_noise", "strong_noise", "heavy_noise"],
+    )
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_preparations_match_evolving_each_circuit(self, n, noise):
+        # Exactly Hermitian as built, so the stack needs no symmetrizing.
         stack = _preparations(n, noise)
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
         for m, (_, prep) in enumerate(preparation_settings(n)):
             expected = evolve(DensityMatrix.ground(n), prep, noise).mat
             assert np.array_equal(stack[m], expected), m
@@ -312,7 +321,8 @@ class TestStateTomography:
             reference = per_preparation_estimates(
                 [Circuit(n)], subject, noise, shots, 41 + trial, seen[-1]
             )
-            np.testing.assert_allclose(estimate.mat, reference[0], rtol=0, atol=REFERENCE_TOL)
+            np.testing.assert_allclose(estimate.mat, reference_psd_project(reference[0], 1.0),
+                                       rtol=0, atol=REFERENCE_TOL)
 
     def test_estimate_is_valid_state(self, mutated_circuit):
         estimate = state_tomography(mutated_circuit, NOISELESS, 50, seed=1)
@@ -379,6 +389,25 @@ class TestProcessTomography:
             # Compared as unit-trace states, like the state estimates.
             np.testing.assert_allclose(estimate.mat / 2**n, reference.mat / 2**n,
                                        rtol=0, atol=REFERENCE_TOL)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_projection_at_least_as_faithful_as_two(self, monkeypatch, n):
+        # The same counts, reconstructed by projecting only the Choi matrix and
+        # by also projecting each preparation's estimate first.
+        from quassert.qcore import process_fidelity
+
+        rng = np.random.default_rng(900 + n)
+        seen = record_results(monkeypatch, "pauli_distributions")
+        once, twice = [], []
+        for seed in range(20):
+            subject = random_circuit(rng, n, 6)
+            truth = circuit_to_choi(subject)
+            once.append(process_fidelity(process_tomography(subject, NOISELESS, 40, seed), truth))
+            reference = per_preparation_process_tomography(
+                subject, NOISELESS, 40, seed, seen[-1], project_each=True
+            )
+            twice.append(process_fidelity(reference, truth))
+        assert np.mean(once) >= np.mean(twice)
 
 
 def pooled_chi2_pvalue(counts, probs):
@@ -497,7 +526,7 @@ class TestWorkCounts:
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
         assert len(expansions) == len(subject.ops)
         assert [a[0].shape for a in draws] == ([(4**n, 3**n, 2**n)] if shots else [])
-        assert [a.shape for a, _ in projections] == [(4**n, 2**n, 2**n), (4**n, 4**n)]
+        assert [a.shape for a, _ in projections] == [(4**n, 4**n)]
 
     @pytest.mark.parametrize("shots", [0, 10])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
