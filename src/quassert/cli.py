@@ -354,12 +354,14 @@ def run_sweep(config: SweepConfig, rates: bool = False) -> tuple[str, str, float
 
 def cmd_run(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite)
-    flags = {"shots": args.shots, "seed": args.seed, "threshold": args.threshold}
-    overrides = {key: value for key, value in flags.items() if value is not None}
+    defaults = suite.defaults
+    for key in ("shots", "seed", "threshold"):
+        if getattr(args, key) is not None:
+            defaults = _build(f"--{key}", replace, defaults, **{key: getattr(args, key)})
     if args.noise is not None:
-        overrides["noise"] = _noise_from_flag(args.noise)
+        defaults = replace(defaults, noise=_noise_from_flag(args.noise))
     save_data = suite.save_data or args.save_data is not None
-    suite = replace(suite, defaults=replace(suite.defaults, **overrides), save_data=save_data)
+    suite = replace(suite, defaults=defaults, save_data=save_data)
     if args.save_data is not None:
         # Made before the run, so an unusable DIR fails before anything executes.
         Path(args.save_data).mkdir(parents=True, exist_ok=True)
@@ -382,9 +384,9 @@ def _noise_from_flag(flag: str) -> NoiseModel | None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_sweep(args.sweep)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = _build("--seed", replace, config, seed=args.seed)
     if args.trials is not None:
-        config = replace(config, trials_per_point=args.trials)
+        config = _build("--trials", replace, config, trials_per_point=args.trials)
     if args.noise is not None:
         config = replace(config, noise=_noise_from_flag(args.noise))
 

@@ -194,7 +194,7 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
 
 def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:
     """Check ``obj.mat`` as a ``obj.dim``-square Hermitian PSD matrix of the given
-    trace, then store it symmetrized and read-only.
+    trace, then store it symmetrized and its spectrum as ``obj._spectrum``, read-only.
 
     The validation shared by :class:`DensityMatrix` and :class:`ChoiMatrix`;
     ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.
@@ -214,12 +214,14 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     tr = complex(np.trace(mat))
     if abs(tr - trace) > 1e-9 * trace:
         raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
-    values, _ = qmath.hermitian_eig(mat)
+    values, vectors = qmath.hermitian_eig(mat)
     if values[0] < -qmath.PSD_CLAMP:
         raise ValueError(f"{kind} {negative} {values[0]:.3e}")
     mat = (mat + mat.conj().T) / 2.0
-    mat.flags.writeable = False
+    for array in (mat, values, vectors):
+        array.flags.writeable = False
     object.__setattr__(obj, "mat", mat)
+    object.__setattr__(obj, "_spectrum", (values, vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,19 +326,20 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
     return choi
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """[tr |sqrt(rho) sqrt(sigma)|]^2 of two exactly Hermitian PSD matrices.
+def _fidelity(rho, sigma, scale: int = 1) -> float:
+    """[tr |sqrt(rho) sqrt(sigma)|]^2 of two validated matrices, each divided by ``scale``.
 
-    Eigenvalues below ``max * d * 1e-14`` are rounding noise.  If either side
-    is then rank 1, F = tr(rho sigma); otherwise F squares the singular-value
-    sum of sqrt(rho) sqrt(sigma), rooting the states' own eigenvalues."""
-    values, vectors = qmath.hermitian_eig(np.stack([rho, sigma]))
-    values[values < values[:, -1:] * values.shape[-1] * 1e-14] = 0.0
-    if (values[:, -2] == 0.0).any():
-        fid = float(np.sum(rho * sigma.T).real)
+    Of their stored spectra over ``scale`` (a power of two, so exact), eigenvalues below
+    ``max * d * 1e-14`` are rounding noise.  If either side is then rank 1, F = tr(rho sigma);
+    otherwise F squares the singular-value sum of sqrt(rho) sqrt(sigma)."""
+    spectra = [(values / scale, vectors) for values, vectors in (rho._spectrum, sigma._spectrum)]
+    for values, _ in spectra:
+        values[values < values[-1] * values.size * 1e-14] = 0.0
+    if any(values[-2] == 0.0 for values, _ in spectra):
+        fid = float(np.sum(rho.mat * sigma.mat.T).real) / scale**2
     else:
-        roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
-        fid = float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
+        a, b = ((vectors * np.sqrt(values)) @ vectors.conj().T for values, vectors in spectra)
+        fid = float(np.linalg.svd(a @ b, compute_uv=False).sum() ** 2)
     if fid < -1e-6 or fid > 1.0 + 1e-6:
         raise NumericError(f"fidelity {fid!r} out of [0, 1] beyond tolerance")
     return min(max(fid, 0.0), 1.0)
@@ -348,18 +351,17 @@ def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionError(
             f"state_fidelity: {rho.n_qubits} vs {sigma.n_qubits} qubit states"
         )
-    return _fidelity(rho.mat, sigma.mat)
+    return _fidelity(rho, sigma)
 
 
 def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
     """State fidelity of the normalized Choi matrices (channel-state duality).
 
-    Both Choi matrices were validated and symmetrized when built, and dividing
-    by 2^n is exact, so the normalized matrices need no second validation.
+    Both Choi matrices were validated and eigendecomposed when built, and
+    dividing by 2^n is exact, so their spectra serve the normalized matrices.
     """
     if a.n_qubits != b.n_qubits:
         raise DimensionError(
             f"process_fidelity: {a.n_qubits} vs {b.n_qubits} qubit channels"
         )
-    d = 2**a.n_qubits
-    return _fidelity(a.mat / d, b.mat / d)
+    return _fidelity(a, b, 2**a.n_qubits)

@@ -8,6 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from quassert import qmath
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
 from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat, _gate_superop
 
@@ -152,11 +153,26 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
+def reference_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """The stacked-solve fidelity of two exactly Hermitian PSD matrices: one
+    ``hermitian_eig`` of both, then the rule of ``qcore._fidelity``, which reads
+    the spectra stored at validation instead.  Kept as its bit-exact reference."""
+    values, vectors = qmath.hermitian_eig(np.stack([rho, sigma]))
+    values[values < values[:, -1:] * values.shape[-1] * 1e-14] = 0.0
+    if (values[:, -2] == 0.0).any():
+        fid = float(np.sum(rho * sigma.T).real)
+    else:
+        roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+        fid = float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
+    return min(max(fid, 0.0), 1.0)
+
+
 @st.composite
-def density_matrices(draw, n_qubits: int) -> np.ndarray:
-    """Hypothesis strategy: G G^dag / tr for a 2^n x rank complex G of any rank."""
+def density_matrices(draw, n_qubits: int, rank: int | None = None) -> np.ndarray:
+    """Hypothesis strategy: G G^dag / tr for a 2^n x rank complex G, of any rank
+    unless ``rank`` is given."""
     dim = 2**n_qubits
-    rank = draw(st.integers(1, dim))
+    rank = draw(st.integers(1, dim)) if rank is None else rank
     entries = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
     parts = draw(hnp.arrays(np.float64, (2, dim, rank), elements=entries))
     g = parts[0] + 1j * parts[1]

@@ -364,7 +364,7 @@ class TestCmdRun:
         assert main(["run", tiny_suite] + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert field in captured.err
+        assert captured.err.startswith(f"error: {flags[0]}: {field} must be")
 
     def test_seed_override_changes_draw(self, capsys):
         main(["run", SUITE_PATH, "--seed", "1"])
@@ -506,14 +506,14 @@ class TestCmdSweep:
         assert main(["sweep", tiny_sweep, "--trials", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "trials_per_point" in captured.err
+        assert captured.err.startswith("error: --trials: trials_per_point must be")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_flag_outside_64_bits_rejected(self, capsys, tiny_sweep, seed):
         assert main(["sweep", tiny_sweep, "--seed", str(seed)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"seed must be in [0, 2**64), got {seed}" in captured.err
+        assert captured.err.startswith(f"error: --seed: seed must be in [0, 2**64), got {seed}")
 
     def test_mismatched_types_exit_two(self, capsys, tmp_path):
         doc = json.loads(Path(SWEEP_STATE_PATH).read_text())

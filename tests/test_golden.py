@@ -9,15 +9,20 @@ other non-float value must match exactly; floats (probabilities, diagnostics,
 reconstructed matrices) may move by at most ``FLOAT_TOL``, relative for
 magnitudes above 1.
 
-An intended change of behaviour regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py`` and names the change in
-CHANGES.md.
+An intended change of behaviour regenerates the entries it moves with
+``PYTHONPATH=src python tests/test_golden.py KEY ...`` (keys as in
+``ENTRY_KEYS``, e.g. ``bell_pair/default``) and names the change in
+CHANGES.md.  Only the named entries are rewritten; the others stay byte for
+byte as they were, so the floats of untouched entries do not pick up the
+regenerating machine's last-bit rounding.  With no key every entry is rewritten; an
+unknown key exits 2 and lists ``ENTRY_KEYS``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,7 +170,41 @@ def test_report_matches_golden(golden, key):
     assert_matches(compute_entry(key), golden[key], key)
 
 
-if __name__ == "__main__":
-    data = {key: compute_entry(key) for key in ENTRY_KEYS}
-    GOLDEN_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+def _dump(data: dict) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def main(keys: list[str]) -> int:
+    """Rewrite the named entries of the golden file, or all of them if none is named."""
+    unknown = [key for key in keys if key not in ENTRY_KEYS]
+    if unknown:
+        print(f"unknown entry key(s): {', '.join(unknown)}; ENTRY_KEYS: {', '.join(ENTRY_KEYS)}",
+              file=sys.stderr)
+        return 2
+    data = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if keys else {}
+    data.update({key: compute_entry(key) for key in keys or ENTRY_KEYS})
+    GOLDEN_PATH.write_text(_dump(data), encoding="utf-8")
     print(f"wrote {GOLDEN_PATH} ({GOLDEN_PATH.stat().st_size} bytes)")
+    return 0
+
+
+def test_golden_file_is_in_its_written_form(golden):
+    # A rewrite of some keys loads and re-dumps the others: that must keep their bytes.
+    assert _dump(golden) == GOLDEN_PATH.read_text(encoding="utf-8")
+
+
+def test_rewrite_touches_only_the_named_keys(golden, tmp_path, monkeypatch, capsys):
+    key, other = "sweep_proj/noiseless", "suite/proj_6q_noisy"
+    stale = dict(golden, **{key: ["stale"], other: ["kept"]})
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_PATH", tmp_path / "golden.json")
+    GOLDEN_PATH.write_text(_dump(stale), encoding="utf-8")
+    assert main([key]) == 0
+    assert GOLDEN_PATH.read_text(encoding="utf-8") == _dump(dict(stale, **{key: golden[key]}))
+    assert main(["sweep_proj/noisy"]) == 2
+    assert GOLDEN_PATH.read_text(encoding="utf-8") == _dump(dict(stale, **{key: golden[key]}))
+    err = capsys.readouterr().err
+    assert all(k in err for k in ["sweep_proj/noisy"] + ENTRY_KEYS)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

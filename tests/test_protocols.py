@@ -27,6 +27,8 @@ from quassert.qcore import (
     OutcomeDistribution,
     circuit_to_choi,
     gate,
+    process_fidelity,
+    state_fidelity,
 )
 from quassert.qmath import DimensionError
 from quassert.tomography import SizeLimitError
@@ -244,6 +246,41 @@ class TestRunProtocol:
         a = run_protocol(bell_circuit, expected_distribution, config)
         b = run_protocol(bell_circuit, expected_distribution, RunConfig(shots=50))
         assert a == b and type(a.diagnostics["shots"]) is int
+
+
+class TestFidelityWork:
+    """Fidelity reads the spectra stored at validation: qcore's only eigensolve validates."""
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        solved, eig = [], qmath.hermitian_eig
+        monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a.shape) or eig(a))
+        return solved
+
+    def test_state_tomo_solves_ground_projection_and_estimate(self, monkeypatch):
+        subject = random_circuit(np.random.default_rng(41), 2, 8)
+        expected = evolve(DensityMatrix.ground(2), subject)
+        solved = self._count_solves(monkeypatch)
+        run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
+        assert solved == [(4, 4), (1, 4, 4), (4, 4)]
+
+    def test_warm_process_tomo_solves_projection_and_estimate(self, monkeypatch):
+        subject = random_circuit(np.random.default_rng(42), 2, 8)
+        expected = circuit_to_choi(subject)
+        config = RunConfig(shots=100, noise=DEFAULT_NOISE)
+        run_protocol(subject, expected, config)  # builds the cached preparations
+        solved = self._count_solves(monkeypatch)
+        run_protocol(subject, expected, config)
+        assert solved == [(16, 16), (16, 16)]
+
+    def test_fidelities_solve_nothing(self, monkeypatch, bell_circuit):
+        ground = DensityMatrix.ground(2)
+        state = evolve(ground, bell_circuit, DEFAULT_NOISE)
+        choi = circuit_to_choi(bell_circuit)
+        solved = self._count_solves(monkeypatch)
+        assert state_fidelity(state, ground) == pytest.approx(0.5, abs=0.05)
+        assert process_fidelity(choi, choi) == pytest.approx(1.0)
+        assert solved == []
 
 
 class TestProjWork:

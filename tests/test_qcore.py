@@ -40,6 +40,7 @@ from conftest import (
     random_circuit,
     random_density,
     random_pure_state,
+    reference_fidelity,
     trace_norm,
 )
 
@@ -472,6 +473,45 @@ class TestProcessFidelity:
                 DensityMatrix(2 * n_qubits, a.mat / d), DensityMatrix(2 * n_qubits, b.mat / d)
             )
             assert process_fidelity(a, b) == expected
+
+
+# Pure (rank 1) or mixed (any rank) draws for each side of a fidelity.
+RANKS = st.sampled_from([1, None])
+
+
+class TestStoredSpectrum:
+    """Validation keeps its eigendecomposition; fidelity reads it instead of solving again."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.booleans())
+    def test_read_only_ascending_and_rebuilds_the_matrix(self, data, n, choi):
+        mat = data.draw(density_matrices(2 * n if choi else n))
+        value = ChoiMatrix(n, mat * 2**n) if choi else DensityMatrix(n, mat)
+        values, vectors = value._spectrum
+        assert not values.flags.writeable and not vectors.flags.writeable
+        assert np.all(np.diff(values) >= 0.0)
+        rebuilt = (vectors * values) @ vectors.conj().T
+        assert np.max(np.abs(rebuilt - value.mat)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), RANKS, RANKS)
+    def test_state_fidelity_bit_equal_to_stacked_solve(self, data, n, rank_a, rank_b):
+        rho = DensityMatrix(n, data.draw(density_matrices(n, rank_a)))
+        sigma = DensityMatrix(n, data.draw(density_matrices(n, rank_b)))
+        assert state_fidelity(rho, sigma) == reference_fidelity(rho.mat, sigma.mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 2), RANKS, RANKS)
+    def test_process_fidelity_bit_equal_to_stacked_solve(self, data, n, rank_a, rank_b):
+        d = 2**n
+        a = ChoiMatrix(n, data.draw(density_matrices(2 * n, rank_a)) * d)
+        b = ChoiMatrix(n, data.draw(density_matrices(2 * n, rank_b)) * d)
+        assert process_fidelity(a, b) == reference_fidelity(a.mat / d, b.mat / d)
+
+    def test_unitary_choi_pair_bit_equal_to_stacked_solve(self, bell_circuit, mutated_circuit):
+        for other in (bell_circuit, mutated_circuit):
+            a, b = circuit_to_choi(bell_circuit), circuit_to_choi(other)
+            assert process_fidelity(a, b) == reference_fidelity(a.mat / 4, b.mat / 4)
 
 
 class TestExpandedGateMatrix:

@@ -36,5 +36,7 @@ def test_ci_runs_the_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
-    runs = [step.get("run") for step in workflow["jobs"]["tests"]["steps"]]
+    job = workflow["jobs"]["tests"]
+    runs = [step.get("run") for step in job["steps"]]
     assert runs[-2:] == ['pip install -e ".[test]"', tier1]
+    assert job["timeout-minutes"] == 20
