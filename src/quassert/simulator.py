@@ -142,12 +142,23 @@ def _noise_superop(k: int, noise: NoiseModel) -> np.ndarray:
     return superop
 
 
-def _gate_superop(op: GateOp, noise: NoiseModel | None) -> np.ndarray:
-    """u (x) u* for the gate's table unitary u, then its noise; local bit m is op.qubits[m]."""
-    k = len(op.qubits)
-    u = expanded_gate_matrix(GateOp(op.name, tuple(range(k)), op.angle), k)
+@functools.lru_cache(maxsize=64)
+def _superop(name: str, k: int, angle: float | None, noise: NoiseModel | None) -> np.ndarray:
+    """u (x) u* for the table unitary u of the gate on local bits 0..k-1, then its
+    noise, read-only.  :func:`_gate_superop` keys only angle-free gates here, so
+    the cache holds one entry per (name, k, noise model)."""
+    u = expanded_gate_matrix(GateOp(name, tuple(range(k)), angle), k)
     superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4**k, 4**k)
-    return superop if noise is None else _noise_superop(k, noise) @ superop
+    superop = superop if noise is None else _noise_superop(k, noise) @ superop
+    superop.flags.writeable = False
+    return superop
+
+
+def _gate_superop(op: GateOp, noise: NoiseModel | None) -> np.ndarray:
+    """The gate's channel; local bit m is op.qubits[m].  A rotation's is built
+    fresh, past the cache: each angle would be a new key."""
+    build = _superop if op.angle is None else _superop.__wrapped__
+    return build(op.name, len(op.qubits), op.angle, noise)
 
 
 def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
