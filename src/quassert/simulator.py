@@ -10,7 +10,9 @@ One channel kernel evolves a stack of density matrices of shape
 ``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator: each k-qubit gate
 and its noise are one 4^k x 4^k Liouville superoperator (Wood, Biamonte and
 Cory, QIC 15, 759, 2015), applied by :func:`_evolve_mat` with one transposed
-copy and one matmul per gate into two reused work buffers.
+copy and one matmul per gate into two reused work buffers.  The channel of an
+angle-free gate is built once per gate, size and noise model; a rotation's
+once per gate.
 :func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not

@@ -1,4 +1,5 @@
-"""The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command."""
+"""The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
+and then a benchmark smoke run."""
 
 import re
 from pathlib import Path
@@ -31,6 +32,14 @@ def test_verdict_lines_match_the_cli(capsys, monkeypatch):
     assert capsys.readouterr().out == _block_after("prints one verdict line per assertion")
 
 
+# Runs every perfbench workload briefly and fails unless its last line reports
+# "correct": true.
+BENCHMARK_SMOKE = (
+    "python3 perfbench/run.py --workload all --seed 1 --seconds 1 | tee /dev/stderr | tail -n 1"
+    " | python3 -c \"import json, sys; assert json.load(sys.stdin)['correct'] is True\""
+)
+
+
 def test_ci_runs_the_tier1_command():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
@@ -38,5 +47,5 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
     job = workflow["jobs"]["tests"]
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-2:] == ['pip install -e ".[test]"', tier1]
+    assert runs[-3:] == ['pip install -e ".[test]"', tier1, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20

@@ -26,6 +26,7 @@ from quassert.simulator import (
     PROBABILITY_FLOOR,
     NoiseModel,
     _evolve_mat,
+    _gate_superop,
     _noise_superop,
     _normalized,
     apply_readout,
@@ -355,10 +356,52 @@ class TestGateKernel:
             return expand(op, n_qubits)
 
         monkeypatch.setattr(simulator, "expanded_gate_matrix", recording)
+        simulator._superop.cache_clear()
         c = Circuit(4, tuple(every_gate_kind(4)))
-        _evolve_mat(self.inputs(np.random.default_rng(920), 4)[0], c, DEFAULT_NOISE)
-        assert len(calls) == len(c.ops)
+        mats = self.inputs(np.random.default_rng(920), 4)[0]
+        _evolve_mat(mats, c, DEFAULT_NOISE)
+        # Cold, each gate kind is built once; warm, only the rotations are.
+        assert [(op.name, op.angle) for op, _ in calls] == [(op.name, op.angle) for op in c.ops]
         assert all(n_qubits == len(op.qubits) for op, n_qubits in calls)
+        calls.clear()
+        _evolve_mat(mats, c, DEFAULT_NOISE)
+        assert [op.angle for op, _ in calls] == [op.angle for op in c.ops if op.angle is not None]
+        assert all(n_qubits == len(op.qubits) == 1 for op, n_qubits in calls)
+        calls.clear()
+        fixed = Circuit(4, tuple(op for op in c.ops if op.angle is None))
+        _evolve_mat(mats, fixed, DEFAULT_NOISE)
+        assert not calls
+
+
+class TestArrayCaches:
+    """Every array the simulator and tomography cache is read-only, and the
+    channel cache changes no bit of an evolution."""
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    def test_cached_arrays_are_read_only_and_bit_identical(self, noise):
+        cached = [_gate_superop(gate("h", 3), noise), _gate_superop(gate("cx", 2, 0), noise),
+                  pauli_povm(noise), _preparations(2, noise)]
+        assert _gate_superop(gate("h", 0), noise) is cached[0]
+        assert _gate_superop(gate("cx", 0, 1), noise) is cached[1]
+        if noise is not None:
+            cached += [_noise_superop(1, noise), _noise_superop(2, noise)]
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+        rotation = gate("rx", 0, angle=0.4)
+        assert _gate_superop(rotation, noise) is not _gate_superop(rotation, noise)
+
+        rng = np.random.default_rng(960)
+        mats = np.array([random_density(rng, 4) for _ in range(3)])
+        c = random_circuit(rng, 4, 40)
+        _evolve_mat(mats, c, noise)
+        warm = _evolve_mat(mats, c, noise)
+        simulator._superop.cache_clear()
+        _noise_superop.cache_clear()
+        cold = _evolve_mat(mats, c, noise)
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(warm, reference_evolve_mat(mats, c, noise))
 
 
 class TestExactDistribution:

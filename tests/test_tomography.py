@@ -501,30 +501,53 @@ class TestWorkCounts:
         monkeypatch.setattr(module, name, counting)
         return calls
 
+    @staticmethod
+    def cold_expansions(*runs):
+        """Gate expansions that evolving each (ops, noise model) run makes from a cold
+        channel cache: one per distinct angle-free (name, k, noise model), one per rotation."""
+        ops = [(op, noise) for run_ops, noise in runs for op in run_ops]
+        fixed = {(op.name, len(op.qubits), noise) for op, noise in ops if op.angle is None}
+        return len(fixed) + sum(op.angle is not None for op, _ in ops)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pauli_povm_expands_3_gates_once(self, monkeypatch, n):
+        # The POVM's three rotation gates, h, sdg and h, share two channels.
         simulator.pauli_povm.cache_clear()
+        simulator._superop.cache_clear()
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
-        assert len(expansions) == 3
+        povm_ops = [op for rotation in simulator._PAULI_ROTATIONS for op in rotation.ops]
+        assert len(expansions) == self.cold_expansions((povm_ops, DEFAULT_NOISE)) == 2
+        # A rebuilt POVM finds its channels cached.
+        simulator.pauli_povm.cache_clear()
+        pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
+        assert len(expansions) == 2
 
     @pytest.mark.parametrize("shots", [0, 10])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_process_tomography_expands_g_gates_once_warm(self, monkeypatch, n, shots):
         subject = random_circuit(np.random.default_rng(600 + n), n, 5)
+        rotations = [(op.name, op.angle) for op in subject.ops if op.angle is not None]
+        assert rotations
         simulator.pauli_povm.cache_clear()
         tomography._preparations.cache_clear()
+        simulator._superop.cache_clear()
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
-        # The first call also builds the preparations (4n gates) and the POVM
-        # (3 gates): noisy in sampled mode, noiseless in analytic mode.
-        assert len(expansions) == 4 * n + 3 + len(subject.ops)
+        # The first call also builds the preparations and the POVM: noisy in
+        # sampled mode, noiseless in analytic mode.
+        prep_ops = [gate(g, 0) for gates in tomography._PREP_GATES.values() for g in gates]
+        povm_ops = [op for rotation in simulator._PAULI_ROTATIONS for op in rotation.ops]
+        assert len(expansions) == self.cold_expansions(
+            (prep_ops, DEFAULT_NOISE), (subject.ops, DEFAULT_NOISE),
+            (povm_ops, DEFAULT_NOISE if shots else None))
         expansions.clear()
         draws = self.count_calls(monkeypatch, tomography, "sample")
         projections = self.count_calls(monkeypatch, qmath, "psd_project")
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
-        assert len(expansions) == len(subject.ops)
+        # Warm, only the subject's rotations are built, once each.
+        assert [(op.name, op.angle) for op, _ in expansions] == rotations
         assert [a[0].shape for a in draws] == ([(4**n, 3**n, 2**n)] if shots else [])
         assert [a.shape for a, _ in projections] == [(4**n, 4**n)]
 
