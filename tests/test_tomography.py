@@ -501,6 +501,8 @@ class TestWorkCounts:
         monkeypatch.setattr(module, name, counting)
         return calls
 
+    POVM_OPS = [op for rotation in simulator._PAULI_ROTATIONS for op in rotation.ops]
+
     @staticmethod
     def cold_expansions(*runs):
         """Gate expansions that evolving each (ops, noise model) run makes from a cold
@@ -517,8 +519,7 @@ class TestWorkCounts:
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
-        povm_ops = [op for rotation in simulator._PAULI_ROTATIONS for op in rotation.ops]
-        assert len(expansions) == self.cold_expansions((povm_ops, DEFAULT_NOISE)) == 2
+        assert len(expansions) == self.cold_expansions((self.POVM_OPS, DEFAULT_NOISE)) == 2
         # A rebuilt POVM finds its channels cached.
         simulator.pauli_povm.cache_clear()
         pauli_distributions(DensityMatrix.ground(n), DEFAULT_NOISE)
@@ -538,10 +539,9 @@ class TestWorkCounts:
         # The first call also builds the preparations and the POVM: noisy in
         # sampled mode, noiseless in analytic mode.
         prep_ops = [gate(g, 0) for gates in tomography._PREP_GATES.values() for g in gates]
-        povm_ops = [op for rotation in simulator._PAULI_ROTATIONS for op in rotation.ops]
         assert len(expansions) == self.cold_expansions(
             (prep_ops, DEFAULT_NOISE), (subject.ops, DEFAULT_NOISE),
-            (povm_ops, DEFAULT_NOISE if shots else None))
+            (self.POVM_OPS, DEFAULT_NOISE if shots else None))
         expansions.clear()
         draws = self.count_calls(monkeypatch, tomography, "sample")
         projections = self.count_calls(monkeypatch, qmath, "psd_project")
