@@ -194,7 +194,8 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
 
 def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:
     """Check ``obj.mat`` as a ``obj.dim``-square Hermitian PSD matrix of the given
-    trace, then store it symmetrized and its spectrum as ``obj._spectrum``, read-only.
+    trace, then store a copy of it (never the caller's array), symmetrized unless
+    exactly Hermitian, and its spectrum as ``obj._spectrum``, all read-only.
 
     The validation shared by :class:`DensityMatrix` and :class:`ChoiMatrix`;
     ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.
@@ -217,7 +218,7 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     values, vectors = qmath.hermitian_eig(mat)
     if values[0] < -qmath.PSD_CLAMP:
         raise ValueError(f"{kind} {negative} {values[0]:.3e}")
-    mat = (mat + mat.conj().T) / 2.0
+    mat = (mat + mat.conj().T) / 2.0 if herm else mat.copy()
     for array in (mat, values, vectors):
         array.flags.writeable = False
     object.__setattr__(obj, "mat", mat)

@@ -4,9 +4,11 @@ Everything here works on plain ``numpy`` arrays of ``complex128`` and is sized
 for qubit-space matrices up to 256 x 256.  All functions are pure.  The
 eigendecomposition and PSD projection take a matrix or a ``(..., d, d)``
 stack of them and treat each matrix on its own; this module keeps only what
-numpy lacks: the Hermiticity check before ``eigh``, the truncating
-projection, and :func:`kron_map`, the n-fold tensor power of a one-qubit map
-that every tomography contraction is.
+numpy lacks: the finiteness and Hermiticity checks before ``eigh``, whose one
+caller :func:`hermitian_eig` symmetrizes only input not exactly Hermitian and
+solves a single exactly diagonal matrix (a computational-basis state) by
+sorting, the truncating projection, and :func:`kron_map`, the n-fold tensor
+power of a one-qubit map that every tomography contraction is.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``numpy.linalg.eigh``'s ``(eigenvalues, eigenvectors)`` pair:
     ascending real eigenvalues, orthonormal eigenvector columns.  The input is
-    checked for Hermiticity and symmetrized first, so the solver sees an
-    exactly Hermitian operator.
+    checked for finiteness and Hermiticity and symmetrized unless exactly
+    Hermitian.  A single exactly Hermitian matrix with no nonzero off-diagonal
+    entry skips LAPACK: its real diagonal in stable ascending order, with the
+    identity's columns in that order.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -44,11 +48,18 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"hermitian_eig expects non-empty matrices, got shape {a.shape}")
     adjoint = a.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(a - adjoint))
+    if not dev < np.inf:  # a non-finite entry gives a NaN or infinite deviation
+        raise NumericError(f"hermitian_eig expects finite entries; max |A - A†| = {dev}")
     if dev > HERMITICITY_TOL:
         raise DimensionError(
             f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
         )
-    return np.linalg.eigh((a + adjoint) / 2.0)
+    if dev == 0.0 and a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+        order = np.argsort(a.diagonal().real, kind="stable")
+        vectors = np.zeros_like(a)  # set d entries, not copy d^2 of an identity
+        vectors[order, np.arange(len(a))] = 1.0
+        return a.diagonal().real[order], vectors
+    return np.linalg.eigh(a if dev == 0.0 else (a + adjoint) / 2.0)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,6 +41,13 @@ def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     return mat / np.trace(mat).real
 
 
+def count_lapack_solves(monkeypatch) -> list:
+    """Shapes passed to ``numpy.linalg.eigh`` while the patch lasts."""
+    solved, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
+    return solved
+
+
 def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
     """One-matrix PSD projection by the explicit truncation loop, kept as the
     bit-exact reference for the stacked ``qmath.psd_project``."""

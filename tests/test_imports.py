@@ -12,7 +12,9 @@ outside its own definition, so a deleted path cannot leave its helpers
 behind.  No two config dataclasses (every field defaulted) may declare the
 same ordered field list, so one set of execution parameters has one type.
 Only ``simulator.sample`` may touch ``numpy.random``, so every count an
-assertion draws comes from the one generator its seed builds.  ``einsum``
+assertion draws comes from the one generator its seed builds.  Only
+``qmath.hermitian_eig`` may name ``eigh`` or ``eigvalsh``, so every
+eigensolve passes its finiteness and Hermiticity checks.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
 not used, so no cache keyed by user input (angles, noise models) can grow
@@ -265,6 +267,43 @@ def test_random_scan_flags_planted_generators():
     assert numpy_random_uses(source) == [
         "<module>:2", "<module>:3", "<module>:4", "sample:7", "helper:9", "helper:9",
         "<module>:10",
+    ]
+
+
+def eigensolver_uses(source: str) -> list[str]:
+    """Each use of LAPACK's Hermitian eigensolvers (``eigh``, ``eigvalsh``) as
+    "owner:line", where owner is the enclosing top-level definition."""
+    names = {"eigh", "eigvalsh"}
+    uses = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any(a.name.split(".")[-1] in names for a in node.names)
+            else:
+                hit = getattr(node, "attr", getattr(node, "id", None)) in names
+            if hit:
+                uses.append(f"{owner}:{node.lineno}")
+    return uses
+
+
+def test_only_hermitian_eig_calls_eigh():
+    owners = {f"{p.name}:{use.split(':')[0]}" for p in PACKAGE.glob("*.py")
+              for use in eigensolver_uses(p.read_text(encoding="utf-8"))}
+    assert owners == {"qmath.py:hermitian_eig"}
+
+
+def test_eigensolver_scan_flags_planted_calls():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import eigh\nimport scipy.linalg as sl\n"
+        "from scipy.linalg import eigvalsh as ev\n"
+        "def hermitian_eig(a):\n    return np.linalg.eigh(a)\n"
+        "def spectrum(a):\n    return sl.eigvalsh(a)\n"
+        "SOLVE = eigh\n"
+        "def fine(a):\n    return np.linalg.eig(a), a.eighth\n"
+    )
+    assert eigensolver_uses(source) == [
+        "<module>:2", "<module>:4", "hermitian_eig:6", "spectrum:8", "<module>:9",
     ]
 
 

@@ -41,7 +41,7 @@ from quassert.simulator import (
     sample,
 )
 
-from conftest import random_circuit
+from conftest import count_lapack_solves, random_circuit
 
 
 @pytest.fixture
@@ -248,39 +248,43 @@ class TestRunProtocol:
         assert a == b and type(a.diagnostics["shots"]) is int
 
 
-class TestFidelityWork:
-    """Fidelity reads the spectra stored at validation: qcore's only eigensolve validates."""
+def _count_solves(monkeypatch) -> tuple[list, list]:
+    """Shapes passed to ``qmath.hermitian_eig`` and to the LAPACK ``eigh`` it
+    calls for all but a single exactly diagonal matrix, while the patches last."""
+    solved, eig = [], qmath.hermitian_eig
+    monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a.shape) or eig(a))
+    return solved, count_lapack_solves(monkeypatch)
 
-    @staticmethod
-    def _count_solves(monkeypatch) -> list:
-        solved, eig = [], qmath.hermitian_eig
-        monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a.shape) or eig(a))
-        return solved
+
+class TestFidelityWork:
+    """Fidelity reads the spectra stored at validation: qcore's only eigensolve
+    validates, and the diagonal ground state needs no LAPACK solve."""
 
     def test_state_tomo_solves_ground_projection_and_estimate(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(41), 2, 8)
         expected = evolve(DensityMatrix.ground(2), subject)
-        solved = self._count_solves(monkeypatch)
+        solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
         assert solved == [(4, 4), (1, 4, 4), (4, 4)]
+        assert lapack == [(1, 4, 4), (4, 4)]
 
     def test_warm_process_tomo_solves_projection_and_estimate(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(42), 2, 8)
         expected = circuit_to_choi(subject)
         config = RunConfig(shots=100, noise=DEFAULT_NOISE)
         run_protocol(subject, expected, config)  # builds the cached preparations
-        solved = self._count_solves(monkeypatch)
+        solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, config)
-        assert solved == [(16, 16), (16, 16)]
+        assert solved == lapack == [(16, 16), (16, 16)]
 
     def test_fidelities_solve_nothing(self, monkeypatch, bell_circuit):
         ground = DensityMatrix.ground(2)
         state = evolve(ground, bell_circuit, DEFAULT_NOISE)
         choi = circuit_to_choi(bell_circuit)
-        solved = self._count_solves(monkeypatch)
+        solved, lapack = _count_solves(monkeypatch)
         assert state_fidelity(state, ground) == pytest.approx(0.5, abs=0.05)
         assert process_fidelity(choi, choi) == pytest.approx(1.0)
-        assert solved == []
+        assert solved == lapack == []
 
 
 class TestProjWork:
@@ -290,14 +294,13 @@ class TestProjWork:
         subject = random_circuit(np.random.default_rng(40), 3, 12)
         expected = OutcomeDistribution(3, np.full(8, 1 / 8))
         ground = DensityMatrix.ground(3).mat
-        built, solved = [], []
-        init, eig = DensityMatrix.__init__, qmath.hermitian_eig
+        built, init = [], DensityMatrix.__init__
         monkeypatch.setattr(DensityMatrix, "__init__",
                             lambda self, *args: built.append(args) or init(self, *args))
-        monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a) or eig(a))
+        solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
         assert len(built) == 1 and np.array_equal(built[0][1], ground)
-        assert len(solved) == 1
+        assert solved == [(8, 8)] and lapack == []
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", range(1, 7))

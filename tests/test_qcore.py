@@ -272,8 +272,21 @@ class TestDomainTypes:
             DensityMatrix(1, np.diag([0.7, 0.7]))
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.diag([1.5, -0.5]))
+        # Diagonal input is solved without LAPACK, the last one by eigh.
+        for mat, value in [
+            (np.diag([1.5, -0.5]), "-5.000e-01"),
+            (np.diag([1.2, 0.0, -0.2, 0.0]), "-2.000e-01"),
+            (np.array([[0.5, 0.6], [0.6, 0.5]]), "-1.000e-01"),
+        ]:
+            with pytest.raises(ValueError, match=f"^density matrix has negative eigenvalue {value}$"):
+                DensityMatrix(int(np.log2(len(mat))), mat)
+
+    def test_density_matrix_leaves_the_callers_array_writable(self):
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityMatrix(1, mat)
+        assert mat.flags.writeable and rho.mat is not mat
+        mat[0, 0] = 0.5
+        assert rho.mat[0, 0] == 1.0
 
     def test_density_matrix_immutable(self):
         rho = DensityMatrix.ground(1)

@@ -6,7 +6,8 @@ against hand-executed truncation steps and, bit for bit, against the
 one-matrix truncation loop it replaced; stacks against per-matrix calls; the
 tensor-power map against the dense Kronecker power of its one-qubit map.
 Hypothesis property tests cover the eigendecomposition contract and the PSD
-projection's invariants on arbitrary Hermitian input.
+projection's invariants on arbitrary Hermitian input, and the eigensolver's
+LAPACK-free path for diagonal matrices against ``numpy.linalg.eigh``.
 """
 
 import numpy as np
@@ -18,13 +19,19 @@ from hypothesis.extra import numpy as hnp
 from quassert.qmath import (
     DegenerateInputError,
     DimensionError,
+    NumericError,
     hermitian_eig,
     kron,
     kron_map,
     psd_project,
 )
 
-from conftest import random_density, random_hermitian, reference_psd_project
+from conftest import (
+    count_lapack_solves,
+    random_density,
+    random_hermitian,
+    reference_psd_project,
+)
 
 
 @st.composite
@@ -116,6 +123,71 @@ class TestHermitianEig:
         a[0, 1] = 1e-10  # inside the 1e-9 window
         values, _ = hermitian_eig(a)
         np.testing.assert_allclose(values, [1.0, 2.0], atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), ([0, 1], [1, 0])],
+                             ids=["diagonal", "off_diagonal", "symmetric_pair"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_non_finite_rejected_before_the_hermiticity_check(self, bad, where):
+        a = np.array([[1.0, 5.0], [0.0, 1.0]], dtype=complex)  # far from Hermitian
+        a[where] = bad
+        for matrix in (a, np.array([np.eye(2), a])):
+            with pytest.raises(NumericError, match="finite"):
+                hermitian_eig(matrix)
+        with pytest.raises(NumericError, match="finite"):
+            psd_project(a, 1.0)
+
+
+class TestDiagonalShortcut:
+    """A single exactly Hermitian matrix with no nonzero off-diagonal entry is
+    solved without LAPACK."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_eigh(self, data):
+        dim = data.draw(st.integers(2, 128))
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.25]),  # ties and signed zeros
+            st.floats(-10, 10, allow_nan=False, allow_subnormal=False),
+        )
+        diagonal = data.draw(hnp.arrays(np.float64, dim, elements=entries))
+        a = np.diag(diagonal).astype(complex)
+        reference, _ = np.linalg.eigh(a)
+        values, v = hermitian_eig(a)
+        # Bit for bit, but for the sign of a zero (LAPACK's sort does not keep
+        # the order of equal values, and -0.0 == 0.0), unless LAPACK rescales
+        # the matrix, as it does when every entry is below about 1e-146, and
+        # rounds its eigenvalues by one ulp; the sorted diagonal is exact.
+        tiny = 0.0 < np.abs(diagonal).max() < 1e-140
+        np.testing.assert_array_max_ulp(values, reference, maxulp=1 if tiny else 0)
+        perm = np.argmax(np.abs(v), axis=0)
+        assert np.array_equal(np.sort(perm), np.arange(dim))
+        assert np.array_equal(v, np.eye(dim)[:, perm])
+        assert np.array_equal((v * values) @ v.conj().T, a)
+
+    def test_diagonal_input_needs_no_lapack_solve(self, monkeypatch):
+        solved = count_lapack_solves(monkeypatch)
+        values, vectors = hermitian_eig(np.diag([0.5, 0.0, 0.5, -0.0]))
+        assert solved == []
+        assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
+        assert np.array_equal(vectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_stack_of_diagonals_goes_to_eigh(self, monkeypatch):
+        stack = np.array([np.diag(d) for d in ([3.0, 1.0, 2.0], [0.0, 0.0, 1.0])], dtype=complex)
+        reference = np.linalg.eigh(stack)
+        solved = count_lapack_solves(monkeypatch)
+        values, vectors = hermitian_eig(stack)
+        assert solved == [(2, 3, 3)]
+        assert np.array_equal(values, reference[0]) and np.array_equal(vectors, reference[1])
+
+    @pytest.mark.parametrize("where", [(0, 1), ([0, 1], [1, 0])], ids=["one_entry", "symmetric_pair"])
+    def test_tiny_off_diagonal_entry_goes_to_eigh(self, monkeypatch, where):
+        a = np.diag([2.0, 1.0]).astype(complex)
+        a[where] = 1e-300
+        solved = count_lapack_solves(monkeypatch)
+        values, _ = hermitian_eig(a)
+        assert solved == [(2, 2)]
+        assert np.array_equal(values, [1.0, 2.0])
 
 
 class TestKron:

@@ -1,5 +1,6 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
-and then a benchmark smoke run."""
+on the oldest Python the package declares and on 3.11, then a benchmark smoke
+run on 3.11."""
 
 import re
 from pathlib import Path
@@ -49,3 +50,9 @@ def test_ci_runs_the_tier1_command():
     runs = [step.get("run") for step in job["steps"]]
     assert runs[-3:] == ['pip install -e ".[test]"', tier1, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
+    assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
+    setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
+    assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
+    assert [step.get("if") for step in job["steps"]][-2:] == [None, "matrix.python-version == '3.11'"]
