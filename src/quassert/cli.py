@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -153,14 +154,40 @@ def _object(value, where: str, required: tuple[str, ...], optional: tuple[str, .
     return value
 
 
-def _numbers(value, where: str, depth: int = 1) -> list:
-    """An array nested ``depth`` deep with numbers at the bottom."""
+def _numbers(value, where: str, depth: int) -> None:
+    """Reject ``value`` at its first entry that breaks "an array nested
+    ``depth`` deep with numbers at the bottom"."""
     for i, item in enumerate(_expect(value, where, list)):
         if depth > 1:
             _numbers(item, f"{where}[{i}]", depth - 1)
         else:
             _expect(item, f"{where}[{i}]", float)
-    return value
+
+
+def _number_array(value, where: str, depth: int) -> np.ndarray | None:
+    """``value``, checked to be an array nested ``depth`` deep with numbers at
+    the bottom, as a float64 array; None if its numbers do not stack into one.
+
+    One numpy conversion reads the whole value and one pass checks its leaves'
+    types, since numpy reads a boolean, a numeric string or null as a number
+    (and an integer just beyond the float range as the largest float).  Only a
+    value that fails is walked by :func:`_numbers`, which names its first bad
+    entry.
+    """
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):  # ragged, an object, an integer beyond floats
+        arr = None
+    if arr is not None and arr.ndim == depth:
+        leaves = value
+        for _ in range(depth - 1):
+            leaves = chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        huge = int in types and (abs(arr) >= sys.float_info.max).any()
+        if types <= {int, float} and not huge:
+            return arr
+    _numbers(value, where, depth)
+    return arr
 
 
 def _n_qubits(document: dict) -> int:
@@ -196,10 +223,9 @@ def _decode_circuit(items, n_qubits: int, where: str) -> Circuit:
 
 
 def _decode_matrix(value, where: str) -> np.ndarray:
-    rows = _numbers(value, where, depth=3)
-    if not rows or any(len(row) != len(rows) or any(len(z) != 2 for z in row) for row in rows):
+    arr = _number_array(value, where, depth=3)
+    if arr is None or not len(arr) or arr.shape != (len(arr), len(arr), 2):
         _fail(where, "expected a square matrix of [re, im] pairs")
-    arr = np.asarray(rows, dtype=np.float64)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -214,8 +240,7 @@ def _decode_assertion(
     _object(obj, where, ("type", "value"), overrides)
     kind, value, at = obj["type"], obj["value"], f"{where}.value"
     if kind == "distribution":
-        probs = np.asarray(_numbers(value, at), dtype=np.float64)
-        expected = _build(where, OutcomeDistribution, n_qubits, probs)
+        expected = _build(where, OutcomeDistribution, n_qubits, _number_array(value, at, 1))
     elif kind == "state":
         expected = _build(where, DensityMatrix, n_qubits, _decode_matrix(value, at))
     elif kind == "process":

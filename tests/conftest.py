@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quassert import qmath
+from quassert.cli import _numbers
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
 from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat, _gate_superop
 
@@ -46,6 +47,14 @@ def count_lapack_solves(monkeypatch) -> list:
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
     return solved
+
+
+def reference_number_array(value, where: str, depth: int) -> np.ndarray:
+    """A numeric document value read entry by entry: the located walk
+    ``cli._numbers``, then ``np.asarray``.  Kept as the bit-exact reference for
+    ``cli._number_array``, which walks only a value that it rejects."""
+    _numbers(value, where, depth)
+    return np.asarray(value, dtype=np.float64)
 
 
 def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:

@@ -1,14 +1,23 @@
 """Command-line behavior: exit codes, report output, sweep CSV, overrides."""
 
+import contextlib
+import copy
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_number_array
+from quassert import cli
 from quassert.cli import (
     DEFAULT_TRIALS,
     SweepConfig,
+    _number_array,
     decode_noise,
     load_suite,
     load_sweep,
@@ -713,6 +722,29 @@ _ONE_PASS_REJECTION_ROWS = [
      ["cases[0].assertions[1].value[0][0][1]"], "bool_in_state"),
     ("sweep", ("positive_case", "assertion", "value"), [0.5, True],
      ["positive_case.assertion.value[1]"], "bool_in_sweep_distribution"),
+    ("run", _A0 + ("value",), [0.9, None],
+     ["cases[0].assertions[0].value[1]: expected a number, got null"], "null_in_distribution"),
+    ("run", _STATE, [[[1, 0], [0, 0]], [[0, 0], [0, None]]],
+     ["cases[0].assertions[1].value[1][1][1]: expected a number, got null"], "null_in_state"),
+    ("run", _STATE, [[[1, 0], {"re": 0}], [[0, 0], [0, 0]]],
+     ["cases[0].assertions[1].value[0][1]: expected an array, got an object"],
+     "object_in_matrix_row"),
+    ("run", _STATE, [[[[1], 0], [0, 0]], [[0, 0], [0, 0]]],
+     ["cases[0].assertions[1].value[0][0][0]: expected a number, got an array"],
+     "depth_4_matrix_entry"),
+    # well-typed numbers that do not form a square matrix of [re, im] pairs
+    ("run", _STATE, [[[1, 0], [0, 0]], [[0, 0]]],
+     ["cases[0].assertions[1].value: expected a square matrix of [re, im] pairs"],
+     "ragged_matrix_rows"),
+    ("run", _STATE, [[[1, 0, 0], [0, 0]], [[0, 0], [0, 0]]],
+     ["cases[0].assertions[1].value: expected a square matrix of [re, im] pairs"],
+     "three_element_matrix_entry"),
+    ("run", _STATE, [],
+     ["cases[0].assertions[1].value: expected a square matrix of [re, im] pairs"],
+     "empty_matrix"),
+    ("run", _STATE, [[[1, 0], [0, 0]]],
+     ["cases[0].assertions[1].value: expected a square matrix of [re, im] pairs"],
+     "non_square_matrix"),
     # integers too large for a float where a number goes
     ("run", _G0 + ("angle",), 10**400, ["cases[0].circuit[0].angle", "too large for a float"],
      "huge_int_angle"),
@@ -819,3 +851,136 @@ class TestMalformedDocuments:
         expected = capsys.readouterr().out
         assert main([command, _table_document(tmp_path, command, path, as_float)] + flags) == code
         assert capsys.readouterr().out == expected
+
+
+# Numeric values are read in bulk (cli._number_array); the located walk runs
+# only to word a rejection.  A valid leaf may be any int or float JSON admits;
+# the planted ones are what numpy would read as a number, or refuse, while the
+# walk rejects them.
+_FLOAT_MAX = sys.float_info.max
+_VALID_LEAVES = st.one_of(
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.sampled_from([-0.0, 2**53 + 1, 1e308, _FLOAT_MAX, int(_FLOAT_MAX)]),
+)
+_BAD_LEAVES = st.sampled_from(
+    [True, False, "1.5", "x", None, {}, {"re": 1}, [], [1.0], 10**400, int(_FLOAT_MAX) + 1]
+)
+
+
+@st.composite
+def _number_values(draw, depth: int):
+    """An array nested ``depth`` deep, perhaps with a bad leaf planted or, at
+    depth 3, a row or [re, im] entry made one longer or shorter."""
+    shape = [draw(st.integers(0, 4)) for _ in range(depth)]
+
+    def build(level):
+        if level == depth:
+            return draw(_VALID_LEAVES)
+        return [build(level + 1) for _ in range(shape[level])]
+
+    value = build(0)
+    if all(shape) and draw(st.booleans()):
+        target = value
+        for size in shape[:-1]:
+            target = target[draw(st.integers(0, size - 1))]
+        target[draw(st.integers(0, shape[-1] - 1))] = draw(_BAD_LEAVES)
+    if depth == 3 and all(shape) and draw(st.booleans()):
+        target = value[draw(st.integers(0, shape[0] - 1))]
+        if draw(st.booleans()):
+            target = target[draw(st.integers(0, shape[1] - 1))]
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[0]))
+    return value
+
+
+class TestNumberArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 3]).flatmap(lambda d: st.tuples(st.just(d), _number_values(d))))
+    def test_bulk_read_equals_the_located_walk(self, case):
+        depth, value = case
+        try:
+            expected = reference_number_array(value, "value", depth)
+        except SuiteValidationError as exc:
+            event("rejected")
+            with pytest.raises(SuiteValidationError) as got:
+                _number_array(value, "value", depth)
+            assert str(got.value) == str(exc)
+            return
+        except ValueError:  # ragged: every leaf is a number, but numpy cannot stack them
+            event("ragged")
+            assert depth == 3 and _number_array(value, "value", depth) is None
+            return
+        event("read")
+        got = _number_array(value, "value", depth)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_decode_work_does_not_grow_with_the_matrix(self, tmp_path, monkeypatch):
+        calls = []
+        expect = cli._expect
+        monkeypatch.setattr(cli, "_expect", lambda *a, **k: calls.append(a[1]) or expect(*a, **k))
+        counts = []
+        for n in (2, 4):
+            ground = [[[0.0, 0.0]] * 2**n for _ in range(2**n)]
+            ground[0] = [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n - 1)
+            doc = {"name": "work", "n_qubits": n, "cases": [
+                {"name": "c", "circuit": [], "assertions": [{"type": "state", "value": ground}]}
+            ]}
+            path = tmp_path / f"state_{n}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            load_suite(path)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert not any("value" in where for where in calls)
+
+
+_SHIPPED_DOCUMENTS = sorted((Path(__file__).resolve().parent.parent / "suites").glob("*.json"))
+_FUZZ_VALUES = [True, "0.5", None, {"re": 0.5}, [0.5], 10**400, float("nan")]
+
+
+def _value_paths(value, path=()):
+    """(path, entry) for every object field and array entry under ``value``."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,), child
+        yield from _value_paths(child, path + (key,))
+
+
+class TestShippedDocumentFuzz:
+    """One field or numeric leaf of a shipped document replaced by a value of
+    another JSON type: the CLI runs it or rejects it with its exit code, never
+    a traceback, and every rejection names the file.  Sweeps run one trial
+    per grid point, which keeps the examples fast."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_document_runs_or_is_rejected(self, tmp_path_factory, data):
+        source = data.draw(st.sampled_from(_SHIPPED_DOCUMENTS), label="document")
+        doc = json.loads(source.read_text())
+        fields, leaves = [], []
+        for path, entry in _value_paths(doc):
+            if type(entry) in (int, float):
+                leaves.append(path)
+            elif type(path[-1]) is str:
+                fields.append(path)
+        *parents, last = data.draw(st.sampled_from(fields) | st.sampled_from(leaves), label="path")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(st.sampled_from(_FUZZ_VALUES), label="replacement")
+        path = tmp_path_factory.mktemp("fuzz") / source.name
+        path.write_text(json.dumps(doc))
+        argv = ["run", str(path)] if "cases" in doc else ["sweep", str(path), "--trials", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert str(path) in err.getvalue()

@@ -14,7 +14,10 @@ same ordered field list, so one set of execution parameters has one type.
 Only ``simulator.sample`` may touch ``numpy.random``, so every count an
 assertion draws comes from the one generator its seed builds.  Only
 ``qmath.hermitian_eig`` may name ``eigh`` or ``eigvalsh``, so every
-eigensolve passes its finiteness and Hermiticity checks.  ``einsum``
+eigensolve passes its finiteness and Hermiticity checks.  Only
+``cli._number_array`` may call the located walk ``cli._numbers``, so every
+numeric value of a document is read in bulk and walked only to word its
+rejection.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
 not used, so no cache keyed by user input (angles, noise models) can grow
@@ -304,6 +307,45 @@ def test_eigensolver_scan_flags_planted_calls():
     )
     assert eigensolver_uses(source) == [
         "<module>:2", "<module>:4", "hermitian_eig:6", "spectrum:8", "<module>:9",
+    ]
+
+
+def located_walk_uses(source: str) -> list[str]:
+    """Each use of the located walk ``_numbers`` outside its own (recursive)
+    definition as "owner:line", where owner is the enclosing top-level
+    definition."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        if owner == "_numbers":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any(a.name == "_numbers" for a in node.names)
+            else:
+                hit = getattr(node, "attr", getattr(node, "id", None)) == "_numbers"
+            if hit:
+                uses.append(f"{owner}:{node.lineno}")
+    return uses
+
+
+def test_only_the_bulk_read_walks_numbers():
+    owners = {f"{p.name}:{use.split(':')[0]}" for p in PACKAGE.glob("*.py")
+              for use in located_walk_uses(p.read_text(encoding="utf-8"))}
+    assert owners == {"cli.py:_number_array"}
+
+
+def test_located_walk_scan_flags_planted_callers():
+    source = (
+        "from quassert.cli import _numbers\nimport quassert.cli as cli\n"
+        "def _numbers(value, where, depth):\n    return _numbers(value[0], where, depth - 1)\n"
+        "def _number_array(value, where, depth):\n    _numbers(value, where, depth)\n"
+        "def _decode_matrix(value, where):\n    return cli._numbers(value, where, 3)\n"
+        "WALK = _numbers\n"
+        "def fine(value):\n    return _number_array(value, 'v', 1), value._numbers_seen\n"
+    )
+    assert located_walk_uses(source) == [
+        "<module>:1", "_number_array:6", "_decode_matrix:8", "<module>:9",
     ]
 
 
