@@ -107,6 +107,7 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
                int: "an integer", float: "a number"}
 _NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
 _DEFAULTS_FIELDS = tuple(f.name for f in fields(RunConfig))
+_GATE_KEYS = frozenset(("gate", "qubits", "angle"))
 
 
 def _fail(where: str, message: str) -> NoReturn:
@@ -210,15 +211,43 @@ def decode_noise(value, where: str = "noise") -> NoiseModel | None:
     )
 
 
+def _decode_gate(item, at: str) -> GateOp:
+    """The gate item ``item``, checked field by field, each rejection located."""
+    _object(item, at, ("gate", "qubits"), ("angle",))
+    name = _expect(item["gate"], f"{at}.gate", str)
+    qubits = _expect(item["qubits"], f"{at}.qubits", list)
+    qubits = tuple(_expect(q, f"{at}.qubits[{k}]", int) for k, q in enumerate(qubits))
+    return _build(at, GateOp, name, qubits, _field(item, "angle", at, float))
+
+
+def _read_gate(item) -> GateOp | None:
+    """The gate item ``item`` read in one pass over its exact JSON types, or
+    None if a field has another type or :class:`GateOp` rejects the gate."""
+    if type(item) is not dict or not item.keys() <= _GATE_KEYS:
+        return None
+    name, qubits, angle = item.get("gate"), item.get("qubits"), item.get("angle")
+    if type(name) is not str or type(qubits) is not list or any(type(q) is not int for q in qubits):
+        return None
+    if "angle" in item and not (
+        type(angle) is float or type(angle) is int and abs(angle) <= sys.float_info.max
+    ):
+        return None
+    try:
+        return GateOp(name, tuple(qubits), angle)
+    except ValueError:
+        return None
+
+
 def _decode_circuit(items, n_qubits: int, where: str) -> Circuit:
-    ops = []
-    for i, item in enumerate(_expect(items, where, list)):
-        at = f"{where}[{i}]"
-        _object(item, at, ("gate", "qubits"), ("angle",))
-        name = _expect(item["gate"], f"{at}.gate", str)
-        qubits = _expect(item["qubits"], f"{at}.qubits", list)
-        qubits = tuple(_expect(q, f"{at}.qubits[{k}]", int) for k, q in enumerate(qubits))
-        ops.append(_build(at, GateOp, name, qubits, _field(item, "angle", at, float)))
+    """A circuit, each gate read by :func:`_read_gate`; only a gate that it
+    returns None for is walked by :func:`_decode_gate`, which locates the
+    rejection."""
+    # A list, then one tuple: tuple() of a generator allocates a fresh tuple and
+    # resizes it, which fills the interpreter's tuple free lists (up to 4 MB).
+    ops = [
+        _read_gate(item) or _decode_gate(item, f"{where}[{i}]")
+        for i, item in enumerate(_expect(items, where, list))
+    ]
     return _build(where, Circuit, n_qubits, tuple(ops))
 
 
@@ -226,7 +255,8 @@ def _decode_matrix(value, where: str) -> np.ndarray:
     arr = _number_array(value, where, depth=3)
     if arr is None or not len(arr) or arr.shape != (len(arr), len(arr), 2):
         _fail(where, "expected a square matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # an infinite entry, which the matrix type rejects
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _decode_assertion(

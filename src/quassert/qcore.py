@@ -7,8 +7,8 @@ Conventions used throughout the package:
   most-significant qubit first.
 * Choi matrices are stored unnormalized, ``C = sum_ij |i><j| (x) Phi(|i><j|)``
   with the input factor first, so a trace-preserving channel has
-  ``tr(C) = 2**n``.  Normalization by ``2**n`` happens only inside
-  :func:`process_fidelity`.
+  ``tr(C) = 2**n``.  Only the spectrum kept at validation, which
+  :func:`process_fidelity` reads, is that of the normalized ``C / 2**n``.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -41,9 +41,12 @@ FIXED_GATES = {
     "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
     "tdg": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=np.complex128),
 }
-ROTATION_GATES = ("rx", "ry", "rz")
-TWO_QUBIT_GATES = ("cx", "cz", "swap")
-GATE_NAMES = tuple(FIXED_GATES) + ROTATION_GATES + TWO_QUBIT_GATES
+# The gate set, the one table GateOp checks: name -> (arity, takes an angle).
+GATES = {
+    **{name: (1, False) for name in FIXED_GATES},
+    **{name: (1, True) for name in ("rx", "ry", "rz")},
+    **{name: (2, False) for name in ("cx", "cz", "swap")},
+}
 
 
 class UnsupportedGateError(ValueError):
@@ -75,6 +78,8 @@ def _as_int(value, what: str) -> int:
 
 def _is_real(value) -> bool:
     """True iff ``value`` is a real number and not a bool."""
+    if type(value) in (float, int):  # the common case, without the ABC check
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -95,30 +100,30 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(_as_int(q, "qubit index") for q in self.qubits))
-        if self.name not in GATE_NAMES:
+        name, qubits, angle = self.name, self.qubits, self.angle
+        if type(qubits) is not tuple or any(type(q) is not int for q in qubits):
+            qubits = tuple(_as_int(q, "qubit index") for q in qubits)
+            object.__setattr__(self, "qubits", qubits)
+        try:
+            arity, rotation = GATES[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnsupportedGateError(
-                f"unsupported gate {self.name!r}; supported: {', '.join(GATE_NAMES)}"
-            )
-        arity = 2 if self.name in TWO_QUBIT_GATES else 1
-        if len(self.qubits) != arity:
+                f"unsupported gate {name!r}; supported: {', '.join(GATES)}"
+            ) from None
+        if len(qubits) != arity:
+            raise ValueError(f"gate {name!r} takes {arity} qubit(s), got {qubits}")
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"gate {name!r} applied to duplicate qubits {qubits}")
+        if (angle is not None) != rotation:
             raise ValueError(
-                f"gate {self.name!r} takes {arity} qubit(s), got {self.qubits}"
+                f"gate {name!r}: angle must be given for rotation gates and only for them"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name!r} applied to duplicate qubits {self.qubits}")
-        if (self.angle is not None) != (self.name in ROTATION_GATES):
-            raise ValueError(
-                f"gate {self.name!r}: angle must be given for rotation gates and only for them"
-            )
-        if self.angle is not None and not _is_real(self.angle):
-            raise ValueError(
-                f"gate {self.name!r}: angle must be a real number, got {self.angle!r}"
-            )
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError(f"gate {self.name!r}: angle must be finite, got {self.angle}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+        if rotation and not _is_real(angle):
+            raise ValueError(f"gate {name!r}: angle must be a real number, got {angle!r}")
+        if rotation and not math.isfinite(angle):
+            raise ValueError(f"gate {name!r}: angle must be finite, got {angle}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
 
 
 def gate(name: str, *qubits: int, angle: float | None = None) -> GateOp:
@@ -163,7 +168,7 @@ def expanded_gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
     """
     if op.name in FIXED_GATES:
         return embed_single_qubit(FIXED_GATES[op.name], op.qubits[0], n_qubits)
-    if op.name in ROTATION_GATES:
+    if op.angle is not None:
         return embed_single_qubit(rotation_matrix(op.name, op.angle), op.qubits[0], n_qubits)
     index = np.arange(2**n_qubits)
     a, b = op.qubits
@@ -195,7 +200,8 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
 def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:
     """Check ``obj.mat`` as a ``obj.dim``-square Hermitian PSD matrix of the given
     trace, then store a copy of it (never the caller's array), symmetrized unless
-    exactly Hermitian, and its spectrum as ``obj._spectrum``, all read-only.
+    exactly Hermitian, and as ``obj._spectrum`` the spectrum of the normalized
+    matrix (divided by its trace, which fidelity reads), all read-only.
 
     The validation shared by :class:`DensityMatrix` and :class:`ChoiMatrix`;
     ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.
@@ -215,9 +221,9 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     tr = complex(np.trace(mat))
     if abs(tr - trace) > 1e-9 * trace:
         raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
-    values, vectors = qmath.hermitian_eig(mat)
-    if values[0] < -qmath.PSD_CLAMP:
-        raise ValueError(f"{kind} {negative} {values[0]:.3e}")
+    values, vectors = qmath.hermitian_eig(mat / trace if trace != 1 else mat)
+    if values[0] * trace < -qmath.PSD_CLAMP:
+        raise ValueError(f"{kind} {negative} {values[0] * trace:.3e}")
     mat = (mat + mat.conj().T) / 2.0 if herm else mat.copy()
     for array in (mat, values, vectors):
         array.flags.writeable = False
@@ -328,16 +334,17 @@ def circuit_to_choi(c: Circuit) -> ChoiMatrix:
 
 
 def _fidelity(rho, sigma, scale: int = 1) -> float:
-    """[tr |sqrt(rho) sqrt(sigma)|]^2 of two validated matrices, each divided by ``scale``.
+    """[tr |sqrt(rho) sqrt(sigma)|]^2 of two validated matrices, each divided by its trace
+    ``scale``, read from the spectra of the divided matrices that validation stored.
 
-    Of their stored spectra over ``scale`` (a power of two, so exact), eigenvalues below
-    ``max * d * 1e-14`` are rounding noise.  If either side is then rank 1, F = tr(rho sigma);
-    otherwise F squares the singular-value sum of sqrt(rho) sqrt(sigma)."""
-    spectra = [(values / scale, vectors) for values, vectors in (rho._spectrum, sigma._spectrum)]
+    Eigenvalues below ``max * d * 1e-14`` are rounding noise.  If either side is then
+    rank 1, F = tr(rho sigma); otherwise F squares the singular-value sum of
+    sqrt(rho) sqrt(sigma)."""
+    spectra = [(values.copy(), vectors) for values, vectors in (rho._spectrum, sigma._spectrum)]
     for values, _ in spectra:
         values[values < values[-1] * values.size * 1e-14] = 0.0
     if any(values[-2] == 0.0 for values, _ in spectra):
-        fid = float(np.sum(rho.mat * sigma.mat.T).real) / scale**2
+        fid = float(np.sum((rho.mat / scale) * (sigma.mat / scale).T).real)
     else:
         a, b = ((vectors * np.sqrt(values)) @ vectors.conj().T for values, vectors in spectra)
         fid = float(np.linalg.svd(a @ b, compute_uv=False).sum() ** 2)
@@ -358,8 +365,8 @@ def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
     """State fidelity of the normalized Choi matrices (channel-state duality).
 
-    Both Choi matrices were validated and eigendecomposed when built, and
-    dividing by 2^n is exact, so their spectra serve the normalized matrices.
+    Both Choi matrices were validated when built, and each stores the
+    eigendecomposition of its normalized matrix, which fidelity reads.
     """
     if a.n_qubits != b.n_qubits:
         raise DimensionError(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quassert import qmath
-from quassert.cli import _numbers
+from quassert.cli import _build, _decode_gate, _expect, _numbers
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
 from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat, _gate_superop
 
@@ -55,6 +55,16 @@ def reference_number_array(value, where: str, depth: int) -> np.ndarray:
     ``cli._number_array``, which walks only a value that it rejects."""
     _numbers(value, where, depth)
     return np.asarray(value, dtype=np.float64)
+
+
+def reference_circuit(items, n_qubits: int, where: str) -> Circuit:
+    """A circuit document value read gate by gate: the located walk
+    ``cli._decode_gate`` on every item, then ``Circuit``.  Kept as the
+    reference for ``cli._decode_circuit``, which walks only an item that its
+    one-pass read refuses."""
+    ops = tuple(_decode_gate(item, f"{where}[{i}]")
+                for i, item in enumerate(_expect(items, where, list)))
+    return _build(where, Circuit, n_qubits, ops)
 
 
 def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
@@ -191,8 +201,13 @@ def density_matrices(draw, n_qubits: int, rank: int | None = None) -> np.ndarray
     rank = draw(st.integers(1, dim)) if rank is None else rank
     entries = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
     parts = draw(hnp.arrays(np.float64, (2, dim, rank), elements=entries))
+    assume(np.linalg.norm(parts[0] + 1j * parts[1]) > 1e-3)
+    return density_from_parts(parts)
+
+
+def density_from_parts(parts: np.ndarray) -> np.ndarray:
+    """G G^dag / tr for G = parts[0] + i parts[1], a (2, dim, rank) real array."""
     g = parts[0] + 1j * parts[1]
-    assume(np.linalg.norm(g) > 1e-3)
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
 

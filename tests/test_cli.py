@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_number_array
+from conftest import reference_circuit, reference_number_array
 from quassert import cli
 from quassert.cli import (
     DEFAULT_TRIALS,
@@ -31,7 +32,7 @@ from quassert.orchestrator import (
     format_report,
     parse_report,
 )
-from quassert.qcore import Circuit, DensityMatrix, OutcomeDistribution, gate
+from quassert.qcore import GATES, Circuit, DensityMatrix, OutcomeDistribution, gate
 
 NaN = float("nan")
 Infinity = float("inf")
@@ -343,6 +344,21 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert where in captured.err and "finite" in captured.err
+
+    def test_infinite_matrix_entry_prints_one_error_line(self, tmp_path):
+        # numpy's complex multiply meets an infinite imaginary part before the
+        # matrix type rejects it; its warning must not reach stderr.
+        state = [[[1, 0], [0, Infinity]], [[0, 0], [0, 0]]]
+        doc = {"name": "inf", "n_qubits": 1, "cases": [
+            {"name": "c", "circuit": [], "assertions": [{"type": "state", "value": state}]}]}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        done = subprocess.run([sys.executable, "-m", "quassert.cli", "run", str(path)],
+                              capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: {path}: cases[0].assertions[0]: density matrix has non-finite entries\n"
+        )
 
     def test_threshold_and_shots_overrides(self, capsys):
         # Per-verdict threshold: at 0.999 the single-draw chi-squared p-value
@@ -760,6 +776,18 @@ _ONE_PASS_REJECTION_ROWS = [
     ("run", _REF, [{"gate": "h", "qubits": [0], "extra": 1}],
      ["cases[0].assertions[2].value[0]", "extra"], "process_ref_unknown_key"),
     ("run", _REF, {}, ["cases[0].assertions[2].value"], "process_ref_not_a_list"),
+    # gate items that a one-pass read must still send to the located walk
+    ("run", _G0, {"gate": "x", "qubits": [0], "angle": None},
+     ["cases[0].circuit[0].angle: expected a number, got null"], "null_angle_on_x"),
+    ("run", _G0 + ("angle",), None,
+     ["cases[0].circuit[0].angle: expected a number, got null"], "null_angle_on_rx"),
+    ("run", _G0, {"gate": "cx", "qubits": [0, True]},
+     ["cases[0].circuit[0].qubits[1]: expected an integer, got true"], "bool_qubit_in_cx"),
+    ("run", _G0, {"gate": "cx", "qubits": [0, 0]},
+     ["cases[0].circuit[0]: gate 'cx' applied to duplicate qubits (0, 0)"], "duplicate_qubit_cx"),
+    ("run", _G0, {"gate": "ccx", "qubits": [0.5]},
+     ["cases[0].circuit[0].qubits[0]: expected an integer, got 0.5"],
+     "unknown_gate_and_bad_qubit"),
     # shots above 2**63 - 1
     ("run", ("defaults", "shots"), 2**63, ["defaults", "shots"], "shots_above_int64"),
     ("run", _A0 + ("shots",), 1e30, ["cases[0].assertions[0]", "shots"],
@@ -842,6 +870,7 @@ class TestMalformedDocuments:
             ("run", ("defaults", "seed"), 3.0, 3, "float_seed"),
             ("run", _A0 + ("shots",), 40.0, 40, "float_assertion_shots"),
             ("sweep", ("seed",), 5.0, 5, "float_sweep_seed"),
+            ("run", _G0 + ("qubits", 0), 0.0, 0, "float_qubit"),
         ]),
     )
     def test_integral_float_reads_as_integer(self, capsys, tmp_path, command, path, as_float,
@@ -936,6 +965,91 @@ class TestNumberArrays:
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert not any("value" in where for where in calls)
+
+
+# Gate items are read in one pass (cli._read_gate); the located walk
+# (cli._decode_gate) runs only on an item that the pass refuses.  Each planted
+# value breaks one field's JSON type, a GateOp rule or the register, or is a
+# valid value of another type (an integer angle, -0.0).
+_PLANTED = {
+    "item": ["h", None, ["h", [0]]],
+    "gate": [1, None, True, "ccx", "X", ["x"], {}],
+    "qubits": [0, "0", None, {}, [], [0, 1, 2]],
+    "qubit": [True, False, 1.0, 0.5, "0", None, -1, 3, 2**70, [0], 10**400],
+    "angle": [None, True, "0.5", 0, 1, -0.0, 10**400, int(_FLOAT_MAX), int(_FLOAT_MAX) + 1,
+              Infinity, NaN, [0.5]],
+    "drop": ["gate", "qubits", "angle"],
+    "extra": [0],
+}
+
+
+@st.composite
+def _gate_items(draw):
+    """A list of gate items for a 3-qubit register, perhaps one field planted."""
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(GATES)))
+        arity, rotation = GATES[name]
+        qubits = draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity, unique=True))
+        item = {"gate": name, "qubits": qubits}
+        if rotation:
+            item["angle"] = draw(st.floats(-7, 7) | st.integers(-7, 7))
+        items.append(item)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(items) - 1))
+        field = draw(st.sampled_from(sorted(_PLANTED)))
+        value = draw(st.sampled_from(_PLANTED[field]))
+        if field == "item":
+            items[k] = value
+        elif field == "qubit":
+            items[k]["qubits"][draw(st.integers(0, len(items[k]["qubits"]) - 1))] = value
+        elif field == "drop":
+            items[k].pop(value, None)
+        else:
+            items[k]["extra" if field == "extra" else field] = value
+    return items
+
+
+def _ops(circuit: Circuit) -> list:
+    return [(op.name, op.qubits, tuple(map(type, op.qubits)), repr(op.angle), type(op.angle))
+            for op in circuit.ops]
+
+
+class TestGateDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(_gate_items())
+    def test_one_pass_equals_the_located_walk(self, items):
+        try:
+            expected = reference_circuit(items, 3, "circuit")
+        except SuiteValidationError as exc:
+            event("rejected")
+            with pytest.raises(SuiteValidationError) as got:
+                cli._decode_circuit(items, 3, "circuit")
+            assert str(got.value) == str(exc)
+            return
+        event("read")
+        assert _ops(cli._decode_circuit(items, 3, "circuit")) == _ops(expected)
+
+    def test_decode_work_does_not_grow_with_the_circuit(self, tmp_path, monkeypatch):
+        calls = []
+        expect = cli._expect
+        monkeypatch.setattr(cli, "_expect", lambda *a, **k: calls.append(a[1]) or expect(*a, **k))
+        block = [{"gate": "h", "qubits": [0]}, {"gate": "cx", "qubits": [0, 1]},
+                 {"gate": "rz", "qubits": [1], "angle": 0.25},
+                 {"gate": "ry", "qubits": [0], "angle": -1}]
+        counts = []
+        for repeats in (1, 10):
+            doc = {"name": "work", "n_qubits": 2, "cases": [
+                {"name": "c", "circuit": block * repeats, "assertions": [
+                    {"type": "process_ref", "value": block * repeats}]}
+            ]}
+            path = tmp_path / f"gates_{repeats}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            load_suite(path)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert not any("circuit[" in where or "value[" in where for where in calls)
 
 
 _SHIPPED_DOCUMENTS = sorted((Path(__file__).resolve().parent.parent / "suites").glob("*.json"))

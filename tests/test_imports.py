@@ -17,7 +17,8 @@ assertion draws comes from the one generator its seed builds.  Only
 eigensolve passes its finiteness and Hermiticity checks.  Only
 ``cli._number_array`` may call the located walk ``cli._numbers``, so every
 numeric value of a document is read in bulk and walked only to word its
-rejection.  ``einsum``
+rejection; likewise only ``cli._decode_circuit`` may call the per-gate walk
+``cli._decode_gate``, so every gate item is read in one pass first.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
 not used, so no cache keyed by user input (angles, noise models) can grow
@@ -310,29 +311,36 @@ def test_eigensolver_scan_flags_planted_calls():
     ]
 
 
-def located_walk_uses(source: str) -> list[str]:
-    """Each use of the located walk ``_numbers`` outside its own (recursive)
-    definition as "owner:line", where owner is the enclosing top-level
-    definition."""
+def located_walk_uses(source: str, walk: str) -> list[str]:
+    """Each use of the located walk named ``walk`` outside its own (perhaps
+    recursive) definition as "owner:line", where owner is the enclosing
+    top-level definition."""
     uses = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
-        if owner == "_numbers":
+        if owner == walk:
             continue
         for node in ast.walk(top):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                hit = any(a.name == "_numbers" for a in node.names)
+                hit = any(a.name == walk for a in node.names)
             else:
-                hit = getattr(node, "attr", getattr(node, "id", None)) == "_numbers"
+                hit = getattr(node, "attr", getattr(node, "id", None)) == walk
             if hit:
                 uses.append(f"{owner}:{node.lineno}")
     return uses
 
 
+def _walk_owners(walk: str) -> set[str]:
+    return {f"{p.name}:{use.split(':')[0]}" for p in PACKAGE.glob("*.py")
+            for use in located_walk_uses(p.read_text(encoding="utf-8"), walk)}
+
+
 def test_only_the_bulk_read_walks_numbers():
-    owners = {f"{p.name}:{use.split(':')[0]}" for p in PACKAGE.glob("*.py")
-              for use in located_walk_uses(p.read_text(encoding="utf-8"))}
-    assert owners == {"cli.py:_number_array"}
+    assert _walk_owners("_numbers") == {"cli.py:_number_array"}
+
+
+def test_only_the_circuit_decoder_walks_gates():
+    assert _walk_owners("_decode_gate") == {"cli.py:_decode_circuit"}
 
 
 def test_located_walk_scan_flags_planted_callers():
@@ -344,9 +352,10 @@ def test_located_walk_scan_flags_planted_callers():
         "WALK = _numbers\n"
         "def fine(value):\n    return _number_array(value, 'v', 1), value._numbers_seen\n"
     )
-    assert located_walk_uses(source) == [
+    assert located_walk_uses(source, "_numbers") == [
         "<module>:1", "_number_array:6", "_decode_matrix:8", "<module>:9",
     ]
+    assert located_walk_uses(source, "_number_array") == ["fine:11"]
 
 
 def einsum_mentions(source: str) -> list[int]:

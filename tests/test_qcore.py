@@ -36,6 +36,7 @@ from quassert.qcore import (
 from quassert.qmath import DimensionError
 
 from conftest import (
+    density_from_parts,
     density_matrices,
     random_circuit,
     random_density,
@@ -71,6 +72,11 @@ class TestGateOpValidation:
     def test_unknown_gate(self):
         with pytest.raises(UnsupportedGateError):
             GateOp("ccx", (0, 1))
+
+    @pytest.mark.parametrize("name", [["x"], {"x": 1}, 1, None, b"x"])
+    def test_non_string_or_unhashable_name_is_an_unsupported_gate(self, name):
+        with pytest.raises(UnsupportedGateError, match=re.escape(f"unsupported gate {name!r}")):
+            GateOp(name, (0,))
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -504,7 +510,8 @@ class TestStoredSpectrum:
         assert not values.flags.writeable and not vectors.flags.writeable
         assert np.all(np.diff(values) >= 0.0)
         rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.max(np.abs(rebuilt - value.mat)) <= 1e-12
+        normalized = value.mat / 2**n if choi else value.mat
+        assert np.max(np.abs(rebuilt - normalized)) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 3), RANKS, RANKS)
@@ -520,6 +527,18 @@ class TestStoredSpectrum:
         a = ChoiMatrix(n, data.draw(density_matrices(2 * n, rank_a)) * d)
         b = ChoiMatrix(n, data.draw(density_matrices(2 * n, rank_b)) * d)
         assert process_fidelity(a, b) == reference_fidelity(a.mat / d, b.mat / d)
+
+    def test_process_fidelity_bit_equal_with_subnormal_eigenvalues(self):
+        # A found pair: b's Choi matrix has entries near 1e-177, whose products
+        # underflow inside the eigensolver, so the spectrum of mat / 2**n is
+        # not that of mat divided by 2**n.  The stored one is of mat / 2**n,
+        # as the reference solves it.
+        ga = np.ones((2, 16, 2))
+        ga[0, 0, 0] = 0.0
+        gb = np.full((2, 16, 3), 2.018529881956575e-88)
+        gb[0, 3, 0], gb[1, 7, 0], gb[1, 8, 1] = 8.0, 2.875, 7.75
+        a, b = (ChoiMatrix(2, density_from_parts(g) * 4) for g in (ga, gb))
+        assert process_fidelity(a, b) == reference_fidelity(a.mat / 4, b.mat / 4)
 
     def test_unitary_choi_pair_bit_equal_to_stacked_solve(self, bell_circuit, mutated_circuit):
         for other in (bell_circuit, mutated_circuit):
