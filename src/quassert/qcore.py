@@ -224,7 +224,12 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     values, vectors = qmath.hermitian_eig(mat / trace if trace != 1 else mat)
     if values[0] * trace < -qmath.PSD_CLAMP:
         raise ValueError(f"{kind} {negative} {values[0] * trace:.3e}")
-    mat = (mat + mat.conj().T) / 2.0 if herm else mat.copy()
+    _store(obj, (mat + mat.conj().T) / 2.0 if herm else mat.copy(), values, vectors)
+
+
+def _store(obj, mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+    """Store ``mat`` and, as ``obj._spectrum``, the eigendecomposition of the
+    normalized matrix, all read-only: what every density and Choi matrix holds."""
     for array in (mat, values, vectors):
         array.flags.writeable = False
     object.__setattr__(obj, "mat", mat)
@@ -252,10 +257,23 @@ class DensityMatrix:
 
     @classmethod
     def from_statevector(cls, vec: np.ndarray) -> DensityMatrix:
+        """|psi><psi| of the normalized vector; its length must be 2^n with n >= 1,
+        its entries finite and its norm nonzero."""
         vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        n = int(round(np.log2(vec.size)))
-        if 2**n != vec.size:
-            raise DimensionError(f"statevector length {vec.size} is not a power of two")
+        n = vec.size.bit_length() - 1
+        if n < 1 or 2**n != vec.size:
+            raise DimensionError(
+                f"statevector length {vec.size} is not a power of two of at least 2"
+            )
+        if not np.isfinite(vec).all():
+            raise ValueError("statevector has non-finite entries")
+        peak = np.abs(vec).max()
+        if peak == 0.0:
+            raise ValueError("statevector has zero norm")
+        if not 1e-150 < peak < 1e150:
+            # Rescaled so that the norm's squares neither underflow nor overflow;
+            # part by part, as a complex division would overflow in 1 / peak.
+            vec = vec.real / peak + 1j * (vec.imag / peak)
         vec = vec / np.linalg.norm(vec)
         return cls(n, np.outer(vec, vec.conj()))
 
@@ -290,6 +308,20 @@ class ChoiMatrix:
         d = 2**self.n_qubits
         # Index i * d + o: input factor i first, output factor o second.
         return np.trace(self.mat.reshape(d, d, d, d), axis1=1, axis2=3)
+
+
+def _from_projection(cls, n_qubits: int, mat: np.ndarray, spectrum) -> DensityMatrix | ChoiMatrix:
+    """A :class:`DensityMatrix` or :class:`ChoiMatrix` of ``mat``, the output of
+    :func:`quassert.qmath.psd_project`, and ``spectrum``, the ascending
+    ``(values, vectors)`` it was rebuilt from, stored with no second check or
+    eigensolve: the projection is Hermitian and PSD with the class's trace by
+    construction.  Keeps validation's invariants: ``mat`` as given and the
+    spectrum of the normalized matrix (values divided by the trace), read-only."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "n_qubits", n_qubits)
+    values, vectors = spectrum
+    _store(obj, mat, values / (2**n_qubits if cls is ChoiMatrix else 1), vectors)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,16 +90,20 @@ def kron_map(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return y.reshape(batch + (b1**n, b2**n))
 
 
-def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
+def psd_project(
+    a: np.ndarray, target_trace: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Project a Hermitian matrix, or each of a (..., d, d) stack, onto the PSD
     cone with a prescribed trace.
 
-    Eigenvalue truncation with redistribution: walking up from the most
-    negative eigenvalue, zero it while it stays negative after its share of
-    the deficit so far, and spread the deficit uniformly over the
-    eigenvalues still standing; finally rescale the spectrum to
-    ``target_trace``.  Raises :class:`DegenerateInputError` if any matrix
-    keeps no positive weight.
+    Eigenvalue truncation with redistribution (Smolin, Gambetta and Smith, PRL
+    108, 070502, 2012): walking up from the most negative eigenvalue, zero it
+    while it stays negative after its share of the deficit so far, and spread
+    the deficit uniformly over the eigenvalues still standing; finally rescale
+    the spectrum to ``target_trace``.  Returns the projection and the
+    ``(values, vectors)`` it was rebuilt from, in :func:`hermitian_eig`'s
+    ascending order, the truncated eigenvalues exactly zero.  Raises
+    :class:`DegenerateInputError` if any matrix keeps no positive weight.
     """
     if target_trace <= 0.0:
         raise DegenerateInputError(f"target_trace must be positive, got {target_trace}")
@@ -129,4 +133,5 @@ def psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
         )
     values *= (target_trace / total)[..., None]
     out = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2.0
+    # The spectrum goes back ascending, as hermitian_eig gave it.
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0, (values[..., ::-1], vectors[..., ::-1])

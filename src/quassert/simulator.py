@@ -192,11 +192,11 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
-    """The (B, 2^n, 2^n) stack behind a state and its n; a DensityMatrix is B = 1."""
+    """The (B, 2^n, 2^n) stack behind a state and its n, B >= 1; a DensityMatrix is B = 1."""
     if isinstance(state, DensityMatrix):
         return state.mat[None], state.n_qubits
-    n = state.shape[-1].bit_length() - 1
-    if n < 1 or state.ndim != 3 or state.shape[1:] != (2**n, 2**n):
+    n = state.shape[-1].bit_length() - 1 if state.ndim == 3 else 0
+    if n < 1 or len(state) == 0 or state.shape[1:] != (2**n, 2**n):
         raise qmath.DimensionError(f"expected a (B, 2^n, 2^n) stack, got shape {state.shape}")
     return state, n
 

@@ -15,7 +15,10 @@ setting) distribution at once, draws all of the assertion's counts with one
 tomography is the one-input case (|0...0>).  Process tomography feeds the
 path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and inverts the
 fixed preparation frame to assemble the Choi matrix.  One PSD projection of
-the final estimate, state or Choi matrix, then restores physicality.
+the final estimate, state or Choi matrix, then restores physicality, and the
+estimate is stored from the spectrum that projection rebuilt it from
+(``qcore._from_projection``): it is PSD with the right trace by construction,
+so it is not validated or eigensolved a second time.
 Reading the settings, the inverse channel and the preparation frame's dual
 are each the n-fold tensor power of a one-qubit map, applied by
 :func:`quassert.qmath.kron_map`.
@@ -43,6 +46,7 @@ from quassert.qcore import (
     PAULI_Y,
     PAULI_Z,
     _as_int,
+    _from_projection,
 )
 from quassert.simulator import NoiseModel, evolve, pauli_distributions, sample
 
@@ -106,7 +110,8 @@ def state_tomography(
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
     ground = DensityMatrix.ground(n).mat[None]
     estimate = _reconstruct(ground, subject, noise, shots_per_setting, seed)
-    return DensityMatrix(n, qmath.psd_project(estimate, 1.0)[0])
+    mat, (values, vectors) = qmath.psd_project(estimate, 1.0)
+    return _from_projection(DensityMatrix, n, mat[0], (values[0], vectors[0]))
 
 
 def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
@@ -171,4 +176,5 @@ def process_tomography(
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
     estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seed)
     # psd_project symmetrizes the assembled matrix before its eigensolve.
-    return ChoiMatrix(n, qmath.psd_project(_assemble_choi(estimates, n), float(2**n)))
+    choi, spectrum = qmath.psd_project(_assemble_choi(estimates, n), float(2**n))
+    return _from_projection(ChoiMatrix, n, choi, spectrum)

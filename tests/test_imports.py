@@ -18,7 +18,9 @@ eigensolve passes its finiteness and Hermiticity checks.  Only
 ``cli._number_array`` may call the located walk ``cli._numbers``, so every
 numeric value of a document is read in bulk and walked only to word its
 rejection; likewise only ``cli._decode_circuit`` may call the per-gate walk
-``cli._decode_gate``, so every gate item is read in one pass first.  ``einsum``
+``cli._decode_gate``, so every gate item is read in one pass first.  Only
+``tomography`` may call ``qcore._from_projection``, which stores a matrix
+without validating it, so only a ``qmath.psd_project`` output is stored so.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
 not used, so no cache keyed by user input (angles, noise models) can grow
@@ -341,6 +343,13 @@ def test_only_the_bulk_read_walks_numbers():
 
 def test_only_the_circuit_decoder_walks_gates():
     assert _walk_owners("_decode_gate") == {"cli.py:_decode_circuit"}
+
+
+def test_only_tomography_stores_unvalidated_estimates():
+    assert _walk_owners("_from_projection") == {
+        "tomography.py:<module>", "tomography.py:state_tomography",
+        "tomography.py:process_tomography",
+    }
 
 
 def test_located_walk_scan_flags_planted_callers():

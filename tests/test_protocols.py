@@ -257,25 +257,26 @@ def _count_solves(monkeypatch) -> tuple[list, list]:
 
 
 class TestFidelityWork:
-    """Fidelity reads the spectra stored at validation: qcore's only eigensolve
-    validates, and the diagonal ground state needs no LAPACK solve."""
+    """Fidelity reads stored spectra: one kept at validation, or for a
+    tomography estimate the one its PSD projection rebuilt it from, so the
+    estimate is solved once.  The diagonal ground state needs no LAPACK solve."""
 
-    def test_state_tomo_solves_ground_projection_and_estimate(self, monkeypatch):
+    def test_state_tomo_solves_ground_and_projection(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(41), 2, 8)
         expected = evolve(DensityMatrix.ground(2), subject)
         solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
-        assert solved == [(4, 4), (1, 4, 4), (4, 4)]
-        assert lapack == [(1, 4, 4), (4, 4)]
+        assert solved == [(4, 4), (1, 4, 4)]
+        assert lapack == [(1, 4, 4)]
 
-    def test_warm_process_tomo_solves_projection_and_estimate(self, monkeypatch):
+    def test_warm_process_tomo_solves_the_projection_alone(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(42), 2, 8)
         expected = circuit_to_choi(subject)
         config = RunConfig(shots=100, noise=DEFAULT_NOISE)
         run_protocol(subject, expected, config)  # builds the cached preparations
         solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, config)
-        assert solved == lapack == [(16, 16), (16, 16)]
+        assert solved == lapack == [(16, 16)]
 
     def test_fidelities_solve_nothing(self, monkeypatch, bell_circuit):
         ground = DensityMatrix.ground(2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quassert.qcore import (
     ChoiMatrix,
@@ -24,6 +25,7 @@ from quassert.qcore import (
     PAULI_Y,
     PAULI_Z,
     UnsupportedGateError,
+    _from_projection,
     circuit_to_choi,
     circuit_to_unitary,
     embed_single_qubit,
@@ -33,7 +35,7 @@ from quassert.qcore import (
     rotation_matrix,
     state_fidelity,
 )
-from quassert.qmath import DimensionError
+from quassert.qmath import DimensionError, hermitian_eig, psd_project
 
 from conftest import (
     density_from_parts,
@@ -307,6 +309,25 @@ class TestDomainTypes:
         rho = DensityMatrix.from_statevector(np.array([2.0, 0.0]))
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("vec", [[], [1.0], [1.0, 0.0, 0.0]],
+                             ids=["empty", "one_entry", "three_entries"])
+    def test_from_statevector_needs_two_to_the_n_entries(self, vec):
+        with pytest.raises(DimensionError, match=f"statevector length {len(vec)} is not a power"):
+            DensityMatrix.from_statevector(np.array(vec))
+
+    @pytest.mark.parametrize("vec, problem", [([0.0, 0.0], "zero norm"),
+                                              ([np.nan, 1.0], "non-finite"),
+                                              ([np.inf, 0.0], "non-finite")],
+                             ids=["zero", "nan", "inf"])
+    def test_from_statevector_needs_a_finite_nonzero_vector(self, vec, problem):
+        with pytest.raises(ValueError, match=f"statevector has {problem}"):
+            DensityMatrix.from_statevector(np.array(vec))
+
+    @pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e200, 1e300])
+    def test_from_statevector_of_tiny_or_huge_entries(self, scale):
+        rho = DensityMatrix.from_statevector(np.array([scale, 1j * scale]))
+        np.testing.assert_allclose(rho.mat, [[0.5, -0.5j], [0.5j, 0.5]], rtol=0, atol=1e-15)
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(1, [0.5, 0.6])
@@ -544,6 +565,52 @@ class TestStoredSpectrum:
         for other in (bell_circuit, mutated_circuit):
             a, b = circuit_to_choi(bell_circuit), circuit_to_choi(other)
             assert process_fidelity(a, b) == reference_fidelity(a.mat / 4, b.mat / 4)
+
+
+@st.composite
+def raw_estimates(draw, n_qubits: int) -> np.ndarray:
+    """A trace-1 Hermitian matrix shaped like a linear-inversion estimate: a
+    state of any rank, rank 1 half the time, plus a traceless Hermitian
+    perturbation of random size (none, small or large) that turns eigenvalues
+    negative, so its projection is often rank-deficient."""
+    dim = 2**n_qubits
+    state = draw(density_matrices(n_qubits, draw(RANKS)))
+    entries = st.floats(-1, 1, allow_nan=False, allow_subnormal=False)
+    parts = draw(hnp.arrays(np.float64, (2, dim, dim), elements=entries))
+    g = parts[0] + 1j * parts[1]
+    noise = (g + g.conj().T) / 2.0
+    noise -= np.trace(noise) / dim * np.eye(dim)
+    return state + draw(st.sampled_from([0.0, 0.05, 0.5])) * noise
+
+
+class TestProjectedEstimate:
+    """A tomography estimate is stored from the spectrum its PSD projection
+    rebuilt it from, unvalidated: validation would accept it unchanged, and
+    fidelity reads the same numbers to rounding."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_stores_what_validation_would(self, data, choi):
+        n = data.draw(st.integers(1, 2 if choi else 3))
+        cls, m, trace = (ChoiMatrix, 2 * n, 2**n) if choi else (DensityMatrix, n, 1)
+        fidelity = process_fidelity if choi else state_fidelity
+        mat, spectrum = psd_project(data.draw(raw_estimates(m)) * trace, float(trace))
+        estimate = _from_projection(cls, n, mat, spectrum)
+        validated = cls(n, estimate.mat)
+        assert np.array_equal(validated.mat, estimate.mat)
+        values, vectors = estimate._spectrum
+        assert not (estimate.mat.flags.writeable or values.flags.writeable
+                    or vectors.flags.writeable)
+        normalized = estimate.mat / trace
+        np.testing.assert_allclose(values, hermitian_eig(normalized)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose((vectors * values) @ vectors.conj().T, normalized,
+                                   rtol=0, atol=1e-12)
+        # A pure expected value takes fidelity's rank-1 branch, which reads the
+        # matrices alone; a mixed one reads both spectra.
+        for rank in (1, data.draw(st.integers(2, 2**m))):
+            expected = cls(n, data.draw(density_matrices(m, rank)) * trace)
+            got, want = fidelity(estimate, expected), fidelity(validated, expected)
+            assert got == want if rank == 1 else abs(got - want) <= 1e-12
 
 
 class TestExpandedGateMatrix:

@@ -261,25 +261,25 @@ class TestPsdProject:
     def test_valid_density_matrix_unchanged(self):
         rng = np.random.default_rng(31)
         a = random_density(rng, 2)
-        np.testing.assert_allclose(psd_project(a, 1.0), a, atol=1e-12)
+        np.testing.assert_allclose(psd_project(a, 1.0)[0], a, atol=1e-12)
 
     def test_single_truncation_step(self):
         # Hand oracle: zero the -0.1 eigenvalue, fold its deficit into the
         # remaining one: 1.1 - 0.1 = 1.0; trace already on target.
         np.testing.assert_allclose(
-            psd_project(np.diag([1.1, -0.1]), 1.0), np.diag([1.0, 0.0]), atol=1e-12
+            psd_project(np.diag([1.1, -0.1]), 1.0)[0], np.diag([1.0, 0.0]), atol=1e-12
         )
 
     def test_pure_rescale(self):
         np.testing.assert_allclose(
-            psd_project(np.diag([0.6, 0.6]), 1.0), np.diag([0.5, 0.5]), atol=1e-12
+            psd_project(np.diag([0.6, 0.6]), 1.0)[0], np.diag([0.5, 0.5]), atol=1e-12
         )
 
     def test_truncation_with_redistribution_hand_case(self):
         # Eigenvalues [0.9, 0.4, -0.3]: zero -0.3, spread -0.3 over the two
         # survivors -> [0.75, 0.25, 0]; trace 1 needs no rescale.
         np.testing.assert_allclose(
-            psd_project(np.diag([0.9, 0.4, -0.3]), 1.0),
+            psd_project(np.diag([0.9, 0.4, -0.3]), 1.0)[0],
             np.diag([0.75, 0.25, 0.0]),
             atol=1e-12,
         )
@@ -289,15 +289,15 @@ class TestPsdProject:
         rng = np.random.default_rng(44)
         a = random_density(rng, 3) + 0.05 * random_hermitian(rng, 8)
         for target in (1.0, 4.0):
-            out = psd_project(a, target)
+            out = psd_project(a, target)[0]
             assert abs(np.trace(out).real - target) <= 1e-12
             assert np.linalg.eigvalsh(out).min() >= -1e-12
 
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(45)
         a = random_density(rng, 2) + 0.1 * random_hermitian(rng, 4)
-        once = psd_project(a, 1.0)
-        twice = psd_project(once, 1.0)
+        once = psd_project(a, 1.0)[0]
+        twice = psd_project(once, 1.0)[0]
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_all_non_positive_rejected(self):
@@ -325,23 +325,32 @@ class TestPsdProject:
         rng = np.random.default_rng(1200 + d)
         # Truncating 0, 1 and many eigenvalues, plus a generic Hermitian matrix
         # with positive trace.
+        cuts = (0, 1, min(max(2, d // 2), d - 1))
         stack = np.array(
-            [self.planted(rng, d, k) for k in (0, 1, min(max(2, d // 2), d - 1))]
+            [self.planted(rng, d, k) for k in cuts]
             + [random_hermitian(rng, d) + 2.0 * np.sqrt(d) * np.eye(d)]
         )
         for target in (1.0, float(d)):
-            projected = psd_project(stack, target)
-            assert projected.shape == stack.shape
+            projected, (values, vectors) = psd_project(stack, target)
+            assert projected.shape == vectors.shape == stack.shape
+            # The spectrum is ascending, exactly zero where truncated, and
+            # rebuilds the projection bit for bit in descending order.
+            assert np.all(np.diff(values, axis=-1) >= 0.0)
+            for b, k in enumerate(cuts):
+                assert not values[b, :k].any() and (values[b, k:] > 0.0).all(), b
+            down = vectors[..., ::-1]
+            rebuilt = (down * values[..., None, ::-1]) @ down.conj().swapaxes(-1, -2)
+            assert np.array_equal((rebuilt + rebuilt.conj().swapaxes(-1, -2)) / 2.0, projected)
             for b, a in enumerate(stack):
                 expected = reference_psd_project(a, target)
                 assert np.array_equal(projected[b], expected), b
-                assert np.array_equal(psd_project(a, target), expected), b
+                assert np.array_equal(psd_project(a, target)[0], expected), b
 
     def test_leading_axes_preserved(self):
         rng = np.random.default_rng(1300)
         stack = np.array([random_density(rng, 2) + 0.1 * random_hermitian(rng, 4)
                           for _ in range(6)]).reshape(2, 3, 4, 4)
-        projected = psd_project(stack, 1.0)
+        projected = psd_project(stack, 1.0)[0]
         for index in np.ndindex(2, 3):
             assert np.array_equal(projected[index], reference_psd_project(stack[index], 1.0))
 
@@ -369,7 +378,7 @@ class TestProperties:
     @given(hermitian_matrices(), st.floats(0.1, 10.0))
     def test_psd_project_is_psd_with_target_trace(self, a, target):
         assume(np.trace(a).real > 1e-3 * (1.0 + float(np.abs(a).max())))
-        out = psd_project(a, target)
+        out = psd_project(a, target)[0]
         np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-12 * target)
         assert abs(np.trace(out).real - target) <= 1e-9 * target
         assert np.linalg.eigvalsh(out).min() >= -1e-9 * target

@@ -1,6 +1,6 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
-on the oldest Python the package declares and on 3.11, then a benchmark smoke
-run on 3.11."""
+on the oldest Python the package declares and on 3.11, once more on 3.11 with
+one OpenBLAS thread, then a benchmark smoke run on 3.11 with the default."""
 
 import re
 from pathlib import Path
@@ -52,7 +52,13 @@ def test_ci_runs_the_tier1_command():
     assert job["timeout-minutes"] == 20
     floor = re.search(r'^requires-python = ">=([\d.]+)"$',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
-    assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
+    matrix = job["strategy"]["matrix"]
+    assert matrix["python-version"] == [floor, "3.11"]
+    # Tier-1 also runs on 3.11 with OpenBLAS pinned to one thread.
+    assert matrix["openblas-threads"] == [""]
+    assert matrix["include"] == [{"python-version": "3.11", "openblas-threads": "1"}]
+    assert job["steps"][-2]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
     setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
-    assert [step.get("if") for step in job["steps"]][-2:] == [None, "matrix.python-version == '3.11'"]
+    assert [step.get("if") for step in job["steps"]][-2:] == [
+        None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]

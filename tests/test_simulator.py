@@ -206,6 +206,13 @@ class TestEvolve:
         with pytest.raises(DimensionError):
             evolve(np.eye(4) / 4, Circuit(2))
 
+    @pytest.mark.parametrize("state", [np.array(1 + 0j), np.zeros((0, 2, 2), complex)],
+                             ids=["scalar", "empty_stack"])
+    def test_scalar_and_empty_stack_rejected(self, state):
+        for run in (lambda: evolve(state, Circuit(1)), lambda: pauli_distributions(state)):
+            with pytest.raises(DimensionError, match=r"expected a \(B, 2\^n, 2\^n\) stack"):
+                run()
+
 
 def every_gate_kind(n):
     """One op of each gate kind that fits on n qubits, on varying qubits."""

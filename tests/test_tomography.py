@@ -429,6 +429,28 @@ def pooled_chi2_pvalue(counts, probs):
     return chi2.sf(statistic, dof) if dof else 1.0
 
 
+class TestEstimateSpectrum:
+    """Each estimate keeps the spectrum its projection rebuilt it from, divided
+    by its trace, and validation would store the same matrix."""
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    @pytest.mark.parametrize("kind, n", [("state", 1), ("state", 4), ("process", 1),
+                                         ("process", 2)])
+    def test_validation_would_store_the_same_estimate(self, kind, n, shots):
+        run, cls = (state_tomography, DensityMatrix) if kind == "state" else (
+            process_tomography, ChoiMatrix)
+        trace = 1 if kind == "state" else 2**n
+        subject = random_circuit(np.random.default_rng(620 + n), n, 6)
+        estimate = run(subject, DEFAULT_NOISE, shots, seed=5)
+        assert type(estimate) is cls and not estimate.mat.flags.writeable
+        validated = cls(n, estimate.mat)
+        assert np.array_equal(validated.mat, estimate.mat)
+        values, vectors = estimate._spectrum
+        np.testing.assert_allclose(values, validated._spectrum[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose((vectors * values) @ vectors.conj().T, estimate.mat / trace,
+                                   rtol=0, atol=1e-12)
+
+
 class TestPooledCounts:
     """Counts pooled over many seeds follow the readout-confused exact
     distribution of every setting, for each readout flip rate."""
