@@ -11,14 +11,13 @@ from quassert.qcore import (
     DensityMatrix,
     GateOp,
     OutcomeDistribution,
-    circuit_to_choi,
-    circuit_to_unitary,
     gate,
     process_fidelity,
     state_fidelity,
 )
 from quassert.simulator import (
     NoiseModel,
+    circuit_to_choi,
     derive_seed,
     evolve,
     exact_distribution,
@@ -63,7 +62,6 @@ __all__ = [
     "TestSuite",
     "chi2_gof",
     "circuit_to_choi",
-    "circuit_to_unitary",
     "context_check",
     "derive_seed",
     "evolve",

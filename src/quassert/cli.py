@@ -255,8 +255,7 @@ def _decode_matrix(value, where: str) -> np.ndarray:
     arr = _number_array(value, where, depth=3)
     if arr is None or not len(arr) or arr.shape != (len(arr), len(arr), 2):
         _fail(where, "expected a square matrix of [re, im] pairs")
-    with np.errstate(invalid="ignore"):  # an infinite entry, which the matrix type rejects
-        return arr[..., 0] + 1j * arr[..., 1]
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _decode_assertion(
@@ -356,7 +355,9 @@ def _load(path: str | Path, decode):
     except ValueError as exc:  # an integer beyond Python's int-string limit
         raise SuiteValidationError(f"{path}: an integer has too many digits to read") from exc
     try:
-        return decode(document)
+        # Validation rejects huge or infinite entries by what they overflow to, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return decode(document)
     except SuiteValidationError as exc:
         raise SuiteValidationError(f"{path}: {exc}") from exc
 

@@ -19,7 +19,6 @@ from quassert.qcore import (
     Circuit,
     DensityMatrix,
     OutcomeDistribution,
-    circuit_to_choi,
     process_fidelity,
     state_fidelity,
 )
@@ -32,6 +31,7 @@ from quassert.simulator import (
     check_seed,
     check_shots,
     check_threshold,
+    circuit_to_choi,
     evolve,
     sample,
 )

@@ -140,8 +140,14 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
+        try:
+            object.__setattr__(self, "ops", tuple(self.ops))
+        except TypeError:
+            raise ValueError(f"ops: expected a sequence of GateOp, got "
+                             f"{type(self.ops).__name__}") from None
+        for i, op in enumerate(self.ops):
+            if not isinstance(op, GateOp):
+                raise ValueError(f"ops[{i}]: expected GateOp, got {type(op).__name__}")
             if max(op.qubits) >= self.n_qubits:
                 raise ValueError(
                     f"gate {op.name!r} on qubits {op.qubits} exceeds register of "
@@ -183,18 +189,6 @@ def expanded_gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
         raise UnsupportedGateError(f"unsupported gate {op.name!r}")
     # Both permutations are their own inverse: row i has its 1 in column i ^ flip.
     return np.eye(2**n_qubits, dtype=np.complex128)[index ^ flip]
-
-
-def circuit_to_unitary(c: Circuit) -> np.ndarray:
-    """Product of the expanded gate matrices in program order.
-
-    Later gates multiply on the left, so the result acts on kets as the
-    circuit reads left to right.
-    """
-    u = np.eye(c.dim, dtype=np.complex128)
-    for op in c.ops:
-        u = expanded_gate_matrix(op, c.n_qubits) @ u
-    return u
 
 
 def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:
@@ -349,20 +343,6 @@ class OutcomeDistribution:
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-
-
-def circuit_to_choi(c: Circuit) -> ChoiMatrix:
-    """Choi matrix of the unitary channel implemented by the circuit."""
-    u = circuit_to_unitary(c)
-    d = c.dim
-    lifted = u.T.reshape(-1)  # (I (x) u) sum_i |i> (x) |i>
-    mat = np.outer(lifted, lifted.conj())
-    choi = ChoiMatrix(c.n_qubits, mat)
-    marginal = choi.input_marginal()
-    dev = np.max(np.abs(marginal - np.eye(d)))
-    if dev > 1e-6:
-        raise NumericError(f"circuit Choi matrix lost trace preservation: {dev:.3e}")
-    return choi
 
 
 def _fidelity(rho, sigma, scale: int = 1) -> float:

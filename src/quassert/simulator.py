@@ -3,8 +3,8 @@
 :func:`evolve`, :func:`exact_distribution`, :func:`pauli_distributions` and
 :func:`sample` are the one execution seam the protocols call; the noise model
 is passed per call.  Distributions and counts in the seam are plain arrays;
-only :func:`exact_distribution`, an oracle users also pass as an expected
-value, returns a validated OutcomeDistribution.
+only the exact oracles users also pass as expected values,
+:func:`exact_distribution` and :func:`circuit_to_choi`, return validated types.
 
 One channel kernel evolves a stack of density matrices of shape
 ``(..., 2^n, 2^n)`` and never forms a 2^n x 2^n operator: each k-qubit gate
@@ -40,6 +40,7 @@ import numpy as np
 
 from quassert import qmath
 from quassert.qcore import (
+    ChoiMatrix,
     Circuit,
     DensityMatrix,
     GateOp,
@@ -192,9 +193,13 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
-    """The (B, 2^n, 2^n) stack behind a state and its n, B >= 1; a DensityMatrix is B = 1."""
+    """The complex128 (B, 2^n, 2^n) stack of a state and its n, B >= 1; a DensityMatrix is B = 1."""
     if isinstance(state, DensityMatrix):
         return state.mat[None], state.n_qubits
+    try:
+        state = np.asarray(state, dtype=np.complex128)
+    except ValueError as exc:  # a ragged nesting
+        raise qmath.DimensionError(f"expected a (B, 2^n, 2^n) stack: {exc}") from None
     n = state.shape[-1].bit_length() - 1 if state.ndim == 3 else 0
     if n < 1 or len(state) == 0 or state.shape[1:] != (2**n, 2**n):
         raise qmath.DimensionError(f"expected a (B, 2^n, 2^n) stack, got shape {state.shape}")
@@ -207,13 +212,13 @@ def evolve(
     """Run the state through the circuit, gate by gate, with optional noise.
 
     ``state`` is a DensityMatrix or a (B, 2^n, 2^n) stack of density
-    matrices.  A stack is evolved as a whole and returned as a raw stack:
-    unlike a DensityMatrix result it is neither validated nor symmetrized.
+    matrices.  A stack is evolved as a whole and returned as a new complex128
+    stack: unlike a DensityMatrix result it is neither validated nor symmetrized.
     """
     mats, n = _stack_of(state)
     if n != c.n_qubits:
         raise qmath.DimensionError(f"evolve: state on {n} qubit(s) vs circuit on {c.n_qubits}")
-    mats = _evolve_mat(mats, c, noise)
+    mats = _evolve_mat(mats, c, noise) if c.ops else mats.copy()
     return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
 
 
@@ -240,6 +245,19 @@ def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
 def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
     """Infinite-shot oracle: the computational-basis diagonal of the state."""
     return OutcomeDistribution(state.n_qubits, _diagonal_probs(state.mat))
+
+
+def circuit_to_choi(c: Circuit) -> ChoiMatrix:
+    """Choi matrix of the circuit's channel: the circuit run on the output half of
+    |Omega><Omega|, Omega = sum_i |i> (x) |i>.  On 2n qubits the gates act on qubits
+    0..n-1, the output factor, so the input factor comes first, as qcore stores it."""
+    omega = np.eye(c.dim, dtype=np.complex128).reshape(-1)
+    mat = evolve(np.outer(omega, omega)[None], Circuit(2 * c.n_qubits, c.ops))[0]
+    choi = ChoiMatrix(c.n_qubits, mat)
+    dev = np.max(np.abs(choi.input_marginal() - np.eye(c.dim)))
+    if dev > 1e-6:
+        raise NumericError(f"circuit Choi matrix lost trace preservation: {dev:.3e}")
+    return choi
 
 
 def apply_readout(probs: np.ndarray, noise: NoiseModel | None) -> np.ndarray:

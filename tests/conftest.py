@@ -86,6 +86,24 @@ def reference_psd_project(a: np.ndarray, target_trace: float) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
+def circuit_to_unitary(c: Circuit) -> np.ndarray:
+    """Reference circuit unitary: the product of the expanded gate matrices in
+    program order, later gates on the left, so it acts on kets as the circuit
+    reads left to right.  ``src/`` forms no such product: ``simulator.circuit_to_choi``
+    runs a circuit through the channel kernel, checked against :func:`reference_choi`."""
+    u = np.eye(c.dim, dtype=np.complex128)
+    for op in c.ops:
+        u = expanded_gate_matrix(op, c.n_qubits) @ u
+    return u
+
+
+def reference_choi(c: Circuit) -> np.ndarray:
+    """The dense Choi matrix of a circuit, input factor first:
+    (I (x) U) sum_i |i> (x) |i> is vec(U^T), and the matrix its outer product."""
+    lifted = circuit_to_unitary(c).T.reshape(-1)
+    return np.outer(lifted, lifted.conj())
+
+
 def dense_conjugation(mats: np.ndarray, op: GateOp, n_qubits: int) -> np.ndarray:
     """Reference gate application: U rho U^dag with the full 2^n x 2^n U."""
     u = expanded_gate_matrix(op, n_qubits)

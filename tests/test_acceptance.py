@@ -23,14 +23,13 @@ from quassert.qcore import (
     Circuit,
     DensityMatrix,
     OutcomeDistribution,
-    circuit_to_choi,
-    circuit_to_unitary,
     gate,
     process_fidelity,
     state_fidelity,
 )
 from quassert.simulator import (
     DEFAULT_NOISE,
+    circuit_to_choi,
     derive_seed,
     evolve,
     exact_distribution,
@@ -39,7 +38,13 @@ from quassert.simulator import (
 from quassert.stats import chi2_p_value, regularized_gamma_q
 from quassert.tomography import process_tomography, state_tomography
 
-from conftest import random_circuit, random_density, random_pure_state, trace_norm
+from conftest import (
+    circuit_to_unitary,
+    random_circuit,
+    random_density,
+    random_pure_state,
+    trace_norm,
+)
 from test_stats import gamma_q_by_quadrature
 
 ROOT = Path(__file__).resolve().parent.parent

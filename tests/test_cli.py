@@ -360,6 +360,27 @@ class TestCmdRun:
             f"error: {path}: cases[0].assertions[0]: density matrix has non-finite entries\n"
         )
 
+    @pytest.mark.parametrize("assertion, message", [
+        ({"type": "state", "value": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]},
+         "density matrix not Hermitian: max |A - A†| = inf"),
+        ({"type": "state", "value": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+         "density matrix trace must be 1, got inf+0j"),
+        ({"type": "distribution", "value": [1e308, 1e308]},
+         "probabilities must sum to 1, got inf"),
+    ], ids=["hermiticity_overflow", "trace_overflow", "sum_overflow"])
+    def test_values_near_the_float_limit_print_one_error_line(self, tmp_path, assertion,
+                                                              message):
+        # Validation's arithmetic overflows on these values; numpy's warning must
+        # not reach stderr ahead of the rejection.
+        doc = {"name": "huge", "n_qubits": 1, "cases": [
+            {"name": "c", "circuit": [], "assertions": [assertion]}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        done = subprocess.run([sys.executable, "-m", "quassert.cli", "run", str(path)],
+                              capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: {path}: cases[0].assertions[0]: {message}\n"
+
     def test_threshold_and_shots_overrides(self, capsys):
         # Per-verdict threshold: at 0.999 the single-draw chi-squared p-value
         # for the correct subroutine (0.942) fails too, flipping its verdict.

@@ -42,11 +42,10 @@ from quassert.qcore import (
     Circuit,
     DensityMatrix,
     OutcomeDistribution,
-    circuit_to_choi,
-    circuit_to_unitary,
     gate,
 )
-from quassert.simulator import DEFAULT_NOISE, evolve, exact_distribution
+from quassert.simulator import DEFAULT_NOISE, circuit_to_choi, evolve, exact_distribution
+from conftest import circuit_to_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_report.json"

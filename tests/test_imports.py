@@ -18,7 +18,10 @@ eigensolve passes its finiteness and Hermiticity checks.  Only
 ``cli._number_array`` may call the located walk ``cli._numbers``, so every
 numeric value of a document is read in bulk and walked only to word its
 rejection; likewise only ``cli._decode_circuit`` may call the per-gate walk
-``cli._decode_gate``, so every gate item is read in one pass first.  Only
+``cli._decode_gate``, so every gate item is read in one pass first.  No
+module defines or imports ``circuit_to_unitary``, and only
+``simulator._superop`` expands a gate with ``qcore.expanded_gate_matrix``,
+so every circuit runs through the one channel kernel.  Only
 ``tomography`` may call ``qcore._from_projection``, which stores a matrix
 without validating it, so only a ``qmath.psd_project`` output is stored so.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
@@ -350,6 +353,17 @@ def test_only_tomography_stores_unvalidated_estimates():
         "tomography.py:<module>", "tomography.py:state_tomography",
         "tomography.py:process_tomography",
     }
+
+
+def test_circuits_run_through_the_one_channel_kernel():
+    # No dense circuit product: a reference circuit's Choi matrix comes from
+    # simulator.evolve, and only the channel builder expands a gate.
+    defined = [f"{p.name}:{node.name}" for p in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if getattr(node, "name", None) == "circuit_to_unitary"]
+    assert defined == [] and _walk_owners("circuit_to_unitary") == set()
+    assert _walk_owners("expanded_gate_matrix") == {"simulator.py:<module>",
+                                                    "simulator.py:_superop"}
 
 
 def test_located_walk_scan_flags_planted_callers():

@@ -23,10 +23,9 @@ from quassert.qcore import (
     Circuit,
     DensityMatrix,
     OutcomeDistribution,
-    circuit_to_choi,
     gate,
 )
-from quassert.simulator import DEFAULT_NOISE, derive_seed, evolve
+from quassert.simulator import DEFAULT_NOISE, circuit_to_choi, derive_seed, evolve
 from quassert.tomography import MAX_PROCESS_QUBITS, MAX_STATE_QUBITS
 
 NaN = float("nan")

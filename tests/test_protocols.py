@@ -25,7 +25,6 @@ from quassert.qcore import (
     Circuit,
     DensityMatrix,
     OutcomeDistribution,
-    circuit_to_choi,
     gate,
     process_fidelity,
     state_fidelity,
@@ -36,6 +35,7 @@ from quassert.simulator import (
     DEFAULT_NOISE,
     NoiseModel,
     apply_readout,
+    circuit_to_choi,
     evolve,
     exact_distribution,
     sample,

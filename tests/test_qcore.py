@@ -26,8 +26,6 @@ from quassert.qcore import (
     PAULI_Z,
     UnsupportedGateError,
     _from_projection,
-    circuit_to_choi,
-    circuit_to_unitary,
     embed_single_qubit,
     expanded_gate_matrix,
     gate,
@@ -36,8 +34,10 @@ from quassert.qcore import (
     state_fidelity,
 )
 from quassert.qmath import DimensionError, hermitian_eig, psd_project
+from quassert.simulator import circuit_to_choi
 
 from conftest import (
+    circuit_to_unitary,
     density_from_parts,
     density_matrices,
     random_circuit,
@@ -129,6 +129,18 @@ class TestGateOpValidation:
     def test_integer_qubit_count_accepted(self):
         c = Circuit(np.int64(2), (gate("cx", 0, 1),))
         assert type(c.n_qubits) is int and c.dim == 4
+
+    @pytest.mark.parametrize("ops, message", [
+        (("x",), "ops[0]: expected GateOp, got str"),
+        ("x", "ops[0]: expected GateOp, got str"),
+        ((gate("h", 0), None), "ops[1]: expected GateOp, got NoneType"),
+        ([gate("h", 0), ("h", (0,))], "ops[1]: expected GateOp, got tuple"),
+        (5, "ops: expected a sequence of GateOp, got int"),
+        (None, "ops: expected a sequence of GateOp, got NoneType"),
+    ], ids=["str_item", "str", "none_item", "tuple_item", "int", "none"])
+    def test_circuit_rejects_ops_that_are_not_gates(self, ops, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Circuit(1, ops)
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):

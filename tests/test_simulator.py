@@ -14,11 +14,13 @@ from quassert.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    GATES,
     Circuit,
     DensityMatrix,
-    circuit_to_unitary,
+    GateOp,
     embed_single_qubit,
     gate,
+    process_fidelity,
 )
 from quassert.qmath import DimensionError, NumericError
 from quassert.simulator import (
@@ -30,6 +32,7 @@ from quassert.simulator import (
     _noise_superop,
     _normalized,
     apply_readout,
+    circuit_to_choi,
     derive_seed,
     evolve,
     exact_distribution,
@@ -45,6 +48,7 @@ from conftest import (
     GATE_POOL_ROT,
     KERNEL_TOL,
     POVM_TOL,
+    circuit_to_unitary,
     density_matrices,
     dense_conjugation,
     kron_readout_mask,
@@ -55,6 +59,7 @@ from conftest import (
     random_pure_state,
     reference_amplitude_damp,
     reference_apply_channel,
+    reference_choi,
     reference_depolarize,
     reference_evolve_mat,
     xor_readout,
@@ -206,12 +211,28 @@ class TestEvolve:
         with pytest.raises(DimensionError):
             evolve(np.eye(4) / 4, Circuit(2))
 
-    @pytest.mark.parametrize("state", [np.array(1 + 0j), np.zeros((0, 2, 2), complex)],
-                             ids=["scalar", "empty_stack"])
+    @pytest.mark.parametrize("state", [np.array(1 + 0j), np.zeros((0, 2, 2), complex),
+                                       [[[1, 0], [0]]]],
+                             ids=["scalar", "empty_stack", "ragged_list"])
     def test_scalar_and_empty_stack_rejected(self, state):
         for run in (lambda: evolve(state, Circuit(1)), lambda: pauli_distributions(state)):
             with pytest.raises(DimensionError, match=r"expected a \(B, 2\^n, 2\^n\) stack"):
                 run()
+
+    def test_nested_list_is_read_as_a_stack(self):
+        rows = [[[1, 0], [0, 0]]]
+        ground = np.array(rows, dtype=np.complex128)
+        for c in (Circuit(1), Circuit(1, (gate("h", 0),))):
+            out = evolve(rows, c)
+            assert out.dtype == np.complex128 and np.array_equal(out, evolve(ground, c))
+        assert np.array_equal(pauli_distributions(rows), pauli_distributions(ground))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128])
+    def test_empty_circuit_returns_a_new_complex_stack(self, dtype):
+        stack = np.array([[[1, 0], [0, 0]]], dtype=dtype)
+        out = evolve(stack, Circuit(1))
+        assert out.dtype == np.complex128 and not np.shares_memory(out, stack)
+        assert np.array_equal(out, stack)
 
 
 def every_gate_kind(n):
@@ -427,6 +448,48 @@ class TestExactDistribution:
     def test_maximally_mixed(self):
         state = DensityMatrix(1, np.eye(2) / 2)
         np.testing.assert_allclose(exact_distribution(state).probs, [0.5, 0.5])
+
+
+@st.composite
+def circuits(draw):
+    """Hypothesis strategy: a circuit on 1-3 qubits of at most 6n gates drawn
+    from every gate in ``qcore.GATES`` that fits, rotations at random angles;
+    the empty circuit included."""
+    n = draw(st.integers(1, 3))
+    names = [name for name, (arity, _) in GATES.items() if arity <= n]
+    ops = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=6 * n)):
+        arity, rotation = GATES[name]
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                               unique=True))
+        angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if rotation else None
+        ops.append(GateOp(name, tuple(qubits), angle))
+    return Circuit(n, tuple(ops))
+
+
+class TestCircuitToChoi:
+    @settings(max_examples=150, deadline=None)
+    @given(circuits())
+    def test_matches_the_dense_reference(self, c):
+        choi = circuit_to_choi(c)
+        assert choi.n_qubits == c.n_qubits
+        assert np.max(np.abs(choi.mat - reference_choi(c))) <= 1e-13
+        assert abs(process_fidelity(choi, circuit_to_choi(c)) - 1.0) <= 1e-12
+
+    def test_runs_the_circuit_once_through_evolve(self, monkeypatch, bell_circuit):
+        runs = []
+        run = simulator.evolve
+        monkeypatch.setattr(simulator, "evolve",
+                            lambda mats, c: runs.append((mats.shape, c)) or run(mats, c))
+        circuit_to_choi(bell_circuit)
+        assert runs == [((1, 16, 16), Circuit(4, bell_circuit.ops))]
+
+    def test_lost_trace_preservation_raises(self, monkeypatch):
+        # Trace 2 and PSD, so a valid Choi matrix, but its input marginal is diag(2, 0).
+        monkeypatch.setattr(simulator, "evolve",
+                            lambda mats, c: np.diag([2.0, 0, 0, 0]).astype(complex)[None])
+        with pytest.raises(NumericError, match="lost trace preservation: 1.000e"):
+            circuit_to_choi(Circuit(1))
 
 
 class TestPauliDistributions:

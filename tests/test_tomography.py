@@ -19,13 +19,13 @@ from quassert.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    circuit_to_choi,
     gate,
     state_fidelity,
 )
 from quassert.simulator import (
     DEFAULT_NOISE,
     NoiseModel,
+    circuit_to_choi,
     evolve,
     pauli_distributions,
     sample,
