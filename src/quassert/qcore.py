@@ -102,7 +102,11 @@ class GateOp:
     def __post_init__(self) -> None:
         name, qubits, angle = self.name, self.qubits, self.angle
         if type(qubits) is not tuple or any(type(q) is not int for q in qubits):
-            qubits = tuple(_as_int(q, "qubit index") for q in qubits)
+            try:
+                qubits = tuple(_as_int(q, "qubit index") for q in qubits)
+            except TypeError:
+                raise ValueError(f"qubits: expected a sequence of qubit indices, got "
+                                 f"{type(qubits).__name__}") from None
             object.__setattr__(self, "qubits", qubits)
         try:
             arity, rotation = GATES[name]
@@ -215,7 +219,8 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     tr = complex(np.trace(mat))
     if abs(tr - trace) > 1e-9 * trace:
         raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
-    values, vectors = qmath.hermitian_eig(mat / trace if trace != 1 else mat)
+    # The trace is 1 or 2^n: herm / trace is the scaled matrix's deviation, not measured again.
+    values, vectors = qmath.hermitian_eig(mat / trace if trace != 1 else mat, herm / trace)
     if values[0] * trace < -qmath.PSD_CLAMP:
         raise ValueError(f"{kind} {negative} {values[0] * trace:.3e}")
     _store(obj, (mat + mat.conj().T) / 2.0 if herm else mat.copy(), values, vectors)

@@ -31,35 +31,40 @@ class DegenerateInputError(ValueError):
     """Input carries no usable positive spectral weight."""
 
 
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(
+    a: np.ndarray, deviation: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or (..., d, d) stack by LAPACK.
 
     Returns ``numpy.linalg.eigh``'s ``(eigenvalues, eigenvectors)`` pair:
     ascending real eigenvalues, orthonormal eigenvector columns.  The input is
     checked for finiteness and Hermiticity and symmetrized unless exactly
-    Hermitian.  A single exactly Hermitian matrix with no nonzero off-diagonal
-    entry skips LAPACK: its real diagonal in stable ascending order, with the
-    identity's columns in that order.
+    Hermitian.  A caller that has checked ``a`` already passes its
+    ``deviation``, max |A - A†|, which is then not computed again.  A single
+    exactly Hermitian matrix with no nonzero off-diagonal entry skips LAPACK:
+    its real diagonal in stable ascending order, with the identity's columns
+    in that order.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"hermitian_eig expects square matrices, got shape {a.shape}")
-    if a.size == 0:
-        raise DimensionError(f"hermitian_eig expects non-empty matrices, got shape {a.shape}")
-    adjoint = a.conj().swapaxes(-1, -2)
-    dev = np.max(np.abs(a - adjoint))
-    if not dev < np.inf:  # a non-finite entry gives a NaN or infinite deviation
-        raise NumericError(f"hermitian_eig expects finite entries; max |A - A†| = {dev}")
-    if dev > HERMITICITY_TOL:
-        raise DimensionError(
-            f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
-        )
+    dev = deviation
+    if dev is None:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+            raise DimensionError(f"hermitian_eig expects square matrices, got shape {a.shape}")
+        if a.size == 0:
+            raise DimensionError(f"hermitian_eig expects non-empty matrices, got shape {a.shape}")
+        dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)))
+        if not dev < np.inf:  # a non-finite entry gives a NaN or infinite deviation
+            raise NumericError(f"hermitian_eig expects finite entries; max |A - A†| = {dev}")
+        if dev > HERMITICITY_TOL:
+            raise DimensionError(
+                f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
+            )
     if dev == 0.0 and a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
         order = np.argsort(a.diagonal().real, kind="stable")
         vectors = np.zeros_like(a)  # set d entries, not copy d^2 of an identity
         vectors[order, np.arange(len(a))] = 1.0
         return a.diagonal().real[order], vectors
-    return np.linalg.eigh(a if dev == 0.0 else (a + adjoint) / 2.0)
+    return np.linalg.eigh(a if dev == 0.0 else (a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from quassert import qmath
 from quassert.cli import _build, _decode_gate, _expect, _numbers
 from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
-from quassert.simulator import PROBABILITY_FLOOR, _evolve_mat, _gate_superop
+from quassert.simulator import PROBABILITY_FLOOR, _blocks, _evolve_mat, _gate_superop
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -127,11 +127,21 @@ def reference_apply_channel(mats, superop, qubits, n):
 
 
 def reference_evolve_mat(mats, c, noise):
-    """The bit-exact reference for ``simulator._evolve_mat``, which carries
-    each gate's axis order on to the next gate: every gate by
-    :func:`reference_apply_channel`."""
+    """The gate-by-gate kernel: every gate by :func:`reference_apply_channel`.
+    ``simulator._evolve_mat`` matches it bit for bit below
+    ``simulator._FUSE_FROM_QUBITS`` qubits and within ``KERNEL_TOL`` from there on,
+    where it applies gates fused into blocks."""
     for op in c.ops:
         mats = reference_apply_channel(mats, _gate_superop(op, noise), op.qubits, c.n_qubits)
+    return mats
+
+
+def reference_block_evolve(mats, c, noise):
+    """The bit-exact reference for ``simulator._evolve_mat``, which carries
+    each block's axis order on to the next block: every block of
+    ``simulator._blocks`` by :func:`reference_apply_channel`."""
+    for qubits, channel in _blocks(c.ops, noise, c.n_qubits):
+        mats = reference_apply_channel(mats, channel, qubits, c.n_qubits)
     return mats
 
 

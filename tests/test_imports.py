@@ -21,7 +21,9 @@ rejection; likewise only ``cli._decode_circuit`` may call the per-gate walk
 ``cli._decode_gate``, so every gate item is read in one pass first.  No
 module defines or imports ``circuit_to_unitary``, and only
 ``simulator._superop`` expands a gate with ``qcore.expanded_gate_matrix``,
-so every circuit runs through the one channel kernel.  Only
+so every circuit runs through the one channel kernel; only
+``simulator._blocks`` calls ``simulator._gate_superop``, so every gate's
+channel reaches that kernel through the one block builder.  Only
 ``tomography`` may call ``qcore._from_projection``, which stores a matrix
 without validating it, so only a ``qmath.psd_project`` output is stored so.  ``einsum``
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
@@ -364,6 +366,12 @@ def test_circuits_run_through_the_one_channel_kernel():
     assert defined == [] and _walk_owners("circuit_to_unitary") == set()
     assert _walk_owners("expanded_gate_matrix") == {"simulator.py:<module>",
                                                     "simulator.py:_superop"}
+
+
+def test_only_the_block_builder_takes_gate_channels():
+    # Every gate's channel reaches the kernel through simulator._blocks, so
+    # there is one channel path, fused or not.
+    assert _walk_owners("_gate_superop") == {"simulator.py:_blocks"}
 
 
 def test_located_walk_scan_flags_planted_callers():

@@ -252,7 +252,8 @@ def _count_solves(monkeypatch) -> tuple[list, list]:
     """Shapes passed to ``qmath.hermitian_eig`` and to the LAPACK ``eigh`` it
     calls for all but a single exactly diagonal matrix, while the patches last."""
     solved, eig = [], qmath.hermitian_eig
-    monkeypatch.setattr(qmath, "hermitian_eig", lambda a: solved.append(a.shape) or eig(a))
+    monkeypatch.setattr(qmath, "hermitian_eig",
+                        lambda a, *rest: solved.append(a.shape) or eig(a, *rest))
     return solved, count_lapack_solves(monkeypatch)
 
 

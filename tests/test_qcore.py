@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,6 +119,8 @@ class TestGateOpValidation:
         op = gate("cx", np.int64(2), np.uint8(0))
         assert op.qubits == (2, 0)
         assert all(type(q) is int for q in op.qubits)
+        for qubits in ([1, 0], np.array([1, 0])):
+            assert GateOp("cx", qubits).qubits == (1, 0)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.True_, "2", None],
                              ids=["fraction", "float", "bool", "numpy_bool", "str", "none"])
@@ -141,6 +143,12 @@ class TestGateOpValidation:
     def test_circuit_rejects_ops_that_are_not_gates(self, ops, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Circuit(1, ops)
+
+    @pytest.mark.parametrize("qubits", [5, None, 0.0], ids=["int", "none", "float"])
+    def test_qubits_that_are_not_a_sequence_rejected(self, qubits):
+        message = f"qubits: expected a sequence of qubit indices, got {type(qubits).__name__}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GateOp("x", qubits)
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):
@@ -400,6 +408,18 @@ class TestDomainTypes:
         ):
             assert type(value.n_qubits) is int and value.n_qubits == 1
 
+    def test_validation_measures_the_hermiticity_deviation_once(self, monkeypatch):
+        rng = np.random.default_rng(140)
+        mixed = random_density(rng, 3)
+        measured = []
+        absolute = np.abs
+        monkeypatch.setattr(np, "abs", lambda a: measured.append(1) or absolute(a))
+        for build in (lambda: DensityMatrix(3, mixed), lambda: DensityMatrix.ground(3),
+                      lambda: ChoiMatrix(1, mixed[:4, :4] / np.trace(mixed[:4, :4]) * 2)):
+            measured.clear()
+            build()
+            assert len(measured) == 1
+
     def test_choi_matrix_checks_hermiticity_like_a_density_matrix(self):
         bad = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
         bad[0, 1] = 0.5
@@ -595,14 +615,39 @@ def raw_estimates(draw, n_qubits: int) -> np.ndarray:
     return state + draw(st.sampled_from([0.0, 0.05, 0.5])) * noise
 
 
+def fidelity_tolerance(values: np.ndarray) -> float:
+    """How far two fidelities against one mixed expected value may differ when
+    one reads the estimate's stored spectrum and the other a re-solve of it;
+    ``values`` is the re-solved spectrum of the normalized matrix, ascending.
+
+    Both spectra decompose matrices within eigh's backward error
+    eps_r = d * eps * max(values) of the same one, so by Weyl's inequality
+    each eigenvalue moves by at most eps_r.  Fidelity is (tr|A B|)^2 with
+    A = sqrt(rho) and B = sqrt(sigma); as ||B|| <= 1 and F <= 1, it moves by
+    at most 2 ||dA||_1, about 2 sum_i |d sqrt(lambda_i)|.  The square root is
+    only Hoelder-1/2 near zero: eigenvalue lambda moves its root by at most
+    sqrt(lambda + eps_r) - sqrt(lambda - eps_r), which is about
+    eps_r / sqrt(lambda) well above eps_r and grows to sqrt(eps_r) near it.
+    An eigenvalue within eps_r of fidelity's cutoff (``max * d * 1e-14``)
+    may be kept on one side and zeroed on the other, so its whole root
+    counts.  Where every kept eigenvalue is well above rounding the sum is
+    below 1e-12, which stays the bound; over 9000 drawn examples the
+    difference stayed under 3 % of the derived bound."""
+    d, eps = values.size, np.finfo(float).eps
+    eps_r, cut = d * eps * values[-1], values[-1] * d * 1e-14
+    near = values[values + eps_r >= cut]
+    lower = near - eps_r
+    moved = np.sqrt(near + eps_r) - np.where(lower >= cut, np.sqrt(np.maximum(lower, 0.0)), 0.0)
+    return max(1e-12, 2.0 * float(moved.sum()))
+
+
 class TestProjectedEstimate:
     """A tomography estimate is stored from the spectrum its PSD projection
     rebuilt it from, unvalidated: validation would accept it unchanged, and
     fidelity reads the same numbers to rounding."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.booleans())
-    def test_stores_what_validation_would(self, data, choi):
+    @staticmethod
+    def check(data, choi):
         n = data.draw(st.integers(1, 2 if choi else 3))
         cls, m, trace = (ChoiMatrix, 2 * n, 2**n) if choi else (DensityMatrix, n, 1)
         fidelity = process_fidelity if choi else state_fidelity
@@ -619,10 +664,24 @@ class TestProjectedEstimate:
                                    rtol=0, atol=1e-12)
         # A pure expected value takes fidelity's rank-1 branch, which reads the
         # matrices alone; a mixed one reads both spectra.
+        tolerance = fidelity_tolerance(validated._spectrum[0])
         for rank in (1, data.draw(st.integers(2, 2**m))):
             expected = cls(n, data.draw(density_matrices(m, rank)) * trace)
             got, want = fidelity(estimate, expected), fidelity(validated, expected)
-            assert got == want if rank == 1 else abs(got - want) <= 1e-12
+            assert got == want if rank == 1 else abs(got - want) <= tolerance
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_stores_what_validation_would(self, data, choi):
+        self.check(data, choi)
+
+    @pytest.mark.parametrize("pinned", [25, 31, 33])
+    def test_examples_that_broke_a_fixed_bound(self, pinned):
+        """At these seeds the run above draws a Choi estimate whose least kept
+        eigenvalue is 1e-13 to 1e-8 of the trace; the fidelities then differ
+        by up to 5e-11, beyond a fixed 1e-12."""
+        run = given(st.data(), st.booleans())(self.check)
+        seed(pinned)(settings(max_examples=150, deadline=None, database=None)(run))()
 
 
 class TestExpandedGateMatrix:

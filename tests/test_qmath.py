@@ -124,6 +124,23 @@ class TestHermitianEig:
         values, _ = hermitian_eig(a)
         np.testing.assert_allclose(values, [1.0, 2.0], atol=1e-9)
 
+    def test_a_given_deviation_is_not_measured_again(self, monkeypatch):
+        rng = np.random.default_rng(130)
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        hermitian = g + g.conj().T
+        slanted = hermitian.copy()
+        slanted[0, 1] += 1e-12
+        cases = [hermitian, slanted, np.diag([2.0, 0.5, 1.0]).astype(complex)]
+        expected = [hermitian_eig(a) for a in cases]
+        deviations = [np.max(np.abs(a - a.conj().T)) for a in cases]
+        measured = []
+        absolute = np.abs
+        monkeypatch.setattr(np, "abs", lambda a: measured.append(1) or absolute(a))
+        for a, dev, (values, vectors) in zip(cases, deviations, expected):
+            got_values, got_vectors = hermitian_eig(a, dev)
+            assert np.array_equal(got_values, values) and np.array_equal(got_vectors, vectors)
+        assert not measured
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), ([0, 1], [1, 0])],
                              ids=["diagonal", "off_diagonal", "symmetric_pair"])

@@ -1,6 +1,7 @@
 """Density-matrix evolution, noise channels and seeded sampling."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from quassert.simulator import (
     DEFAULT_NOISE,
     PROBABILITY_FLOOR,
     NoiseModel,
+    _FUSE_FROM_QUBITS,
+    _blocks,
     _evolve_mat,
     _gate_superop,
     _noise_superop,
@@ -59,6 +62,7 @@ from conftest import (
     random_pure_state,
     reference_amplitude_damp,
     reference_apply_channel,
+    reference_block_evolve,
     reference_choi,
     reference_depolarize,
     reference_evolve_mat,
@@ -271,10 +275,11 @@ class TestStackedEvolution:
 
 
 class TestCarriedLayout:
-    """_evolve_mat keeps the stack in the last gate's axis order between gates;
-    the gate-by-gate reference restores the plain order after every gate.  The
-    matmuls see the same rows and the same columns, reordered, so the results
-    agree bit for bit."""
+    """_evolve_mat keeps the stack in the last block's axis order between
+    blocks; the block-by-block reference restores the plain order after every
+    block of _blocks.  The matmuls see the same rows and the same columns,
+    reordered, so the results agree bit for bit.  Below _FUSE_FROM_QUBITS each
+    block is one gate, so there the reference is the gate-by-gate kernel."""
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", range(1, 8))
@@ -288,7 +293,9 @@ class TestCarriedLayout:
             for mats in inputs:
                 out = _evolve_mat(mats, circuit, noise)
                 assert out.shape == mats.shape
-                assert np.array_equal(out, reference_evolve_mat(mats, circuit, noise))
+                assert np.array_equal(out, reference_block_evolve(mats, circuit, noise))
+                if n < _FUSE_FROM_QUBITS:
+                    assert np.array_equal(out, reference_evolve_mat(mats, circuit, noise))
 
     def test_one_copy_per_change_of_axes(self, monkeypatch):
         copies = []
@@ -310,6 +317,92 @@ class TestCarriedLayout:
         c = random_circuit(np.random.default_rng(950), 3, 10)
         out = _evolve_mat(mats, c, noise)
         assert np.array_equal(mats, before) and not np.shares_memory(out, mats)
+
+
+@st.composite
+def fusable_circuits(draw):
+    """Hypothesis strategy: a circuit on 1-7 qubits of every gate kind, with
+    runs of one-qubit gates, two-qubit gates repeated on one pair in either
+    order (``cx(a, b)`` then ``cx(b, a)``), and circuits of one-qubit gates only."""
+    n = draw(st.integers(1, 7))
+    two_qubit = n > 1 and draw(st.booleans())
+    kinds = ["fixed", "rotation"] + (["pair", "same_pair"] if two_qubit else [])
+    ops, pair = [], None
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5 * n)):
+        if kind in ("fixed", "rotation"):
+            q = draw(st.integers(0, n - 1))
+            ops.append(gate(draw(st.sampled_from(GATE_POOL_1Q)), q) if kind == "fixed" else
+                       gate(draw(st.sampled_from(GATE_POOL_ROT)), q,
+                            angle=draw(st.floats(-np.pi, np.pi))))
+            continue
+        if kind == "pair" or pair is None:
+            pair = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                       unique=True)))
+        pair = pair[::-1] if draw(st.booleans()) else pair
+        ops.append(gate(draw(st.sampled_from(GATE_POOL_2Q)), *pair))
+    return Circuit(n, tuple(ops))
+
+
+STRONG_NOISE = NoiseModel(depolarizing_1q=0.3, depolarizing_2q=0.5, amplitude_damping=0.2)
+
+
+class TestFusedBlocks:
+    """From _FUSE_FROM_QUBITS qubits on, _blocks fuses each circuit into
+    channels on at most two qubits: within KERNEL_TOL of the gate-by-gate
+    kernel, with one matmul per block and each gate's channel built once."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(fusable_circuits(), st.sampled_from([None, DEFAULT_NOISE, STRONG_NOISE]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_gate_by_gate_kernel(self, c, noise, seed):
+        n = c.n_qubits
+        stack, grid = TestGateKernel.inputs(np.random.default_rng(seed), n)[:2]
+        for mats in (stack, grid):  # two density matrices and a non-Hermitian one
+            out = _evolve_mat(mats, c, noise)
+            expected = reference_evolve_mat(mats, c, noise)
+            assert out.shape == mats.shape
+            if n < _FUSE_FROM_QUBITS:
+                assert np.array_equal(out, expected)
+            else:
+                assert np.max(np.abs(out - expected)) <= KERNEL_TOL
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", range(1, _FUSE_FROM_QUBITS))
+    def test_small_registers_keep_one_block_per_gate(self, n, noise):
+        ops = tuple(every_gate_kind(n)) + random_circuit(np.random.default_rng(970 + n), n, 20).ops
+        blocks = _blocks(ops, noise, n)
+        assert [qubits for qubits, _ in blocks] == [op.qubits for op in ops]
+        for (_, channel), op in zip(blocks, ops):
+            if op.angle is None:
+                assert channel is _gate_superop(op, noise)
+            else:
+                assert np.array_equal(channel, _gate_superop(op, noise))
+
+    def test_runs_fold_into_pairs(self):
+        c = Circuit(5, (gate("h", 0), gate("cx", 0, 1), gate("rz", 1, angle=0.3),
+                        gate("x", 3), gate("cx", 1, 0), gate("cz", 2, 4), gate("cz", 0, 1),
+                        gate("t", 0), gate("s", 3), gate("swap", 4, 2), gate("y", 2)))
+        assert [qubits for qubits, _ in _blocks(c.ops, None, 5)] == [(0, 1), (2, 4), (3,)]
+
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    def test_one_matmul_and_at_most_one_copy_per_block(self, monkeypatch, n):
+        rng = np.random.default_rng(980 + n)
+        mats = np.array([random_density(rng, n) for _ in range(3)])
+        c = random_circuit(rng, n, 5 * n)
+        blocks = _blocks(c.ops, DEFAULT_NOISE, n)
+        assert len(blocks) < len(c.ops)
+        calls = Counter()
+
+        def counting(name, fn):
+            return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting("matmul", np.matmul))
+        monkeypatch.setattr(np, "copyto", counting("copyto", np.copyto))
+        monkeypatch.setattr(simulator, "_gate_superop", counting("superop", _gate_superop))
+        _evolve_mat(mats, c, DEFAULT_NOISE)
+        assert calls["matmul"] == len(blocks)
+        assert calls["copyto"] <= len(blocks)
+        assert calls["superop"] == len(c.ops)
 
 
 class TestGateKernel:
