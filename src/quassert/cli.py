@@ -434,7 +434,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _noise_from_flag(flag: str) -> NoiseModel | None:
     if flag in ("default", "none"):
         return decode_noise(flag, "--noise")
-    return _load(flag, decode_noise)
+    try:
+        return _load(flag, decode_noise)
+    except OSError as exc:  # a typo of a preset, a directory, an unreadable file
+        _fail("--noise", f"{flag!r} is not 'default', 'none' or a readable JSON file "
+                         f"({exc.strerror})")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

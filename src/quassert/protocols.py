@@ -25,7 +25,7 @@ from quassert.qcore import (
 from quassert.qmath import DimensionError, NumericError
 from quassert.simulator import (
     NoiseModel,
-    _diagonal_probs,
+    _normalized,
     apply_readout,
     check_noise,
     check_seed,
@@ -135,10 +135,11 @@ class AssertionResult:
 def _run_proj(
     subject: Circuit, expected: OutcomeDistribution, config: RunConfig
 ) -> tuple[float, dict, dict]:
-    # The validated ground state is the trust boundary; its CPTP image stays a
-    # raw stack (symmetrizing would leave the real diagonal exactly as it is).
-    outputs = evolve(DensityMatrix.ground(subject.n_qubits).mat[None], subject, config.noise)
-    probs = apply_readout(_diagonal_probs(outputs[0]), config.noise)
+    # The validated ground state is the trust boundary; only the real diagonal
+    # of its CPTP image is evolved and read (symmetrizing would not change it).
+    ground = DensityMatrix.ground(subject.n_qubits).mat[None]
+    diagonal = evolve(ground, subject, config.noise, diagonal=True)[0]
+    probs = apply_readout(_normalized(diagonal), config.noise)
     counts = sample(probs, config.shots, config.seed)
     result = chi2_gof(counts, expected)
     diagnostics = {

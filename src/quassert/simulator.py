@@ -19,7 +19,9 @@ into two reused work buffers.
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
 after every gate.  Process tomography evolves all of its preparations so,
-and ``proj`` its validated ground state.
+and ``proj`` its validated ground state, of which it asks only the diagonal
+(``evolve(..., diagonal=True)``): from five qubits on, each qubit then
+collapses to one bit axis after its last block.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -244,9 +246,25 @@ def _blocks(
     return list(zip(pairs, channels))
 
 
-def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _collapsed_rows(k: int, done: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """For a k-qubit block whose local bits ``done`` finish: the channel rows,
+    ascending and read-only, whose row and column bits agree on those bits
+    (row 2^k i + j reads local bit m's row bit as bit m of i, its column bit as
+    bit m of j), and the positions of the block's 2k bit axes that remain, the
+    row bits then the column bits of the local bits not finished."""
+    r = np.arange(4**k)
+    rows = np.flatnonzero(np.all([(r >> (k + m) & 1) == (r >> m & 1) for m in done], axis=0))
+    rows.flags.writeable = False
+    return rows, tuple(p for p in range(2 * k) if p < k or 2 * k - 1 - p not in done)
+
+
+def _evolve_mat(
+    mats: np.ndarray, c: Circuit, noise: NoiseModel | None, diagonal: bool = False
+) -> np.ndarray:
     """Run every matrix of a (..., 2^n, 2^n) stack through the circuit, block by
-    block of :func:`_blocks`.
+    block of :func:`_blocks`; with ``diagonal``, return only the real (..., 2^n)
+    computational-basis diagonals.
 
     The stack is viewed as (B,) + (2,) * 2n: qubit q's row bit is axis n - q,
     its column bit 2n - q.  A block moves its row bits, then its column bits
@@ -254,12 +272,26 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
     order: one transposed copy into a work buffer, skipped when those bits are
     in front already, and one (4^k, 4^k) @ (B, 4^k, M) matmul into the other,
     so the stack keeps the last block's axis order up to one final copy.  B is a
-    matmul batch axis: a matrix evolves to the same bits alone or in a stack."""
+    matmul batch axis: a matrix evolves to the same bits alone or in a stack.
+
+    With ``diagonal`` from ``_FUSE_FROM_QUBITS`` qubits on, a qubit's
+    coherences are never read after its last block, which therefore computes
+    only the channel rows whose row and column bits agree on it: the qubit
+    keeps one bit axis, labelled n - q, and every later block runs on half as
+    many entries.  Each entry kept is the same matmul sum as in the full
+    evolution.  The diagonal of any qubit not collapsed so is taken at the end."""
     n = c.n_qubits
+    blocks = _blocks(c.ops, noise, n)
+    collapse = diagonal and n >= _FUSE_FROM_QUBITS
+    finish = [()] * len(blocks)  # each block's local bits that collapse after it
+    if collapse:
+        last = {q: i for i, (qubits, _) in enumerate(blocks) for q in qubits}
+        for q, i in last.items():
+            finish[i] += (blocks[i][0].index(q),)
     view = mats.reshape((-1,) + (2,) * (2 * n))
     buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # view: mats or [0]
     layout = plain = list(range(1, 2 * n + 1))  # the bit axis at each position of view
-    for qubits, channel in _blocks(c.ops, noise, n):
+    for (qubits, channel), done in zip(blocks, finish):
         front = [half + n - q for half in (0, n) for q in reversed(qubits)]
         if layout[: len(front)] != front:
             moved = front + [axis for axis in layout if axis not in front]
@@ -267,10 +299,27 @@ def _evolve_mat(mats: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.nd
             buffers.reverse()
             view, layout = buffers[0], moved
         rows = (len(view), len(channel), -1)
-        np.matmul(channel, view.reshape(rows), out=buffers[1].reshape(rows))
+        operand = view.reshape(rows)
+        if done:  # both buffers shrink to flat prefixes in the merged shape
+            agree, kept = _collapsed_rows(len(qubits), done)
+            channel = channel.take(agree, axis=0)
+            rows = (len(view), len(channel), -1)
+            layout = [layout[p] for p in kept] + layout[len(front):]
+            shape = (len(view),) + (2,) * len(layout)
+            buffers = [b.reshape(-1)[: view.size >> len(done)].reshape(shape) for b in buffers]
+        np.matmul(channel, operand, out=buffers[1].reshape(rows))
         buffers.reverse()
         view = buffers[0]
-    return view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
+    if not collapse:
+        mats = view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
+        return mats.diagonal(0, -2, -1).real.copy() if diagonal else mats
+    axes = [0] + layout
+    for q in range(n):
+        if 2 * n - q in axes:  # a qubit no block touched: its diagonal, as the last axis
+            view = view.diagonal(0, axes.index(n - q), axes.index(2 * n - q))
+            axes = [axis for axis in axes if axis not in (n - q, 2 * n - q)] + [n - q]
+    view = view.transpose([axes.index(axis) for axis in range(n + 1)])
+    return view.reshape(mats.shape[:-1]).real.copy()
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
@@ -288,19 +337,30 @@ def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def evolve(
-    state: DensityMatrix | np.ndarray, c: Circuit, noise: NoiseModel | None = None
+    state: DensityMatrix | np.ndarray,
+    c: Circuit,
+    noise: NoiseModel | None = None,
+    diagonal: bool = False,
 ) -> DensityMatrix | np.ndarray:
-    """Run the state through the circuit, gate by gate, with optional noise.
+    """Run the state through the circuit, block by block, with optional noise.
 
     ``state`` is a DensityMatrix or a (B, 2^n, 2^n) stack of density
-    matrices.  A stack is evolved as a whole and returned as a new complex128
-    stack: unlike a DensityMatrix result it is neither validated nor symmetrized.
+    matrices.  The circuit runs as the channel blocks of :func:`_blocks`: one
+    gate each below ``_FUSE_FROM_QUBITS`` qubits, fused gates on at most two
+    qubits from there on.  A stack is evolved as a whole and returned as a new
+    complex128 stack: unlike a DensityMatrix result it is neither validated nor
+    symmetrized.  With ``diagonal`` only the real computational-basis
+    diagonals are returned, unnormalized: shape (B, 2^n) for a stack, (2^n,)
+    for a DensityMatrix, bit for bit the diagonal of the full evolution, which
+    from ``_FUSE_FROM_QUBITS`` qubits on is never formed (:func:`_evolve_mat`).
     """
     mats, n = _stack_of(state)
     if n != c.n_qubits:
         raise qmath.DimensionError(f"evolve: state on {n} qubit(s) vs circuit on {c.n_qubits}")
-    mats = _evolve_mat(mats, c, noise) if c.ops else mats.copy()
-    return DensityMatrix(n, mats[0]) if isinstance(state, DensityMatrix) else mats
+    mats = _evolve_mat(mats, c, noise, diagonal) if c.ops or diagonal else mats.copy()
+    if not isinstance(state, DensityMatrix):
+        return mats
+    return mats[0] if diagonal else DensityMatrix(n, mats[0])
 
 
 # Probabilities below this are rounding residue, zeroed: numpy's binomial draws
@@ -318,14 +378,9 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _diagonal_probs(mats: np.ndarray) -> np.ndarray:
-    """Normalized computational-basis diagonals of a (..., 2^n, 2^n) stack."""
-    return _normalized(np.diagonal(mats, axis1=-2, axis2=-1).real.copy())
-
-
 def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
     """Infinite-shot oracle: the computational-basis diagonal of the state."""
-    return OutcomeDistribution(state.n_qubits, _diagonal_probs(state.mat))
+    return OutcomeDistribution(state.n_qubits, _normalized(state.mat.diagonal().real.copy()))
 
 
 def circuit_to_choi(c: Circuit) -> ChoiMatrix:

@@ -464,6 +464,18 @@ class TestCmdRun:
         assert captured.out == ""
         assert f"{noise_path}: {where}" in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("value", ["nonsense", "defualt", "NONE", "."],
+                             ids=["unknown_word", "typo_of_default", "upper_case", "directory"])
+    def test_unknown_noise_flag_names_the_presets(self, capsys, tiny_suite, command, value):
+        document = tiny_suite if command == "run" else SWEEP_STATE_PATH
+        assert main([command, document, "--noise", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --noise: {value!r} is not 'default', 'none' "
+                                       "or a readable JSON file (")
+        assert captured.err.count("\n") == 1
+
     def test_save_data_writes_report(self, capsys, tmp_path, tiny_suite):
         out_dir = tmp_path / "artifacts"
         main(["run", tiny_suite, "--save-data", str(out_dir)])

@@ -3,8 +3,8 @@
 ``golden_report.json`` freezes the output of the demo suite (with artifacts,
 noiseless and with the ``default`` noise preset), the three shipped sweeps on
 a short shot grid, and programmatic suites for 3- and 4-qubit state
-tomography, noisy 2-qubit process tomography and a noisy 6-qubit chi-squared
-test.  Verdicts, counts, CSV rows and every
+tomography, noisy 2-qubit process tomography, a noisy 6-qubit chi-squared
+test and a noiseless 7-qubit one with an idle qubit.  Verdicts, counts, CSV rows and every
 other non-float value must match exactly; floats (probabilities, diagnostics,
 reconstructed matrices) may move by at most ``FLOAT_TOL``, relative for
 magnitudes above 1.
@@ -60,6 +60,10 @@ def _ideal_state(c: Circuit) -> DensityMatrix:
     return DensityMatrix.from_statevector(circuit_to_unitary(c)[:, 0])
 
 
+def _ideal_distribution(c: Circuit) -> OutcomeDistribution:
+    return OutcomeDistribution(c.n_qubits, np.abs(circuit_to_unitary(c)[:, 0]) ** 2)
+
+
 def _noisy_distribution(c: Circuit) -> OutcomeDistribution:
     """Exact outcome distribution under the default preset, readout flips included."""
     state = evolve(DensityMatrix.ground(c.n_qubits), c, DEFAULT_NOISE)
@@ -83,6 +87,12 @@ def _programmatic_suites() -> dict[str, TestSuite]:
                         gate("cx", 3, 4), gate("ry", 5, angle=1.1), gate("swap", 0, 5)))
     proj6_wrong = Circuit(6, (gate("h", 0), gate("h", 1), gate("h", 2), gate("cx", 2, 3),
                               gate("cx", 3, 4), gate("ry", 5, angle=0.8), gate("swap", 0, 5)))
+    # Qubit 6 stays idle, qubit 5 sees one-qubit gates only, and the Hadamards
+    # leave outcome probabilities at p = 0.5 ties, which a draw reads to the last bit.
+    proj7 = Circuit(7, (gate("h", 0), gate("cx", 0, 1), gate("h", 2), gate("ry", 3, angle=0.6),
+                        gate("cx", 2, 3), gate("h", 4), gate("cz", 3, 4), gate("swap", 1, 4),
+                        gate("h", 5), gate("t", 5), gate("rx", 0, angle=0.4), gate("cx", 4, 0)))
+    proj7_wrong = Circuit(7, proj7.ops[:3] + (gate("ry", 3, angle=1.5),) + proj7.ops[4:])
 
     def suite(name, n, subject, expected, shots, noise):
         case = TestCase(name, subject, tuple(Assertion(e) for e in expected))
@@ -100,6 +110,9 @@ def _programmatic_suites() -> dict[str, TestSuite]:
         "proj_6q_noisy": suite("proj_6q_noisy", 6, proj6,
                                (_noisy_distribution(proj6), _noisy_distribution(proj6_wrong)),
                                2000, DEFAULT_NOISE),
+        "proj_7q_noiseless": suite("proj_7q_noiseless", 7, proj7,
+                                   (_ideal_distribution(proj7), _ideal_distribution(proj7_wrong)),
+                                   2000, None),
     }
 
 
@@ -128,7 +141,8 @@ ENTRY_KEYS = (
     [f"bell_pair/{v}" for v in NOISE]
     + [f"{s}/{v}" for s in ("sweep_proj", "sweep_state", "sweep_process") for v in NOISE]
     + [f"suite/{name}" for name in ("state_tomo_3q", "state_tomo_4q_noisy",
-                                    "process_tomo_2q_noisy", "proj_6q_noisy")]
+                                    "process_tomo_2q_noisy", "proj_6q_noisy",
+                                    "proj_7q_noiseless")]
 )
 
 

@@ -405,6 +405,92 @@ class TestFusedBlocks:
         assert calls["superop"] == len(c.ops)
 
 
+@st.composite
+def diagonal_cases(draw):
+    """Hypothesis strategy: a circuit of :func:`fusable_circuits`, empty and
+    one-qubit-only ones included, moved when drawn onto a register one qubit
+    larger whose extra qubit, at any index, no gate touches."""
+    c = draw(fusable_circuits())
+    if c.n_qubits < 7 and draw(st.booleans()):
+        idle = draw(st.integers(0, c.n_qubits))
+        c = Circuit(c.n_qubits + 1, tuple(
+            GateOp(op.name, tuple(q + (q >= idle) for q in op.qubits), op.angle) for op in c.ops))
+    return c
+
+
+def chain_circuit(n):
+    """h then cx(q, q + 1) on each qubit in turn, a rotation on each target:
+    fused, one block per pair, qubit q finishing at block q (the last two together)."""
+    ops = [gate("h", 0)]
+    for q in range(n - 1):
+        ops += [gate("cx", q, q + 1), gate("ry", q + 1, angle=0.3 + q)]
+    return Circuit(n, tuple(ops))
+
+
+class TestDiagonalEvolution:
+    """evolve(..., diagonal=True) returns the real computational-basis
+    diagonals of the full evolution bit for bit.  From _FUSE_FROM_QUBITS
+    qubits on each qubit collapses to one bit axis after its last block, so
+    each later block's matmul reads half as many entries per finished qubit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonal_cases(), st.sampled_from([None, DEFAULT_NOISE, STRONG_NOISE]),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_full_diagonal(self, c, noise, b, seed):
+        n = c.n_qubits
+        stack = np.array([random_density(np.random.default_rng(seed), n) for _ in range(b)])
+        stack.flags.writeable = False
+        before = stack.copy()
+        ground = DensityMatrix.ground(n)
+        for state in (stack, ground.mat[None], ground, DensityMatrix(n, stack[0])):
+            out = evolve(state, c, noise, diagonal=True)
+            full = evolve(state, c, noise)
+            full = full.mat if isinstance(full, DensityMatrix) else full
+            expected = np.diagonal(full, axis1=-2, axis2=-1).real
+            assert out.dtype == np.float64 and out.shape == expected.shape
+            assert np.array_equal(out, expected)
+            assert not np.shares_memory(out, stack) and not np.shares_memory(out, ground.mat)
+        assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_empty_circuit_reads_the_input_diagonal(self, n):
+        stack = np.array([random_density(np.random.default_rng(990 + n), n) for _ in range(2)])
+        out = evolve(stack, Circuit(n, ()), DEFAULT_NOISE, diagonal=True)
+        assert np.array_equal(out, np.diagonal(stack, axis1=1, axis2=2).real)
+        assert out.flags.writeable and not np.shares_memory(out, stack)
+
+    @staticmethod
+    def operand_sizes(monkeypatch, state, c):
+        """The (channel rows, operand entries) of every matmul of one diagonal evolution."""
+        sizes, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: sizes.append((len(a), b.size))
+                            or matmul(a, b, out=out))
+        evolve(state, c, DEFAULT_NOISE, diagonal=True)
+        return sizes
+
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    def test_one_matmul_per_block(self, monkeypatch, n):
+        rng = np.random.default_rng(995 + n)
+        c = random_circuit(rng, n, 5 * n)
+        sizes = self.operand_sizes(monkeypatch, DensityMatrix.ground(n), c)
+        assert len(sizes) == len(_blocks(c.ops, DEFAULT_NOISE, n))
+
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    def test_finished_qubits_halve_later_operands(self, monkeypatch, n):
+        c = chain_circuit(n)
+        pairs = [qubits for qubits, _ in _blocks(c.ops, DEFAULT_NOISE, n)]
+        assert pairs == [(q, q + 1) for q in range(n - 1)]
+        sizes = self.operand_sizes(monkeypatch, np.stack([DensityMatrix.ground(n).mat] * 2), c)
+        # Block q reads 2 * 4^n / 2^q entries; it keeps 8 of 16 channel rows, the last one 4.
+        assert sizes == [(8, 2 * 4**n >> q) for q in range(n - 2)] + [(4, 2 * 4**n >> (n - 2))]
+
+    @pytest.mark.parametrize("n", range(1, _FUSE_FROM_QUBITS))
+    def test_small_registers_evolve_every_entry(self, monkeypatch, n):
+        c = random_circuit(np.random.default_rng(1000 + n), n, 4 * n)
+        sizes = self.operand_sizes(monkeypatch, DensityMatrix.ground(n), c)
+        assert sizes == [(4 ** len(op.qubits), 4**n) for op in c.ops]
+
+
 class TestGateKernel:
     """The channel kernel against the dense U rho U^dag, followed by the
     moveaxis forms of the noise channels."""
