@@ -20,8 +20,12 @@ stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
 after every gate.  Process tomography evolves all of its preparations so,
 and ``proj`` its validated ground state, of which it asks only the diagonal
-(``evolve(..., diagonal=True)``): from five qubits on, each qubit then
-collapses to one bit axis after its last block.
+(``evolve(..., diagonal=True)``).  From five qubits on, that evolves each
+qubit only inside its light cone (:func:`_cone_diagonal`): a qubit still in
+|0><0| carries no bit axes until its first block, and after its last block
+it keeps one.  Such products can have fewer than 4 columns, which OpenBLAS
+rounds differently from the wide products of a full evolution, so they run
+zero-padded to 4 columns, and the diagonal keeps the full evolution's bits.
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -246,17 +250,44 @@ def _blocks(
     return list(zip(pairs, channels))
 
 
-@functools.lru_cache(maxsize=8)
-def _collapsed_rows(k: int, done: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """For a k-qubit block whose local bits ``done`` finish: the channel rows,
-    ascending and read-only, whose row and column bits agree on those bits
-    (row 2^k i + j reads local bit m's row bit as bit m of i, its column bit as
-    bit m of j), and the positions of the block's 2k bit axes that remain, the
-    row bits then the column bits of the local bits not finished."""
+@functools.lru_cache(maxsize=32)
+def _sub_channel(k: int, start: tuple[int, ...], done: tuple[int, ...]) -> np.ndarray:
+    """The flat index, read-only, of the (rows, columns) part of a k-qubit
+    block's channel that it applies when its local bits ``start`` join and
+    ``done`` finish there.  Row or column 2^k i + j of the channel reads local
+    bit m's row bit as bit m of i, its column bit as bit m of j.  The columns
+    are those whose row and column bits are 0 on ``start``, the rows those
+    whose row and column bits agree on ``done``, each ascending."""
     r = np.arange(4**k)
-    rows = np.flatnonzero(np.all([(r >> (k + m) & 1) == (r >> m & 1) for m in done], axis=0))
-    rows.flags.writeable = False
-    return rows, tuple(p for p in range(2 * k) if p < k or 2 * k - 1 - p not in done)
+    rows = cols = np.ones(4**k, bool)
+    for m in done:
+        rows = rows & (r >> (k + m) & 1 == r >> m & 1)
+    for m in start:
+        cols = cols & ((r >> (k + m) | r >> m) & 1 == 0)
+    index = 4**k * np.flatnonzero(rows)[:, None] + np.flatnonzero(cols)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=512)
+def _block_plan(
+    n: int, qubits: tuple[int, ...], start: tuple[int, ...], done: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray | None]:
+    """For a block on ``qubits`` of an n-qubit register at which the local bits
+    ``start`` join and ``done`` finish: the bit axes it reads, in order, the
+    bit axes it leaves in their place, and :func:`_sub_channel`'s index of the
+    part of its channel that it applies, or None for all.
+
+    The block's bit axes are its row bits, then its column bits, ``qubits[0]``
+    last in each, as :func:`_evolve_mat` moves them.  The channel's columns
+    and rows enumerate, in order, the axes read and left; a finished bit
+    leaves its row bit's axis."""
+    k = len(qubits)
+    front = [half + n - q for half in (0, n) for q in reversed(qubits)]
+    local = [k - 1 - p for p in range(k)] * 2  # the local bit at each position of front
+    fed = tuple(a for a, m in zip(front, local) if m not in start)
+    left = tuple(a for p, (a, m) in enumerate(zip(front, local)) if p < k or m not in done)
+    return fed, left, _sub_channel(k, start, done) if start or done else None
 
 
 def _evolve_mat(
@@ -274,24 +305,21 @@ def _evolve_mat(
     so the stack keeps the last block's axis order up to one final copy.  B is a
     matmul batch axis: a matrix evolves to the same bits alone or in a stack.
 
-    With ``diagonal`` from ``_FUSE_FROM_QUBITS`` qubits on, a qubit's
-    coherences are never read after its last block, which therefore computes
-    only the channel rows whose row and column bits agree on it: the qubit
-    keeps one bit axis, labelled n - q, and every later block runs on half as
-    many entries.  Each entry kept is the same matmul sum as in the full
-    evolution.  The diagonal of any qubit not collapsed so is taken at the end."""
+    With ``diagonal`` from ``_FUSE_FROM_QUBITS`` qubits on, the same kernel
+    runs in :func:`_cone_diagonal` on the live bit axes only: a qubit in
+    |0><0| in every matrix joins at its first block, each qubit collapses to
+    one bit axis after its last, and a product of fewer than 4 columns is
+    zero-padded to 4, since OpenBLAS rounds narrower products differently from
+    the full evolution's wide ones.  Below, the diagonal of the full
+    evolution is read."""
     n = c.n_qubits
     blocks = _blocks(c.ops, noise, n)
-    collapse = diagonal and n >= _FUSE_FROM_QUBITS
-    finish = [()] * len(blocks)  # each block's local bits that collapse after it
-    if collapse:
-        last = {q: i for i, (qubits, _) in enumerate(blocks) for q in qubits}
-        for q, i in last.items():
-            finish[i] += (blocks[i][0].index(q),)
+    if diagonal and n >= _FUSE_FROM_QUBITS:
+        return _cone_diagonal(mats.reshape(-1, 4**n), blocks, n).reshape(mats.shape[:-1])
     view = mats.reshape((-1,) + (2,) * (2 * n))
     buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # view: mats or [0]
     layout = plain = list(range(1, 2 * n + 1))  # the bit axis at each position of view
-    for (qubits, channel), done in zip(blocks, finish):
+    for qubits, channel in blocks:
         front = [half + n - q for half in (0, n) for q in reversed(qubits)]
         if layout[: len(front)] != front:
             moved = front + [axis for axis in layout if axis not in front]
@@ -299,27 +327,100 @@ def _evolve_mat(
             buffers.reverse()
             view, layout = buffers[0], moved
         rows = (len(view), len(channel), -1)
-        operand = view.reshape(rows)
-        if done:  # both buffers shrink to flat prefixes in the merged shape
-            agree, kept = _collapsed_rows(len(qubits), done)
-            channel = channel.take(agree, axis=0)
-            rows = (len(view), len(channel), -1)
-            layout = [layout[p] for p in kept] + layout[len(front):]
-            shape = (len(view),) + (2,) * len(layout)
-            buffers = [b.reshape(-1)[: view.size >> len(done)].reshape(shape) for b in buffers]
-        np.matmul(channel, operand, out=buffers[1].reshape(rows))
+        np.matmul(channel, view.reshape(rows), out=buffers[1].reshape(rows))
         buffers.reverse()
         view = buffers[0]
-    if not collapse:
-        mats = view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
-        return mats.diagonal(0, -2, -1).real.copy() if diagonal else mats
-    axes = [0] + layout
+    mats = view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
+    return mats.diagonal(0, -2, -1).real.copy() if diagonal else mats
+
+
+@functools.lru_cache(maxsize=8)
+def _live_entries(n: int, cold: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The flat indices, ascending and read-only, of a 2^n x 2^n matrix's
+    entries whose row and column bits are 0 on each qubit q with bit q of
+    ``cold`` set, and the bit axes (qubit q's row bit n - q, column bit 2n - q)
+    that enumerate them, in order: those of the other qubits."""
+    entries = np.flatnonzero(np.arange(4**n) & (cold << n | cold) == 0)
+    entries.flags.writeable = False
+    return entries, tuple(a for a in range(1, 2 * n + 1) if not cold >> (-a % n) & 1)
+
+
+def _cone_diagonal(
+    mats: np.ndarray, blocks: list[tuple[tuple[int, ...], np.ndarray]], n: int
+) -> np.ndarray:
+    """The real (B, 2^n) diagonals of a (B, 4^n) stack of flattened matrices
+    run through the blocks, each qubit evolved only between its first and last
+    block: bit for bit the diagonals of :func:`_evolve_mat`'s full evolution.
+
+    This is :func:`_evolve_mat`'s kernel on the bit axes that are live.  A
+    qubit is cold when its row and column bits are 0 in every nonzero entry of
+    the stack, as every qubit of the ground state is.  It carries no axes
+    until its first block, which applies only the channel columns whose bits
+    on it are 0: the full evolution's sums without their zero terms.  After its
+    last block a qubit's coherences are never read, so that block computes
+    only the channel rows whose row and column bits agree on it, and the qubit
+    keeps one bit axis, labelled n - q.  A cold qubit that no block touches
+    reads bit 0; the diagonal of any other such qubit is taken at the end.
+
+    The 4-column floor: a matmul whose operand has fewer than 4 columns per
+    matrix runs on it zero-padded to 4.  OpenBLAS rounds a product of 1-3
+    columns differently from the same columns inside the wide products of the
+    full evolution; M is a power of two, so 4 is enough."""
+    b = len(mats)
+    bits = int(np.bitwise_or.reduce(np.flatnonzero(mats.any(axis=0))))
+    cold = ~(bits | bits >> n) & ((1 << n) - 1)  # bit q set: qubit q is cold
+    first, last = {}, {}
+    for i, (qubits, _) in enumerate(blocks):
+        for q in qubits:
+            first.setdefault(q, i)
+            last[q] = i
+    start, done = [()] * len(blocks), [()] * len(blocks)  # each block's local bits
+    for q, i in first.items():
+        if cold >> q & 1:
+            start[i] += (blocks[i][0].index(q),)
+    for q, i in last.items():
+        done[i] += (blocks[i][0].index(q),)
+    view = mats.reshape((b,) + (2,) * (2 * n))
+    layout = tuple(range(1, 2 * n + 1))  # the bit axis at each position of view
+    if cold:
+        entries, layout = _live_entries(n, cold)
+        view = mats.take(entries, axis=1).reshape((b,) + (2,) * len(layout))
+    buffers = [np.empty(b * 4**n, np.complex128) for _ in range(2)]  # view: mats or [0]
+    for (qubits, channel), begin, end in zip(blocks, start, done):
+        fed, left, index = _block_plan(n, qubits, begin, end)
+        if index is not None:
+            channel = channel.take(index)
+        if layout[: len(fed)] != fed:
+            moved = fed + tuple([axis for axis in layout if axis not in fed])
+            target = buffers[1][: view.size].reshape(view.shape)
+            np.copyto(target, view.transpose([0] + [layout.index(a) + 1 for a in moved]))
+            buffers.reverse()
+            view, layout = target, moved
+        layout = left + layout[len(fed):]
+        operand = view.reshape(b, channel.shape[1], -1)
+        rows, width = len(channel), operand.shape[2]
+        out = buffers[1][: b * rows * width].reshape(b, rows, width)
+        if width < 4:  # the 4-column floor
+            padded = np.zeros((b, channel.shape[1], 4), np.complex128)
+            padded[..., :width] = operand
+            wide = np.empty((b, rows, 4), np.complex128)
+            np.matmul(channel, padded, out=wide)
+            out[...] = wide[..., :width]
+        else:
+            np.matmul(channel, operand, out=out)
+        buffers.reverse()
+        view = out.reshape((b,) + (2,) * len(layout))
+    axes = [0, *layout]
     for q in range(n):
         if 2 * n - q in axes:  # a qubit no block touched: its diagonal, as the last axis
             view = view.diagonal(0, axes.index(n - q), axes.index(2 * n - q))
             axes = [axis for axis in axes if axis not in (n - q, 2 * n - q)] + [n - q]
-    view = view.transpose([axes.index(axis) for axis in range(n + 1)])
-    return view.reshape(mats.shape[:-1]).real.copy()
+    view = view.transpose([axes.index(a) for a in range(n + 1) if a in axes]).real
+    if len(axes) > n:
+        return np.ascontiguousarray(view).reshape(b, 2**n)
+    probs = np.zeros((b,) + (2,) * n)  # cold qubits no block touched read bit 0
+    probs[(slice(None),) + tuple(slice(None) if a in axes else 0 for a in range(1, n + 1))] = view
+    return probs.reshape(b, 2**n)
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
@@ -352,7 +453,11 @@ def evolve(
     symmetrized.  With ``diagonal`` only the real computational-basis
     diagonals are returned, unnormalized: shape (B, 2^n) for a stack, (2^n,)
     for a DensityMatrix, bit for bit the diagonal of the full evolution, which
-    from ``_FUSE_FROM_QUBITS`` qubits on is never formed (:func:`_evolve_mat`).
+    from ``_FUSE_FROM_QUBITS`` qubits on is never formed: each qubit is then
+    evolved only from its first block (or the start, unless it is in |0><0|
+    in every matrix) to its last, with products of fewer than 4 columns
+    zero-padded to 4 so that OpenBLAS rounds them as in the full evolution
+    (:func:`_cone_diagonal`).
     """
     mats, n = _stack_of(state)
     if n != c.n_qubits:

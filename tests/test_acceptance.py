@@ -206,18 +206,18 @@ def test_criterion_6_cost_ordering():
         ref = ProcessRef(subject)
         shots = 3000
 
-        def best_time(expected) -> float:
-            best = math.inf
-            for attempt in range(3):
-                config = RunConfig(shots=shots, seed=derive_seed("timing", attempt))
+        # The three protocols take turns within each round, each round in a
+        # new order, so a slow spell of the process slows all three alike;
+        # each time is the best of the rounds.
+        expected_values = [dist, state, ref]
+        best = [math.inf] * 3
+        for attempt in range(7):
+            config = RunConfig(shots=shots, seed=derive_seed("timing", attempt))
+            for k in (attempt + i for i in range(3)):
                 begin = time.perf_counter()
-                run_protocol(subject, expected, config)
-                best = min(best, time.perf_counter() - begin)
-            return best / shots
-
-        proj_t = best_time(dist)
-        state_t = best_time(state)
-        process_t = best_time(ref)
+                run_protocol(subject, expected_values[k % 3], config)
+                best[k % 3] = min(best[k % 3], time.perf_counter() - begin)
+        proj_t, state_t, process_t = (t / shots for t in best)
         assert proj_t < state_t < process_t, (proj_t, state_t, process_t)
 
 

@@ -24,6 +24,7 @@ from quassert.protocols import (
 from quassert.qcore import (
     Circuit,
     DensityMatrix,
+    GateOp,
     OutcomeDistribution,
     gate,
     process_fidelity,
@@ -309,9 +310,14 @@ class TestProjWork:
     def test_counts_match_the_validated_state(self, n, noise):
         rng = np.random.default_rng(50 + n)
         expected = OutcomeDistribution(n, np.full(2**n, 2.0**-n))
-        for _ in range(3):
-            # At n = 7 qubit 6 stays idle: its diagonal is read after the loop.
-            subject = Circuit(n, random_circuit(rng, n - (n == 7), 4 * n).ops)
+        subjects = [Circuit(n, random_circuit(rng, n, 4 * n).ops) for _ in range(3)]
+        # A qubit that no gate touches, at every index: it reads bit 0.
+        for idle in range(n):
+            ops = random_circuit(rng, n - 1, 4 * n).ops if n > 1 else ()
+            subjects.append(Circuit(n, tuple(
+                GateOp(op.name, tuple(q + (q >= idle) for q in op.qubits), op.angle)
+                for op in ops)))
+        for subject in subjects:
             config = RunConfig(shots=300, seed=int(rng.integers(2**32)), noise=noise)
             _, artifacts = run_protocol_detailed(subject, expected, config)
             state = evolve(DensityMatrix.ground(n), subject, noise)

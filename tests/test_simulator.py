@@ -427,11 +427,34 @@ def chain_circuit(n):
     return Circuit(n, tuple(ops))
 
 
+# Pinned circuits for the light cone of a diagonal evolution, each on the
+# ground state of 5-7 qubits.
+CONE_CASES = {
+    # qubits 0 and 1 share one block, which they both join and finish in,
+    # while qubits 2-4 hold bit axes
+    "pair_starts_and_finishes": lambda n: Circuit(n, (
+        gate("h", 2), gate("cx", 2, 3), gate("rx", 3, angle=0.7), gate("cx", 3, 4),
+        gate("h", 0), gate("cx", 0, 1), gate("ry", 1, angle=0.3), gate("cx", 4, 2))),
+    # qubit n - 1 is touched by one-qubit gates only: one block of its own
+    "one_qubit_gates_only": lambda n: Circuit(n, (
+        gate("h", n - 1), gate("ry", n - 1, angle=0.4), gate("t", n - 1),
+        gate("h", 0), gate("cx", 0, 2), gate("rz", 2, angle=1.1))),
+    # block (1, 3) reads qubit 3's two bit axes with 2 columns per matrix (the
+    # finished qubit 4); without the 4-column floor its last bits move
+    "narrow_operand": lambda n: Circuit(n, (
+        gate("rx", 4, angle=0.5), gate("swap", 3, 4), gate("rx", 3, angle=1.0),
+        gate("cx", 1, 3))),
+}
+
+
 class TestDiagonalEvolution:
     """evolve(..., diagonal=True) returns the real computational-basis
     diagonals of the full evolution bit for bit.  From _FUSE_FROM_QUBITS
-    qubits on each qubit collapses to one bit axis after its last block, so
-    each later block's matmul reads half as many entries per finished qubit."""
+    qubits on each qubit is evolved only between its first and last block:
+    a qubit cold in the input (bit 0 in every nonzero entry, as in the ground
+    state) carries no bit axes before its first block, and each qubit keeps
+    one bit axis after its last.  So each block's matmul reads B * 2^(live
+    bit axes) entries, padded to 4 columns per matrix at least."""
 
     @settings(max_examples=150, deadline=None)
     @given(diagonal_cases(), st.sampled_from([None, DEFAULT_NOISE, STRONG_NOISE]),
@@ -451,6 +474,17 @@ class TestDiagonalEvolution:
             assert np.array_equal(out, expected)
             assert not np.shares_memory(out, stack) and not np.shares_memory(out, ground.mat)
         assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE, STRONG_NOISE],
+                             ids=["noiseless", "default_noise", "strong_noise"])
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    @pytest.mark.parametrize("case", CONE_CASES)
+    def test_pinned_light_cones_are_bit_equal(self, case, n, noise):
+        c = CONE_CASES[case](n)
+        ground = DensityMatrix.ground(n)
+        expected = np.diagonal(evolve(ground.mat[None], c, noise), axis1=1, axis2=2).real
+        assert np.array_equal(evolve(ground.mat[None], c, noise, diagonal=True), expected)
+        assert np.array_equal(evolve(ground, c, noise, diagonal=True), expected[0])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_empty_circuit_reads_the_input_diagonal(self, n):
@@ -481,8 +515,27 @@ class TestDiagonalEvolution:
         pairs = [qubits for qubits, _ in _blocks(c.ops, DEFAULT_NOISE, n)]
         assert pairs == [(q, q + 1) for q in range(n - 1)]
         sizes = self.operand_sizes(monkeypatch, np.stack([DensityMatrix.ground(n).mat] * 2), c)
+        # Block q >= 1 reads the q bit axes of the finished qubits 0..q-1 and
+        # the two of qubit q, while qubit q + 1 joins: 2 * 2^(q + 2) entries,
+        # as 4 rows of 2^q columns per matrix, padded to 4 columns at q = 1.
+        # Block 0 reads one entry per matrix (both its qubits join), padded to
+        # 4 columns.  Each keeps 8 of 16 channel rows, the last one 4.
+        assert sizes == ([(8, 2 * 1 * 4)] + [(8, 2 * 4 * max(2**q, 4)) for q in range(1, n - 2)]
+                         + [(4, 2 * 4 * 2 ** (n - 2))])
+
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    def test_a_matrix_off_the_ground_state_keeps_every_qubit_live(self, monkeypatch, n):
+        """One matrix of the stack with no cold qubit: every qubit is live
+        from the first block, and only finished ones shrink the operands."""
+        c = chain_circuit(n)
+        stack = np.stack([DensityMatrix.ground(n).mat,
+                          random_density(np.random.default_rng(1010 + n), n)])
+        sizes = self.operand_sizes(monkeypatch, stack, c)
         # Block q reads 2 * 4^n / 2^q entries; it keeps 8 of 16 channel rows, the last one 4.
         assert sizes == [(8, 2 * 4**n >> q) for q in range(n - 2)] + [(4, 2 * 4**n >> (n - 2))]
+        monkeypatch.undo()
+        full = np.diagonal(evolve(stack, c, DEFAULT_NOISE), axis1=1, axis2=2).real
+        assert np.array_equal(evolve(stack, c, DEFAULT_NOISE, diagonal=True), full)
 
     @pytest.mark.parametrize("n", range(1, _FUSE_FROM_QUBITS))
     def test_small_registers_evolve_every_entry(self, monkeypatch, n):
