@@ -74,6 +74,9 @@ class SweepConfig:
         _check_type(self.name, str, "sweep name")
         _check_type(self.positive_case, TestCase, "positive_case")
         _check_type(self.negative_case, TestCase, "negative_case")
+        if self.positive_case.name == self.negative_case.name:  # both would draw alike
+            raise ValueError(f"positive_case and negative_case share the name "
+                             f"{self.positive_case.name!r}; trial seeds derive from it")
         for case in (self.positive_case, self.negative_case):
             first = case.assertions[0]
             if len(case.assertions) != 1 or first.shots is not None or first.threshold is not None:

@@ -18,7 +18,7 @@ into two reused work buffers.
 :func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
-after every gate.  Process tomography evolves all of its preparations so,
+after every gate.  Process tomography evolves Choi matrices so (:func:`_choi_mat`),
 and ``proj`` its validated ground state, of which it asks only the diagonal
 (``evolve(..., diagonal=True)``).  From five qubits on, that evolves each
 qubit only inside its light cone (:func:`_cone_diagonal`): a qubit still in
@@ -488,13 +488,24 @@ def exact_distribution(state: DensityMatrix) -> OutcomeDistribution:
     return OutcomeDistribution(state.n_qubits, _normalized(state.mat.diagonal().real.copy()))
 
 
+@functools.lru_cache(maxsize=8)
+def _omega(n: int) -> np.ndarray:
+    """|Omega><Omega|, Omega = sum_i |i> (x) |i>, as a read-only (1, 4^n, 4^n) stack."""
+    omega = np.eye(2**n, dtype=np.complex128).reshape(-1)
+    mat = np.outer(omega, omega)[None]
+    mat.flags.writeable = False
+    return mat
+
+
+def _choi_mat(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """The circuit's raw Choi matrix under ``noise``: the circuit run on the output
+    half of |Omega><Omega| (gates on qubits 0..n-1 of 2n), input factor first."""
+    return evolve(_omega(c.n_qubits), Circuit(2 * c.n_qubits, c.ops), noise)[0]
+
+
 def circuit_to_choi(c: Circuit) -> ChoiMatrix:
-    """Choi matrix of the circuit's channel: the circuit run on the output half of
-    |Omega><Omega|, Omega = sum_i |i> (x) |i>.  On 2n qubits the gates act on qubits
-    0..n-1, the output factor, so the input factor comes first, as qcore stores it."""
-    omega = np.eye(c.dim, dtype=np.complex128).reshape(-1)
-    mat = evolve(np.outer(omega, omega)[None], Circuit(2 * c.n_qubits, c.ops))[0]
-    choi = ChoiMatrix(c.n_qubits, mat)
+    """Choi matrix of the circuit's channel, validated (:func:`_choi_mat`)."""
+    choi = ChoiMatrix(c.n_qubits, _choi_mat(c))
     dev = np.max(np.abs(choi.input_marginal() - np.eye(c.dim)))
     if dev > 1e-6:
         raise NumericError(f"circuit Choi matrix lost trace preservation: {dev:.3e}")

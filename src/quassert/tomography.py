@@ -1,32 +1,25 @@
 """Quantum state and process tomography by linear inversion.
 
-State tomography measures all 3^n per-qubit Pauli bases, whose outcome
-probabilities (noisy basis rotations and readout flips included) are the rows
-of one :func:`quassert.simulator.pauli_distributions` array, and inverts them
-with the product inverse channel of classical shadows: each outcome o of
-setting k contributes (x)_q (I/2 + 3/2 (-1)^o_q P_k_q), averaged over the
-settings.  This equals averaging every compatible setting into each
-Pauli-string expectation.
+Each protocol is one evolution, one forward map, one draw, one inverse map and
+one PSD projection; every map is the n-fold tensor power of a one-qubit map,
+applied by :func:`quassert.qmath.kron_map`.  State tomography reads the
+subject's output on |0...0> in all 3^n per-qubit Pauli bases
+(:func:`quassert.simulator.pauli_distributions`) and inverts them with the
+product inverse channel of classical shadows (:func:`_invert_settings`).
+Process tomography is state tomography of the subject's Choi matrix C, one
+evolution of |Omega><Omega| under the run's noise (ancilla-assisted process
+tomography, Altepeter et al., PRL 90, 193601, 2003): preparing each qubit in
+|0>, |1>, |+> or |+i> by noisy gates and reading effect E has probability
+tr(C (rho^T (x) E)); the inverse composes the shadow inversion with the dual
+frame of the noiseless preparations.
 
-One reconstruction path serves both protocols.  It takes a stack of input
-states, evolves the subject once on the whole stack, reads every (input,
-setting) distribution at once, draws all of the assertion's counts with one
-``sample`` call on its seed, and inverts the whole stack at once.  State
-tomography is the one-input case (|0...0>).  Process tomography feeds the
-path all 4^n product preparations from {|0>, |1>, |+>, |+i>} and inverts the
-fixed preparation frame to assemble the Choi matrix.  One PSD projection of
-the final estimate, state or Choi matrix, then restores physicality, and the
-estimate is stored from the spectrum that projection rebuilt it from
-(``qcore._from_projection``): it is PSD with the right trace by construction,
-so it is not validated or eigensolved a second time.
-Reading the settings, the inverse channel and the preparation frame's dual
-are each the n-fold tensor power of a one-qubit map, applied by
-:func:`quassert.qmath.kron_map`.
-
-``shots_per_setting == 0`` selects analytic mode: measurement statistics are
-the exact outcome distributions under noiseless basis rotations and readout,
-so reconstruction is exact (up to the PSD projection's rounding) for the
-subject under the given noise model.
+All of an assertion's counts come from one ``sample`` call on its seed, in the
+rows preparation, setting, outcome, qubit 0 fastest in each.  The estimate is
+stored from the spectrum its projection rebuilt it from
+(``qcore._from_projection``), so it is not validated or eigensolved again.
+``shots_per_setting == 0`` selects analytic mode: exact distributions under
+noiseless basis rotations and readout, so reconstruction is exact (up to the
+projection's rounding) for the subject and preparations under the noise model.
 """
 
 from __future__ import annotations
@@ -48,7 +41,15 @@ from quassert.qcore import (
     _as_int,
     _from_projection,
 )
-from quassert.simulator import NoiseModel, evolve, pauli_distributions, sample
+from quassert.simulator import (
+    NoiseModel,
+    _choi_mat,
+    _normalized,
+    evolve,
+    pauli_distributions,
+    pauli_povm,
+    sample,
+)
 
 MAX_STATE_QUBITS = 4
 MAX_PROCESS_QUBITS = 3
@@ -74,29 +75,12 @@ def _check_request(kind: str, n: int, limit: int, shots_per_setting: int) -> Non
         raise ValueError("shots_per_setting must be >= 0 (0 = analytic mode)")
 
 
-def _hermitian_part(mats: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 of each matrix, as a DensityMatrix symmetrizes when built."""
-    return (mats + mats.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _reconstruct(
-    inputs: np.ndarray,
-    subject: Circuit,
-    noise: NoiseModel | None,
-    shots_per_setting: int,
-    seed: int,
-) -> np.ndarray:
-    """Unprojected linear-inversion estimates of the subject's outputs on a (B, 2^n, 2^n) stack.
-
-    In sampled mode the frequencies of ``shots_per_setting`` draws, all from
-    one ``sample`` call on ``seed``, replace every (input, setting) pair's
-    probabilities.
-    """
-    outputs = _hermitian_part(evolve(inputs, subject, noise))
-    probs = pauli_distributions(outputs, noise if shots_per_setting else None)
-    if shots_per_setting:
-        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
-    return _invert_settings(probs, subject.n_qubits)
+def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
+    """Linear-inversion estimates from (..., 3^n, 2^n) setting probabilities:
+    3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse channel
+    of classical shadows (Huang, Kueng, Preskill 2020), which equals averaging
+    every compatible setting into each Pauli-string expectation."""
+    return qmath.kron_map(_SHADOW.transpose(2, 3, 0, 1), probs, n) / 3**n
 
 
 def state_tomography(
@@ -108,57 +92,51 @@ def state_tomography(
     """Reconstruct the subject's output state on the input |0...0>."""
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
-    ground = DensityMatrix.ground(n).mat[None]
-    estimate = _reconstruct(ground, subject, noise, shots_per_setting, seed)
-    mat, (values, vectors) = qmath.psd_project(estimate, 1.0)
+    output = evolve(DensityMatrix.ground(n).mat[None], subject, noise)
+    # The Hermitian part, as a DensityMatrix symmetrizes when built.
+    output = (output + output.conj().swapaxes(-1, -2)) / 2.0
+    probs = pauli_distributions(output, noise if shots_per_setting else None)
+    if shots_per_setting:
+        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
+    mat, (values, vectors) = qmath.psd_project(_invert_settings(probs, n), 1.0)
     return _from_projection(DensityMatrix, n, mat[0], (values[0], vectors[0]))
 
 
-def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
-    """Linear-inversion estimates from (..., 3^n, 2^n) outcome probabilities of the settings.
+def _preparations(noise: NoiseModel | None) -> np.ndarray:
+    """The four one-qubit preparations of ``_PREP_GATES`` from |0> as a (4, 2, 2) stack."""
+    ground = DensityMatrix.ground(1).mat[None]
+    return np.concatenate([evolve(ground, Circuit(1, tuple(GateOp(g, (0,)) for g in gates)), noise)
+                           for gates in _PREP_GATES.values()])
 
-    rho = 3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse
-    channel of classical shadows (Huang, Kueng, Preskill 2020); it equals
-    averaging every compatible setting into each Pauli-string expectation.
-    """
-    return qmath.kron_map(_SHADOW.transpose(2, 3, 0, 1), probs, n) / 3**n
+
+# _DUAL[s, 2a + b] weighs noiseless preparation s in the expansion of |a><b|.
+_DUAL = np.linalg.inv(_preparations(None).reshape(4, 4).T)
+# The one-qubit inverse of _forward's noiseless map:
+# _INVERSE[2a + r, 2b + c, 3s + l, o] = _DUAL[s, 2a + b] _SHADOW[l, o][r, c] / 3.
+_INVERSE = (np.multiply.outer(_DUAL.reshape(4, 2, 2), _SHADOW) / 3.0
+            ).transpose(1, 5, 2, 6, 0, 3, 4).reshape(4, 4, 12, 2)
 
 
 @functools.lru_cache(maxsize=64)
-def _preparations(n: int, noise: NoiseModel | None) -> np.ndarray:
-    """All 4^n product preparations from |0...0> as one read-only (4^n, 2^n, 2^n) stack.
-
-    Preparation m puts qubit q in label (m // 4^q) % 4 of ``0, 1, +, +i``, so
-    qubit 0's label varies fastest.  The preparation gates (noisy like any other)
-    are applied one qubit at a time, so preparations that agree on qubits
-    0..q-1 share those gates.  The stack is built once per (n, noise model).
-    """
-    mats = DensityMatrix.ground(n).mat[None]
-    for q in range(n):
-        preps = [Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
-                 for gates in _PREP_GATES.values()]
-        mats = np.concatenate([evolve(mats, prep, noise) for prep in preps])
-    mats.flags.writeable = False
-    return mats
+def _forward(noise: NoiseModel | None, readout: NoiseModel | None) -> np.ndarray:
+    """The read-only one-qubit forward map [3 s + l, o, 2 i + r, 2 j + c] =
+    rho_s[i, j] E[l, o][c, r]: preparation rho_s under ``noise``, read in basis
+    "XYZ"[l] by the :func:`quassert.simulator.pauli_povm` E of ``readout``."""
+    products = np.multiply.outer(_preparations(noise), pauli_povm(readout))  # [s, i, j, l, o, c, r]
+    forward = products.transpose(0, 3, 4, 1, 6, 2, 5).reshape(12, 2, 4, 4)
+    forward.flags.writeable = False
+    return forward
 
 
-# _DUAL[s, 2a + b] is the weight of noiseless preparation s in the expansion of
-# the matrix unit |a><b|; the four preparations span the 2x2 matrices.
-_DUAL = np.linalg.inv(_preparations(1, None).reshape(4, 4).T)
-
-
-def _assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
-    """sum_m kron((x)_q D_{m_q}, outputs[m]) with D_s[a, b] = _DUAL[s, 2a + b].
-
-    ``outputs[m]`` is the channel's output for preparation m of
-    :func:`_preparations`; the result is the unnormalized Choi matrix.
-    """
-    d = 2**n
-    # Output entry (r, c) maps its 4^n preparation weights to the bits (a, b)
-    # of (x)_q D; the Choi matrix orders its axes (a, r, b, c).
-    entries = outputs.reshape(4**n, d * d).T[..., None]
-    choi = qmath.kron_map(_DUAL.T.reshape(2, 2, 4, 1), entries, n)
-    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+@functools.lru_cache(maxsize=8)
+def _axes(n: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`process_tomography`'s transposes: Choi bits (input then output,
+    qubit n-1 first) to the per-qubit pairs ``kron_map`` reads, (preparation,
+    setting) pairs to the sampled rows, then rows to pairs and pairs to bits."""
+    pair = tuple(a for q in range(n) for a in (q, n + q))
+    split = tuple(pair.index(a) for a in range(2 * n))
+    return (pair + tuple(2 * n + a for a in pair), split + (2 * n,), pair + (2 * n,),
+            split + tuple(2 * n + a for a in split))
 
 
 def process_tomography(
@@ -167,14 +145,20 @@ def process_tomography(
     shots_per_setting: int,
     seed: int,
 ) -> ChoiMatrix:
-    """Reconstruct the subject's channel as an unnormalized Choi matrix.
-
-    This is unprojected state tomography on the stack of all 4^n preparations
-    at once, all drawn from the one seed; only the assembled Choi matrix is projected.
-    """
+    """Reconstruct the subject's channel as an unnormalized Choi matrix: state
+    tomography of its Choi matrix, all 4^n x 3^n distributions from one seed."""
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
-    estimates = _reconstruct(_preparations(n, noise), subject, noise, shots_per_setting, seed)
-    # psd_project symmetrizes the assembled matrix before its eigensolve.
-    choi, spectrum = qmath.psd_project(_assemble_choi(estimates, n), float(2**n))
+    to_pairs, to_rows, from_rows, from_pairs = _axes(n)
+    choi = _choi_mat(subject, noise).reshape((2,) * 4 * n).transpose(to_pairs)
+    forward = _forward(noise, noise if shots_per_setting else None)
+    reads = qmath.kron_map(forward, choi.reshape(4**n, 4**n), n).real
+    probs = reads.reshape((4, 3) * n + (2**n,)).transpose(to_rows)
+    probs = _normalized(probs.reshape(4**n, 3**n, 2**n))
+    if shots_per_setting:
+        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
+    freqs = probs.reshape((4,) * n + (3,) * n + (2**n,)).transpose(from_rows)
+    estimate = qmath.kron_map(_INVERSE, freqs.reshape(12**n, 2**n), n)
+    estimate = estimate.reshape((2,) * 4 * n).transpose(from_pairs).reshape(4**n, 4**n)
+    choi, spectrum = qmath.psd_project(estimate, float(2**n))
     return _from_projection(ChoiMatrix, n, choi, spectrum)

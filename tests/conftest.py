@@ -10,8 +10,16 @@ from hypothesis.extra import numpy as hnp
 
 from quassert import qmath
 from quassert.cli import _build, _decode_gate, _expect, _numbers
-from quassert.qcore import Circuit, GateOp, expanded_gate_matrix, gate
-from quassert.simulator import PROBABILITY_FLOOR, _blocks, _evolve_mat, _gate_superop
+from quassert.qcore import Circuit, DensityMatrix, GateOp, expanded_gate_matrix, gate
+from quassert.simulator import (
+    PROBABILITY_FLOOR,
+    _blocks,
+    _evolve_mat,
+    _gate_superop,
+    evolve,
+    pauli_distributions,
+)
+from quassert.tomography import _DUAL, _PREP_GATES, _invert_settings
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -102,6 +110,51 @@ def reference_choi(c: Circuit) -> np.ndarray:
     (I (x) U) sum_i |i> (x) |i> is vec(U^T), and the matrix its outer product."""
     lifted = circuit_to_unitary(c).T.reshape(-1)
     return np.outer(lifted, lifted.conj())
+
+
+def reference_preparations(n: int, noise) -> np.ndarray:
+    """All 4^n product preparations from |0...0> as one (4^n, 2^n, 2^n) stack.
+
+    Preparation m puts qubit q in label (m // 4^q) % 4 of
+    ``tomography._PREP_GATES``, so qubit 0's label varies fastest.  The
+    preparation gates (noisy like any other) are applied one qubit at a time
+    on the whole register."""
+    mats = DensityMatrix.ground(n).mat[None]
+    for q in range(n):
+        preps = [Circuit(n, tuple(GateOp(g, (q,)) for g in gates))
+                 for gates in _PREP_GATES.values()]
+        mats = np.concatenate([evolve(mats, prep, noise) for prep in preps])
+    return mats
+
+
+def reference_process_probs(subject: Circuit, noise, shots: int) -> np.ndarray:
+    """The per-preparation route's (4^n, 3^n, 2^n) probabilities: every
+    preparation of :func:`reference_preparations` run through the subject,
+    Hermitian part taken, and every setting read, with noiseless rotations and
+    readout in analytic mode (``shots == 0``).  ``tomography.process_tomography``
+    hands ``sample`` the same rows in the same order."""
+    outputs = evolve(reference_preparations(subject.n_qubits, noise), subject, noise)
+    outputs = (outputs + outputs.conj().swapaxes(-1, -2)) / 2.0
+    return pauli_distributions(outputs, noise if shots else None)
+
+
+def reference_assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
+    """sum_m kron((x)_q D_{m_q}, outputs[m]) with D_s[a, b] = tomography._DUAL[s, 2a + b]:
+    the unnormalized Choi matrix of a channel from its outputs on the
+    preparations of :func:`reference_preparations`."""
+    d = 2**n
+    # Output entry (r, c) maps its 4^n preparation weights to the bits (a, b)
+    # of (x)_q D; the Choi matrix orders its axes (a, r, b, c).
+    entries = outputs.reshape(4**n, d * d).T[..., None]
+    choi = qmath.kron_map(_DUAL.T.reshape(2, 2, 4, 1), entries, n)
+    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def reference_process_estimate(freqs: np.ndarray, n: int) -> np.ndarray:
+    """The per-preparation route's unprojected Choi estimate from (4^n, 3^n,
+    2^n) frequencies: each preparation's settings inverted on their own, then
+    assembled by :func:`reference_assemble_choi`."""
+    return reference_assemble_choi(_invert_settings(freqs, n), n)
 
 
 def dense_conjugation(mats: np.ndarray, op: GateOp, n_qubits: int) -> np.ndarray:

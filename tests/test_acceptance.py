@@ -36,7 +36,12 @@ from quassert.simulator import (
     sample,
 )
 from quassert.stats import chi2_p_value, regularized_gamma_q
-from quassert.tomography import process_tomography, state_tomography
+from quassert.tomography import (
+    MAX_PROCESS_QUBITS,
+    MAX_STATE_QUBITS,
+    process_tomography,
+    state_tomography,
+)
 
 from conftest import (
     circuit_to_unitary,
@@ -137,14 +142,14 @@ def test_criterion_3_tomography_exactness():
         rng = np.random.default_rng(303)
 
         for _ in range(25):
-            n = int(rng.integers(1, 3))
+            n = int(rng.integers(1, MAX_STATE_QUBITS + 1))
             subject = random_circuit(rng, n, 8)
             truth = evolve(DensityMatrix.ground(n), subject)
             estimate = state_tomography(subject, noise, 0, seed=0)
             assert np.max(np.abs(estimate.mat - truth.mat)) <= 1e-9
 
         for _ in range(25):
-            n = int(rng.integers(1, 3))
+            n = int(rng.integers(1, MAX_PROCESS_QUBITS + 1))
             subject = random_circuit(rng, n, 8)
             truth = circuit_to_choi(subject)
             estimate = process_tomography(subject, noise, 0, seed=0)

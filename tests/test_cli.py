@@ -221,6 +221,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"noise must be a NoiseModel or None, got {kind}"):
             SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"), noise=noise)
 
+    def test_cases_must_differ_in_name(self):
+        # run_sweep seeds each trial from the case name, so two cases named
+        # alike would run on the same seeds.
+        with pytest.raises(ValueError, match="share the name 'p'; trial seeds derive from it"):
+            SweepConfig("s", _sweep_case("p"), _sweep_case("p"))
+
     def test_numbers_stored_as_ints(self):
         config = SweepConfig("s", _sweep_case("pos"), _sweep_case("neg"),
                              shot_grid=(np.int64(10), 20), trials_per_point=np.int64(2))
@@ -583,6 +589,17 @@ class TestCmdSweep:
         path.write_text(json.dumps(doc))
         assert main(["sweep", str(path)]) == 2
         assert "different assertion types" in capsys.readouterr().err
+
+    def test_shared_case_name_exits_two(self, capsys, tmp_path):
+        doc = json.loads(Path(SWEEP_STATE_PATH).read_text())
+        doc["negative_case"]["name"] = doc["positive_case"]["name"]
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = doc["positive_case"]["name"]
+        assert f"share the name {name!r}" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
 on the oldest Python the package declares and on 3.11, once more on 3.11 with
-one OpenBLAS thread, then the installed entry point on a suite and a sweep,
-then a benchmark smoke run on 3.11 with the default."""
+one OpenBLAS thread, then the installed entry point on a suite, a sweep and
+a noisy process sweep, then a benchmark smoke run on 3.11 with the default."""
 
 import re
 from pathlib import Path
@@ -39,6 +39,8 @@ ENTRY_POINT_RUN = (
     'status=0; quassert run suites/bell_pair.json || status=$?; test "$status" -eq 1'
 )
 ENTRY_POINT_SWEEP = "quassert sweep suites/sweep_proj.json --trials 2"
+# Process tomography under noise through the installed console script.
+ENTRY_POINT_NOISY_SWEEP = "quassert sweep suites/sweep_process.json --trials 2 --noise default"
 # Runs every perfbench workload briefly and fails unless its last line reports
 # "correct": true.
 BENCHMARK_SMOKE = (
@@ -54,8 +56,8 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
     job = workflow["jobs"]["tests"]
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-5:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SWEEP,
-                         BENCHMARK_SMOKE]
+    assert runs[-6:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SWEEP,
+                         ENTRY_POINT_NOISY_SWEEP, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20
     floor = re.search(r'^requires-python = ">=([\d.]+)"$',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
@@ -64,8 +66,8 @@ def test_ci_runs_the_tier1_command():
     # Tier-1 also runs on 3.11 with OpenBLAS pinned to one thread.
     assert matrix["openblas-threads"] == [""]
     assert matrix["include"] == [{"python-version": "3.11", "openblas-threads": "1"}]
-    assert job["steps"][-4]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
+    assert job["steps"][-5]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
     setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
-    assert [step.get("if") for step in job["steps"]][-4:] == [
-        None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
+    assert [step.get("if") for step in job["steps"]][-5:] == [
+        None, None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]

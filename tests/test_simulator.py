@@ -43,7 +43,7 @@ from quassert.simulator import (
     pauli_povm,
     sample,
 )
-from quassert.tomography import _preparations
+from quassert.tomography import _forward
 
 from conftest import (
     GATE_POOL_1Q,
@@ -66,6 +66,7 @@ from conftest import (
     reference_choi,
     reference_depolarize,
     reference_evolve_mat,
+    reference_preparations,
     xor_readout,
 )
 
@@ -640,7 +641,7 @@ class TestArrayCaches:
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     def test_cached_arrays_are_read_only_and_bit_identical(self, noise):
         cached = [_gate_superop(gate("h", 3), noise), _gate_superop(gate("cx", 2, 0), noise),
-                  pauli_povm(noise), _preparations(2, noise)]
+                  pauli_povm(noise), _forward(noise, noise), simulator._omega(2)]
         assert _gate_superop(gate("h", 0), noise) is cached[0]
         assert _gate_superop(gate("cx", 0, 1), noise) is cached[1]
         if noise is not None:
@@ -711,15 +712,15 @@ class TestCircuitToChoi:
     def test_runs_the_circuit_once_through_evolve(self, monkeypatch, bell_circuit):
         runs = []
         run = simulator.evolve
-        monkeypatch.setattr(simulator, "evolve",
-                            lambda mats, c: runs.append((mats.shape, c)) or run(mats, c))
+        monkeypatch.setattr(simulator, "evolve", lambda mats, c, noise: runs.append(
+            (mats.shape, c, noise)) or run(mats, c, noise))
         circuit_to_choi(bell_circuit)
-        assert runs == [((1, 16, 16), Circuit(4, bell_circuit.ops))]
+        assert runs == [((1, 16, 16), Circuit(4, bell_circuit.ops), None)]
 
     def test_lost_trace_preservation_raises(self, monkeypatch):
         # Trace 2 and PSD, so a valid Choi matrix, but its input marginal is diag(2, 0).
         monkeypatch.setattr(simulator, "evolve",
-                            lambda mats, c: np.diag([2.0, 0, 0, 0]).astype(complex)[None])
+                            lambda mats, c, noise: np.diag([2.0, 0, 0, 0]).astype(complex)[None])
         with pytest.raises(NumericError, match="lost trace preservation: 1.000e"):
             circuit_to_choi(Circuit(1))
 
@@ -772,7 +773,8 @@ class TestPauliDistributions:
         """The floor makes which probabilities are exactly zero independent of
         the order of the sums, so it matches the rotate-each-setting reference."""
         rng = np.random.default_rng(140 + n)
-        start = DensityMatrix.ground(n).mat[None] if inputs == "ground" else _preparations(n, None)
+        start = (DensityMatrix.ground(n).mat[None] if inputs == "ground"
+                 else reference_preparations(n, None))
         for _ in range(24):
             subject = random_circuit(rng, n, int(rng.integers(0, 2 * n + 1)))
             stack = _evolve_mat(start, subject, None)

@@ -33,7 +33,6 @@ from quassert.simulator import (
 from quassert.tomography import (
     _DUAL,
     SizeLimitError,
-    _assemble_choi,
     _invert_settings,
     _preparations,
     process_tomography,
@@ -46,6 +45,10 @@ from conftest import (
     random_circuit,
     random_density,
     random_hermitian,
+    reference_assemble_choi,
+    reference_preparations,
+    reference_process_estimate,
+    reference_process_probs,
     reference_psd_project,
     xor_readout,
 )
@@ -53,6 +56,9 @@ from conftest import (
 NOISELESS = None
 # Batched and one-matrix inversions of the same counts differ in the last bits.
 REFERENCE_TOL = 1e-15
+# The Choi route and the per-preparation route (conftest) add the same terms in
+# other orders; their projected estimates agreed within 2.6e-15 at n = 1-3.
+CHOI_ROUTE_TOL = 1e-12
 PAULI_BY_LETTER = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
@@ -119,6 +125,14 @@ def record_results(monkeypatch, name):
     return seen
 
 
+def record_args(monkeypatch, name):
+    """Record the arguments of every call of the function the tomography module calls as ``name``."""
+    seen = []
+    original = getattr(tomography, name)
+    monkeypatch.setattr(tomography, name, lambda *args: seen.append(args) or original(*args))
+    return seen
+
+
 def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
     """Reference path: evolve each preparation and the subject as DensityMatrix
     objects and rotate each setting on its own (:func:`per_setting_pauli_probs`).
@@ -147,18 +161,15 @@ def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
     return np.array([_invert_settings(p, n) for p in probs])
 
 
-def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from,
-                                       project_each=False):
-    """Reference path: every preparation's linear inversion, the Choi assembly,
-    then one projection.  ``project_each`` also projects every preparation's
-    estimate before the assembly, as the estimator did before one projection
-    of the Choi matrix replaced it."""
+def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from):
+    """Reference path: every preparation's linear inversion, each projected, the
+    Choi assembly, then one more projection, as the estimator worked before one
+    projection of the Choi matrix replaced the per-preparation ones."""
     n = subject.n_qubits
     preps = [prep for _, prep in preparation_settings(n)]
     outputs = per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from)
-    if project_each:
-        outputs = np.array([reference_psd_project(output, 1.0) for output in outputs])
-    return ChoiMatrix(n, reference_psd_project(_assemble_choi(outputs, n), float(2**n)))
+    outputs = np.array([reference_psd_project(output, 1.0) for output in outputs])
+    return ChoiMatrix(n, reference_psd_project(reference_assemble_choi(outputs, n), float(2**n)))
 
 
 class TestInversionOracles:
@@ -175,7 +186,7 @@ class TestInversionOracles:
         rng = np.random.default_rng(70 + n)
         outputs = np.array([random_hermitian(rng, 2**n) for _ in range(4**n)])
         np.testing.assert_allclose(
-            _assemble_choi(outputs, n), blockwise_choi(outputs, n), rtol=0, atol=1e-12
+            reference_assemble_choi(outputs, n), blockwise_choi(outputs, n), rtol=0, atol=1e-12
         )
 
 
@@ -185,8 +196,10 @@ class TestSettings:
         assert len(pauli_distributions(DensityMatrix.ground(n))) == 3**n
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_preparation_setting_count(self, n):
-        assert _preparations(n, None).shape == (4**n, 2**n, 2**n)
+    def test_preparation_setting_count(self, monkeypatch, n):
+        handed = record_args(monkeypatch, "sample")
+        process_tomography(Circuit(n), NOISELESS, 10, seed=0)
+        assert [args[0].shape for args in handed] == [(4**n, 3**n, 2**n)]
 
     def test_rotations_diagonalize_their_pauli(self):
         # The +1 eigenstate of each Pauli reads outcome 0 in its own basis.
@@ -214,8 +227,9 @@ class TestSettings:
             "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
             "+i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
         }
+        assert np.array_equal(_preparations(None), reference_preparations(1, None))
         for n in (1, 2):
-            stack = _preparations(n, None)
+            stack = reference_preparations(n, None)
             for m, (labels, _) in enumerate(preparation_settings(n)):
                 psi = np.array([1.0 + 0j])
                 for label in reversed(labels):
@@ -230,11 +244,19 @@ class TestSettings:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_preparations_match_evolving_each_circuit(self, n, noise):
         # Exactly Hermitian as built, so the stack needs no symmetrizing.
-        stack = _preparations(n, noise)
+        stack = reference_preparations(n, noise)
         assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
         for m, (_, prep) in enumerate(preparation_settings(n)):
             expected = evolve(DensityMatrix.ground(n), prep, noise).mat
             assert np.array_equal(stack[m], expected), m
+        # Gate noise acts on the gate's qubits only, so each product
+        # preparation is the tensor product of the one-qubit ones, up to rounding.
+        single = _preparations(noise)
+        product = np.ones((1, 1, 1))
+        for _ in range(n):
+            product = (single[:, None, :, None, :, None] * product[None, :, None, :, None, :]
+                       ).reshape(4 * len(product), 2 * product.shape[1], -1)
+        np.testing.assert_allclose(product, stack, rtol=0, atol=1e-15)
 
 
 class TestStateTomography:
@@ -370,25 +392,34 @@ class TestProcessTomography:
 
     @pytest.mark.parametrize(
         "n, shots",
-        [(1, 0), (1, 40), (1, 1000), (2, 0), (2, 40), (2, 1000), (3, 0)],
+        [(1, 0), (1, 40), (1, 1000), (2, 0), (2, 40), (2, 1000), (3, 0), (3, 40)],
     )
     @pytest.mark.parametrize(
         "noise",
-        [None, DEFAULT_NOISE, NoiseModel(0.05, 0.1, 0.07, 0.1)],
-        ids=["noiseless", "default_noise", "strong_noise"],
+        [None, DEFAULT_NOISE, NoiseModel(readout_flip=0.05), NoiseModel(0.05, 0.1, 0.07, 0.1)],
+        ids=["noiseless", "default_noise", "readout_only", "strong_noise"],
     )
     def test_matches_per_preparation_path(self, monkeypatch, n, shots, noise):
+        """The Choi route hands ``sample`` the per-preparation route's
+        probabilities (conftest) in the same row order, and estimates what
+        that route estimates from the same counts, or analytically."""
         rng = np.random.default_rng(500 + 10 * n + shots % 7)
-        seen = record_results(monkeypatch, "pauli_distributions")
-        for trial in range(2):
+        handed = record_args(monkeypatch, "sample")
+        for trial in range(3):
             subject = random_circuit(rng, n, 4 + 3 * trial)
             estimate = process_tomography(subject, noise, shots, seed=31 + trial)
-            reference = per_preparation_process_tomography(
-                subject, noise, shots, 31 + trial, seen[-1]
-            )
-            # Compared as unit-trace states, like the state estimates.
-            np.testing.assert_allclose(estimate.mat / 2**n, reference.mat / 2**n,
-                                       rtol=0, atol=REFERENCE_TOL)
+            freqs = reference_process_probs(subject, noise, shots)
+            if shots:
+                # Drawn from the handed rows, for the reasons
+                # per_preparation_estimates gives.
+                probs, _, seed = handed[-1]
+                assert probs.shape == freqs.shape and seed == 31 + trial
+                np.testing.assert_allclose(probs, freqs, rtol=0, atol=POVM_TOL)
+                if noise is None:
+                    np.testing.assert_array_equal(probs == 0.0, freqs == 0.0)
+                freqs = sample(probs, shots, seed) / shots
+            reference = reference_psd_project(reference_process_estimate(freqs, n), 2.0**n)
+            np.testing.assert_allclose(estimate.mat, reference, rtol=0, atol=CHOI_ROUTE_TOL)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_projection_at_least_as_faithful_as_two(self, monkeypatch, n):
@@ -397,14 +428,14 @@ class TestProcessTomography:
         from quassert.qcore import process_fidelity
 
         rng = np.random.default_rng(900 + n)
-        seen = record_results(monkeypatch, "pauli_distributions")
+        handed = record_args(monkeypatch, "sample")
         once, twice = [], []
         for seed in range(20):
             subject = random_circuit(rng, n, 6)
             truth = circuit_to_choi(subject)
             once.append(process_fidelity(process_tomography(subject, NOISELESS, 40, seed), truth))
             reference = per_preparation_process_tomography(
-                subject, NOISELESS, 40, seed, seen[-1], project_each=True
+                subject, NOISELESS, 40, seed, handed[-1][0]
             )
             twice.append(process_fidelity(reference, truth))
         assert np.mean(once) >= np.mean(twice)
@@ -554,12 +585,13 @@ class TestWorkCounts:
         rotations = [(op.name, op.angle) for op in subject.ops if op.angle is not None]
         assert rotations
         simulator.pauli_povm.cache_clear()
-        tomography._preparations.cache_clear()
+        tomography._forward.cache_clear()
         simulator._superop.cache_clear()
         expansions = self.count_calls(monkeypatch, simulator, "expanded_gate_matrix")
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
-        # The first call also builds the preparations and the POVM: noisy in
-        # sampled mode, noiseless in analytic mode.
+        # The first call also builds the forward map from the one-qubit
+        # preparations, noisy, and the POVM: noisy in sampled mode, noiseless in
+        # analytic mode.
         prep_ops = [gate(g, 0) for gates in tomography._PREP_GATES.values() for g in gates]
         assert len(expansions) == self.cold_expansions(
             (prep_ops, DEFAULT_NOISE), (subject.ops, DEFAULT_NOISE),
@@ -572,6 +604,20 @@ class TestWorkCounts:
         assert [(op.name, op.angle) for op, _ in expansions] == rotations
         assert [a[0].shape for a in draws] == ([(4**n, 3**n, 2**n)] if shots else [])
         assert [a.shape for a, _ in projections] == [(4**n, 4**n)]
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_process_tomography_evolves_one_choi_matrix(self, monkeypatch, n, noise):
+        # The subject runs once, on the 2n-qubit |Omega><Omega| that
+        # circuit_to_choi evolves, under the run's noise in both modes.
+        subject = random_circuit(np.random.default_rng(630 + n), n, 5)
+        runs = self.count_calls(monkeypatch, simulator, "evolve")
+        for shots in (0, 10):
+            process_tomography(subject, noise, shots, seed=2)
+        assert len(runs) == 2
+        for mats, c, run_noise in runs:
+            assert mats is simulator._omega(n)
+            assert c == Circuit(2 * n, subject.ops) and run_noise is noise
 
     @pytest.mark.parametrize("shots", [0, 10])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
