@@ -202,7 +202,11 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
     matrix (divided by its trace, which fidelity reads), all read-only.
 
     The validation shared by :class:`DensityMatrix` and :class:`ChoiMatrix`;
-    ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.
+    ``kind`` starts every message, the trace tolerance is ``1e-9 * trace``.  A
+    matrix whose off-diagonal words are all ``+0.0`` (``qmath.diagonal_words``,
+    one integer count), such as the ground state, is checked, symmetrized and
+    copied on its diagonal alone, with the same results: every off-diagonal
+    term of max |A - A†| is |0 - 0|, and its spectrum needs no LAPACK solve.
     """
     mat = np.asarray(obj.mat, dtype=np.complex128)
     dim = obj.dim
@@ -211,19 +215,29 @@ def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative:
             f"{type(obj).__name__} for {obj.n_qubits} qubit(s) must be {dim}x{dim}, "
             f"got {mat.shape}"
         )
-    if not np.isfinite(mat).all():
+    diagonal = qmath.diagonal_words(mat)
+    part = mat.diagonal() if diagonal else mat
+    if not np.isfinite(part).all():
         raise ValueError(f"{kind} has non-finite entries")
-    herm = np.max(np.abs(mat - mat.conj().T))
+    herm = np.max(np.abs(part - part.conj().T))
     if herm > qmath.HERMITICITY_TOL:
         raise DimensionError(f"{kind} not Hermitian: max |A - A†| = {herm:.3e}")
     tr = complex(np.trace(mat))
     if abs(tr - trace) > 1e-9 * trace:
         raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
-    # The trace is 1 or 2^n: herm / trace is the scaled matrix's deviation, not measured again.
-    values, vectors = qmath.hermitian_eig(mat / trace if trace != 1 else mat, herm / trace)
+    # The trace is 1 or 2^n: herm / trace is the scaled matrix's deviation, not
+    # measured again, and dividing keeps a +0.0 word +0.0.
+    values, vectors = qmath.hermitian_eig(
+        mat / trace if trace != 1 else mat, herm / trace, diagonal
+    )
     if values[0] * trace < -qmath.PSD_CLAMP:
         raise ValueError(f"{kind} {negative} {values[0] * trace:.3e}")
-    _store(obj, (mat + mat.conj().T) / 2.0 if herm else mat.copy(), values, vectors)
+    if diagonal:  # set by a strided slice: np.diag's flat assignment allocates more
+        kept = np.zeros((dim, dim), dtype=np.complex128)
+        kept.reshape(-1)[:: dim + 1] = (part + part.conj()) / 2.0 if herm else part
+    else:
+        kept = (mat + mat.conj().T) / 2.0 if herm else mat.copy()
+    _store(obj, kept, values, vectors)
 
 
 def _store(obj, mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:

@@ -7,7 +7,8 @@ stack of them and treat each matrix on its own; this module keeps only what
 numpy lacks: the finiteness and Hermiticity checks before ``eigh``, whose one
 caller :func:`hermitian_eig` symmetrizes only input not exactly Hermitian and
 solves a single exactly diagonal matrix (a computational-basis state) by
-sorting, the truncating projection, and :func:`kron_map`, the n-fold tensor
+sorting, the integer scan :func:`diagonal_words` that finds such a matrix,
+the truncating projection, and :func:`kron_map`, the n-fold tensor
 power of a one-qubit map that every tomography contraction is.
 """
 
@@ -17,6 +18,8 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-9
 PSD_CLAMP = 1e-8
+# A complex128 entry as its two uint64 words; a same-size view reads any layout.
+_WORDS = np.dtype((np.uint64, 2))
 
 
 class DimensionError(ValueError):
@@ -31,8 +34,16 @@ class DegenerateInputError(ValueError):
     """Input carries no usable positive spectral weight."""
 
 
+def diagonal_words(a: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square complex128 matrix ``a`` is
+    the all-zero word ``+0.0+0.0j``: one integer count over its ``uint64``
+    words against the same count on its diagonal.  A ``-0.0`` entry is a
+    nonzero word, so False does not mean a nonzero entry."""
+    return np.count_nonzero(a.view(_WORDS)) == np.count_nonzero(a.diagonal().view(_WORDS))
+
+
 def hermitian_eig(
-    a: np.ndarray, deviation: float | None = None
+    a: np.ndarray, deviation: float | None = None, diagonal: bool | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or (..., d, d) stack by LAPACK.
 
@@ -43,7 +54,10 @@ def hermitian_eig(
     ``deviation``, max |A - A†|, which is then not computed again.  A single
     exactly Hermitian matrix with no nonzero off-diagonal entry skips LAPACK:
     its real diagonal in stable ascending order, with the identity's columns
-    in that order.
+    in that order.  That decision is :func:`diagonal_words`, then, if a word
+    off the diagonal is nonzero (``-0.0``, say), a count of nonzero entries;
+    a caller that has run the scan already passes its result as ``diagonal``
+    (True only if every off-diagonal entry of ``a`` is known to be zero).
     """
     a = np.asarray(a, dtype=np.complex128)
     dev = deviation
@@ -59,7 +73,10 @@ def hermitian_eig(
             raise DimensionError(
                 f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
             )
-    if dev == 0.0 and a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+    if dev == 0.0 and a.ndim == 2 and (
+        (diagonal_words(a) if diagonal is None else diagonal)
+        or np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+    ):
         order = np.argsort(a.diagonal().real, kind="stable")
         vectors = np.zeros_like(a)  # set d entries, not copy d^2 of an identity
         vectors[order, np.arange(len(a))] = 1.0

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from quassert import qmath
 from quassert.cli import _build, _decode_gate, _expect, _numbers
-from quassert.qcore import Circuit, DensityMatrix, GateOp, expanded_gate_matrix, gate
+from quassert.qcore import Circuit, DensityMatrix, GateOp, _store, expanded_gate_matrix, gate
 from quassert.simulator import (
     PROBABILITY_FLOOR,
     _blocks,
@@ -55,6 +55,40 @@ def count_lapack_solves(monkeypatch) -> list:
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
     return solved
+
+
+def reference_store_checked_matrix(obj, kind, trace, trace_text, negative) -> None:
+    """``qcore._store_checked_matrix`` with every check on the full matrix: its
+    finiteness, max |A - A†| over every entry, and the no-LAPACK shortcut of
+    ``qmath.hermitian_eig`` decided by two counts of nonzero complex entries.
+    ``src/`` checks a matrix whose off-diagonal words are all ``+0.0`` on its
+    diagonal alone, to the same bytes and the same exceptions."""
+    mat = np.asarray(obj.mat, dtype=np.complex128)
+    dim = obj.dim
+    if mat.shape != (dim, dim):
+        raise qmath.DimensionError(
+            f"{type(obj).__name__} for {obj.n_qubits} qubit(s) must be {dim}x{dim}, "
+            f"got {mat.shape}"
+        )
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{kind} has non-finite entries")
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm > qmath.HERMITICITY_TOL:
+        raise qmath.DimensionError(f"{kind} not Hermitian: max |A - A†| = {herm:.3e}")
+    tr = complex(np.trace(mat))
+    if abs(tr - trace) > 1e-9 * trace:
+        raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
+    a = mat / trace if trace != 1 else mat
+    if herm == 0.0 and np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+        order = np.argsort(a.diagonal().real, kind="stable")
+        vectors = np.zeros_like(a)
+        vectors[order, np.arange(len(a))] = 1.0
+        values = a.diagonal().real[order]
+    else:
+        values, vectors = np.linalg.eigh(a if herm == 0.0 else (a + a.conj().T) / 2.0)
+    if values[0] * trace < -qmath.PSD_CLAMP:
+        raise ValueError(f"{kind} {negative} {values[0] * trace:.3e}")
+    _store(obj, (mat + mat.conj().T) / 2.0 if herm else mat.copy(), values, vectors)
 
 
 def reference_number_array(value, where: str, depth: int) -> np.ndarray:

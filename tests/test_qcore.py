@@ -7,6 +7,8 @@ explicit index-pair sum.
 """
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from quassert import qcore
 from quassert.qcore import (
     ChoiMatrix,
     Circuit,
@@ -44,6 +47,7 @@ from conftest import (
     random_density,
     random_pure_state,
     reference_fidelity,
+    reference_store_checked_matrix,
     trace_norm,
 )
 
@@ -597,6 +601,99 @@ class TestStoredSpectrum:
         for other in (bell_circuit, mutated_circuit):
             a, b = circuit_to_choi(bell_circuit), circuit_to_choi(other)
             assert process_fidelity(a, b) == reference_fidelity(a.mat / 4, b.mat / 4)
+
+
+# Imaginary parts around HERMITICITY_TOL (the deviation is twice the largest)
+# and real entries around -PSD_CLAMP, on either side of each bound.
+IMAGINARY = st.sampled_from([0.0, -0.0, 1e-12, -4.9e-10, 4.9e-10, 5.1e-10, -1e-6])
+NEGATIVE = st.sampled_from([-5e-9, -2e-8, -0.25])
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+TRACE_SCALE = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 + 3e-9, 1.0 - 3e-9])
+LAYOUTS = st.sampled_from(["C", "F", "read-only", "strided", "real"])
+
+
+@st.composite
+def diagonal_inputs(draw):
+    """A density (n = 1-7) or Choi (n = 1-3) matrix input that is diagonal in
+    value, with the edge cases of diagonal validation: ``-0.0`` words off and
+    on the diagonal, a non-finite diagonal entry, imaginary parts around
+    ``HERMITICITY_TOL``, negative entries around ``-PSD_CLAMP``, a trace off
+    by more than its tolerance, and Fortran-ordered, read-only, strided or
+    real input.  Returns ``(cls, n, mat)``."""
+    cls = draw(st.sampled_from([DensityMatrix, ChoiMatrix]))
+    n = draw(st.integers(1, 7 if cls is DensityMatrix else 3))
+    dim, trace = (2**n, 1) if cls is DensityMatrix else (4**n, 2**n)
+    real = draw(hnp.arrays(np.float64, dim, elements=st.floats(0.0, 1.0)))
+    real = real / real.sum() * trace if real.sum() > 0.0 else np.eye(1, dim)[0] * trace
+    if draw(st.booleans()):
+        real = np.where(real == 0.0, -0.0, real)
+    if dim > 2 and draw(st.booleans()):
+        k, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        negative = draw(NEGATIVE)
+        real[j] += real[k] - negative
+        real[k] = negative
+    real *= draw(TRACE_SCALE)
+    imag = draw(hnp.arrays(np.float64, dim, elements=IMAGINARY))
+    if draw(st.booleans()):
+        part = draw(st.sampled_from([real, imag]))
+        part[draw(st.integers(0, dim - 1))] = draw(NON_FINITE)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat.real[np.diag_indices(dim)], mat.imag[np.diag_indices(dim)] = real, imag
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        draw(st.sampled_from([mat.real, mat.imag]))[i, j] = -0.0
+    layout = draw(LAYOUTS)
+    if layout == "F":
+        mat = np.asfortranarray(mat)
+    elif layout == "read-only":
+        mat.flags.writeable = False
+    elif layout == "strided":
+        wide = np.ones((2 * dim, 3 * dim), dtype=np.complex128)
+        wide[1::2, ::3] = mat
+        mat = wide[1::2, ::3]
+    elif layout == "real":
+        mat = mat.real
+    return cls, n, mat
+
+
+def validation_outcome(cls, n: int, mat: np.ndarray):
+    """The stored matrix and spectrum of ``cls(n, mat)`` as bytes, or the type
+    and message of the exception it raised."""
+    try:
+        value = cls(n, mat)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.flags.writeable, a.tobytes())
+            for a in (value.mat, *value._spectrum)]
+
+
+class TestDiagonalValidation:
+    """A matrix whose off-diagonal words are all +0.0 is checked on its diagonal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(diagonal_inputs())
+    def test_same_bytes_and_errors_as_full_validation(self, case):
+        cls, n, mat = case
+        expected = mat.copy()
+        got = validation_outcome(cls, n, mat)
+        with mock.patch.object(qcore, "_store_checked_matrix", reference_store_checked_matrix):
+            assert got == validation_outcome(cls, n, mat)
+        assert mat.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cls, n", [(DensityMatrix, 5), (DensityMatrix, 7), (ChoiMatrix, 3)])
+    def test_keeps_only_the_stored_copy_and_the_eigenvectors(self, cls, n):
+        """Peak traced memory while validating a prebuilt diagonal matrix: the
+        stored copy and the eigenvectors, no full-size temporaries."""
+        dim, trace = (2**n, 1) if cls is DensityMatrix else (4**n, 2**n)
+        weights = np.arange(dim, 0, -1, dtype=float)
+        mat = np.diag(weights / weights.sum() * trace).astype(complex)
+        tracemalloc.start()
+        try:
+            cls(n, mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * dim * dim * 16
 
 
 @st.composite

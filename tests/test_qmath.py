@@ -20,6 +20,7 @@ from quassert.qmath import (
     DegenerateInputError,
     DimensionError,
     NumericError,
+    diagonal_words,
     hermitian_eig,
     kron,
     kron_map,
@@ -188,6 +189,27 @@ class TestDiagonalShortcut:
         assert solved == []
         assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
         assert np.array_equal(vectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_signed_zero_off_the_diagonal_needs_no_lapack_solve(self, monkeypatch):
+        # A -0.0 entry is a nonzero word: the integer scan says no, the count
+        # of nonzero entries still finds the matrix diagonal.
+        a = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+        a[0, 1] = a[1, 0] = -0.0
+        assert not diagonal_words(a) and diagonal_words(np.diag(a.diagonal()))
+        solved = count_lapack_solves(monkeypatch)
+        values, vectors = hermitian_eig(a)
+        assert solved == []
+        assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
+        assert np.array_equal(vectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_diagonal_words_reads_any_layout(self):
+        a = np.diag([0.25, 0.75, 0.0]).astype(complex)
+        wide = np.ones((6, 9), dtype=complex)
+        wide[::2, ::3] = a
+        for layout in (a, np.asfortranarray(a), wide[::2, ::3]):
+            assert diagonal_words(layout)
+        wide[2, 0] = 1e-300j
+        assert not diagonal_words(wide[::2, ::3])
 
     def test_stack_of_diagonals_goes_to_eigh(self, monkeypatch):
         stack = np.array([np.diag(d) for d in ([3.0, 1.0, 2.0], [0.0, 0.0, 1.0])], dtype=complex)

@@ -1,8 +1,11 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
 on the oldest Python the package declares and on 3.11, once more on 3.11 with
 one OpenBLAS thread, then the installed entry point on a suite, a sweep and
-a noisy process sweep, then a benchmark smoke run on 3.11 with the default."""
+a noisy process sweep, then a benchmark smoke run on 3.11 with the default.
+Every ``BENCH_<n>.json`` at the root parses and names the machine it was
+measured on."""
 
+import json
 import re
 from pathlib import Path
 
@@ -71,3 +74,30 @@ def test_ci_runs_the_tier1_command():
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
     assert [step.get("if") for step in job["steps"]][-5:] == [
         None, None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
+
+
+def bench_file_problems(name: str, text: str) -> list[str]:
+    """What a ``BENCH_<n>.json`` lacks: it must parse as a JSON object whose
+    ``machine`` records the CPU count ``nproc`` and the ``numpy`` version."""
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        return [f"{name}: not JSON ({exc})"]
+    machine = record.get("machine") if isinstance(record, dict) else None
+    if not isinstance(machine, dict):
+        return [f"{name}: no machine record"]
+    return [f"{name}: machine.{key} missing" for key in ("nproc", "numpy") if key not in machine]
+
+
+def test_every_bench_file_records_its_machine():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    assert [p for f in files for p in bench_file_problems(f.name, f.read_text(encoding="utf-8"))] == []
+
+
+def test_bench_file_scan_flags_planted_problems():
+    [unparsed] = bench_file_problems("a", "{")
+    assert unparsed.startswith("a: not JSON (")
+    assert bench_file_problems("b", "[]") == ["b: no machine record"]
+    assert bench_file_problems("c", '{"machine": {"nproc": 2}}') == ["c: machine.numpy missing"]
+    assert bench_file_problems("d", '{"machine": {"nproc": 2, "numpy": "2.4.6"}}') == []
