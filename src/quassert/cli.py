@@ -423,7 +423,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     suite = replace(suite, defaults=defaults, save_data=save_data)
     if args.save_data is not None:
         # Made before the run, so an unusable DIR fails before anything executes.
-        Path(args.save_data).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.save_data).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at DIR or above it, no permission
+            _fail("--save-data", f"{args.save_data!r} is not a usable directory ({exc.strerror})")
 
     report = run_suite(suite)
     sys.stdout.write(format_report(report, args.format))

@@ -12,20 +12,14 @@ and its noise are one 4^k x 4^k Liouville superoperator (Wood, Biamonte and
 Cory, QIC 15, 759, 2015).  The channel of an angle-free gate is built once per
 gate, size and noise model; a rotation's once per gate.  :func:`_blocks`
 groups those channels into blocks on at most two qubits, fusing gates as
-state-vector simulators do on registers of five or more qubits, and
-:func:`_evolve_mat` applies each block with one transposed copy and one matmul
-into two reused work buffers.
+state-vector simulators do on registers of five or more qubits, and one
+loop, :func:`_evolve_mat`, applies every block, as described there.
 :func:`evolve` and :func:`pauli_distributions` accept a ``(B, 2^n, 2^n)``
 stack as well as a DensityMatrix, which is the B = 1 case of the same code.
 A stack stays raw: it is validated where it enters as a DensityMatrix, not
 after every gate.  Process tomography evolves Choi matrices so (:func:`_choi_mat`),
 and ``proj`` its validated ground state, of which it asks only the diagonal
-(``evolve(..., diagonal=True)``).  From five qubits on, that evolves each
-qubit only inside its light cone (:func:`_cone_diagonal`): a qubit still in
-|0><0| carries no bit axes until its first block, and after its last block
-it keeps one.  Such products can have fewer than 4 columns, which OpenBLAS
-rounds differently from the wide products of a full evolution, so they run
-zero-padded to 4 columns, and the diagonal keeps the full evolution's bits.
+(``evolve(..., diagonal=True)``).
 
 Noise is gate-attached: after every gate a depolarizing channel acts on that
 gate's qubits, and amplitude damping additionally acts on single-qubit gate
@@ -290,50 +284,6 @@ def _block_plan(
     return fed, left, _sub_channel(k, start, done) if start or done else None
 
 
-def _evolve_mat(
-    mats: np.ndarray, c: Circuit, noise: NoiseModel | None, diagonal: bool = False
-) -> np.ndarray:
-    """Run every matrix of a (..., 2^n, 2^n) stack through the circuit, block by
-    block of :func:`_blocks`; with ``diagonal``, return only the real (..., 2^n)
-    computational-basis diagonals.
-
-    The stack is viewed as (B,) + (2,) * 2n: qubit q's row bit is axis n - q,
-    its column bit 2n - q.  A block moves its row bits, then its column bits
-    (``qubits[0]`` last in each), in front of the other axes, which keep their
-    order: one transposed copy into a work buffer, skipped when those bits are
-    in front already, and one (4^k, 4^k) @ (B, 4^k, M) matmul into the other,
-    so the stack keeps the last block's axis order up to one final copy.  B is a
-    matmul batch axis: a matrix evolves to the same bits alone or in a stack.
-
-    With ``diagonal`` from ``_FUSE_FROM_QUBITS`` qubits on, the same kernel
-    runs in :func:`_cone_diagonal` on the live bit axes only: a qubit in
-    |0><0| in every matrix joins at its first block, each qubit collapses to
-    one bit axis after its last, and a product of fewer than 4 columns is
-    zero-padded to 4, since OpenBLAS rounds narrower products differently from
-    the full evolution's wide ones.  Below, the diagonal of the full
-    evolution is read."""
-    n = c.n_qubits
-    blocks = _blocks(c.ops, noise, n)
-    if diagonal and n >= _FUSE_FROM_QUBITS:
-        return _cone_diagonal(mats.reshape(-1, 4**n), blocks, n).reshape(mats.shape[:-1])
-    view = mats.reshape((-1,) + (2,) * (2 * n))
-    buffers = [np.empty(view.shape, np.complex128) for _ in range(2)]  # view: mats or [0]
-    layout = plain = list(range(1, 2 * n + 1))  # the bit axis at each position of view
-    for qubits, channel in blocks:
-        front = [half + n - q for half in (0, n) for q in reversed(qubits)]
-        if layout[: len(front)] != front:
-            moved = front + [axis for axis in layout if axis not in front]
-            np.copyto(buffers[1], view.transpose([0] + [layout.index(a) + 1 for a in moved]))
-            buffers.reverse()
-            view, layout = buffers[0], moved
-        rows = (len(view), len(channel), -1)
-        np.matmul(channel, view.reshape(rows), out=buffers[1].reshape(rows))
-        buffers.reverse()
-        view = buffers[0]
-    mats = view.transpose([0] + [layout.index(a) + 1 for a in plain]).reshape(mats.shape)
-    return mats.diagonal(0, -2, -1).real.copy() if diagonal else mats
-
-
 @functools.lru_cache(maxsize=8)
 def _live_entries(n: int, cold: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The flat indices, ascending and read-only, of a 2^n x 2^n matrix's
@@ -345,82 +295,122 @@ def _live_entries(n: int, cold: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return entries, tuple(a for a in range(1, 2 * n + 1) if not cold >> (-a % n) & 1)
 
 
-def _cone_diagonal(
-    mats: np.ndarray, blocks: list[tuple[tuple[int, ...], np.ndarray]], n: int
+@functools.lru_cache(maxsize=512)
+def _diagonal_entries(n: int, layout: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The flat indices, read-only, at which a (B,) + (2,) * len(layout) view
+    with the bit axes ``layout`` (qubit q's row bit n - q, column bit 2n - q)
+    holds each outcome's diagonal entry, outcomes ascending: every axis reads
+    the outcome's bit on its qubit.  Then None when every qubit has an axis,
+    else the outcomes held, read-only: those whose bits are 0 on the qubits
+    without one."""
+    outcomes = np.arange(2**n)
+    qubits = [-a % n for a in layout]
+    place = 2 ** np.arange(len(layout))[::-1]  # each axis's weight in a flat index
+    entries = (outcomes[:, None] >> np.array(qubits, np.intp) & 1) @ place
+    bare = (1 << n) - 1 & ~sum(1 << q for q in set(qubits))
+    live = np.flatnonzero(outcomes & bare == 0) if bare else None
+    if live is not None:
+        entries = entries[live]
+        live.flags.writeable = False
+    entries.flags.writeable = False
+    return entries, live
+
+
+def _evolve_mat(
+    mats: np.ndarray, c: Circuit, noise: NoiseModel | None, diagonal: bool = False
 ) -> np.ndarray:
-    """The real (B, 2^n) diagonals of a (B, 4^n) stack of flattened matrices
-    run through the blocks, each qubit evolved only between its first and last
-    block: bit for bit the diagonals of :func:`_evolve_mat`'s full evolution.
+    """Run every matrix of a (..., 2^n, 2^n) stack through the circuit, block by
+    block of :func:`_blocks`; with ``diagonal``, return only the real (..., 2^n)
+    computational-basis diagonals, bit for bit those of the full evolution.
 
-    This is :func:`_evolve_mat`'s kernel on the bit axes that are live.  A
-    qubit is cold when its row and column bits are 0 in every nonzero entry of
-    the stack, as every qubit of the ground state is.  It carries no axes
+    The stack is viewed as (B,) + (2,) * 2n: qubit q's row bit is axis n - q,
+    its column bit 2n - q.  A block moves the bit axes it reads
+    (:func:`_block_plan`: its row bits, then its column bits, ``qubits[0]``
+    last in each) in front of the other axes, which keep their order: one
+    transposed copy into a work buffer, skipped when those bits are in front
+    already, and one (rows, columns) @ (B, columns, M) matmul into the other,
+    so the stack keeps the last block's axis order up to one final copy.  B is
+    a matmul batch axis: a matrix evolves to the same bits alone or in a stack.
+    The full evolution reads and leaves every bit axis of each block and
+    applies its whole channel.
+
+    With ``diagonal`` from ``_FUSE_FROM_QUBITS`` qubits on, each qubit is
+    evolved only in its light cone, between its first and last block.  A
+    qubit is cold when its row and column bits are 0 in every nonzero entry
+    of the stack, as every qubit of the ground state is.  It carries no axes
     until its first block, which applies only the channel columns whose bits
-    on it are 0: the full evolution's sums without their zero terms.  After its
-    last block a qubit's coherences are never read, so that block computes
-    only the channel rows whose row and column bits agree on it, and the qubit
-    keeps one bit axis, labelled n - q.  A cold qubit that no block touches
-    reads bit 0; the diagonal of any other such qubit is taken at the end.
+    on it are 0: the full evolution's sums without their zero terms.  After
+    its last block a qubit's coherences are never read, so that block
+    computes only the channel rows whose row and column bits agree on it, and
+    the qubit keeps one bit axis, labelled n - q.  A product the cone leaves
+    fewer than 4 columns per matrix runs zero-padded to 4, since OpenBLAS
+    rounds a product of 1-3 columns differently from the same columns inside
+    the full evolution's wide products; M is a power of two, so 4 is enough.
 
-    The 4-column floor: a matmul whose operand has fewer than 4 columns per
-    matrix runs on it zero-padded to 4.  OpenBLAS rounds a product of 1-3
-    columns differently from the same columns inside the wide products of the
-    full evolution; M is a power of two, so 4 is enough."""
-    b = len(mats)
-    bits = int(np.bitwise_or.reduce(np.flatnonzero(mats.any(axis=0))))
-    cold = ~(bits | bits >> n) & ((1 << n) - 1)  # bit q set: qubit q is cold
-    first, last = {}, {}
-    for i, (qubits, _) in enumerate(blocks):
-        for q in qubits:
-            first.setdefault(q, i)
-            last[q] = i
-    start, done = [()] * len(blocks), [()] * len(blocks)  # each block's local bits
-    for q, i in first.items():
-        if cold >> q & 1:
-            start[i] += (blocks[i][0].index(q),)
-    for q, i in last.items():
-        done[i] += (blocks[i][0].index(q),)
-    view = mats.reshape((b,) + (2,) * (2 * n))
+    Every diagonal is read from the last block's axes by selection alone
+    (:func:`_diagonal_entries`): a qubit that kept both bit axes has its
+    diagonal taken, and a cold qubit that no block touched reads bit 0."""
+    n = c.n_qubits
+    blocks = _blocks(c.ops, noise, n)
+    b = mats.size >> 2 * n
+    view = mats.reshape(b, 4**n)
     layout = tuple(range(1, 2 * n + 1))  # the bit axis at each position of view
-    if cold:
-        entries, layout = _live_entries(n, cold)
-        view = mats.take(entries, axis=1).reshape((b,) + (2,) * len(layout))
-    buffers = [np.empty(b * 4**n, np.complex128) for _ in range(2)]  # view: mats or [0]
+    start = done = [()] * len(blocks)  # each block's local bits that join and finish
+    cone = diagonal and n >= _FUSE_FROM_QUBITS
+    if cone:
+        bits = int(np.bitwise_or.reduce(np.flatnonzero(view.any(axis=0))))
+        cold = ~(bits | bits >> n) & ((1 << n) - 1)  # bit q set: qubit q is cold
+        first, last = {}, {}
+        for i, (qubits, _) in enumerate(blocks):
+            for q in qubits:
+                first.setdefault(q, i)
+                last[q] = i
+        start, done = [()] * len(blocks), [()] * len(blocks)
+        for q, i in first.items():
+            if cold >> q & 1:
+                start[i] += (blocks[i][0].index(q),)
+        for q, i in last.items():
+            done[i] += (blocks[i][0].index(q),)
+        if cold:
+            entries, layout = _live_entries(n, cold)
+            view = view.take(entries, axis=1)
+    view = view.reshape((b,) + (2,) * len(layout))
+    work = [np.empty(b * 4**n, np.complex128)[: view.size].reshape(view.shape)
+            for _ in range(2)]  # view: mats or work[0]
     for (qubits, channel), begin, end in zip(blocks, start, done):
         fed, left, index = _block_plan(n, qubits, begin, end)
-        if index is not None:
-            channel = channel.take(index)
         if layout[: len(fed)] != fed:
             moved = fed + tuple([axis for axis in layout if axis not in fed])
-            target = buffers[1][: view.size].reshape(view.shape)
-            np.copyto(target, view.transpose([0] + [layout.index(a) + 1 for a in moved]))
-            buffers.reverse()
-            view, layout = target, moved
-        layout = left + layout[len(fed):]
+            np.copyto(work[1], view.transpose([0] + [layout.index(a) + 1 for a in moved]))
+            work.reverse()
+            view, layout = work[0], moved
+        if index is not None:  # a qubit joins or finishes: re-cut both work buffers
+            channel = channel.take(index)
+            layout = left + layout[len(fed):]
+            work = [w.base[: b << len(layout)].reshape((b,) + (2,) * len(layout)) for w in work]
         operand = view.reshape(b, channel.shape[1], -1)
-        rows, width = len(channel), operand.shape[2]
-        out = buffers[1][: b * rows * width].reshape(b, rows, width)
-        if width < 4:  # the 4-column floor
-            padded = np.zeros((b, channel.shape[1], 4), np.complex128)
+        out = work[1].reshape(b, len(channel), -1)
+        width = operand.shape[2]
+        if width < 4 and cone:  # the 4-column floor
+            padded = np.zeros(operand.shape[:2] + (4,), np.complex128)
             padded[..., :width] = operand
-            wide = np.empty((b, rows, 4), np.complex128)
+            wide = np.empty(out.shape[:2] + (4,), np.complex128)
             np.matmul(channel, padded, out=wide)
             out[...] = wide[..., :width]
         else:
             np.matmul(channel, operand, out=out)
-        buffers.reverse()
-        view = out.reshape((b,) + (2,) * len(layout))
-    axes = [0, *layout]
-    for q in range(n):
-        if 2 * n - q in axes:  # a qubit no block touched: its diagonal, as the last axis
-            view = view.diagonal(0, axes.index(n - q), axes.index(2 * n - q))
-            axes = [axis for axis in axes if axis not in (n - q, 2 * n - q)] + [n - q]
-    view = view.transpose([axes.index(a) for a in range(n + 1) if a in axes]).real
-    if len(axes) > n:
-        return np.ascontiguousarray(view).reshape(b, 2**n)
-    probs = np.zeros((b,) + (2,) * n)  # cold qubits no block touched read bit 0
-    probs[(slice(None),) + tuple(slice(None) if a in axes else 0 for a in range(1, n + 1))] = view
-    return probs.reshape(b, 2**n)
+        work.reverse()
+        view = work[0]
+    if not diagonal:
+        plain = [0] + [layout.index(a) + 1 for a in range(1, 2 * n + 1)]
+        return view.transpose(plain).reshape(mats.shape)
+    entries, live = _diagonal_entries(n, layout)
+    held = view.reshape(b, -1).real.take(entries, axis=1)
+    if live is None:
+        return held.reshape(mats.shape[:-1])
+    probs = np.zeros((b, 2**n))  # a cold qubit that no block touched reads bit 0
+    probs[:, live] = held
+    return probs.reshape(mats.shape[:-1])
 
 
 def _stack_of(state: DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:
@@ -452,12 +442,9 @@ def evolve(
     complex128 stack: unlike a DensityMatrix result it is neither validated nor
     symmetrized.  With ``diagonal`` only the real computational-basis
     diagonals are returned, unnormalized: shape (B, 2^n) for a stack, (2^n,)
-    for a DensityMatrix, bit for bit the diagonal of the full evolution, which
-    from ``_FUSE_FROM_QUBITS`` qubits on is never formed: each qubit is then
-    evolved only from its first block (or the start, unless it is in |0><0|
-    in every matrix) to its last, with products of fewer than 4 columns
-    zero-padded to 4 so that OpenBLAS rounds them as in the full evolution
-    (:func:`_cone_diagonal`).
+    for a DensityMatrix, bit for bit the diagonal of the full evolution, of
+    which from ``_FUSE_FROM_QUBITS`` qubits on only each qubit's light cone is
+    evolved (:func:`_evolve_mat`).
     """
     mats, n = _stack_of(state)
     if n != c.n_qubits:

@@ -40,7 +40,7 @@ def regularized_gamma_q(s: float, x: float) -> float:
     x = float(x)
     if s <= 0.0 or not (2.0 * s).is_integer():
         raise ValueError(f"s must be a positive multiple of 1/2, got {s}")
-    if x < 0.0:
+    if not x >= 0.0:  # NaN too
         raise ValueError(f"x must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
@@ -55,8 +55,8 @@ def regularized_gamma_q(s: float, x: float) -> float:
 
 def chi2_p_value(statistic: float, dof: int) -> float:
     """Survival probability of the chi-squared distribution at ``statistic``."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
+    if isinstance(dof, bool) or not isinstance(dof, (int, np.integer)) or dof < 1:
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
 
 

@@ -499,6 +499,9 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(out_dir) in captured.err
+        assert "--save-data" in captured.err
+        assert captured.err.startswith(f"error: --save-data: {str(out_dir)!r} is not a usable "
+                                       "directory (")
 
     def test_save_data_field_alone_writes_no_file(self, capsys, tmp_path, monkeypatch, tiny_suite):
         doc = json.loads(Path(tiny_suite).read_text())

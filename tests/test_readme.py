@@ -1,10 +1,12 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
 on the oldest Python the package declares and on 3.11, once more on 3.11 with
-one OpenBLAS thread, then the installed entry point on a suite, a sweep and
-a noisy process sweep, then a benchmark smoke run on 3.11 with the default.
+one OpenBLAS thread, then the installed entry point on a suite, a sweep, a
+noisy process sweep and a noisy state sweep, then a benchmark smoke run on
+3.11 with the default.
 Every ``BENCH_<n>.json`` at the root parses and names the machine it was
-measured on."""
+measured on, and every private name the README's module table cites exists."""
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -44,6 +46,8 @@ ENTRY_POINT_RUN = (
 ENTRY_POINT_SWEEP = "quassert sweep suites/sweep_proj.json --trials 2"
 # Process tomography under noise through the installed console script.
 ENTRY_POINT_NOISY_SWEEP = "quassert sweep suites/sweep_process.json --trials 2 --noise default"
+# State tomography under noise, the one protocol whose sweep ran only in tests.
+ENTRY_POINT_NOISY_STATE_SWEEP = "quassert sweep suites/sweep_state.json --trials 2 --noise default"
 # Runs every perfbench workload briefly and fails unless its last line reports
 # "correct": true.
 BENCHMARK_SMOKE = (
@@ -59,8 +63,8 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
     job = workflow["jobs"]["tests"]
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-6:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SWEEP,
-                         ENTRY_POINT_NOISY_SWEEP, BENCHMARK_SMOKE]
+    assert runs[-7:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SWEEP,
+                         ENTRY_POINT_NOISY_SWEEP, ENTRY_POINT_NOISY_STATE_SWEEP, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20
     floor = re.search(r'^requires-python = ">=([\d.]+)"$',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
@@ -69,11 +73,11 @@ def test_ci_runs_the_tier1_command():
     # Tier-1 also runs on 3.11 with OpenBLAS pinned to one thread.
     assert matrix["openblas-threads"] == [""]
     assert matrix["include"] == [{"python-version": "3.11", "openblas-threads": "1"}]
-    assert job["steps"][-5]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
+    assert job["steps"][-6]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
     setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
-    assert [step.get("if") for step in job["steps"]][-5:] == [
-        None, None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
+    assert [step.get("if") for step in job["steps"]][-6:] == [
+        None, None, None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
 
 
 def bench_file_problems(name: str, text: str) -> list[str]:
@@ -101,3 +105,28 @@ def test_bench_file_scan_flags_planted_problems():
     assert bench_file_problems("b", "[]") == ["b: no machine record"]
     assert bench_file_problems("c", '{"machine": {"nproc": 2}}') == ["c: machine.numpy missing"]
     assert bench_file_problems("d", '{"machine": {"nproc": 2, "numpy": "2.4.6"}}') == []
+
+
+def private_name_problems(readme: str) -> tuple[list[str], list[str]]:
+    """The underscore-prefixed names the module table's rows cite, as
+    ``module._name`` (or ``_name``, in the row's own module), and those of
+    them that the module does not define."""
+    cited = []
+    for module, contents in re.findall(r"^\| `(\w+)`\s*\| (.*) \|$", readme, re.M):
+        cited += [f"{owner or module}.{name}"
+                  for owner, name in re.findall(r"`(?:(\w+)\.)?(_\w+)`", contents)]
+    missing = [ref for ref in cited if not hasattr(
+        importlib.import_module(f"quassert.{ref.split('.')[0]}"), ref.split(".")[1])]
+    return cited, missing
+
+
+def test_readme_cites_only_private_names_that_exist():
+    cited, missing = private_name_problems(README)
+    assert "simulator._blocks" in cited and "tomography._choi_mat" not in cited
+    assert missing == []
+
+
+def test_private_name_scan_flags_planted_problems():
+    row = "| `simulator` | a loop (`_evolve_mat`, `_gone`), with `qcore._from_projection` and `_x y` |"
+    assert private_name_problems(row) == (
+        ["simulator._evolve_mat", "simulator._gone", "qcore._from_projection"], ["simulator._gone"])

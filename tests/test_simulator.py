@@ -545,6 +545,47 @@ class TestDiagonalEvolution:
         assert sizes == [(4 ** len(op.qubits), 4**n) for op in c.ops]
 
 
+class TestFullEvolutionOperands:
+    """The full evolution, and the diagonal one below _FUSE_FROM_QUBITS, run
+    _evolve_mat's block loop on whole channels and every bit axis: one matmul
+    per block, on a (B, 4^k, 4^(n - k)) operand that the 4-column floor of
+    the light cone never pads.  So one-qubit gates on one qubit and two-qubit
+    gates on two multiply 1-column operands, the bits every output below
+    _FUSE_FROM_QUBITS is pinned to."""
+
+    @staticmethod
+    def operand_shapes(monkeypatch, state, c, diagonal):
+        """The (channel, operand) shapes of every matmul of one evolution."""
+        shapes, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: shapes.append((a.shape, b.shape))
+                            or matmul(a, b, out=out))
+        evolve(state, c, DEFAULT_NOISE, diagonal=diagonal)
+        monkeypatch.undo()
+        return shapes
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_whole_matmul_per_block(self, monkeypatch, n):
+        rng = np.random.default_rng(1030 + n)
+        stack = np.array([random_density(rng, n) for _ in range(2)])
+        c = random_circuit(rng, n, 4 * n)
+        sizes = [len(qubits) for qubits, _ in _blocks(c.ops, DEFAULT_NOISE, n)]
+        for state, b in ((stack, 2), (DensityMatrix.ground(n), 1)):
+            expected = [((4**k, 4**k), (b, 4**k, 4 ** (n - k))) for k in sizes]
+            assert self.operand_shapes(monkeypatch, state, c, False) == expected
+            if n < _FUSE_FROM_QUBITS:
+                assert self.operand_shapes(monkeypatch, state, c, True) == expected
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    @pytest.mark.parametrize("c", [
+        Circuit(1, (gate("h", 0), gate("rz", 0, angle=0.3), gate("t", 0))),
+        Circuit(2, (gate("cx", 0, 1), gate("cz", 1, 0), gate("swap", 0, 1), gate("cx", 1, 0))),
+    ], ids=["one_qubit", "two_qubits"])
+    def test_register_wide_gates_multiply_one_column_unpadded(self, monkeypatch, c, diagonal):
+        n = c.n_qubits
+        shapes = self.operand_shapes(monkeypatch, DensityMatrix.ground(n), c, diagonal)
+        assert shapes == [((4**n, 4**n), (1, 4**n, 1))] * len(c.ops)
+
+
 class TestGateKernel:
     """The channel kernel against the dense U rho U^dag, followed by the
     moveaxis forms of the noise channels."""

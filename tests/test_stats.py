@@ -87,6 +87,11 @@ class TestRegularizedGammaQ:
         with pytest.raises(ValueError, match="multiple of 1/2"):
             regularized_gamma_q(0.3, 1.0)
 
+    def test_nan_x_rejected_like_a_negative_one(self):
+        # NaN compares False with 0.0 in every order, so a bare x < 0 lets it through.
+        with pytest.raises(ValueError, match="x must be non-negative, got nan"):
+            regularized_gamma_q(1.5, math.nan)
+
     @pytest.mark.parametrize(
         "twice_s", [1, 2, 3, 4, 7, 16, 31, 80, 127, 512, 1023, 4095, 8191, 16384, 65535]
     )
@@ -118,6 +123,18 @@ class TestChi2PValue:
     def test_dof_validated(self):
         with pytest.raises(ValueError):
             chi2_p_value(1.0, 0)
+
+    @pytest.mark.parametrize("dof", [True, False, 2.5, 3.0, -1, "3", None])
+    def test_dof_must_be_a_positive_integer(self, dof):
+        with pytest.raises(ValueError, match=f"dof must be a positive integer, got {dof!r}"):
+            chi2_p_value(5.0, dof)
+
+    def test_numpy_integer_dof_accepted(self):
+        assert chi2_p_value(5.0, np.int64(3)) == chi2_p_value(5.0, 3)
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            chi2_p_value(math.nan, 3)
 
     def test_thousands_of_degrees_of_freedom(self):
         assert chi2_p_value(8190.0, 8191) == pytest.approx(gammaincc(4095.5, 4095.0), abs=1e-10)
