@@ -422,17 +422,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     save_data = suite.save_data or args.save_data is not None
     suite = replace(suite, defaults=defaults, save_data=save_data)
     if args.save_data is not None:
-        # Made before the run, so an unusable DIR fails before anything executes.
+        # Made and opened before the run, so an unusable DIR or DIR/report.json
+        # fails before anything executes; the probe leaves no new file behind.
+        report_path = Path(args.save_data) / "report.json"
         try:
             Path(args.save_data).mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file at DIR or above it, no permission
             _fail("--save-data", f"{args.save_data!r} is not a usable directory ({exc.strerror})")
+        try:
+            existed = report_path.exists()
+            report_path.open("a").close()
+            if not existed:
+                report_path.unlink()
+        except OSError as exc:  # a directory at report.json, no permission
+            _fail("--save-data", f"{str(report_path)!r} is not a writable file ({exc.strerror})")
 
     report = run_suite(suite)
     sys.stdout.write(format_report(report, args.format))
 
     if args.save_data is not None:
-        report_path = Path(args.save_data) / "report.json"
         report_path.write_text(format_report(report, "json"), encoding="utf-8")
     return EXIT_OK if report.all_passed else EXIT_FAILURES
 

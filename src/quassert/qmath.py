@@ -14,6 +14,8 @@ power of a one-qubit map that every tomography contraction is.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
@@ -96,20 +98,23 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_map(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold tensor power of the one-qubit map ``m[b1, b2, a1, a2]`` applied
-    to (..., a1^n, a2^n) arrays, giving (..., b1^n, b2^n); each index group
-    lists qubit n-1 first.  Each of n rounds maps the leading qubit's index pair
-    with one matmul and rotates it to the end: no a^n x b^n matrix is formed.
+    """The n-fold tensor power of the one-qubit map ``m[b1, ..., bk, a1, ..., ag]``
+    applied to a (B, a1^n, ..., ag^n) array, g = x.ndim - 1, giving (B, b1^n,
+    ..., bk^n); each index group lists qubit n-1 first.  Each of n rounds maps
+    the leading qubit's g indices with one matmul and rotates its k outputs to
+    the end: no a^n x b^n matrix is formed.
     """
-    b1, b2, a1, a2 = m.shape
-    batch = x.shape[:-2]
-    y = x.reshape((-1,) + (a1,) * n + (a2,) * n)
-    y = y.transpose(0, *(1 + g * n + q for q in range(n) for g in (0, 1)))
-    step = m.reshape(b1 * b2, a1 * a2)
+    g = x.ndim - 1
+    outs, ins = m.shape[:-g], m.shape[-g:]
+    y = x.reshape(len(x), *[a for a in ins for _ in range(n)])
+    y = y.transpose(0, *[1 + i * n + q for q in range(n) for i in range(g)])
+    step = m.reshape(-1, math.prod(ins))
     for _ in range(n):
-        y = (step @ y.reshape(len(y), a1 * a2, -1)).swapaxes(1, 2)
-    y = y.reshape((-1,) + (b1, b2) * n).transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
-    return y.reshape(batch + (b1**n, b2**n))
+        y = (step @ y.reshape(len(y), step.shape[1], -1)).swapaxes(1, 2)
+    k = len(outs)
+    y = y.reshape(len(y), *outs * n)
+    y = y.transpose(0, *[1 + q * k + j for j in range(k) for q in range(n)])
+    return y.reshape(len(y), *[b**n for b in outs])
 
 
 def psd_project(

@@ -57,6 +57,8 @@ def chi2_p_value(statistic: float, dof: int) -> float:
     """Survival probability of the chi-squared distribution at ``statistic``."""
     if isinstance(dof, bool) or not isinstance(dof, (int, np.integer)) or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    if not statistic >= 0.0:  # NaN too
+        raise ValueError(f"statistic must be non-negative, got {statistic}")
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
 
 

@@ -1,17 +1,18 @@
 """Quantum state and process tomography by linear inversion.
 
-Each protocol is one evolution, one forward map, one draw, one inverse map and
-one PSD projection; every map is the n-fold tensor power of a one-qubit map,
-applied by :func:`quassert.qmath.kron_map`.  State tomography reads the
-subject's output on |0...0> in all 3^n per-qubit Pauli bases
+Each protocol is one evolution, one forward map and one tail they share
+(:func:`_estimate`): one draw, one inverse map and one PSD projection.
+Every map is the n-fold tensor power of a one-qubit map, applied by
+:func:`quassert.qmath.kron_map`.  State tomography reads the subject's output
+on |0...0> in all 3^n per-qubit Pauli bases
 (:func:`quassert.simulator.pauli_distributions`) and inverts them with the
-product inverse channel of classical shadows (:func:`_invert_settings`).
+product inverse channel of classical shadows (Huang, Kueng, Preskill 2020).
 Process tomography is state tomography of the subject's Choi matrix C, one
 evolution of |Omega><Omega| under the run's noise (ancilla-assisted process
 tomography, Altepeter et al., PRL 90, 193601, 2003): preparing each qubit in
 |0>, |1>, |+> or |+i> by noisy gates and reading effect E has probability
 tr(C (rho^T (x) E)); the inverse composes the shadow inversion with the dual
-frame of the noiseless preparations.
+frame of the noiseless preparations.  Both maps read C in its own index groups.
 
 All of an assertion's counts come from one ``sample`` call on its seed, in the
 rows preparation, setting, outcome, qubit 0 fastest in each.  The estimate is
@@ -25,6 +26,7 @@ projection's rounding) for the subject and preparations under the noise model.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -62,6 +64,9 @@ _SHADOW = np.array(
     [[PAULI_I / 2.0 + 1.5 * sign * pauli for sign in (1.0, -1.0)]
      for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
+# State tomography's one-qubit inverse [r, c, l, o] = _SHADOW[l, o][r, c] / 3: its
+# power averages every compatible setting into each Pauli-string expectation.
+_STATE_INVERSE = np.ascontiguousarray(_SHADOW.transpose(2, 3, 0, 1)) / 3.0
 
 
 class SizeLimitError(ValueError):
@@ -75,12 +80,18 @@ def _check_request(kind: str, n: int, limit: int, shots_per_setting: int) -> Non
         raise ValueError("shots_per_setting must be >= 0 (0 = analytic mode)")
 
 
-def _invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
-    """Linear-inversion estimates from (..., 3^n, 2^n) setting probabilities:
-    3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse channel
-    of classical shadows (Huang, Kueng, Preskill 2020), which equals averaging
-    every compatible setting into each Pauli-string expectation."""
-    return qmath.kron_map(_SHADOW.transpose(2, 3, 0, 1), probs, n) / 3**n
+def _estimate(cls, n: int, probs: np.ndarray, inverse: np.ndarray, shots_per_setting: int,
+              seed: int) -> DensityMatrix | ChoiMatrix:
+    """The (1, ..., 2^n) probabilities ``probs``, in sampled mode the frequencies
+    of one ``sample`` call drawing every row from ``seed``, mapped by ``inverse``
+    to a d x d estimate, projected to trace d / 2^n (1 for a state, 2^n for a
+    Choi matrix) and stored as ``cls`` from the projection's spectrum."""
+    if shots_per_setting:
+        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
+    estimate = qmath.kron_map(inverse, probs, n)
+    d = math.isqrt(estimate.size)
+    mat, (values, vectors) = qmath.psd_project(estimate.reshape(1, d, d), d / 2**n)
+    return _from_projection(cls, n, mat[0], (values[0], vectors[0]))
 
 
 def state_tomography(
@@ -96,10 +107,7 @@ def state_tomography(
     # The Hermitian part, as a DensityMatrix symmetrizes when built.
     output = (output + output.conj().swapaxes(-1, -2)) / 2.0
     probs = pauli_distributions(output, noise if shots_per_setting else None)
-    if shots_per_setting:
-        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
-    mat, (values, vectors) = qmath.psd_project(_invert_settings(probs, n), 1.0)
-    return _from_projection(DensityMatrix, n, mat[0], (values[0], vectors[0]))
+    return _estimate(DensityMatrix, n, probs, _STATE_INVERSE, shots_per_setting, seed)
 
 
 def _preparations(noise: NoiseModel | None) -> np.ndarray:
@@ -112,31 +120,20 @@ def _preparations(noise: NoiseModel | None) -> np.ndarray:
 # _DUAL[s, 2a + b] weighs noiseless preparation s in the expansion of |a><b|.
 _DUAL = np.linalg.inv(_preparations(None).reshape(4, 4).T)
 # The one-qubit inverse of _forward's noiseless map:
-# _INVERSE[2a + r, 2b + c, 3s + l, o] = _DUAL[s, 2a + b] _SHADOW[l, o][r, c] / 3.
-_INVERSE = (np.multiply.outer(_DUAL.reshape(4, 2, 2), _SHADOW) / 3.0
-            ).transpose(1, 5, 2, 6, 0, 3, 4).reshape(4, 4, 12, 2)
+# _INVERSE[a, r, b, c, s, l, o] = _DUAL[s, 2a + b] _SHADOW[l, o][r, c] / 3.
+_INVERSE = np.ascontiguousarray((np.multiply.outer(_DUAL.reshape(4, 2, 2), _SHADOW) / 3.0
+                                 ).transpose(1, 5, 2, 6, 0, 3, 4))
 
 
 @functools.lru_cache(maxsize=64)
 def _forward(noise: NoiseModel | None, readout: NoiseModel | None) -> np.ndarray:
-    """The read-only one-qubit forward map [3 s + l, o, 2 i + r, 2 j + c] =
+    """The read-only one-qubit forward map [s, l, o, i, r, j, c] =
     rho_s[i, j] E[l, o][c, r]: preparation rho_s under ``noise``, read in basis
     "XYZ"[l] by the :func:`quassert.simulator.pauli_povm` E of ``readout``."""
     products = np.multiply.outer(_preparations(noise), pauli_povm(readout))  # [s, i, j, l, o, c, r]
-    forward = products.transpose(0, 3, 4, 1, 6, 2, 5).reshape(12, 2, 4, 4)
+    forward = np.ascontiguousarray(products.transpose(0, 3, 4, 1, 6, 2, 5))
     forward.flags.writeable = False
     return forward
-
-
-@functools.lru_cache(maxsize=8)
-def _axes(n: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`process_tomography`'s transposes: Choi bits (input then output,
-    qubit n-1 first) to the per-qubit pairs ``kron_map`` reads, (preparation,
-    setting) pairs to the sampled rows, then rows to pairs and pairs to bits."""
-    pair = tuple(a for q in range(n) for a in (q, n + q))
-    split = tuple(pair.index(a) for a in range(2 * n))
-    return (pair + tuple(2 * n + a for a in pair), split + (2 * n,), pair + (2 * n,),
-            split + tuple(2 * n + a for a in split))
 
 
 def process_tomography(
@@ -149,16 +146,7 @@ def process_tomography(
     tomography of its Choi matrix, all 4^n x 3^n distributions from one seed."""
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
-    to_pairs, to_rows, from_rows, from_pairs = _axes(n)
-    choi = _choi_mat(subject, noise).reshape((2,) * 4 * n).transpose(to_pairs)
+    choi = _choi_mat(subject, noise).reshape((1,) + (2**n,) * 4)
     forward = _forward(noise, noise if shots_per_setting else None)
-    reads = qmath.kron_map(forward, choi.reshape(4**n, 4**n), n).real
-    probs = reads.reshape((4, 3) * n + (2**n,)).transpose(to_rows)
-    probs = _normalized(probs.reshape(4**n, 3**n, 2**n))
-    if shots_per_setting:
-        probs = sample(probs, shots_per_setting, seed) / shots_per_setting
-    freqs = probs.reshape((4,) * n + (3,) * n + (2**n,)).transpose(from_rows)
-    estimate = qmath.kron_map(_INVERSE, freqs.reshape(12**n, 2**n), n)
-    estimate = estimate.reshape((2,) * 4 * n).transpose(from_pairs).reshape(4**n, 4**n)
-    choi, spectrum = qmath.psd_project(estimate, float(2**n))
-    return _from_projection(ChoiMatrix, n, choi, spectrum)
+    probs = _normalized(qmath.kron_map(forward, choi, n).real)
+    return _estimate(ChoiMatrix, n, probs, _INVERSE, shots_per_setting, seed)

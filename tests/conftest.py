@@ -14,12 +14,15 @@ from quassert.qcore import Circuit, DensityMatrix, GateOp, _store, expanded_gate
 from quassert.simulator import (
     PROBABILITY_FLOOR,
     _blocks,
+    _choi_mat,
     _evolve_mat,
     _gate_superop,
+    _normalized,
     evolve,
     pauli_distributions,
+    sample,
 )
-from quassert.tomography import _DUAL, _PREP_GATES, _invert_settings
+from quassert.tomography import _DUAL, _INVERSE, _PREP_GATES, _SHADOW, _forward
 
 GATE_POOL_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_POOL_ROT = ("rx", "ry", "rz")
@@ -184,11 +187,47 @@ def reference_assemble_choi(outputs: np.ndarray, n: int) -> np.ndarray:
     return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
+def reference_invert_settings(probs: np.ndarray, n: int) -> np.ndarray:
+    """Linear-inversion estimates from (..., 3^n, 2^n) setting probabilities:
+    3^-n sum_k sum_o p_k(o) (x)_q _SHADOW[k_q, o_q], the product inverse channel
+    of classical shadows (Huang, Kueng, Preskill 2020), which equals averaging
+    every compatible setting into each Pauli-string expectation.  Divides by
+    3^n once, where ``tomography._STATE_INVERSE`` divides by 3 per qubit."""
+    flat = probs.reshape(-1, 3**n, 2**n)
+    inverted = qmath.kron_map(_SHADOW.transpose(2, 3, 0, 1), flat, n) / 3**n
+    return inverted.reshape(probs.shape[:-2] + (2**n, 2**n))
+
+
 def reference_process_estimate(freqs: np.ndarray, n: int) -> np.ndarray:
     """The per-preparation route's unprojected Choi estimate from (4^n, 3^n,
     2^n) frequencies: each preparation's settings inverted on their own, then
     assembled by :func:`reference_assemble_choi`."""
-    return reference_assemble_choi(_invert_settings(freqs, n), n)
+    return reference_assemble_choi(reference_invert_settings(freqs, n), n)
+
+
+def reference_transposing_process(subject: Circuit, noise, shots: int, seed: int):
+    """``tomography.process_tomography`` by the transposing route: the Choi
+    matrix's bits regrouped into per-qubit (input, output) pairs for the
+    two-group (12, 2, 4, 4) forward map, its (preparation, setting) row pairs
+    transposed to ``sample``'s order, drawn, transposed back for the
+    (4, 4, 12, 2) inverse map, and the estimate's pairs regrouped into Choi
+    bits.  Returns the drawn (4^n, 3^n, 2^n) counts (None in analytic mode,
+    ``shots == 0``) and the projected Choi estimate."""
+    n = subject.n_qubits
+    pair = tuple(a for q in range(n) for a in (q, n + q))
+    split = tuple(pair.index(a) for a in range(2 * n))
+    choi = _choi_mat(subject, noise).reshape((2,) * 4 * n)
+    choi = choi.transpose(pair + tuple(2 * n + a for a in pair)).reshape(1, 4**n, 4**n)
+    forward = _forward(noise, noise if shots else None).reshape(12, 2, 4, 4)
+    reads = qmath.kron_map(forward, choi, n)[0].real
+    probs = reads.reshape((4, 3) * n + (2**n,)).transpose(split + (2 * n,))
+    probs = _normalized(probs.reshape(4**n, 3**n, 2**n))
+    counts = sample(probs, shots, seed) if shots else None
+    freqs = probs if counts is None else counts / shots
+    freqs = freqs.reshape((4,) * n + (3,) * n + (2**n,)).transpose(pair + (2 * n,))
+    estimate = qmath.kron_map(_INVERSE.reshape(4, 4, 12, 2), freqs.reshape(1, 12**n, 2**n), n)
+    estimate = estimate.reshape((2,) * 4 * n).transpose(split + tuple(2 * n + a for a in split))
+    return counts, qmath.psd_project(estimate.reshape(4**n, 4**n), float(2**n))[0]
 
 
 def dense_conjugation(mats: np.ndarray, op: GateOp, n_qubits: int) -> np.ndarray:

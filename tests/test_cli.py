@@ -503,6 +503,30 @@ class TestCmdRun:
         assert captured.err.startswith(f"error: --save-data: {str(out_dir)!r} is not a usable "
                                        "directory (")
 
+    def test_unwritable_report_file_rejected_before_running(self, capsys, tmp_path, tiny_suite):
+        out_dir = tmp_path / "out"
+        (out_dir / "report.json").mkdir(parents=True)
+        assert main(["run", tiny_suite, "--save-data", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --save-data: {str(out_dir / 'report.json')!r} "
+                                       "is not a writable file (")
+        assert captured.err.count("\n") == 1
+
+    def test_save_data_probe_keeps_or_leaves_no_report(self, capsys, tmp_path, tiny_suite,
+                                                      monkeypatch):
+        # The run raises after the probe: an old report stays, and no new one appears.
+        monkeypatch.setattr(cli, "run_suite", lambda suite: 1 / 0)
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        (old / "report.json").write_text("previous")
+        for out_dir in (old, new):
+            with pytest.raises(ZeroDivisionError):
+                main(["run", tiny_suite, "--save-data", str(out_dir)])
+        assert (old / "report.json").read_text() == "previous"
+        assert new.is_dir() and not (new / "report.json").exists()
+        assert capsys.readouterr().out == ""
+
     def test_save_data_field_alone_writes_no_file(self, capsys, tmp_path, monkeypatch, tiny_suite):
         doc = json.loads(Path(tiny_suite).read_text())
         doc["save_data"] = True

@@ -352,8 +352,7 @@ def test_only_the_circuit_decoder_walks_gates():
 
 def test_only_tomography_stores_unvalidated_estimates():
     assert _walk_owners("_from_projection") == {
-        "tomography.py:<module>", "tomography.py:state_tomography",
-        "tomography.py:process_tomography",
+        "tomography.py:<module>", "tomography.py:_estimate",
     }
 
 

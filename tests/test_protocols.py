@@ -278,7 +278,7 @@ class TestFidelityWork:
         run_protocol(subject, expected, config)  # builds the cached preparations
         solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, config)
-        assert solved == lapack == [(16, 16)]
+        assert solved == lapack == [(1, 16, 16)]
 
     def test_fidelities_solve_nothing(self, monkeypatch, bell_circuit):
         ground = DensityMatrix.ground(2)

@@ -10,6 +10,8 @@ projection's invariants on arbitrary Hermitian input, and the eigensolver's
 LAPACK-free path for diagonal matrices against ``numpy.linalg.eigh``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -273,21 +275,28 @@ class TestKronMap:
         power = m
         for _ in range(n - 1):
             power = np.kron(m, power)  # the left factor is qubit n-1, as in kron_map
-        b1, b2, a1, a2 = power.shape
-        flat = x.reshape(x.shape[:-2] + (a1 * a2,))
-        return (flat @ power.reshape(b1 * b2, a1 * a2).T).reshape(x.shape[:-2] + (b1, b2))
+        outs = power.shape[:power.ndim - (x.ndim - 1)]
+        matrix = power.reshape(math.prod(outs), -1)
+        return (x.reshape(len(x), -1) @ matrix.T).reshape((len(x),) + outs)
 
-    # The Pauli-setting POVM, the inverse shadow channel and the preparation dual.
-    @pytest.mark.parametrize("shape", [(3, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 1)],
-                             ids=["povm", "shadow", "dual"])
-    @pytest.mark.parametrize("batch", [(), (5,)], ids=["no_batch", "batch"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_dense_kronecker_power(self, n, batch, shape):
+    # (outputs, inputs) of every one-qubit map the package applies: the
+    # Pauli-setting POVM, the inverse shadow channel, the preparation dual, and
+    # process tomography's forward map [s, l, o, i, r, j, c] and inverse map
+    # [i, r, j, c, s, l, o], in the Choi matrix's own four index groups.
+    MAPS = {"povm": ((3, 2), (2, 2)), "shadow": ((2, 2), (3, 2)), "dual": ((2, 2), (4, 1)),
+            "forward": ((4, 3, 2), (2, 2, 2, 2)), "inverse": ((2, 2, 2, 2), (4, 3, 2))}
+
+    # The dense power of a seven-axis map has 24^n x 16^n entries: n <= 2.
+    @pytest.mark.parametrize("name, n", [(name, n) for name, (outs, ins) in MAPS.items()
+                                         for n in range(1, 5 if len(outs + ins) == 4 else 3)])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_dense_kronecker_power(self, name, n, batch):
+        outs, ins = self.MAPS[name]
         rng = np.random.default_rng(1600 + n)
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        x = rng.normal(size=batch + (shape[2] ** n, shape[3] ** n))
+        m = rng.normal(size=outs + ins) + 1j * rng.normal(size=outs + ins)
+        x = rng.normal(size=(batch,) + tuple(a**n for a in ins))
         out = kron_map(m, x, n)
-        assert out.shape == batch + (shape[0] ** n, shape[1] ** n)
+        assert out.shape == (batch,) + tuple(b**n for b in outs)
         np.testing.assert_allclose(out, self.dense(m, x, n), rtol=1e-12, atol=1e-12)
 
     def test_identity_map_returns_input(self):

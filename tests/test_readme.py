@@ -1,6 +1,7 @@
 """The README's examples run as shown, and CI runs the ROADMAP's Tier-1 command
 on the oldest Python the package declares and on 3.11, once more on 3.11 with
-one OpenBLAS thread, then the installed entry point on a suite, a sweep, a
+one OpenBLAS thread, then the installed entry point on a suite, on a suite
+saving its report, on a suite whose report file is a directory, a sweep, a
 noisy process sweep and a noisy state sweep, then a benchmark smoke run on
 3.11 with the default.
 Every ``BENCH_<n>.json`` at the root parses and names the machine it was
@@ -43,6 +44,19 @@ def test_verdict_lines_match_the_cli(capsys, monkeypatch):
 ENTRY_POINT_RUN = (
     'status=0; quassert run suites/bell_pair.json || status=$?; test "$status" -eq 1'
 )
+# --save-data writes the report stdout shows; a directory at report.json exits 2
+# before the run, with nothing on stdout.
+ENTRY_POINT_SAVE = (
+    'status=0; quassert run suites/bell_pair.json --format json --save-data "$RUNNER_TEMP/qa"'
+    ' > "$RUNNER_TEMP/qa.json" || status=$?; test "$status" -eq 1'
+    ' && cmp "$RUNNER_TEMP/qa/report.json" "$RUNNER_TEMP/qa.json"'
+)
+ENTRY_POINT_UNWRITABLE_REPORT = (
+    'mkdir -p "$RUNNER_TEMP/blocked/report.json"; status=0;'
+    ' quassert run suites/bell_pair.json --save-data "$RUNNER_TEMP/blocked"'
+    ' > "$RUNNER_TEMP/blocked.out" || status=$?; test "$status" -eq 2'
+    ' && test ! -s "$RUNNER_TEMP/blocked.out"'
+)
 ENTRY_POINT_SWEEP = "quassert sweep suites/sweep_proj.json --trials 2"
 # Process tomography under noise through the installed console script.
 ENTRY_POINT_NOISY_SWEEP = "quassert sweep suites/sweep_process.json --trials 2 --noise default"
@@ -63,8 +77,9 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
     job = workflow["jobs"]["tests"]
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-7:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SWEEP,
-                         ENTRY_POINT_NOISY_SWEEP, ENTRY_POINT_NOISY_STATE_SWEEP, BENCHMARK_SMOKE]
+    assert runs[-9:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SAVE,
+                         ENTRY_POINT_UNWRITABLE_REPORT, ENTRY_POINT_SWEEP, ENTRY_POINT_NOISY_SWEEP,
+                         ENTRY_POINT_NOISY_STATE_SWEEP, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20
     floor = re.search(r'^requires-python = ">=([\d.]+)"$',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
@@ -73,11 +88,11 @@ def test_ci_runs_the_tier1_command():
     # Tier-1 also runs on 3.11 with OpenBLAS pinned to one thread.
     assert matrix["openblas-threads"] == [""]
     assert matrix["include"] == [{"python-version": "3.11", "openblas-threads": "1"}]
-    assert job["steps"][-6]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
+    assert job["steps"][-8]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
     setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
-    assert [step.get("if") for step in job["steps"]][-6:] == [
-        None, None, None, None, None, "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
+    assert [step.get("if") for step in job["steps"]][-8:] == [None] * 7 + [
+        "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
 
 
 def bench_file_problems(name: str, text: str) -> list[str]:

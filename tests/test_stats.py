@@ -132,9 +132,12 @@ class TestChi2PValue:
     def test_numpy_integer_dof_accepted(self):
         assert chi2_p_value(5.0, np.int64(3)) == chi2_p_value(5.0, 3)
 
-    def test_nan_statistic_rejected(self):
-        with pytest.raises(ValueError, match="non-negative, got nan"):
-            chi2_p_value(math.nan, 3)
+    @pytest.mark.parametrize("statistic, shown", [(-1.0, "-1.0"), (math.nan, "nan")],
+                             ids=["negative", "nan"])
+    def test_bad_statistic_rejected_by_name(self, statistic, shown):
+        # Named as passed in, not as the half of it that reaches the gamma tail.
+        with pytest.raises(ValueError, match=f"^statistic must be non-negative, got {shown}$"):
+            chi2_p_value(statistic, 3)
 
     def test_thousands_of_degrees_of_freedom(self):
         assert chi2_p_value(8190.0, 8191) == pytest.approx(gammaincc(4095.5, 4095.0), abs=1e-10)

@@ -33,7 +33,6 @@ from quassert.simulator import (
 from quassert.tomography import (
     _DUAL,
     SizeLimitError,
-    _invert_settings,
     _preparations,
     process_tomography,
     state_tomography,
@@ -46,10 +45,12 @@ from conftest import (
     random_density,
     random_hermitian,
     reference_assemble_choi,
+    reference_invert_settings,
     reference_preparations,
     reference_process_estimate,
     reference_process_probs,
     reference_psd_project,
+    reference_transposing_process,
     xor_readout,
 )
 
@@ -158,7 +159,7 @@ def per_preparation_estimates(preps, subject, noise, shots, seed, drawn_from):
     reference = per_setting_pauli_probs(np.array(outputs), n, noise if shots else None)
     np.testing.assert_allclose(drawn_from, reference, rtol=0, atol=POVM_TOL)
     probs = sample(drawn_from, shots, seed) / shots if shots else drawn_from
-    return np.array([_invert_settings(p, n) for p in probs])
+    return np.array([reference_invert_settings(p, n) for p in probs])
 
 
 def per_preparation_process_tomography(subject, noise, shots, seed, drawn_from):
@@ -178,7 +179,8 @@ class TestInversionOracles:
         rng = np.random.default_rng(60 + n)
         probs = np.array([rng.dirichlet(np.ones(2**n)) for _ in range(3**n)])
         np.testing.assert_allclose(
-            _invert_settings(probs, n), pauli_averaging_inversion(probs, n), rtol=0, atol=1e-13
+            reference_invert_settings(probs, n), pauli_averaging_inversion(probs, n), rtol=0,
+            atol=1e-13
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -199,7 +201,7 @@ class TestSettings:
     def test_preparation_setting_count(self, monkeypatch, n):
         handed = record_args(monkeypatch, "sample")
         process_tomography(Circuit(n), NOISELESS, 10, seed=0)
-        assert [args[0].shape for args in handed] == [(4**n, 3**n, 2**n)]
+        assert [args[0].shape for args in handed] == [(1, 4**n, 3**n, 2**n)]
 
     def test_rotations_diagonalize_their_pauli(self):
         # The +1 eigenstate of each Pauli reads outcome 0 in its own basis.
@@ -412,7 +414,7 @@ class TestProcessTomography:
             if shots:
                 # Drawn from the handed rows, for the reasons
                 # per_preparation_estimates gives.
-                probs, _, seed = handed[-1]
+                (probs,), _, seed = handed[-1]
                 assert probs.shape == freqs.shape and seed == 31 + trial
                 np.testing.assert_allclose(probs, freqs, rtol=0, atol=POVM_TOL)
                 if noise is None:
@@ -420,6 +422,24 @@ class TestProcessTomography:
                 freqs = sample(probs, shots, seed) / shots
             reference = reference_psd_project(reference_process_estimate(freqs, n), 2.0**n)
             np.testing.assert_allclose(estimate.mat, reference, rtol=0, atol=CHOI_ROUTE_TOL)
+
+    @pytest.mark.parametrize("shots", [0, 40])
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_transposing_route(self, monkeypatch, n, noise, shots):
+        """Reading the Choi matrix's four index groups in its own layout draws
+        the counts and gives the estimate, bit for bit, of regrouping its bits
+        into per-qubit pairs and transposing the rows (conftest)."""
+        rng = np.random.default_rng(540 + 10 * n + shots % 7)
+        drawn = record_results(monkeypatch, "sample")
+        for trial in range(3):
+            subject = random_circuit(rng, n, 4 + 3 * trial)
+            estimate = process_tomography(subject, noise, shots, seed=61 + trial)
+            counts, reference = reference_transposing_process(subject, noise, shots, 61 + trial)
+            assert len(drawn) == (trial + 1 if shots else 0)
+            if shots:
+                assert np.array_equal(drawn[-1], counts[None])
+            assert np.array_equal(estimate.mat, reference)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_projection_at_least_as_faithful_as_two(self, monkeypatch, n):
@@ -435,7 +455,7 @@ class TestProcessTomography:
             truth = circuit_to_choi(subject)
             once.append(process_fidelity(process_tomography(subject, NOISELESS, 40, seed), truth))
             reference = per_preparation_process_tomography(
-                subject, NOISELESS, 40, seed, handed[-1][0]
+                subject, NOISELESS, 40, seed, handed[-1][0][0]
             )
             twice.append(process_fidelity(reference, truth))
         assert np.mean(once) >= np.mean(twice)
@@ -602,8 +622,8 @@ class TestWorkCounts:
         process_tomography(subject, DEFAULT_NOISE, shots, seed=2)
         # Warm, only the subject's rotations are built, once each.
         assert [(op.name, op.angle) for op, _ in expansions] == rotations
-        assert [a[0].shape for a in draws] == ([(4**n, 3**n, 2**n)] if shots else [])
-        assert [a.shape for a, _ in projections] == [(4**n, 4**n)]
+        assert [a[0].shape for a in draws] == ([(1, 4**n, 3**n, 2**n)] if shots else [])
+        assert [a.shape for a, _ in projections] == [(1, 4**n, 4**n)]
 
     @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
     @pytest.mark.parametrize("n", [1, 2, 3])
