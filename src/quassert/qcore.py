@@ -31,42 +31,38 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-FIXED_GATES = {
-    "x": PAULI_X,
-    "y": PAULI_Y,
-    "z": PAULI_Z,
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
-    "s": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=np.complex128),
-    "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
-    "tdg": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=np.complex128),
-}
-# The gate set, the one table GateOp checks: name -> (arity, takes an angle).
+# The gate set, the one table: name -> (arity, unitary on local bits 0..k-1,
+# op.qubits[m] being bit m).  A rotation's entry builds its unitary from the
+# angle (radians); every other entry is a read-only complex128 constant.
 GATES = {
-    **{name: (1, False) for name in FIXED_GATES},
-    **{name: (1, True) for name in ("rx", "ry", "rz")},
-    **{name: (2, False) for name in ("cx", "cz", "swap")},
+    "x": (1, PAULI_X),
+    "y": (1, PAULI_Y),
+    "z": (1, PAULI_Z),
+    "h": (1, [[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
+    "s": (1, [[1, 0], [0, 1j]]),
+    "sdg": (1, [[1, 0], [0, -1j]]),
+    "t": (1, [[1, 0], [0, np.exp(1j * np.pi / 4)]]),
+    "tdg": (1, [[1, 0], [0, np.exp(-1j * np.pi / 4)]]),
+    "rx": (1, lambda angle: np.array([[np.cos(angle / 2.0), -1j * np.sin(angle / 2.0)],
+                                      [-1j * np.sin(angle / 2.0), np.cos(angle / 2.0)]],
+                                     dtype=np.complex128)),
+    "ry": (1, lambda angle: np.array([[np.cos(angle / 2.0), -np.sin(angle / 2.0)],
+                                      [np.sin(angle / 2.0), np.cos(angle / 2.0)]],
+                                     dtype=np.complex128)),
+    "rz": (1, lambda angle: np.array([[np.exp(-1j * angle / 2.0), 0],
+                                      [0, np.exp(1j * angle / 2.0)]], dtype=np.complex128)),
+    "cx": (2, np.eye(4)[[0, 3, 2, 1]]),
+    "cz": (2, np.diag([1, 1, 1, -1])),
+    "swap": (2, np.eye(4)[[0, 2, 1, 3]]),
 }
+for _name, (_arity, _u) in GATES.items():
+    if not callable(_u):
+        GATES[_name] = (_arity, np.array(_u, dtype=np.complex128))
+        GATES[_name][1].flags.writeable = False
 
 
 class UnsupportedGateError(ValueError):
     """Gate name outside the fixed gate set."""
-
-
-def rotation_matrix(name: str, angle: float) -> np.ndarray:
-    """2x2 matrix of rx/ry/rz at the given angle (radians)."""
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    if name == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if name == "ry":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if name == "rz":
-        return np.array(
-            [[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]],
-            dtype=np.complex128,
-        )
-    raise UnsupportedGateError(f"unknown rotation gate {name!r}")
 
 
 def _as_int(value, what: str) -> int:
@@ -109,11 +105,12 @@ class GateOp:
                                  f"{type(qubits).__name__}") from None
             object.__setattr__(self, "qubits", qubits)
         try:
-            arity, rotation = GATES[name]
+            arity, unitary = GATES[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnsupportedGateError(
                 f"unsupported gate {name!r}; supported: {', '.join(GATES)}"
             ) from None
+        rotation = callable(unitary)
         if len(qubits) != arity:
             raise ValueError(f"gate {name!r} takes {arity} qubit(s), got {qubits}")
         if arity == 2 and qubits[0] == qubits[1]:
@@ -171,28 +168,20 @@ def embed_single_qubit(mat2: np.ndarray, qubit: int, n_qubits: int) -> np.ndarra
 
 
 def expanded_gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of one gate in the little-endian convention.
-
-    The two-qubit gates are read off the basis-index bits: ``cx`` and ``swap``
-    permute basis states, ``cz`` flips the sign of those with both bits set.
+    """Full 2^n x 2^n unitary of one gate in the little-endian convention: its
+    ``GATES`` unitary u with op.qubits[m] as bit m.  A one-qubit u is kron-expanded;
+    a two-qubit gate's entry (i, j) is u[local(i), local(j)] where the other
+    qubits' bits of i and j agree, else 0.
     """
-    if op.name in FIXED_GATES:
-        return embed_single_qubit(FIXED_GATES[op.name], op.qubits[0], n_qubits)
-    if op.angle is not None:
-        return embed_single_qubit(rotation_matrix(op.name, op.angle), op.qubits[0], n_qubits)
+    u = GATES[op.name][1]
+    u = u(op.angle) if callable(u) else u
+    if len(op.qubits) == 1:
+        return embed_single_qubit(u, op.qubits[0], n_qubits)
     index = np.arange(2**n_qubits)
     a, b = op.qubits
-    bit_a, bit_b = (index >> a) & 1, (index >> b) & 1
-    if op.name == "cz":
-        return np.diag(1.0 - 2.0 * (bit_a & bit_b)).astype(np.complex128)
-    if op.name == "cx":
-        flip = bit_a << b
-    elif op.name == "swap":
-        flip = ((bit_a ^ bit_b) << a) | ((bit_a ^ bit_b) << b)
-    else:
-        raise UnsupportedGateError(f"unsupported gate {op.name!r}")
-    # Both permutations are their own inverse: row i has its 1 in column i ^ flip.
-    return np.eye(2**n_qubits, dtype=np.complex128)[index ^ flip]
+    local = (index >> a) & 1 | ((index >> b) & 1) << 1
+    rest = index & ~(1 << a | 1 << b)
+    return np.where(rest[:, None] == rest, u[local[:, None], local], 0)
 
 
 def _store_checked_matrix(obj, kind: str, trace: int, trace_text: str, negative: str) -> None:

@@ -446,6 +446,7 @@ def evolve(
     which from ``_FUSE_FROM_QUBITS`` qubits on only each qubit's light cone is
     evolved (:func:`_evolve_mat`).
     """
+    check_noise(noise)
     mats, n = _stack_of(state)
     if n != c.n_qubits:
         raise qmath.DimensionError(f"evolve: state on {n} qubit(s) vs circuit on {c.n_qubits}")
@@ -545,6 +546,7 @@ def pauli_distributions(
     E of :func:`pauli_povm`: the n-fold tensor power of the map
     rho -> tr(rho E[letter, o]), applied by :func:`quassert.qmath.kron_map`.
     """
+    check_noise(noise)
     mats, n = _stack_of(state)
     probs = _normalized(qmath.kron_map(pauli_povm(noise).swapaxes(-1, -2), mats, n).real)
     return probs[0] if isinstance(state, DensityMatrix) else probs

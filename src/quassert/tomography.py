@@ -47,6 +47,7 @@ from quassert.simulator import (
     NoiseModel,
     _choi_mat,
     _normalized,
+    check_noise,
     evolve,
     pauli_distributions,
     pauli_povm,
@@ -101,9 +102,12 @@ def state_tomography(
     seed: int,
 ) -> DensityMatrix:
     """Reconstruct the subject's output state on the input |0...0>."""
+    check_noise(noise)
     n = subject.n_qubits
     _check_request("state", n, MAX_STATE_QUBITS, shots_per_setting)
-    output = evolve(DensityMatrix.ground(n).mat[None], subject, noise)
+    ground = np.zeros((1, 2**n, 2**n), dtype=np.complex128)
+    ground[0, 0, 0] = 1.0
+    output = evolve(ground, subject, noise)
     # The Hermitian part, as a DensityMatrix symmetrizes when built.
     output = (output + output.conj().swapaxes(-1, -2)) / 2.0
     probs = pauli_distributions(output, noise if shots_per_setting else None)
@@ -144,6 +148,7 @@ def process_tomography(
 ) -> ChoiMatrix:
     """Reconstruct the subject's channel as an unnormalized Choi matrix: state
     tomography of its Choi matrix, all 4^n x 3^n distributions from one seed."""
+    check_noise(noise)
     n = subject.n_qubits
     _check_request("process", n, MAX_PROCESS_QUBITS, shots_per_setting)
     choi = _choi_mat(subject, noise).reshape((1,) + (2**n,) * 4)

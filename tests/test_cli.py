@@ -1066,10 +1066,10 @@ def _gate_items(draw):
     items = []
     for _ in range(draw(st.integers(1, 3))):
         name = draw(st.sampled_from(sorted(GATES)))
-        arity, rotation = GATES[name]
+        arity, unitary = GATES[name]
         qubits = draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity, unique=True))
         item = {"gate": name, "qubits": qubits}
-        if rotation:
+        if callable(unitary):
             item["angle"] = draw(st.floats(-7, 7) | st.integers(-7, 7))
         items.append(item)
     if draw(st.booleans()):

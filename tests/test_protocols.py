@@ -261,15 +261,15 @@ def _count_solves(monkeypatch) -> tuple[list, list]:
 class TestFidelityWork:
     """Fidelity reads stored spectra: one kept at validation, or for a
     tomography estimate the one its PSD projection rebuilt it from, so the
-    estimate is solved once.  The diagonal ground state needs no LAPACK solve."""
+    estimate is solved once.  State tomography starts from a ground stack it
+    builds, which is not validated, so it solves its projection alone."""
 
-    def test_state_tomo_solves_ground_and_projection(self, monkeypatch):
+    def test_state_tomo_solves_the_projection_alone(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(41), 2, 8)
         expected = evolve(DensityMatrix.ground(2), subject)
         solved, lapack = _count_solves(monkeypatch)
         run_protocol(subject, expected, RunConfig(shots=100, noise=DEFAULT_NOISE))
-        assert solved == [(4, 4), (1, 4, 4)]
-        assert lapack == [(1, 4, 4)]
+        assert solved == lapack == [(1, 4, 4)]
 
     def test_warm_process_tomo_solves_the_projection_alone(self, monkeypatch):
         subject = random_circuit(np.random.default_rng(42), 2, 8)

@@ -6,6 +6,7 @@ entrywise against its definition, and its input marginal against an
 explicit index-pair sum.
 """
 
+import itertools
 import re
 import tracemalloc
 from unittest import mock
@@ -21,7 +22,7 @@ from quassert.qcore import (
     ChoiMatrix,
     Circuit,
     DensityMatrix,
-    FIXED_GATES,
+    GATES,
     GateOp,
     OutcomeDistribution,
     PAULI_X,
@@ -33,7 +34,6 @@ from quassert.qcore import (
     expanded_gate_matrix,
     gate,
     process_fidelity,
-    rotation_matrix,
     state_fidelity,
 )
 from quassert.qmath import DimensionError, hermitian_eig, psd_project
@@ -54,24 +54,30 @@ from conftest import (
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
+def _unitary(name, angle=0.37):
+    """The ``GATES`` unitary of ``name``, a rotation's at ``angle``."""
+    u = GATES[name][1]
+    return u(angle) if callable(u) else u
+
+
 class TestGateDefinitions:
-    @pytest.mark.parametrize("name", sorted(FIXED_GATES))
+    @pytest.mark.parametrize("name", [name for name in sorted(GATES) if not callable(GATES[name][1])])
     def test_fixed_gates_unitary(self, name):
-        u = FIXED_GATES[name]
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
+        u = GATES[name][1]
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-14)
+        assert u.dtype == np.complex128 and not u.flags.writeable
 
     @pytest.mark.parametrize("name", ["rx", "ry", "rz"])
     def test_rotations_unitary_and_periodic(self, name):
-        u = rotation_matrix(name, 0.37)
+        u = _unitary(name)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(rotation_matrix(name, 4 * np.pi), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(_unitary(name, 4 * np.pi), np.eye(2), atol=1e-12)
 
     def test_gate_hierarchy(self):
-        np.testing.assert_allclose(FIXED_GATES["t"] @ FIXED_GATES["t"], FIXED_GATES["s"], atol=1e-14)
-        np.testing.assert_allclose(FIXED_GATES["s"] @ FIXED_GATES["s"], FIXED_GATES["z"], atol=1e-14)
-        np.testing.assert_allclose(
-            FIXED_GATES["sdg"], FIXED_GATES["s"].conj().T, atol=1e-14
-        )
+        t, s, z, sdg = (_unitary(name) for name in ("t", "s", "z", "sdg"))
+        np.testing.assert_allclose(t @ t, s, atol=1e-14)
+        np.testing.assert_allclose(s @ s, z, atol=1e-14)
+        np.testing.assert_allclose(sdg, s.conj().T, atol=1e-14)
 
 
 class TestGateOpValidation:
@@ -180,7 +186,7 @@ class TestCircuitToUnitary:
     def test_program_order(self):
         # x then h on the same qubit: matrix is H @ X, not X @ H.
         u = circuit_to_unitary(Circuit(1, (gate("x", 0), gate("h", 0))))
-        np.testing.assert_allclose(u, FIXED_GATES["h"] @ PAULI_X, atol=1e-14)
+        np.testing.assert_allclose(u, _unitary("h") @ PAULI_X, atol=1e-14)
 
     def test_cx_with_reversed_qubits(self):
         u = circuit_to_unitary(Circuit(2, (gate("cx", 1, 0),)))
@@ -216,19 +222,6 @@ def projector_sum_gate(name, a, b, n):
     return embed_single_qubit(_P0, a, n) + embed_single_qubit(_P1, a, n) @ embed_single_qubit(
         target, b, n
     )
-
-
-class TestTwoQubitGates:
-    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
-    @pytest.mark.parametrize("name", ["cx", "cz", "swap"])
-    def test_matches_projector_and_pauli_sums_exactly(self, name, n_qubits):
-        for a in range(n_qubits):
-            for b in range(n_qubits):
-                if a == b:
-                    continue
-                u = expanded_gate_matrix(gate(name, a, b), n_qubits)
-                assert u.dtype == np.complex128
-                np.testing.assert_array_equal(u, projector_sum_gate(name, a, b, n_qubits))
 
 
 class TestCircuitToChoi:
@@ -782,6 +775,24 @@ class TestProjectedEstimate:
 
 
 class TestExpandedGateMatrix:
+    @pytest.mark.parametrize("name, n_qubits", [(name, n) for name in sorted(GATES)
+                                                 for n in (1, 2, 3, 4) if GATES[name][0] <= n])
+    def test_every_row_matches_the_dense_reference_at_every_placement(self, name, n_qubits):
+        # One qubit: the kron of identities around the table unitary; two: the
+        # projector and Pauli sums.
+        arity = GATES[name][0]
+        angle = 0.37 if callable(GATES[name][1]) else None
+        for qubits in itertools.permutations(range(n_qubits), arity):
+            u = expanded_gate_matrix(GateOp(name, qubits, angle), n_qubits)
+            if arity == 1:
+                q = qubits[0]
+                expected = np.kron(np.eye(2 ** (n_qubits - 1 - q)),
+                                   np.kron(_unitary(name), np.eye(2**q)))
+            else:
+                expected = projector_sum_gate(name, *qubits, n_qubits)
+            assert u.dtype == np.complex128
+            np.testing.assert_array_equal(u, expected)
+
     def test_cz_symmetric_in_qubits(self):
         a = expanded_gate_matrix(gate("cz", 0, 1), 2)
         b = expanded_gate_matrix(gate("cz", 1, 0), 2)

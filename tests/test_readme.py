@@ -2,10 +2,12 @@
 on the oldest Python the package declares and on 3.11, once more on 3.11 with
 one OpenBLAS thread, then the installed entry point on a suite, on a suite
 saving its report, on a suite whose report file is a directory, a sweep, a
-noisy process sweep and a noisy state sweep, then a benchmark smoke run on
-3.11 with the default.
+noisy process sweep and a noisy state sweep, then, on 3.11 with the default,
+bell_pair's report and the ``--rates`` sweeps compared byte for byte across
+one OpenBLAS thread and the default, and a benchmark smoke run.
 Every ``BENCH_<n>.json`` at the root parses and names the machine it was
-measured on, and every private name the README's module table cites exists."""
+measured on, every private name the README's module table cites exists, and
+the "Supported gates" sentence names exactly the gate table's rows."""
 
 import importlib
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from quassert.cli import main
+from quassert.qcore import GATES
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -62,6 +65,16 @@ ENTRY_POINT_SWEEP = "quassert sweep suites/sweep_proj.json --trials 2"
 ENTRY_POINT_NOISY_SWEEP = "quassert sweep suites/sweep_process.json --trials 2 --noise default"
 # State tomography under noise, the one protocol whose sweep ran only in tests.
 ENTRY_POINT_NOISY_STATE_SWEEP = "quassert sweep suites/sweep_state.json --trials 2 --noise default"
+# bell_pair's JSON report and each --rates sweep CSV, noiseless and noisy, on one
+# OpenBLAS thread and on the default, compared byte for byte.
+THREAD_BITS = (
+    'set -e; i=0; for args in "run suites/bell_pair.json --format json"'
+    + "".join(f' "sweep suites/sweep_{kind}.json --trials 2 --rates{noise}"'
+              for kind in ("proj", "state", "process") for noise in ("", " --noise default"))
+    + '; do i=$((i + 1)); for threads in 1 ""; do status=0;'
+    ' OPENBLAS_NUM_THREADS=$threads quassert $args > "$RUNNER_TEMP/bits$i-$threads" || status=$?;'
+    ' test "$status" -le 1; done; cmp "$RUNNER_TEMP/bits$i-1" "$RUNNER_TEMP/bits$i-"; done'
+)
 # Runs every perfbench workload briefly and fails unless its last line reports
 # "correct": true.
 BENCHMARK_SMOKE = (
@@ -77,9 +90,9 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
     job = workflow["jobs"]["tests"]
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-9:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SAVE,
-                         ENTRY_POINT_UNWRITABLE_REPORT, ENTRY_POINT_SWEEP, ENTRY_POINT_NOISY_SWEEP,
-                         ENTRY_POINT_NOISY_STATE_SWEEP, BENCHMARK_SMOKE]
+    assert runs[-10:] == ['pip install -e ".[test]"', tier1, ENTRY_POINT_RUN, ENTRY_POINT_SAVE,
+                          ENTRY_POINT_UNWRITABLE_REPORT, ENTRY_POINT_SWEEP, ENTRY_POINT_NOISY_SWEEP,
+                          ENTRY_POINT_NOISY_STATE_SWEEP, THREAD_BITS, BENCHMARK_SMOKE]
     assert job["timeout-minutes"] == 20
     floor = re.search(r'^requires-python = ">=([\d.]+)"$',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
@@ -88,11 +101,11 @@ def test_ci_runs_the_tier1_command():
     # Tier-1 also runs on 3.11 with OpenBLAS pinned to one thread.
     assert matrix["openblas-threads"] == [""]
     assert matrix["include"] == [{"python-version": "3.11", "openblas-threads": "1"}]
-    assert job["steps"][-8]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
+    assert job["steps"][-9]["env"] == {"OPENBLAS_NUM_THREADS": "${{ matrix.openblas-threads }}"}
     setup = next(step for step in job["steps"] if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "${{ matrix.python-version }}"
-    assert [step.get("if") for step in job["steps"]][-8:] == [None] * 7 + [
-        "matrix.python-version == '3.11' && matrix.openblas-threads == ''"]
+    assert [step.get("if") for step in job["steps"]][-9:] == [None] * 7 + [
+        "matrix.python-version == '3.11' && matrix.openblas-threads == ''"] * 2
 
 
 def bench_file_problems(name: str, text: str) -> list[str]:
@@ -145,3 +158,19 @@ def test_private_name_scan_flags_planted_problems():
     row = "| `simulator` | a loop (`_evolve_mat`, `_gone`), with `qcore._from_projection` and `_x y` |"
     assert private_name_problems(row) == (
         ["simulator._evolve_mat", "simulator._gone", "qcore._from_projection"], ["simulator._gone"])
+
+
+def gate_rows(gates) -> list[list[str]]:
+    """A gate table's names split as the README lists them: one-qubit gates
+    without an angle, rotations, two-qubit gates."""
+    return [[name for name, (arity, unitary) in gates.items()
+             if arity == k and callable(unitary) == rotation]
+            for k, rotation in ((1, False), (1, True), (2, False))]
+
+
+def test_readme_names_exactly_the_gate_table():
+    sentence = re.search(r'Supported gates: `([^`]*)` and `([^`]*)` \(with `"angle"`,\s+'
+                         r'a finite number of radians\) on one\s+qubit, `([^`]*)` on two\.', README)
+    documented = [group.split() for group in sentence.groups()]
+    assert documented == gate_rows(GATES)
+    assert documented != gate_rows({**GATES, "iswap": GATES["swap"]})  # a row without its doc

@@ -43,7 +43,7 @@ from quassert.simulator import (
     pauli_povm,
     sample,
 )
-from quassert.tomography import _forward
+from quassert.tomography import _forward, process_tomography, state_tomography
 
 from conftest import (
     GATE_POOL_1Q,
@@ -127,6 +127,19 @@ class TestNoiseModel:
 
     def test_default_preset_values(self):
         assert DEFAULT_NOISE == NoiseModel(0.001, 0.01, 0.001, 0.02)
+
+    @pytest.mark.parametrize("noise", ["default", {"a": 1}], ids=["str", "dict"])
+    @pytest.mark.parametrize("seam", [
+        lambda c, noise: evolve(DensityMatrix.ground(1), c, noise),
+        lambda c, noise: pauli_distributions(DensityMatrix.ground(1), noise),
+        lambda c, noise: state_tomography(c, noise, 10, 0),
+        lambda c, noise: process_tomography(c, noise, 10, 0),
+    ], ids=["evolve", "pauli_distributions", "state_tomography", "process_tomography"])
+    def test_seams_reject_a_noise_that_is_not_a_model(self, seam, noise):
+        c = Circuit(1, (gate("h", 0),))
+        with pytest.raises(ValueError, match="noise must be a NoiseModel or None, got "
+                                             + type(noise).__name__):
+            seam(c, noise)
 
 
 class TestEvolve:
@@ -733,10 +746,10 @@ def circuits(draw):
     names = [name for name, (arity, _) in GATES.items() if arity <= n]
     ops = []
     for name in draw(st.lists(st.sampled_from(names), max_size=6 * n)):
-        arity, rotation = GATES[name]
+        arity, unitary = GATES[name]
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
                                unique=True))
-        angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if rotation else None
+        angle = draw(st.floats(-2 * np.pi, 2 * np.pi)) if callable(unitary) else None
         ops.append(GateOp(name, tuple(qubits), angle))
     return Circuit(n, tuple(ops))
 
