@@ -121,7 +121,11 @@ class GateOp:
             )
         if rotation and not _is_real(angle):
             raise ValueError(f"gate {name!r}: angle must be a real number, got {angle!r}")
-        if rotation and not math.isfinite(angle):
+        try:
+            finite = not rotation or math.isfinite(angle)
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"gate {name!r}: angle must be finite, got {angle}")
         if min(qubits) < 0:
             raise ValueError(f"negative qubit index in {qubits}")
@@ -259,9 +263,11 @@ class DensityMatrix:
 
     @classmethod
     def from_statevector(cls, vec: np.ndarray) -> DensityMatrix:
-        """|psi><psi| of the normalized vector; its length must be 2^n with n >= 1,
-        its entries finite and its norm nonzero."""
-        vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
+        """|psi><psi| of the normalized vector; it must be 1-D of length 2^n with
+        n >= 1, its entries finite and its norm nonzero."""
+        vec = np.asarray(vec, dtype=np.complex128)
+        if vec.ndim != 1:
+            raise DimensionError(f"statevector must be 1-D, got shape {vec.shape}")
         n = vec.size.bit_length() - 1
         if n < 1 or 2**n != vec.size:
             raise DimensionError(
@@ -335,11 +341,11 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_qubits", _as_qubit_count(self.n_qubits))
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if probs.size != 2**self.n_qubits:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.shape != (2**self.n_qubits,):
             raise DimensionError(
-                f"distribution for {self.n_qubits} qubit(s) needs {2**self.n_qubits} entries, "
-                f"got {probs.size}"
+                f"distribution for {self.n_qubits} qubit(s) needs a 1-D array of "
+                f"{2**self.n_qubits} entries, got shape {probs.shape}"
             )
         if not np.isfinite(probs).all():
             raise ValueError("distribution has non-finite probabilities")

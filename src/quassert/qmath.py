@@ -6,10 +6,11 @@ eigendecomposition and PSD projection take a matrix or a ``(..., d, d)``
 stack of them and treat each matrix on its own; this module keeps only what
 numpy lacks: the finiteness and Hermiticity checks before ``eigh``, whose one
 caller :func:`hermitian_eig` symmetrizes only input not exactly Hermitian and
-solves a single exactly diagonal matrix (a computational-basis state) by
-sorting, the integer scan :func:`diagonal_words` that finds such a matrix,
-the truncating projection, and :func:`kron_map`, the n-fold tensor
-power of a one-qubit map that every tomography contraction is.
+solves by sorting a single exactly Hermitian matrix that its caller passes as
+diagonal (a computational-basis state), the integer scan :func:`diagonal_words`
+by which that caller finds such a matrix, the truncating projection, and
+:func:`kron_map`, the n-fold tensor power of a one-qubit map that every
+tomography contraction is.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def diagonal_words(a: np.ndarray) -> bool:
 
 
 def hermitian_eig(
-    a: np.ndarray, deviation: float | None = None, diagonal: bool | None = None
+    a: np.ndarray, deviation: float | None = None, diagonal: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or (..., d, d) stack by LAPACK.
 
@@ -53,13 +54,11 @@ def hermitian_eig(
     ascending real eigenvalues, orthonormal eigenvector columns.  The input is
     checked for finiteness and Hermiticity and symmetrized unless exactly
     Hermitian.  A caller that has checked ``a`` already passes its
-    ``deviation``, max |A - A†|, which is then not computed again.  A single
-    exactly Hermitian matrix with no nonzero off-diagonal entry skips LAPACK:
-    its real diagonal in stable ascending order, with the identity's columns
-    in that order.  That decision is :func:`diagonal_words`, then, if a word
-    off the diagonal is nonzero (``-0.0``, say), a count of nonzero entries;
-    a caller that has run the scan already passes its result as ``diagonal``
-    (True only if every off-diagonal entry of ``a`` is known to be zero).
+    ``deviation``, max |A - A†|, which is then not computed again.  A caller
+    that has found every off-diagonal word of a single matrix ``+0.0``
+    (:func:`diagonal_words`) passes ``diagonal``; if the matrix is also
+    exactly Hermitian, LAPACK is skipped: its real diagonal in stable
+    ascending order, with the identity's columns in that order.
     """
     a = np.asarray(a, dtype=np.complex128)
     dev = deviation
@@ -75,10 +74,7 @@ def hermitian_eig(
             raise DimensionError(
                 f"hermitian_eig expects a Hermitian matrix; max |A - A†| = {dev:.3e}"
             )
-    if dev == 0.0 and a.ndim == 2 and (
-        (diagonal_words(a) if diagonal is None else diagonal)
-        or np.count_nonzero(a) == np.count_nonzero(a.diagonal())
-    ):
+    if diagonal and dev == 0.0:
         order = np.argsort(a.diagonal().real, kind="stable")
         vectors = np.zeros_like(a)  # set d entries, not copy d^2 of an identity
         vectors[order, np.arange(len(a))] = 1.0

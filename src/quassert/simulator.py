@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -284,17 +285,6 @@ def _block_plan(
     return fed, left, _sub_channel(k, start, done) if start or done else None
 
 
-@functools.lru_cache(maxsize=8)
-def _live_entries(n: int, cold: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The flat indices, ascending and read-only, of a 2^n x 2^n matrix's
-    entries whose row and column bits are 0 on each qubit q with bit q of
-    ``cold`` set, and the bit axes (qubit q's row bit n - q, column bit 2n - q)
-    that enumerate them, in order: those of the other qubits."""
-    entries = np.flatnonzero(np.arange(4**n) & (cold << n | cold) == 0)
-    entries.flags.writeable = False
-    return entries, tuple(a for a in range(1, 2 * n + 1) if not cold >> (-a % n) & 1)
-
-
 @functools.lru_cache(maxsize=512)
 def _diagonal_entries(n: int, layout: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
     """The flat indices, read-only, at which a (B,) + (2,) * len(layout) view
@@ -338,14 +328,16 @@ def _evolve_mat(
     evolved only in its light cone, between its first and last block.  A
     qubit is cold when its row and column bits are 0 in every nonzero entry
     of the stack, as every qubit of the ground state is.  It carries no axes
-    until its first block, which applies only the channel columns whose bits
-    on it are 0: the full evolution's sums without their zero terms.  After
-    its last block a qubit's coherences are never read, so that block
-    computes only the channel rows whose row and column bits agree on it, and
-    the qubit keeps one bit axis, labelled n - q.  A product the cone leaves
-    fewer than 4 columns per matrix runs zero-padded to 4, since OpenBLAS
-    rounds a product of 1-3 columns differently from the same columns inside
-    the full evolution's wide products; M is a power of two, so 4 is enough.
+    until its first block: indexing 0 on its row and column bit axes drops
+    them from the stack's view, no copy made.  That block applies only the
+    channel columns whose bits on it are 0: the full evolution's sums without
+    their zero terms.  After its last block a qubit's coherences are never
+    read, so that block computes only the channel rows whose row and column
+    bits agree on it, and the qubit keeps one bit axis, labelled n - q.  A
+    product the cone leaves fewer than 4 columns per matrix runs zero-padded
+    to 4, since OpenBLAS rounds a product of 1-3 columns differently from the
+    same columns inside the full evolution's wide products; M is a power of
+    two, so 4 is enough.
 
     Every diagonal is read from the last block's axes by selection alone
     (:func:`_diagonal_entries`): a qubit that kept both bit axes has its
@@ -353,12 +345,12 @@ def _evolve_mat(
     n = c.n_qubits
     blocks = _blocks(c.ops, noise, n)
     b = mats.size >> 2 * n
-    view = mats.reshape(b, 4**n)
+    view = mats.reshape((b,) + (2,) * 2 * n)
     layout = tuple(range(1, 2 * n + 1))  # the bit axis at each position of view
     start = done = [()] * len(blocks)  # each block's local bits that join and finish
     cone = diagonal and n >= _FUSE_FROM_QUBITS
     if cone:
-        bits = int(np.bitwise_or.reduce(np.flatnonzero(view.any(axis=0))))
+        bits = int(np.bitwise_or.reduce(np.flatnonzero(view.reshape(b, -1).any(axis=0))))
         cold = ~(bits | bits >> n) & ((1 << n) - 1)  # bit q set: qubit q is cold
         first, last = {}, {}
         for i, (qubits, _) in enumerate(blocks):
@@ -371,10 +363,9 @@ def _evolve_mat(
                 start[i] += (blocks[i][0].index(q),)
         for q, i in last.items():
             done[i] += (blocks[i][0].index(q),)
-        if cold:
-            entries, layout = _live_entries(n, cold)
-            view = view.take(entries, axis=1)
-    view = view.reshape((b,) + (2,) * len(layout))
+        live = [not cold >> q & 1 for q in reversed(range(n))] * 2  # each axis of layout
+        view = view[(slice(None),) + tuple(slice(None) if k else 0 for k in live)]
+        layout = tuple(compress(layout, live))
     work = [np.empty(b * 4**n, np.complex128)[: view.size].reshape(view.shape)
             for _ in range(2)]  # view: mats or work[0]
     for (qubits, channel), begin, end in zip(blocks, start, done):
@@ -562,7 +553,7 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     seed = check_seed(seed)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[-1].bit_length() - 1 if probs.ndim else 0
-    if n < 1 or probs.shape[-1] != 2**n:
+    if n < 1 or probs.shape[-1] != 2**n or probs.size == 0:
         raise qmath.DimensionError(f"sample needs rows of 2^n probabilities, got {probs.shape}")
     # numpy rejects negative and NaN entries but draws an excess sum's remainder
     # into the last bin, so every row's sum is checked here.

@@ -116,7 +116,8 @@ def state_tomography(
 
 def _preparations(noise: NoiseModel | None) -> np.ndarray:
     """The four one-qubit preparations of ``_PREP_GATES`` from |0> as a (4, 2, 2) stack."""
-    ground = DensityMatrix.ground(1).mat[None]
+    ground = np.zeros((1, 2, 2), dtype=np.complex128)
+    ground[0, 0, 0] = 1.0
     return np.concatenate([evolve(ground, Circuit(1, tuple(GateOp(g, (0,)) for g in gates)), noise)
                            for gates in _PREP_GATES.values()])
 

@@ -63,7 +63,9 @@ def count_lapack_solves(monkeypatch) -> list:
 def reference_store_checked_matrix(obj, kind, trace, trace_text, negative) -> None:
     """``qcore._store_checked_matrix`` with every check on the full matrix: its
     finiteness, max |A - A†| over every entry, and the no-LAPACK shortcut of
-    ``qmath.hermitian_eig`` decided by two counts of nonzero complex entries.
+    ``qmath.hermitian_eig`` taken where ``qmath.diagonal_words`` finds every
+    off-diagonal word of the matrix as given ``+0.0`` (dividing by the trace
+    can turn a ``-0.0`` word into ``+0.0``).
     ``src/`` checks a matrix whose off-diagonal words are all ``+0.0`` on its
     diagonal alone, to the same bytes and the same exceptions."""
     mat = np.asarray(obj.mat, dtype=np.complex128)
@@ -82,7 +84,7 @@ def reference_store_checked_matrix(obj, kind, trace, trace_text, negative) -> No
     if abs(tr - trace) > 1e-9 * trace:
         raise ValueError(f"{kind} trace must be {trace_text}, got {tr:.12g}")
     a = mat / trace if trace != 1 else mat
-    if herm == 0.0 and np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+    if herm == 0.0 and qmath.diagonal_words(mat):
         order = np.argsort(a.diagonal().real, kind="stable")
         vectors = np.zeros_like(a)
         vectors[order, np.arange(len(a))] = 1.0

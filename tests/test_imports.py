@@ -29,10 +29,16 @@ without validating it, so only a ``qmath.psd_project`` output is stored so.  ``e
 appears nowhere in the package: ``qmath.kron_map`` is its one contraction.
 Every ``lru_cache`` states an integer ``maxsize`` and ``functools.cache`` is
 not used, so no cache keyed by user input (angles, noise models) can grow
-without bound.
+without bound.  A fresh ``import quassert.cli`` loads only ``quassert``,
+``numpy`` and the standard library: the test-only packages (scipy,
+hypothesis) are installed, and one stray import would slow every start.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -457,3 +463,26 @@ def test_cache_scan_flags_unbounded_caches():
         "cache = {}\nh = cache.get\n"
     )
     assert unbounded_caches(source) == [2, 3, 6, 9, 18, 21]
+
+
+def foreign_modules(code: str, path: list[str]) -> list[str]:
+    """The top-level packages, other than ``quassert``, ``numpy`` and the
+    standard library, that running ``code`` in a fresh interpreter with
+    ``path`` on ``PYTHONPATH`` loads; those loaded at start-up do not count."""
+    script = ("import json, sys\nbefore = set(sys.modules)\n" + code
+              + "\nprint(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    tops = {name.split(".")[0] for name in json.loads(out)}
+    return sorted(tops - {"quassert", "numpy"} - sys.stdlib_module_names)
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    assert foreign_modules("import quassert.cli", [str(PACKAGE.parent)]) == []
+
+
+def test_foreign_module_scan_flags_a_planted_import(tmp_path):
+    (tmp_path / "stray.py").write_text("import json\n", encoding="utf-8")
+    code = "import quassert.cli\nimport stray\nimport xml.dom"
+    assert foreign_modules(code, [str(PACKAGE.parent), str(tmp_path)]) == ["stray"]

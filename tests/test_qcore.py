@@ -9,6 +9,7 @@ explicit index-pair sum.
 import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -106,11 +107,15 @@ class TestGateOpValidation:
         with pytest.raises(ValueError):
             GateOp("x", (0,), angle=0.5)  # angle on a fixed gate
 
-    @pytest.mark.parametrize("bad", [True, np.True_, "0.3", 1j, [0.3]],
-                             ids=["bool", "numpy_bool", "str", "complex", "list"])
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.3", 1j, [0.3], 10**400,
+                                     Fraction(10**400, 3)],
+                             ids=["bool", "numpy_bool", "str", "complex", "list", "huge_int",
+                                  "huge_fraction"])
     def test_non_real_angle_rejected(self, bad):
-        with pytest.raises(ValueError, match=re.escape(
-                f"gate 'rx': angle must be a real number, got {bad!r}")):
+        # A real number beyond the float range is rejected as not finite.
+        problem = (f"finite, got {bad}" if type(bad) in (int, Fraction)
+                   else f"a real number, got {bad!r}")
+        with pytest.raises(ValueError, match=re.escape(f"gate 'rx': angle must be {problem}")):
             GateOp("rx", (0,), angle=bad)
 
     @pytest.mark.parametrize("angle", [1, np.int64(2), np.float32(0.3)])
@@ -332,6 +337,13 @@ class TestDomainTypes:
         with pytest.raises(DimensionError, match=f"statevector length {len(vec)} is not a power"):
             DensityMatrix.from_statevector(np.array(vec))
 
+    @pytest.mark.parametrize("vec", [np.eye(2), np.ones((1, 4)), np.array(1.0)],
+                             ids=["matrix", "row", "scalar"])
+    def test_from_statevector_needs_a_1d_vector(self, vec):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"statevector must be 1-D, got shape {vec.shape}")):
+            DensityMatrix.from_statevector(vec)
+
     @pytest.mark.parametrize("vec, problem", [([0.0, 0.0], "zero norm"),
                                               ([np.nan, 1.0], "non-finite"),
                                               ([np.inf, 0.0], "non-finite")],
@@ -352,6 +364,14 @@ class TestDomainTypes:
             OutcomeDistribution(1, [1.5, -0.5])
         with pytest.raises(DimensionError):
             OutcomeDistribution(2, [1.0, 0.0])
+
+    @pytest.mark.parametrize("probs", [[[0.5], [0.5]], [[0.5, 0.5]], 1.0],
+                             ids=["column", "row", "scalar"])
+    def test_distribution_needs_a_1d_array(self, probs):
+        shape = np.shape(probs)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"needs a 1-D array of 2 entries, got shape {shape}")):
+            OutcomeDistribution(1, probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):

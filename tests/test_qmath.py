@@ -159,8 +159,8 @@ class TestHermitianEig:
 
 
 class TestDiagonalShortcut:
-    """A single exactly Hermitian matrix with no nonzero off-diagonal entry is
-    solved without LAPACK."""
+    """A single exactly Hermitian matrix its caller passes as ``diagonal`` (every
+    off-diagonal word ``+0.0``, by ``diagonal_words``) is solved without LAPACK."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -173,7 +173,7 @@ class TestDiagonalShortcut:
         diagonal = data.draw(hnp.arrays(np.float64, dim, elements=entries))
         a = np.diag(diagonal).astype(complex)
         reference, _ = np.linalg.eigh(a)
-        values, v = hermitian_eig(a)
+        values, v = hermitian_eig(a, deviation=0.0, diagonal=True)
         # Bit for bit, but for the sign of a zero (LAPACK's sort does not keep
         # the order of equal values, and -0.0 == 0.0), unless LAPACK rescales
         # the matrix, as it does when every entry is below about 1e-146, and
@@ -187,22 +187,28 @@ class TestDiagonalShortcut:
 
     def test_diagonal_input_needs_no_lapack_solve(self, monkeypatch):
         solved = count_lapack_solves(monkeypatch)
-        values, vectors = hermitian_eig(np.diag([0.5, 0.0, 0.5, -0.0]))
+        values, vectors = hermitian_eig(np.diag([0.5, 0.0, 0.5, -0.0]), deviation=0.0,
+                                        diagonal=True)
         assert solved == []
         assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
         assert np.array_equal(vectors, np.eye(4)[:, [1, 3, 0, 2]])
 
-    def test_signed_zero_off_the_diagonal_needs_no_lapack_solve(self, monkeypatch):
-        # A -0.0 entry is a nonzero word: the integer scan says no, the count
-        # of nonzero entries still finds the matrix diagonal.
+    def test_signed_zero_off_the_diagonal_takes_lapack(self, monkeypatch):
+        # A -0.0 entry is a nonzero word: the integer scan says no, so the
+        # caller does not pass diagonal, and LAPACK solves the matrix.
         a = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         a[0, 1] = a[1, 0] = -0.0
         assert not diagonal_words(a) and diagonal_words(np.diag(a.diagonal()))
         solved = count_lapack_solves(monkeypatch)
-        values, vectors = hermitian_eig(a)
-        assert solved == []
+        values, _ = hermitian_eig(a, deviation=0.0, diagonal=diagonal_words(a))
+        assert solved == [(4, 4)]
         assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
-        assert np.array_equal(vectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    def test_no_shortcut_without_the_callers_verdict(self, monkeypatch):
+        solved = count_lapack_solves(monkeypatch)
+        values, _ = hermitian_eig(np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex))
+        assert solved == [(4, 4)]
+        assert np.array_equal(values, [0.0, 0.0, 0.5, 0.5])
 
     def test_diagonal_words_reads_any_layout(self):
         a = np.diag([0.25, 0.75, 0.0]).astype(complex)

@@ -1,6 +1,7 @@
 """Density-matrix evolution, noise channels and seeded sampling."""
 
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -432,6 +433,16 @@ def diagonal_cases(draw):
     return c
 
 
+def partly_cold(rng, n, live):
+    """A random density matrix on the qubits ``live`` (a proper subset makes
+    the others cold), |0><0| on every other qubit of n."""
+    small = np.arange(2 ** len(live))
+    place = sum((small >> m & 1) << q for m, q in enumerate(live))
+    mat = np.zeros((2**n, 2**n), dtype=np.complex128)
+    mat[np.ix_(place, place)] = random_density(rng, len(live))
+    return mat
+
+
 def chain_circuit(n):
     """h then cx(q, q + 1) on each qubit in turn, a rotation on each target:
     fused, one block per pair, qubit q finishing at block q (the last two together)."""
@@ -479,7 +490,10 @@ class TestDiagonalEvolution:
         stack.flags.writeable = False
         before = stack.copy()
         ground = DensityMatrix.ground(n)
-        for state in (stack, ground.mat[None], ground, DensityMatrix(n, stack[0])):
+        rng = np.random.default_rng(seed)
+        live = sorted(rng.permutation(n)[: rng.integers(1, n)]) if n > 1 else [0]
+        partial = partly_cold(rng, n, live)[None]
+        for state in (stack, ground.mat[None], ground, DensityMatrix(n, stack[0]), partial):
             out = evolve(state, c, noise, diagonal=True)
             full = evolve(state, c, noise)
             full = full.mat if isinstance(full, DensityMatrix) else full
@@ -499,6 +513,17 @@ class TestDiagonalEvolution:
         expected = np.diagonal(evolve(ground.mat[None], c, noise), axis1=1, axis2=2).real
         assert np.array_equal(evolve(ground.mat[None], c, noise, diagonal=True), expected)
         assert np.array_equal(evolve(ground, c, noise, diagonal=True), expected[0])
+
+    @pytest.mark.parametrize("noise", [None, DEFAULT_NOISE], ids=["noiseless", "default_noise"])
+    @pytest.mark.parametrize("n", range(_FUSE_FROM_QUBITS, 8))
+    def test_matrices_with_different_cold_qubits_share_a_stack(self, n, noise):
+        """Only the qubits cold in both matrices are cold in the stack: qubits
+        2..n-3 here, while 0-1 and n-2..n-1 are live in one matrix each."""
+        rng = np.random.default_rng(1000 + n)
+        stack = np.stack([partly_cold(rng, n, [0, 1]), partly_cold(rng, n, [n - 2, n - 1])])
+        c = random_circuit(rng, n, 5 * n)
+        expected = np.diagonal(evolve(stack, c, noise), axis1=1, axis2=2).real
+        assert np.array_equal(evolve(stack, c, noise, diagonal=True), expected)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_empty_circuit_reads_the_input_diagonal(self, n):
@@ -997,6 +1022,12 @@ class TestSample:
         # numpy alone would draw from the sum_1.4 row, putting the remainder in the last bin.
         with pytest.raises(ValueError):
             sample(np.array(probs), 10, seed=0)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 4), (0,)], ids=["rows", "stack", "entries"])
+    def test_empty_probabilities_rejected(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"sample needs rows of 2^n probabilities, got {shape}")):
+            sample(np.zeros(shape), 10, seed=0)
 
     @settings(max_examples=150, deadline=None)
     @given(
